@@ -15,15 +15,9 @@ from pathlib import Path
 
 from . import extra_trees, metrics as metrics_mod, pretrain as pretrain_mod, synth_flows
 from .comm_graph import save_graph
-from .flow_ingest import (
-    derive_node_labels,
-    filter_tcp_udp,
-    parse_flow_file,
-    slice_windows,
-    write_flows_csv,
-)
+from .flow_ingest import filter_tcp_udp, parse_flow_file, slice_windows, write_flows_csv
 from .flow_features import FEATURE_NAMES, extract_node_features
-from .fusion_pipeline import PipelineConfig, detect, train_detector
+from .fusion_pipeline import PipelineConfig, detect, pool_labeled_rows, train_detector
 from .gcn_core import load_model, save_model
 from .pretrain import ARCH_DEPTH, TrainConfig
 
@@ -48,17 +42,23 @@ def _load_config_file(path: str) -> dict:
     return cfg
 
 
-def _apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
-    """Config values win over defaults; explicit flags win over config."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config_file(args.config)
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
+    """Install the config file's values as the subcommand's defaults.
+
+    Parsing argv again afterwards lets explicit flags win over the config.
+    Values of typed arguments are installed as strings, so argparse runs
+    each one through its argument's type as it would a flag.
+    """
+    actions = {a.dest: a for a in sub._actions}
+    defaults = {}
+    for key, value in _load_config_file(path).items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, dest) == sub.get_default(dest):
-            setattr(args, dest, value)
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r}: {value!r} is not one of {action.choices}")
+        defaults[action.dest] = str(value) if action.type else value
+    sub.set_defaults(**defaults)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -106,13 +106,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_pretrain(args) -> int:
+def _pretrain_dataset(args) -> list:
     if args.data == "synth":
-        dataset = pretrain_mod.default_pretrain_dataset(
+        return pretrain_mod.default_pretrain_dataset(
             args.arch, n_graphs=args.n_graphs, seed=args.seed
         )
-    else:
-        dataset = pretrain_mod.load_graph_dataset(args.data)
+    return pretrain_mod.load_graph_dataset(args.data)
+
+
+def cmd_pretrain(args) -> int:
+    dataset = _pretrain_dataset(args)
     depth = args.depth if args.depth is not None else ARCH_DEPTH[args.arch]
     config = TrainConfig(
         lr=args.lr,
@@ -176,8 +179,6 @@ def cmd_detect(args) -> int:
     config = PipelineConfig(
         architecture=args.arch,
         depth=model.depth,
-        window_len=args.window_len,
-        stride=args.stride,
         norm_mode=args.norm_mode,
         threshold=args.threshold,
     )
@@ -194,16 +195,9 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _pooled_embeddings(args, model):
-    windows = _load_windows(args)
-    pooled = [r for w in windows for r in w.records]
-    node_labels = derive_node_labels(pooled)
-    return metrics_mod._pool_labeled(windows, model, node_labels, args.norm_mode)
-
-
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    X, y = _pooled_embeddings(args, model)
+    X, y = pool_labeled_rows(_load_windows(args), model, norm_mode=args.norm_mode)
     folds, summary = metrics_mod.kfold_cv(
         X, y, k=args.k, seed=args.seed, n_trees=args.n_trees, threshold=args.threshold
     )
@@ -222,12 +216,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     depths = [int(d) for d in args.depths.split(",") if d.strip()]
-    if args.data == "synth":
-        dataset = pretrain_mod.default_pretrain_dataset(
-            args.arch, n_graphs=args.n_graphs, seed=args.seed
-        )
-    else:
-        dataset = pretrain_mod.load_graph_dataset(args.data)
+    dataset = _pretrain_dataset(args)
     windows = _load_windows(args)
     config = TrainConfig(
         max_epochs=args.max_epochs, patience=args.patience, seed=args.seed
@@ -351,7 +340,9 @@ def main(argv=None) -> int:
     parser, registry = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, registry[args.command])
+        if args.config:
+            _apply_config(registry[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, FileNotFoundError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

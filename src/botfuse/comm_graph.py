@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -103,15 +102,13 @@ def build_graph(
     )
 
 
-def propagation_matrix(graph: CommGraph, add_self_loops: bool = False) -> sp.csr_matrix:
+def propagation_matrix(graph: CommGraph) -> sp.csr_matrix:
     """Symmetric degree-normalized propagation matrix of the graph.
 
     The directed edge set is symmetrized (a pair is connected when either
     direction is present), each node's degree is its neighbor count in the
     symmetrized graph, and the entry for a connected pair (i, j) is
-    1/sqrt(d_i * d_j). Isolated nodes get all-zero rows and columns. With
-    ``add_self_loops`` the identity is added to the adjacency before
-    normalization (off by default).
+    1/sqrt(d_i * d_j). Isolated nodes get all-zero rows and columns.
     """
     n = graph.n
     neighbors: list[set[int]] = [set() for _ in range(n)]
@@ -120,8 +117,6 @@ def propagation_matrix(graph: CommGraph, add_self_loops: bool = False) -> sp.csr
         neighbors[j].add(i)
 
     degree = np.array([len(nb) for nb in neighbors], dtype=np.float64)
-    if add_self_loops:
-        degree += 1.0
     inv_sqrt = np.zeros(n, dtype=np.float64)
     nonzero = degree > 0
     inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
@@ -130,10 +125,6 @@ def propagation_matrix(graph: CommGraph, add_self_loops: bool = False) -> sp.csr
     cols: list[int] = []
     vals: list[float] = []
     for i in range(n):
-        if add_self_loops:
-            rows.append(i)
-            cols.append(i)
-            vals.append(inv_sqrt[i] * inv_sqrt[i])
         for j in sorted(neighbors[i]):
             rows.append(i)
             cols.append(j)
@@ -232,10 +223,6 @@ def load_graph(path: str | Path) -> CommGraph:
     except json.JSONDecodeError as exc:
         raise ValueError(f"graph schema violation: {path} is not valid JSON ({exc})") from None
     return graph_from_json(payload)
-
-
-def labels_from_codes(codes: np.ndarray) -> list[Label]:
-    return [Label(_CODE_TO_NAME[int(c)]) for c in codes]
 
 
 def estimate_spectral_radius(matrix: sp.spmatrix, n_iter: int = 200, seed: int = 0) -> float:

@@ -110,6 +110,8 @@ def _parse_port(text: str) -> int:
 
 
 def _validated(record: FlowRecord) -> FlowRecord:
+    if not (math.isfinite(record.ts_start) and math.isfinite(record.duration)):
+        raise ValueError("non-finite start time or duration")
     if record.duration < 0:
         raise ValueError("negative duration")
     if record.src_bytes < 0 or record.dst_bytes < 0:

@@ -14,22 +14,27 @@ from .comm_graph import LABEL_BOT, LABEL_LEGIT, CommGraph, build_graph, propagat
 from .extra_trees import TreeEnsemble
 from .flow_features import extract_node_features
 from .flow_ingest import Label, WindowSlice, derive_node_labels
-from .gcn_core import NORM_MODES, NORM_PER_DIMENSION, NORM_PER_VECTOR, GcnModel, forward
+from .gcn_core import GcnModel, forward
 from .pretrain import ARCH_DEPTH, ARCHITECTURES
 
 DEFAULT_THRESHOLD = 0.5
+
+NORM_PER_VECTOR = "per_vector"
+NORM_PER_DIMENSION = "per_dimension"
+NORM_MODES = (NORM_PER_VECTOR, NORM_PER_DIMENSION)
+
+VARIANT_FUSED = "fused"
+VARIANT_TOPOLOGY = "topology_only"
+VARIANT_FLOW = "flow_only"
+VARIANTS = (VARIANT_FUSED, VARIANT_TOPOLOGY, VARIANT_FLOW)
 
 
 @dataclass
 class PipelineConfig:
     architecture: str = "c2"
     depth: int | None = None
-    window_len: float = 60.0
-    stride: float = 10.0
     norm_mode: str = NORM_PER_VECTOR
     threshold: float = DEFAULT_THRESHOLD
-    model_path: str | None = None
-    ensemble_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.architecture not in ARCHITECTURES:
@@ -44,10 +49,12 @@ class PipelineConfig:
 
 @dataclass
 class NodeEmbedding:
-    """Final-hidden-layer activations for one window's nodes."""
+    """Final-hidden-layer activations for one window's nodes, with the
+    seconds spent in the features, graph and embed stages."""
 
     graph: CommGraph
     vectors: np.ndarray
+    timings: dict[str, float]
 
     @property
     def nodes(self) -> list[str]:
@@ -147,54 +154,56 @@ def embed_window(
     window: WindowSlice,
     model: GcnModel,
     node_labels: dict[str, Label] | None = None,
+    variant: str = VARIANT_FUSED,
 ) -> NodeEmbedding:
-    """Window flows through graph construction and the frozen network."""
-    if not model.frozen:
+    """Window flows through graph construction and the frozen network.
+
+    Variants select what the vectors are: `fused` runs flow features
+    through the frozen network, `topology_only` runs all-ones features
+    through it instead, and `flow_only` skips the network and returns the
+    raw window features.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown feature variant {variant!r}")
+    if variant != VARIANT_FLOW and not model.frozen:
         raise ValueError("embedding requires a frozen model")
+    t0 = time.perf_counter()
     feats = extract_node_features(window)
+    t1 = time.perf_counter()
     graph = build_graph(window, feats, node_labels=node_labels)
-    P = propagation_matrix(graph)
-    vectors = forward(model, P, graph.features, with_head=False)
-    return NodeEmbedding(graph=graph, vectors=vectors)
-
-
-VARIANT_FUSED = "fused"
-VARIANT_TOPOLOGY = "topology_only"
-VARIANT_FLOW = "flow_only"
-VARIANTS = (VARIANT_FUSED, VARIANT_TOPOLOGY, VARIANT_FLOW)
+    if variant == VARIANT_FLOW:
+        t2 = time.perf_counter()
+        vectors = graph.features
+    else:
+        P = propagation_matrix(graph)
+        t2 = time.perf_counter()
+        X0 = graph.features if variant == VARIANT_FUSED else np.ones_like(graph.features)
+        vectors = forward(model, P, X0, with_head=False)
+    t3 = time.perf_counter()
+    timings = {"features": t1 - t0, "graph": t2 - t1, "embed": t3 - t2}
+    return NodeEmbedding(graph=graph, vectors=vectors, timings=timings)
 
 
 def pool_labeled_rows(
     windows: list[WindowSlice],
     model: GcnModel,
-    node_labels: dict[str, Label],
+    node_labels: dict[str, Label] | None = None,
     norm_mode: str = NORM_PER_VECTOR,
     variant: str = VARIANT_FUSED,
 ):
     """Normalized per-node rows pooled across windows, labeled 1 = bot.
 
-    Variants select what feeds the classifier: `fused` runs flow features
-    through the frozen network, `topology_only` runs all-ones features
-    through it instead, and `flow_only` skips the network and uses the raw
-    window features.
+    Labels default to the source-of-bot-flows rule derived over all
+    windows' records; unknown nodes are left out of the pool.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown feature variant {variant!r}")
+    if node_labels is None:
+        node_labels = derive_node_labels(r for w in windows for r in w.records)
     X_parts = []
     y_parts = []
     for window in windows:
-        feats = extract_node_features(window)
-        graph = build_graph(window, feats, node_labels=node_labels)
-        if variant == VARIANT_FLOW:
-            vectors = graph.features
-        else:
-            if not model.frozen:
-                raise ValueError("embedding requires a frozen model")
-            P = propagation_matrix(graph)
-            X0 = graph.features if variant == VARIANT_FUSED else np.ones_like(graph.features)
-            vectors = forward(model, P, X0, with_head=False)
-        norm = normalize_embedding(vectors, norm_mode)
-        labels = graph.labels
+        emb = embed_window(window, model, node_labels, variant)
+        norm = normalize_embedding(emb.vectors, norm_mode)
+        labels = emb.graph.labels
         keep = (labels == LABEL_BOT) | (labels == LABEL_LEGIT)
         if keep.any():
             X_parts.append(norm[keep])
@@ -202,15 +211,6 @@ def pool_labeled_rows(
     if not X_parts:
         raise ValueError("no labeled nodes in the training windows")
     return np.vstack(X_parts), np.concatenate(y_parts)
-
-
-def _pool_labeled(
-    windows: list[WindowSlice],
-    model: GcnModel,
-    node_labels: dict[str, Label],
-    norm_mode: str,
-):
-    return pool_labeled_rows(windows, model, node_labels, norm_mode, VARIANT_FUSED)
 
 
 def train_detector(
@@ -221,17 +221,10 @@ def train_detector(
     n_trees: int = extra_trees.DEFAULT_N_TREES,
     seed: int = 0,
 ) -> TreeEnsemble:
-    """Fit the tree ensemble on pooled normalized embeddings of labeled nodes.
-
-    Labels default to the source-of-bot-flows rule derived over all windows;
-    unknown nodes are excluded from the training pool.
-    """
+    """Fit the tree ensemble on pooled normalized embeddings of labeled nodes."""
     if not windows:
         raise ValueError("no training windows")
-    if node_labels is None:
-        pooled = [r for w in windows for r in w.records]
-        node_labels = derive_node_labels(pooled)
-    X, y = _pool_labeled(windows, model, node_labels, norm_mode)
+    X, y = pool_labeled_rows(windows, model, node_labels, norm_mode)
     if np.unique(y).size < 2:
         raise ValueError("training data contains a single class")
     return extra_trees.fit(X, y, n_trees=n_trees, seed=seed)
@@ -262,16 +255,10 @@ def detect(
     t_run = time.perf_counter()
     reports = []
     for window in windows:
+        emb = embed_window(window, model)
         t0 = time.perf_counter()
-        feats = extract_node_features(window)
+        norm = normalize_embedding(emb.vectors, config.norm_mode)
         t1 = time.perf_counter()
-        graph = build_graph(window, feats)
-        P = propagation_matrix(graph)
-        t2 = time.perf_counter()
-        vectors = forward(model, P, graph.features, with_head=False)
-        t3 = time.perf_counter()
-        norm = normalize_embedding(vectors, config.norm_mode)
-        t4 = time.perf_counter()
         probs = extra_trees.predict_proba(ensemble, norm)
         verdicts = [
             NodeVerdict(
@@ -279,24 +266,18 @@ def detect(
                 bot_probability=float(p),
                 verdict=bool(p >= config.threshold),
             )
-            for node, p in zip(graph.nodes, probs)
+            for node, p in zip(emb.nodes, probs)
         ]
         n_flagged = sum(v.verdict for v in verdicts)
-        t5 = time.perf_counter()
+        t2 = time.perf_counter()
 
         reports.append(
             WindowReport(
                 window_start=window.window_start,
-                n_nodes=graph.n,
+                n_nodes=emb.graph.n,
                 n_flagged=n_flagged,
                 verdicts=verdicts,
-                timings={
-                    "features": t1 - t0,
-                    "graph": t2 - t1,
-                    "embed": t3 - t2,
-                    "normalize": t4 - t3,
-                    "classify": t5 - t4,
-                },
+                timings={**emb.timings, "normalize": t1 - t0, "classify": t2 - t1},
             )
         )
     return DetectionReport(

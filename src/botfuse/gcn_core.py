@@ -25,10 +25,6 @@ RESIDUAL_Z_PLUS_RELU = "z_plus_relu"
 RESIDUAL_X_PLUS_RELU = "x_plus_relu"
 RESIDUAL_MODES = (RESIDUAL_Z_PLUS_RELU, RESIDUAL_X_PLUS_RELU)
 
-NORM_PER_VECTOR = "per_vector"
-NORM_PER_DIMENSION = "per_dimension"
-NORM_MODES = (NORM_PER_VECTOR, NORM_PER_DIMENSION)
-
 # Z + relu(Z) doubles positive activations; for zero-mean pre-activations the
 # layer gain is E[(z + relu(z))^2] / E[z^2] = 2.5, so initial weights are
 # shrunk by 1/sqrt(2.5) to keep deep stacks in a trainable range.
@@ -55,7 +51,6 @@ class GcnModel:
     head_bias: np.ndarray
     frozen: bool = False
     residual_mode: str = RESIDUAL_Z_PLUS_RELU
-    norm_mode: str = NORM_PER_VECTOR
 
     def parameters(self) -> list[np.ndarray]:
         return [*self.weights, self.head_weight, self.head_bias]
@@ -77,15 +72,12 @@ def init_gcn(
     hidden_dim: int = DEFAULT_HIDDEN_DIM,
     seed: int = 0,
     residual_mode: str = RESIDUAL_Z_PLUS_RELU,
-    norm_mode: str = NORM_PER_VECTOR,
 ) -> GcnModel:
     """Seeded uniform Glorot-style initialization of a depth-layer model."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if residual_mode not in RESIDUAL_MODES:
         raise ValueError(f"unknown residual mode {residual_mode!r}")
-    if norm_mode not in NORM_MODES:
-        raise ValueError(f"unknown normalization mode {norm_mode!r}")
 
     rng = np.random.default_rng(seed)
     comp = 1.0 / np.sqrt(_MERGED_SUM_GAIN) if residual_mode == RESIDUAL_Z_PLUS_RELU else 1.0
@@ -106,7 +98,6 @@ def init_gcn(
         head_weight=head_weight,
         head_bias=head_bias,
         residual_mode=residual_mode,
-        norm_mode=norm_mode,
     )
 
 
@@ -260,9 +251,7 @@ _MAGIC = b"BFGC"
 _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHHHHBBBB")
 _RESIDUAL_CODES = {RESIDUAL_Z_PLUS_RELU: 0, RESIDUAL_X_PLUS_RELU: 1}
-_NORM_CODES = {NORM_PER_VECTOR: 0, NORM_PER_DIMENSION: 1}
 _RESIDUAL_NAMES = {v: k for k, v in _RESIDUAL_CODES.items()}
-_NORM_NAMES = {v: k for k, v in _NORM_CODES.items()}
 
 
 def _weight_shapes(depth: int, input_dim: int, hidden_dim: int) -> list[tuple[int, int]]:
@@ -274,7 +263,10 @@ def _weight_shapes(depth: int, input_dim: int, hidden_dim: int) -> list[tuple[in
 
 
 def serialize_model(model: GcnModel) -> bytes:
-    """Versioned little-endian binary encoding with a trailing checksum."""
+    """Versioned little-endian binary encoding with a trailing checksum.
+
+    The header's last two bytes are reserved and written as zero.
+    """
     header = _HEADER.pack(
         _MAGIC,
         _FORMAT_VERSION,
@@ -284,7 +276,7 @@ def serialize_model(model: GcnModel) -> bytes:
         N_CLASSES,
         1 if model.frozen else 0,
         _RESIDUAL_CODES[model.residual_mode],
-        _NORM_CODES[model.norm_mode],
+        0,
         0,
     )
     chunks = [header]
@@ -301,14 +293,14 @@ def deserialize_model(data: bytes) -> GcnModel:
     if zlib.crc32(body) != checksum:
         raise ModelFormatError("corrupt payload: checksum mismatch")
 
-    magic, version, depth, input_dim, hidden_dim, n_classes, frozen, res_code, norm_code, _ = (
+    magic, version, depth, input_dim, hidden_dim, n_classes, frozen, res_code, _, _ = (
         _HEADER.unpack(body[: _HEADER.size])
     )
     if magic != _MAGIC:
         raise ModelFormatError("corrupt payload: bad magic")
     if version != _FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version}")
-    if n_classes != N_CLASSES or res_code not in _RESIDUAL_NAMES or norm_code not in _NORM_NAMES:
+    if n_classes != N_CLASSES or res_code not in _RESIDUAL_NAMES:
         raise ModelFormatError("corrupt payload: invalid header fields")
 
     shapes = _weight_shapes(depth, input_dim, hidden_dim)
@@ -337,7 +329,6 @@ def deserialize_model(data: bytes) -> GcnModel:
         head_bias=arrays[depth + 1],
         frozen=bool(frozen),
         residual_mode=_RESIDUAL_NAMES[res_code],
-        norm_mode=_NORM_NAMES[norm_code],
     )
 
 
@@ -355,13 +346,3 @@ def load_model(path) -> GcnModel:
         raise FileNotFoundError(f"model file not found: {path}")
     return deserialize_model(path.read_bytes())
 
-
-def clone_weights(model: GcnModel) -> list[np.ndarray]:
-    return [w.copy() for w in model.parameters()]
-
-
-def restore_weights(model: GcnModel, params: list[np.ndarray]) -> None:
-    *weights, head_w, head_b = params
-    model.weights = [w.copy() for w in weights]
-    model.head_weight = head_w.copy()
-    model.head_bias = head_b.copy()

@@ -8,7 +8,7 @@ import numpy as np
 from scipy import stats
 
 from . import extra_trees
-from .fusion_pipeline import _pool_labeled, embed_window, normalize_embedding  # noqa: F401
+from .fusion_pipeline import pool_labeled_rows
 from .pretrain import TrainConfig, pretrain_gcn
 
 METRIC_FIELDS = ("accuracy", "precision", "recall", "fpr", "f1", "roc_auc")
@@ -183,18 +183,13 @@ def depth_sweep(
     norm_mode: str = "per_vector",
 ) -> list[dict]:
     """Pretrain, freeze, embed, and cross-validate once per candidate depth."""
-    from .flow_ingest import derive_node_labels
-
     if not depths:
         raise ValueError("no depths requested")
-    if node_labels is None:
-        pooled = [r for w in windows for r in w.records]
-        node_labels = derive_node_labels(pooled)
 
     rows = []
     for depth in depths:
         model = pretrain_gcn(pretrain_dataset, depth, train_config)
-        X, y = _pool_labeled(windows, model, node_labels, norm_mode)
+        X, y = pool_labeled_rows(windows, model, node_labels, norm_mode)
         fold_metrics, summary = kfold_cv(X, y, k=k, seed=seed, n_trees=n_trees)
         rows.append(
             {

@@ -112,6 +112,19 @@ class TestTrainDetect:
         assert "timings" in obj
         assert obj["architecture"] == "c2"
 
+    def test_detect_skips_non_finite_rows(self, art, tmp_path):
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text(
+            art["flows"].read_text()
+            + "inf,0.5,tcp,10.9.9.1,1,10.9.9.2,2,10,5\n"
+            + "30.0,nan,tcp,10.9.9.3,1,10.9.9.4,2,10,5\n"
+        )
+        argv = ["detect", "--model", str(art["model"]), "--ensemble", str(art["ens"]),
+                "--no-timings"]
+        assert main(argv + ["--flows", str(dirty), "--out", str(tmp_path / "d.jsonl")]) == 0
+        assert main(argv + ["--flows", str(art["flows"]), "--out", str(tmp_path / "c.jsonl")]) == 0
+        assert (tmp_path / "d.jsonl").read_bytes() == (tmp_path / "c.jsonl").read_bytes()
+
     def test_detect_no_timings_is_byte_stable(self, art, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
@@ -179,6 +192,28 @@ class TestConfigFile:
         assert rc == 0
         assert extra_trees.load_ensemble(out).n_trees == 9
 
+    def test_explicit_flag_equal_to_default_beats_config(self, art, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_trees": 7}))
+        out = tmp_path / "ens100.json"
+        rc = main([
+            "train", "--flows", str(art["flows"]), "--model", str(art["model"]),
+            "--n-trees", "100", "--out", str(out), "--config", str(cfg),
+        ])
+        assert rc == 0
+        assert extra_trees.load_ensemble(out).n_trees == 100
+
+    def test_config_value_of_wrong_type_fails(self, art, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_trees": "abc"}))
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "train", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                "--out", str(tmp_path / "x.json"), "--config", str(cfg),
+            ])
+        assert exc.value.code != 0
+        assert "error: argument --n-trees: invalid int value: 'abc'" in capsys.readouterr().err
+
     def test_unknown_key_fails(self, art, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tree-count": 7}))
@@ -188,6 +223,14 @@ class TestConfigFile:
         ])
         assert rc == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_config_value_outside_choices_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "graph"}))
+        rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+        assert rc == 1
+        assert "'graph' is not one of ['graphs', 'flows']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_configs_fail(self, art, tmp_path, capsys):
         missing = main([

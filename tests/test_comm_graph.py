@@ -56,14 +56,12 @@ def _random_graph(rng, n=None, p=0.1):
     )
 
 
-def _dense_oracle(graph, add_self_loops=False):
+def _dense_oracle(graph):
     n = graph.n
     A = np.zeros((n, n))
     for i, j in graph.edges:
         A[i, j] = 1.0
         A[j, i] = 1.0
-    if add_self_loops:
-        A += np.eye(n)
     deg = A.sum(axis=1)
     inv = np.zeros(n)
     inv[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
@@ -192,15 +190,6 @@ class TestPropagationMatrix:
         for i in range(30):
             for j in range(30):
                 assert P2[new_index[i], new_index[j]] == P[i, j]
-
-    def test_self_loop_augmentation(self):
-        records = [_flow("hub", f"leaf{i}") for i in range(4)]
-        g = _graph_from_flows(records)
-        P = propagation_matrix(g, add_self_loops=True).toarray()
-        oracle = _dense_oracle(g, add_self_loops=True)
-        assert np.abs(P - oracle).max() < 1e-12
-        h = g.index("hub")
-        assert P[h, h] == pytest.approx(1.0 / 5.0)
 
     def test_sparse_output_type(self):
         g = _graph_from_flows([_flow("A", "B")])

@@ -98,6 +98,22 @@ class TestParseCanonical:
         assert len(result) == 1
         assert result.malformed == 3
 
+    @pytest.mark.parametrize("ts", ["inf", "-inf", "nan"])
+    def test_non_finite_start_time_is_malformed(self, tmp_path, ts):
+        p = tmp_path / "flows.csv"
+        p.write_text(f"{ts},0.5,tcp,a,1,b,2,10,5\n1.0,0.5,tcp,a,1,b,2,10,5\n")
+        result = parse_flow_file(p)
+        assert [r.ts_start for r in result.records] == [1.0]
+        assert result.malformed == 1
+
+    @pytest.mark.parametrize("dur", ["nan", "inf"])
+    def test_non_finite_duration_is_malformed(self, tmp_path, dur):
+        p = tmp_path / "flows.csv"
+        p.write_text(f"1.0,{dur},tcp,a,1,b,2,10,5\n2.0,0.5,tcp,a,1,b,2,10,5\n")
+        result = parse_flow_file(p)
+        assert [r.duration for r in result.records] == [0.5]
+        assert result.malformed == 1
+
     def test_hex_port_accepted(self, tmp_path):
         p = tmp_path / "flows.csv"
         p.write_text("1.0,0.5,tcp,a,0x50,b,0x1F90,10,5\n")

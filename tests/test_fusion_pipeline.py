@@ -150,6 +150,11 @@ class TestEmbedWindow:
         assert emb.graph.labels[emb.graph.index("a")] == LABEL_BOT
         assert emb.graph.labels[emb.graph.index("b")] == LABEL_LEGIT
 
+    def test_stage_timings(self):
+        emb = embed_window(_window([_flow("a", "b")]), _frozen())
+        assert set(emb.timings) == {"features", "graph", "embed"}
+        assert all(t >= 0.0 for t in emb.timings.values())
+
     def test_disjoint_components_embed_independently(self):
         # Adding an unrelated component elsewhere in the window must not
         # perturb this component's rows, down to the last bit.
@@ -200,6 +205,15 @@ class TestPoolVariants:
         # Each window has 4 endpoints but only 2 carry labels.
         assert X.shape[0] == 4
         assert y.tolist() == [1, 0] * 2 or y.tolist() == [0, 1] * 2
+
+    def test_labels_default_to_derivation_over_windows(self):
+        model = _frozen(seed=5)
+        windows = _training_windows()
+        derived = derive_node_labels([r for w in windows for r in w.records])
+        X, y = pool_labeled_rows(windows, model)
+        ox, oy = pool_labeled_rows(windows, model, derived)
+        assert np.array_equal(X, ox)
+        assert np.array_equal(y, oy)
 
     def test_unknown_variant_rejected(self):
         model = _frozen()
@@ -265,6 +279,27 @@ class TestDetect:
         )
         with pytest.raises(ValueError, match="ensemble expects"):
             detect(windows, model, wide, cfg)
+
+    @pytest.mark.parametrize("mode", ["per_vector", "per_dimension"])
+    def test_probabilities_match_stage_by_stage_replay(self, mode):
+        windows = _training_windows()
+        model = _frozen(depth=2, hidden=4, seed=6)
+        ens = train_detector(windows, model, norm_mode=mode, n_trees=10, seed=0)
+        cfg = PipelineConfig(architecture="c2", depth=2, norm_mode=mode)
+        report = detect(windows, model, ens, cfg)
+        for window, w in zip(windows, report.windows):
+            expect = extra_trees.predict_proba(
+                ens, normalize_embedding(embed_window(window, model).vectors, mode)
+            )
+            assert [v.bot_probability for v in w.verdicts] == expect.tolist()
+
+    def test_refuses_unfrozen_model(self):
+        windows = _training_windows()
+        model = _frozen(depth=2, hidden=4)
+        ens = self._fitted(model, windows)
+        model.frozen = False
+        with pytest.raises(ValueError, match="frozen"):
+            detect(windows, model, ens, PipelineConfig(architecture="c2", depth=2))
 
     def test_report_structure_and_verdict_consistency(self):
         windows = _training_windows()

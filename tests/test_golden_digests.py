@@ -1,0 +1,59 @@
+"""Byte-for-byte reproducibility of a small CLI round trip.
+
+The round trip runs in a child process with BLAS pinned to one thread: the
+model's bytes depend on the order in which BLAS sums its products, so they
+are only reproducible at a fixed thread count.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+ROUND_TRIP = """
+import sys
+from botfuse.cli import main
+
+def run(*argv):
+    if main(list(argv)) != 0:
+        sys.exit(f"botfuse {argv[0]} failed")
+
+run("synth", "--kind", "graphs", "--out", "graphs", "--n-graphs", "4",
+    "--n-background", "40", "--n-bots", "8", "--seed", "1")
+run("synth", "--kind", "flows", "--out", "flows.csv", "--n-background", "40",
+    "--n-bots", "8", "--seed", "2")
+run("pretrain", "--data", "graphs", "--depth", "2", "--max-epochs", "5",
+    "--patience", "2", "--out", "model.bin")
+run("train", "--flows", "flows.csv", "--model", "model.bin", "--n-trees", "5",
+    "--out", "trees.json")
+run("detect", "--flows", "flows.csv", "--model", "model.bin", "--ensemble",
+    "trees.json", "--no-timings", "--out", "report.jsonl")
+run("eval", "--flows", "flows.csv", "--model", "model.bin", "--k", "3",
+    "--n-trees", "5", "--out", "eval.json")
+"""
+
+GOLDEN = {
+    "model.bin": "e985fd9d1c31986e31747aaec0681bbd88972e99ad83cc4d7c5b3f265c048099",
+    "trees.json": "71d0f04234ae22fea214fe46fb5750f395c084c4829b92944b3d09ee144d6df4",
+    "report.jsonl": "93a8c90483fb7134c2e4286563e5c0cff9137c53c5a5f983db52eed08077d8b4",
+    "eval.json": "bbc3727c72e4a30242c768fd77d54c421443dcd38baf99011e901c82c0197a12",
+}
+
+
+def test_cli_round_trip_is_byte_identical(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", ROUND_TRIP], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
+    }
+    assert digests == GOLDEN
