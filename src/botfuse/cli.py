@@ -179,7 +179,6 @@ def cmd_detect(args) -> int:
     config = PipelineConfig(
         architecture=args.arch,
         depth=model.depth,
-        norm_mode=args.norm_mode,
         threshold=args.threshold,
     )
     report = detect(windows, model, ensemble, config)
@@ -302,7 +301,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--model", required=True)
     s.add_argument("--ensemble", required=True)
     s.add_argument("--arch", choices=["c2", "p2p"], default="c2")
-    s.add_argument("--norm-mode", choices=["per_vector", "per_dimension"], default="per_vector")
     s.add_argument("--threshold", type=float, default=0.5)
     s.add_argument("--no-timings", action="store_true",
                    help="omit timing fields for byte-stable output")

@@ -28,15 +28,20 @@ GRAPH_FORMAT_VERSION = 1
 
 @dataclass
 class CommGraph:
-    """Nodes in lexicographic id order, deduplicated directed edges as index
-    pairs, and a row-aligned per-node feature matrix."""
+    """Nodes in lexicographic id order, directed edges as a lexicographically
+    sorted, duplicate-free (m, 2) int64 array of index pairs (any collection
+    of (i, j) pairs is accepted and canonicalized here), and a row-aligned
+    per-node feature matrix."""
 
     nodes: list[str]
-    edges: set[tuple[int, int]]
+    edges: np.ndarray
     features: np.ndarray
     labels: np.ndarray | None = None
     dropped_self_loops: int = 0
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.edges = _canonical_edges(self.edges, self.n)
 
     @property
     def n(self) -> int:
@@ -47,6 +52,26 @@ class CommGraph:
             return self.nodes.index(node_id)
         except ValueError:
             raise KeyError(f"node {node_id!r} not in graph") from None
+
+
+def _canonical_edges(edges, n: int) -> np.ndarray:
+    """Sorted, duplicate-free (m, 2) int64 copy of the (i, j) pairs. The
+    ValueError for bad input names the first pair at fault."""
+    raw = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        pairs = np.array(raw, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if pairs is None or not (pairs.shape == (0,) or pairs.ndim == 2 and pairs.shape[1] == 2):
+        bad = next((p for p in raw if np.ndim(p) != 1 or len(p) != 2), raw)
+        raise ValueError(f"bad edge {bad!r}")
+    pairs = pairs.reshape(-1, 2)
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if outside.any():
+        raise ValueError(f"edge {raw[int(np.argmax(outside))]!r} out of range")
+    # Codes i*n + j sort like the pairs, so one np.unique sorts and dedups.
+    codes = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    return np.column_stack((codes // n, codes % n))
 
 
 def build_graph(
@@ -60,45 +85,38 @@ def build_graph(
     destination sent bytes. Duplicate edges collapse; self-addressed flows
     are dropped and counted.
     """
-    endpoints: set[str] = set()
-    for r in window.records:
-        endpoints.add(r.src_ip)
-        endpoints.add(r.dst_ip)
-
-    nodes = sorted(endpoints)
+    records = window.records
+    src_ips = [r.src_ip for r in records]
+    dst_ips = [r.dst_ip for r in records]
+    nodes = sorted(set(src_ips).union(dst_ips))
     index = {node: i for i, node in enumerate(nodes)}
 
     matrix = np.empty((len(nodes), FEATURE_DIM), dtype=np.float64)
-    for node, i in index.items():
+    for i, node in enumerate(nodes):
         try:
             matrix[i] = features[node].as_vector()
         except KeyError:
             raise ValueError(f"missing features for endpoint {node!r}") from None
 
-    edges: set[tuple[int, int]] = set()
-    dropped = 0
-    for r in window.records:
-        if r.src_ip == r.dst_ip:
-            dropped += 1
-            continue
-        si, di = index[r.src_ip], index[r.dst_ip]
-        if r.src_bytes != 0:
-            edges.add((si, di))
-        if r.dst_bytes != 0:
-            edges.add((di, si))
+    src = np.array([index[ip] for ip in src_ips], dtype=np.int64)
+    dst = np.array([index[ip] for ip in dst_ips], dtype=np.int64)
+    sent = np.array([r.src_bytes != 0 for r in records], dtype=bool)
+    received = np.array([r.dst_bytes != 0 for r in records], dtype=bool)
+    keep = src != dst
+    flows = np.column_stack((src, dst))
+    edges = np.concatenate((flows[sent & keep], flows[received & keep, ::-1]))
 
     labels = None
     if node_labels is not None:
-        labels = np.full(len(nodes), LABEL_UNKNOWN, dtype=np.int8)
-        for node, i in index.items():
-            labels[i] = _LABEL_TO_CODE[node_labels.get(node, Label.UNKNOWN)]
+        codes = [_LABEL_TO_CODE[node_labels.get(node, Label.UNKNOWN)] for node in nodes]
+        labels = np.array(codes, dtype=np.int8)
 
     return CommGraph(
         nodes=nodes,
         edges=edges,
         features=matrix,
         labels=labels,
-        dropped_self_loops=dropped,
+        dropped_self_loops=len(records) - int(keep.sum()),
     )
 
 
@@ -108,30 +126,22 @@ def propagation_matrix(graph: CommGraph) -> sp.csr_matrix:
     The directed edge set is symmetrized (a pair is connected when either
     direction is present), each node's degree is its neighbor count in the
     symmetrized graph, and the entry for a connected pair (i, j) is
-    1/sqrt(d_i * d_j). Isolated nodes get all-zero rows and columns.
+    1/sqrt(d_i * d_j). Isolated nodes get all-zero rows and columns. The
+    result is in canonical CSR form (sorted indices, no duplicates).
     """
     n = graph.n
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for i, j in graph.edges:
-        neighbors[i].add(j)
-        neighbors[j].add(i)
+    rows, cols = graph.edges.T
+    adjacency = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    connected = (adjacency + adjacency.T).tocsr()
 
-    degree = np.array([len(nb) for nb in neighbors], dtype=np.float64)
+    degree = np.diff(connected.indptr)
     inv_sqrt = np.zeros(n, dtype=np.float64)
     nonzero = degree > 0
     inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i in range(n):
-        for j in sorted(neighbors[i]):
-            rows.append(i)
-            cols.append(j)
-            vals.append(inv_sqrt[i] * inv_sqrt[j])
-
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64)
-    return matrix.tocsr()
+    row_of_entry = np.repeat(np.arange(n), degree)
+    values = inv_sqrt[row_of_entry] * inv_sqrt[connected.indices]
+    return sp.csr_matrix((values, connected.indices, connected.indptr), shape=(n, n))
 
 
 def graph_to_json(graph: CommGraph) -> dict:
@@ -141,7 +151,7 @@ def graph_to_json(graph: CommGraph) -> dict:
         "version": GRAPH_FORMAT_VERSION,
         "n": graph.n,
         "nodes": list(graph.nodes),
-        "edges": sorted(graph.edges),
+        "edges": graph.edges.tolist(),
         "labels": None,
         "features": None,
         "meta": dict(graph.meta),
@@ -171,14 +181,10 @@ def graph_from_json(payload: dict) -> CommGraph:
     if not isinstance(nodes, list) or len(nodes) != n:
         raise ValueError("graph schema violation: node list does not match n")
 
-    edges: set[tuple[int, int]] = set()
-    for pair in payload["edges"]:
-        if len(pair) != 2:
-            raise ValueError(f"graph schema violation: bad edge {pair!r}")
-        i, j = int(pair[0]), int(pair[1])
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"graph schema violation: edge {pair!r} out of range")
-        edges.add((i, j))
+    try:
+        edges = _canonical_edges(payload["edges"], n)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"graph schema violation: {exc}") from None
 
     labels = None
     raw_labels = payload.get("labels")

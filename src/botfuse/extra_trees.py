@@ -22,13 +22,15 @@ ENSEMBLE_FORMAT_VERSION = 1
 
 DEFAULT_N_TREES = 100
 DEFAULT_MIN_SAMPLES_SPLIT = 2
+DEFAULT_NORM_MODE = "per_vector"
 
 _LEAF = -1
 
 
 @dataclass
 class TreeEnsemble:
-    """Fitted forest: flat node arrays per tree plus the fit parameters."""
+    """Fitted forest: flat node arrays per tree, the fit parameters, and the
+    normalization mode of its training rows, which detection must reuse."""
 
     n_features: int
     n_trees: int
@@ -36,6 +38,7 @@ class TreeEnsemble:
     min_samples_split: int
     seed: int
     trees: list[dict] = field(default_factory=list)
+    norm_mode: str = DEFAULT_NORM_MODE
 
     def __post_init__(self) -> None:
         if len(self.trees) != self.n_trees:
@@ -258,6 +261,9 @@ def serialize_ensemble(ensemble: TreeEnsemble) -> bytes:
             for t in ensemble.trees
         ],
     }
+    # Implicit when default, so ensembles written before the field keep their bytes.
+    if ensemble.norm_mode != DEFAULT_NORM_MODE:
+        payload["norm_mode"] = ensemble.norm_mode
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -292,6 +298,7 @@ def deserialize_ensemble(data: bytes) -> TreeEnsemble:
         min_samples_split=int(payload["min_samples_split"]),
         seed=int(payload["seed"]),
         trees=trees,
+        norm_mode=payload.get("norm_mode", DEFAULT_NORM_MODE),
     )
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import extra_trees
 from .comm_graph import LABEL_BOT, LABEL_LEGIT, CommGraph, build_graph, propagation_matrix
-from .extra_trees import TreeEnsemble
+from .extra_trees import DEFAULT_NORM_MODE, TreeEnsemble
 from .flow_features import extract_node_features
 from .flow_ingest import Label, WindowSlice, derive_node_labels
 from .gcn_core import GcnModel, forward
@@ -19,7 +19,7 @@ from .pretrain import ARCH_DEPTH, ARCHITECTURES
 
 DEFAULT_THRESHOLD = 0.5
 
-NORM_PER_VECTOR = "per_vector"
+NORM_PER_VECTOR = DEFAULT_NORM_MODE
 NORM_PER_DIMENSION = "per_dimension"
 NORM_MODES = (NORM_PER_VECTOR, NORM_PER_DIMENSION)
 
@@ -33,7 +33,6 @@ VARIANTS = (VARIANT_FUSED, VARIANT_TOPOLOGY, VARIANT_FLOW)
 class PipelineConfig:
     architecture: str = "c2"
     depth: int | None = None
-    norm_mode: str = NORM_PER_VECTOR
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -41,8 +40,6 @@ class PipelineConfig:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
         if self.depth is None:
             self.depth = ARCH_DEPTH[self.architecture]
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"unknown normalization mode {self.norm_mode!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
 
@@ -111,43 +108,34 @@ class DetectionReport:
 
 
 def normalize_fused(v: np.ndarray) -> np.ndarray:
-    """Min-max rescale of one feature vector onto [0, 100].
-
-    A constant vector maps to all zeros (the rescale is undefined there and
-    zero is the stable, order-consistent choice).
-    """
+    """Min-max rescale of one feature vector onto [0, 100]: the one-row case
+    of `normalize_embedding`."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("empty feature vector")
-    if not np.isfinite(v).all():
-        raise ValueError("non-finite values in feature vector")
-    lo = v.min()
-    hi = v.max()
-    if hi == lo:
-        return np.zeros_like(v)
-    return (v - lo) / (hi - lo) * 100.0
+    return normalize_embedding(v.reshape(1, -1)).reshape(v.shape)
 
 
 def normalize_embedding(M: np.ndarray, mode: str = NORM_PER_VECTOR) -> np.ndarray:
-    """Apply the min-max rescale to a node-embedding matrix.
+    """Min-max rescale of a node-embedding matrix onto [0, 100].
 
-    per_vector rescales each node's vector independently (its own min and
-    max); per_dimension rescales each column over the window's node set.
+    per_vector rescales each node's vector (row) by its own min and max;
+    per_dimension rescales each column over the window's node set. A
+    constant row or column maps to all zeros (the rescale is undefined there
+    and zero is the stable, order-consistent choice).
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D embedding matrix, got shape {M.shape}")
-    if mode == NORM_PER_VECTOR:
-        return np.vstack([normalize_fused(row) for row in M]) if M.shape[0] else M.copy()
-    if mode == NORM_PER_DIMENSION:
-        lo = M.min(axis=0, keepdims=True)
-        hi = M.max(axis=0, keepdims=True)
-        span = hi - lo
-        out = np.zeros_like(M)
-        nz = span[0] != 0
-        out[:, nz] = (M[:, nz] - lo[:, nz]) / span[:, nz] * 100.0
-        return out
-    raise ValueError(f"unknown normalization mode {mode!r}")
+    if mode not in NORM_MODES:
+        raise ValueError(f"unknown normalization mode {mode!r}")
+    if not np.isfinite(M).all():
+        raise ValueError("non-finite values in feature vector")
+    axis = 1 if mode == NORM_PER_VECTOR else 0
+    lo = M.min(axis=axis, keepdims=True)
+    span = M.max(axis=axis, keepdims=True) - lo
+    # A constant slice has M - lo == 0, so any nonzero divisor keeps it zero.
+    return (M - lo) / np.where(span == 0, 1.0, span) * 100.0
 
 
 def embed_window(
@@ -221,13 +209,18 @@ def train_detector(
     n_trees: int = extra_trees.DEFAULT_N_TREES,
     seed: int = 0,
 ) -> TreeEnsemble:
-    """Fit the tree ensemble on pooled normalized embeddings of labeled nodes."""
+    """Fit the tree ensemble on pooled normalized embeddings of labeled nodes.
+
+    The ensemble records `norm_mode`, so `detect` normalizes the same way.
+    """
     if not windows:
         raise ValueError("no training windows")
     X, y = pool_labeled_rows(windows, model, node_labels, norm_mode)
     if np.unique(y).size < 2:
         raise ValueError("training data contains a single class")
-    return extra_trees.fit(X, y, n_trees=n_trees, seed=seed)
+    ensemble = extra_trees.fit(X, y, n_trees=n_trees, seed=seed)
+    ensemble.norm_mode = norm_mode
+    return ensemble
 
 
 def detect(
@@ -236,7 +229,10 @@ def detect(
     ensemble: TreeEnsemble,
     config: PipelineConfig | None = None,
 ) -> DetectionReport:
-    """Per-window verdicts with stage timings; no cross-window aggregation."""
+    """Per-window verdicts with stage timings; no cross-window aggregation.
+
+    Embeddings are normalized with the mode the ensemble was trained on.
+    """
     config = config or PipelineConfig()
     if not windows:
         raise ValueError("no windows to detect on")
@@ -257,7 +253,7 @@ def detect(
     for window in windows:
         emb = embed_window(window, model)
         t0 = time.perf_counter()
-        norm = normalize_embedding(emb.vectors, config.norm_mode)
+        norm = normalize_embedding(emb.vectors, ensemble.norm_mode)
         t1 = time.perf_counter()
         probs = extra_trees.predict_proba(ensemble, norm)
         verdicts = [

@@ -35,6 +35,13 @@ BACKGROUND_ER = "erdos_renyi"
 # Feature-extractor depth per architecture.
 ARCH_DEPTH = {ARCH_C2: 12, ARCH_P2P: 24}
 
+# Adam moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# Background nodes kept in the loss mask per bot node.
+BALANCE_RATIO = 1.0
+
 
 @dataclass
 class SyntheticGraphSpec:
@@ -69,13 +76,9 @@ class SyntheticGraphSpec:
 @dataclass
 class TrainConfig:
     lr: float = 0.003
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_epochs: int = 500
     patience: int = 10
     val_fraction: float = 0.2
-    balance_ratio: float = 1.0
     hidden_dim: int = 32
     seed: int = 0
 
@@ -86,8 +89,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
-        if self.balance_ratio <= 0:
-            raise ValueError("balance_ratio must be positive")
 
 
 def _background_graph(spec: SyntheticGraphSpec, seed: int) -> nx.Graph:
@@ -117,45 +118,36 @@ def generate_synthetic_graph(spec: SyntheticGraphSpec) -> CommGraph:
 
     nodes = sorted(bg_names + bot_names + ctl_names)
     index = {name: i for i, name in enumerate(nodes)}
+    bg_idx, bot_idx, ctl_idx = (np.array([index[name] for name in names], dtype=np.int64)
+                                for names in (bg_names, bot_names, ctl_names))
 
-    pairs: set[tuple[int, int]] = set()
+    def edge_array(graph: nx.Graph) -> np.ndarray:
+        return np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
 
-    def connect(a: str, b: str) -> None:
-        ia, ib = index[a], index[b]
-        if ia == ib:
-            return
-        pairs.add((ia, ib))
-        pairs.add((ib, ia))
-
-    for u, v in _background_graph(spec, bg_seed).edges():
-        connect(bg_names[u], bg_names[v])
-
+    links = [bg_idx[edge_array(_background_graph(spec, bg_seed))]]
     if spec.architecture == ARCH_C2:
-        for j, bot in enumerate(bot_names):
-            connect(ctl_names[j % n_ctl], bot)
+        links.append(np.column_stack((ctl_idx[np.arange(spec.n_bots) % n_ctl], bot_idx)))
     else:
         if (spec.p2p_degree * spec.n_bots) % 2 == 1:
-            raise ValueError(
-                "infeasible mesh: degree times bot count must be even"
-            )
+            raise ValueError("infeasible mesh: degree times bot count must be even")
         mesh = nx.random_regular_graph(spec.p2p_degree, spec.n_bots, seed=mesh_seed)
-        for u, v in mesh.edges():
-            connect(bot_names[u], bot_names[v])
+        links.append(bot_idx[edge_array(mesh)])
 
     rng = np.random.default_rng(attach_seed)
-    for name in bot_names + ctl_names:
-        n_attach = int(rng.integers(1, 3))
-        n_attach = min(n_attach, spec.n_background)
-        for t in rng.choice(spec.n_background, size=n_attach, replace=False):
-            connect(name, bg_names[int(t)])
+    for i in np.concatenate((bot_idx, ctl_idx)):
+        n_attach = min(int(rng.integers(1, 3)), spec.n_background)
+        targets = bg_idx[rng.choice(spec.n_background, size=n_attach, replace=False)]
+        links.append(np.column_stack((np.full(n_attach, i), targets)))
+
+    links = np.concatenate(links)
 
     labels = np.full(len(nodes), LABEL_LEGIT, dtype=np.int8)
-    for name in bot_names + ctl_names:
-        labels[index[name]] = LABEL_BOT
+    labels[bot_idx] = LABEL_BOT
+    labels[ctl_idx] = LABEL_BOT
 
     return CommGraph(
         nodes=nodes,
-        edges=pairs,
+        edges=np.concatenate((links, links[:, ::-1])),
         features=np.ones((len(nodes), FEATURE_DIM), dtype=np.float64),
         labels=labels,
         meta={
@@ -260,23 +252,22 @@ class EarlyStopper:
 
 
 class _Adam:
-    def __init__(self, shapes: list[tuple[int, ...]], cfg: TrainConfig):
+    def __init__(self, shapes: list[tuple[int, ...]], lr: float):
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
         self.t = 0
-        self.cfg = cfg
+        self.lr = lr
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _balanced_mask(labels: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
@@ -298,7 +289,7 @@ def _graph_tensors(graphs, config):
         P = propagation_matrix(g)
         X = np.ones((g.n, FEATURE_DIM), dtype=np.float64)
         y = (g.labels == LABEL_BOT).astype(np.int64)
-        mask = _balanced_mask(g.labels, config.balance_ratio, rng)
+        mask = _balanced_mask(g.labels, BALANCE_RATIO, rng)
         prepared.append((P, X, y, mask))
     return prepared
 
@@ -338,7 +329,7 @@ def pretrain_gcn(
 
     model = init_gcn(depth, FEATURE_DIM, config.hidden_dim, seed=config.seed)
     params = model.parameters()
-    adam = _Adam([p.shape for p in params], config)
+    adam = _Adam([p.shape for p in params], config.lr)
     stopper = EarlyStopper(config.patience)
     best_params = [p.copy() for p in params]
     epoch_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0xE0,)))

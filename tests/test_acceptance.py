@@ -430,7 +430,7 @@ def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
     g2 = load_graph(tmp_path / "g.json")
     graph_round_trip = (
         g2.nodes == g.nodes
-        and g2.edges == g.edges
+        and np.array_equal(g2.edges, g.edges)
         and np.array_equal(g2.labels, g.labels)
         and np.array_equal(g2.features, g.features)
     )

@@ -7,7 +7,8 @@ import pytest
 
 from botfuse import extra_trees
 from botfuse.cli import main
-from botfuse.flow_ingest import parse_flow_file
+from botfuse.flow_ingest import filter_tcp_udp, parse_flow_file, slice_windows
+from botfuse.fusion_pipeline import embed_window, normalize_embedding
 from botfuse.gcn_core import load_model
 from botfuse.pretrain import load_graph_dataset
 
@@ -124,6 +125,28 @@ class TestTrainDetect:
         assert main(argv + ["--flows", str(dirty), "--out", str(tmp_path / "d.jsonl")]) == 0
         assert main(argv + ["--flows", str(art["flows"]), "--out", str(tmp_path / "c.jsonl")]) == 0
         assert (tmp_path / "d.jsonl").read_bytes() == (tmp_path / "c.jsonl").read_bytes()
+
+    def test_detect_normalizes_with_the_ensembles_mode(self, art, tmp_path):
+        ens_path = tmp_path / "trees_per_dimension.json"
+        assert main([
+            "train", "--flows", str(art["flows"]), "--model", str(art["model"]),
+            "--norm-mode", "per_dimension", "--n-trees", "10", "--out", str(ens_path),
+        ]) == 0
+        out = tmp_path / "verdicts.jsonl"
+        assert main([
+            "detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
+            "--ensemble", str(ens_path), "--no-timings", "--out", str(out),
+        ]) == 0
+        ens = extra_trees.load_ensemble(ens_path)
+        model = load_model(art["model"])
+        windows = slice_windows(filter_tcp_udp(parse_flow_file(art["flows"]).records),
+                                60.0, 10.0)
+        lines = out.read_text().splitlines()
+        assert len(lines) == len(windows)
+        for window, line in zip(windows, lines):
+            vectors = normalize_embedding(embed_window(window, model).vectors, "per_dimension")
+            expect = extra_trees.predict_proba(ens, vectors).tolist()
+            assert [v["bot_probability"] for v in json.loads(line)["nodes"]] == expect
 
     def test_detect_no_timings_is_byte_stable(self, art, tmp_path):
         a = tmp_path / "a.jsonl"

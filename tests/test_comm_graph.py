@@ -1,6 +1,7 @@
 """Directed communication graph construction and the normalized propagation matrix."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -71,22 +72,48 @@ def _dense_oracle(graph):
 class TestBuildGraph:
     def test_one_directional_edge(self):
         g = _graph_from_flows([_flow("A", "B", up=100, down=0)])
-        assert g.edges == {(g.index("A"), g.index("B"))}
+        assert g.edges.tolist() == [[g.index("A"), g.index("B")]]
 
     def test_bidirectional_edge(self):
         g = _graph_from_flows([_flow("A", "B", up=100, down=50)])
         a, b = g.index("A"), g.index("B")
-        assert g.edges == {(a, b), (b, a)}
+        assert g.edges.tolist() == sorted([[a, b], [b, a]])
 
     def test_duplicate_flows_dedup(self):
         g = _graph_from_flows([_flow("A", "B"), _flow("B", "A")])
         a, b = g.index("A"), g.index("B")
-        assert g.edges == {(a, b), (b, a)}
+        assert g.edges.tolist() == sorted([[a, b], [b, a]])
 
     def test_self_addressed_flow_dropped_and_counted(self):
         g = _graph_from_flows([_flow("A", "A"), _flow("A", "B")])
         assert g.dropped_self_loops == 1
         assert all(i != j for i, j in g.edges)
+
+    def test_edges_match_brute_force_pairs(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            hosts = [f"10.0.{k}.{k % 3}" for k in range(int(rng.integers(1, 12)))]
+            records = [
+                _flow(hosts[int(rng.integers(len(hosts)))], hosts[int(rng.integers(len(hosts)))],
+                      up=int(rng.choice([0, 100])), down=int(rng.choice([0, 50])))
+                for _ in range(int(rng.integers(1, 40)))
+            ]
+            g = _graph_from_flows(records)
+            nodes = sorted({ip for r in records for ip in (r.src_ip, r.dst_ip)})
+            index = {node: i for i, node in enumerate(nodes)}
+            pairs = set()
+            for r in records:
+                if r.src_ip == r.dst_ip:
+                    continue
+                if r.src_bytes:
+                    pairs.add((index[r.src_ip], index[r.dst_ip]))
+                if r.dst_bytes:
+                    pairs.add((index[r.dst_ip], index[r.src_ip]))
+            assert g.nodes == nodes
+            assert g.edges.dtype == np.int64
+            assert g.edges.shape == (len(pairs), 2)
+            assert g.edges.tolist() == [list(p) for p in sorted(pairs)]
+            assert g.dropped_self_loops == sum(r.src_ip == r.dst_ip for r in records)
 
     def test_node_order_lexicographic(self):
         g = _graph_from_flows([_flow("zeta", "alpha"), _flow("mid", "alpha")])
@@ -119,6 +146,30 @@ class TestBuildGraph:
             g.index("missing")
 
 
+class TestEdgeCanonicalization:
+    def test_any_pair_collection_is_sorted_and_deduplicated(self):
+        expect = [[0, 1], [0, 2], [2, 0]]
+        for edges in ({(2, 0), (0, 2), (0, 1)}, [(2, 0), (0, 1), (2, 0), (0, 2)],
+                      np.array([[2, 0], [0, 2], [0, 1], [0, 1]], dtype=np.int32)):
+            g = CommGraph(nodes=["a", "b", "c"], edges=edges, features=np.zeros((3, 5)))
+            assert g.edges.dtype == np.int64
+            assert g.edges.tolist() == expect
+
+    def test_no_edges_is_an_empty_pair_array(self):
+        for edges in (set(), [], np.empty((0, 2))):
+            g = CommGraph(nodes=["a"], edges=edges, features=np.zeros((1, 5)))
+            assert g.edges.shape == (0, 2)
+            assert g.edges.dtype == np.int64
+
+    def test_rejects_non_pairs_and_out_of_range(self):
+        with pytest.raises(ValueError, match="bad edge"):
+            CommGraph(nodes=["a", "b"], edges=[(0, 1, 1)], features=np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="out of range"):
+            CommGraph(nodes=["a", "b"], edges=[(0, 2)], features=np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="out of range"):
+            CommGraph(nodes=["a", "b"], edges=[(-1, 0)], features=np.zeros((2, 5)))
+
+
 class TestPropagationMatrix:
     def test_mutual_pair_closed_form(self):
         g = _graph_from_flows([_flow("A", "B")])
@@ -143,6 +194,19 @@ class TestPropagationMatrix:
             g = _random_graph(rng, n=int(rng.integers(2, 60)))
             P = propagation_matrix(g).toarray()
             assert np.abs(P - _dense_oracle(g)).max() < 1e-12
+
+    def test_equals_dense_oracle_exactly_in_canonical_form(self):
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            g = _random_graph(rng, n=int(rng.integers(1, 120)), p=float(rng.uniform(0, 0.2)))
+            if trial % 3 == 0 and g.n:
+                # Self-pairs count once towards a node's degree.
+                loops = rng.integers(0, g.n, size=3)
+                g = CommGraph(nodes=g.nodes, edges=np.concatenate(
+                    (g.edges, np.column_stack((loops, loops)))), features=g.features)
+            P = propagation_matrix(g)
+            assert P.has_canonical_format
+            assert np.array_equal(P.toarray(), _dense_oracle(g))
 
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(1)
@@ -218,7 +282,7 @@ class TestInterchangeFormat:
         g = self._sample()
         g2 = graph_from_json(graph_to_json(g))
         assert g2.nodes == g.nodes
-        assert g2.edges == g.edges
+        assert np.array_equal(g2.edges, g.edges)
         assert g2.labels.tolist() == g.labels.tolist()
         assert g2.features.tolist() == g.features.tolist()
         assert g2.meta == g.meta
@@ -229,7 +293,7 @@ class TestInterchangeFormat:
         save_graph(g, path)
         g2 = load_graph(path)
         assert g2.nodes == g.nodes
-        assert g2.edges == g.edges
+        assert np.array_equal(g2.edges, g.edges)
 
     def test_missing_features_default_to_zeros(self):
         payload = graph_to_json(self._sample())
@@ -276,6 +340,21 @@ class TestInterchangeFormat:
 
         with pytest.raises(ValueError, match="top-level"):
             graph_from_json([1, 2, 3])
+
+    def test_edge_list_errors_name_the_pair(self):
+        good = graph_to_json(self._sample())
+        assert good["edges"] == [[0, 1], [1, 0], [2, 1]]
+        for edges, message in (
+            ([[0, 1], [2]], "bad edge [2]"),
+            ([[]], "bad edge []"),
+            ([[0, 1], 7], "bad edge 7"),
+            ([[0, 1], [1, -1], [0, 3]], "edge [1, -1] out of range"),
+        ):
+            bad = dict(good); bad["edges"] = edges
+            with pytest.raises(ValueError, match=re.escape(message)):
+                graph_from_json(bad)
+        empty = dict(good); empty["edges"] = []
+        assert graph_from_json(empty).edges.shape == (0, 2)
 
     def test_load_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):

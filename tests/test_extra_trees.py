@@ -254,6 +254,19 @@ class TestSerialization:
         Q = rng.standard_normal((20, 2))
         assert np.array_equal(predict_proba(ens, Q), predict_proba(ens2, Q))
 
+    def test_norm_mode_round_trips_and_default_stays_implicit(self):
+        import json
+
+        rng = np.random.default_rng(19)
+        X, y = _separable(rng)
+        ens = fit(X, y, n_trees=2, seed=19)
+        assert ens.norm_mode == "per_vector"
+        assert "norm_mode" not in json.loads(serialize_ensemble(ens))
+        ens.norm_mode = "per_dimension"
+        blob = serialize_ensemble(ens)
+        assert json.loads(blob)["norm_mode"] == "per_dimension"
+        assert deserialize_ensemble(blob).norm_mode == "per_dimension"
+
     def test_corrupt_payloads_rejected(self):
         rng = np.random.default_rng(17)
         X, y = _separable(rng)

@@ -57,8 +57,6 @@ class TestPipelineConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="architecture"):
             PipelineConfig(architecture="hybrid")
-        with pytest.raises(ValueError, match="normalization"):
-            PipelineConfig(norm_mode="zscore")
         with pytest.raises(ValueError, match="threshold"):
             PipelineConfig(threshold=1.5)
 
@@ -111,6 +109,29 @@ class TestNormalizeEmbedding:
         M = np.array([[1.0, 4.0], [3.0, 4.0], [2.0, 4.0]])
         out = normalize_embedding(M, "per_dimension")
         assert np.array_equal(out, [[0.0, 0.0], [100.0, 0.0], [50.0, 0.0]])
+
+    @pytest.mark.parametrize("mode", ["per_vector", "per_dimension"])
+    def test_matches_slice_by_slice_oracle(self, mode):
+        def rescale(v):
+            lo, hi = v.min(), v.max()
+            return np.zeros_like(v) if hi == lo else (v - lo) / (hi - lo) * 100.0
+
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            M = rng.standard_normal((int(rng.integers(1, 30)), int(rng.integers(1, 12)))) * 50
+            M[int(rng.integers(M.shape[0]))] = 3.0
+            M[:, int(rng.integers(M.shape[1]))] = 3.0
+            if mode == "per_vector":
+                expect = np.vstack([rescale(row) for row in M])
+            else:
+                expect = np.column_stack([rescale(col) for col in M.T])
+            assert np.array_equal(normalize_embedding(M, mode), expect)
+
+    @pytest.mark.parametrize("mode", ["per_vector", "per_dimension"])
+    def test_rejects_non_finite_in_both_modes(self, mode):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                normalize_embedding(np.array([[1.0, 2.0], [bad, 0.0]]), mode)
 
     def test_empty_matrix_passes_through(self):
         out = normalize_embedding(np.empty((0, 4)), "per_vector")
@@ -285,7 +306,8 @@ class TestDetect:
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4, seed=6)
         ens = train_detector(windows, model, norm_mode=mode, n_trees=10, seed=0)
-        cfg = PipelineConfig(architecture="c2", depth=2, norm_mode=mode)
+        assert ens.norm_mode == mode
+        cfg = PipelineConfig(architecture="c2", depth=2)
         report = detect(windows, model, ens, cfg)
         for window, w in zip(windows, report.windows):
             expect = extra_trees.predict_proba(

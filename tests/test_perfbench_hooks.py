@@ -19,6 +19,31 @@ def test_traced_functions_exist(monkeypatch):
         assert callable(getattr(module, attr, None)), f"{modname}.{attr}"
 
 
+def test_graph_hooks_count_edges_and_nnz(monkeypatch):
+    import numpy as np
+
+    from botfuse.comm_graph import build_graph, propagation_matrix
+    from botfuse.flow_features import extract_node_features
+    from botfuse.flow_ingest import FlowRecord, Proto, WindowSlice
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    flows = [("a", "b", 10, 5), ("a", "c", 10, 0), ("c", "d", 0, 0), ("e", "e", 3, 3)]
+    window = WindowSlice(0.0, 60.0, [
+        FlowRecord(0.0, 1.0, Proto.TCP, src, 1, dst, 2, up, down)
+        for src, dst, up, down in flows
+    ])
+    graph = build_graph(window, extract_node_features(window))
+    P = propagation_matrix(graph)
+    counts = tracing._graph(None, (window,), {}, graph)
+    assert counts == {"comm_graph.edges": 3, "comm_graph.dropped_self_loops": 1}
+    assert counts["comm_graph.edges"] == graph.edges.shape[0]
+    counts = tracing._propagation(None, (graph,), {}, P)
+    # a-b and a-c are connected both ways; d and e are isolated.
+    assert counts == {"comm_graph.nnz": 4, "comm_graph.isolated_nodes": 2}
+    assert counts["comm_graph.nnz"] == np.count_nonzero(P.toarray())
+
+
 def test_gcn_model_keeps_residual_mode():
     from botfuse.gcn_core import GcnModel, gcn_layer_forward
 

@@ -104,9 +104,11 @@ class TestGenerate:
         g = generate_synthetic_graph(
             SyntheticGraphSpec(architecture="c2", n_background=25, n_bots=6, seed=3)
         )
-        for a, b in g.edges:
+        pairs = set(map(tuple, g.edges.tolist()))
+        assert pairs
+        for a, b in pairs:
             assert a != b
-            assert (b, a) in g.edges
+            assert (b, a) in pairs
 
     def test_all_ones_features(self):
         g = generate_synthetic_graph(
@@ -120,10 +122,10 @@ class TestGenerate:
         a = generate_synthetic_graph(spec)
         b = generate_synthetic_graph(spec)
         assert a.nodes == b.nodes
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.labels, b.labels)
         spec2 = SyntheticGraphSpec(architecture="p2p", n_background=20, n_bots=6, seed=8)
-        assert generate_synthetic_graph(spec2).edges != a.edges
+        assert not np.array_equal(generate_synthetic_graph(spec2).edges, a.edges)
 
     def test_meta_records_recipe(self):
         g = generate_synthetic_graph(
@@ -148,7 +150,7 @@ class TestDefaults:
         graphs = default_pretrain_dataset("c2", n_graphs=3, seed=2, n_background=40, n_bots=8)
         assert len(graphs) == 3
         assert all(g.n == 49 for g in graphs)
-        assert graphs[0].edges != graphs[1].edges
+        assert not np.array_equal(graphs[0].edges, graphs[1].edges)
         assert [g.meta["seed"] for g in graphs] == [2, 3, 4]
 
     def test_arch_depth_table(self):
@@ -164,7 +166,7 @@ class TestLoadDataset:
         assert len(loaded) == 3
         for orig, got in zip(originals, loaded):
             assert got.nodes == orig.nodes
-            assert got.edges == orig.edges
+            assert np.array_equal(got.edges, orig.edges)
             assert np.array_equal(got.labels, orig.labels)
 
     def test_single_file(self, tmp_path):
@@ -230,8 +232,6 @@ class TestTrainConfigValidation:
             TrainConfig(max_epochs=0)
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=-1)
-        with pytest.raises(ValueError, match="balance_ratio"):
-            TrainConfig(balance_ratio=0.0)
 
 
 class TestBalancedMask:
