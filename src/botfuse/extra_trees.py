@@ -27,10 +27,79 @@ DEFAULT_NORM_MODE = "per_vector"
 _LEAF = -1
 
 
+@dataclass(frozen=True)
+class PackedForest:
+    """Every tree of an ensemble in one node table, for routing all (tree,
+    row) pairs together. Tree i owns the global node ids
+    ``offsets[i]:offsets[i + 1]`` and its root is ``offsets[i]``. The next node
+    is ``child[2 * node + go_right]``; a leaf points to itself on both sides
+    and has feature 0, so a pair that reached its leaf stays there."""
+
+    offsets: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    internal: np.ndarray
+    value: np.ndarray
+
+
+def _check_tree(i: int, tree: dict, n_features: int) -> None:
+    """Refuse a tree that routing could index out of range, loop on, or
+    turn into a nan probability; the error names the tree and the node."""
+    feature, left, right = tree["feature"], tree["left"], tree["right"]
+    threshold, counts = tree["threshold"], tree["counts"]
+    m = feature.shape[0] if feature.ndim == 1 else -1
+    if m < 1 or any(a.shape != (m,) for a in (threshold, left, right)):
+        raise ValueError(
+            f"tree {i}: feature, threshold, left and right must be equal-length "
+            f"non-empty lists, got shapes {feature.shape}, {threshold.shape}, "
+            f"{left.shape}, {right.shape}"
+        )
+    if counts.shape != (m, 2):
+        raise ValueError(f"tree {i}: counts must have shape ({m}, 2), got {counts.shape}")
+    node = np.arange(m)
+    leaf = feature == _LEAF
+    checks = (
+        (leaf & ((left != _LEAF) | (right != _LEAF)), "leaf has a child"),
+        (~leaf & ((feature < 0) | (feature >= n_features)),
+         f"feature outside [0, {n_features})"),
+        (~leaf & ((left <= node) | (left >= m) | (right <= node) | (right >= m)),
+         f"children must lie in (node, {m})"),
+        (~np.isfinite(threshold), "threshold is not finite"),
+        ((counts < 0).any(axis=1), "counts are negative"),
+        (counts.sum(axis=1) <= 0, "counts sum to 0"),
+    )
+    for bad, what in checks:
+        if bad.any():
+            raise ValueError(f"tree {i} node {int(np.flatnonzero(bad)[0])}: {what}")
+
+
+def _pack(trees: list[dict]) -> PackedForest:
+    sizes = [t["feature"].size for t in trees]
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    feature = np.concatenate([t["feature"] for t in trees])
+    internal = feature != _LEAF
+    ids = np.arange(offsets[-1])
+    left = np.concatenate([t["left"] + o for t, o in zip(trees, offsets)])
+    right = np.concatenate([t["right"] + o for t, o in zip(trees, offsets)])
+    child = np.stack([np.where(internal, left, ids), np.where(internal, right, ids)], axis=1)
+    counts = np.concatenate([t["counts"] for t in trees])
+    return PackedForest(
+        offsets=offsets,
+        feature=np.where(internal, feature, 0),
+        threshold=np.concatenate([t["threshold"] for t in trees]),
+        child=child.ravel(),
+        internal=internal,
+        # c1 / (c0 + c1) as the per-tree reference computes it, bit for bit.
+        value=counts[:, 1] / counts.sum(axis=1),
+    )
+
+
 @dataclass
 class TreeEnsemble:
     """Fitted forest: flat node arrays per tree, the fit parameters, and the
-    normalization mode of its training rows, which detection must reuse."""
+    normalization mode of its training rows, which detection must reuse.
+    Construction checks every tree and packs them into ``packed``."""
 
     n_features: int
     n_trees: int
@@ -39,12 +108,18 @@ class TreeEnsemble:
     seed: int
     trees: list[dict] = field(default_factory=list)
     norm_mode: str = DEFAULT_NORM_MODE
+    packed: PackedForest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.trees) != self.n_trees:
             raise ValueError(
                 f"ensemble declares {self.n_trees} trees but holds {len(self.trees)}"
             )
+        if not self.trees:
+            raise ValueError("ensemble holds no trees")
+        for i, tree in enumerate(self.trees):
+            _check_tree(i, tree, self.n_features)
+        self.packed = _pack(self.trees)
 
 
 def _entropy(c0: int, c1: int) -> float:
@@ -200,7 +275,10 @@ def fit(
 
 
 def route(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Leaf index reached by each row (routing rule: value < threshold goes left)."""
+    """Leaf index reached by each row (routing rule: value < threshold goes left).
+
+    Routes one tree on its own; tests keep it as the reference for the
+    packed routing in ``predict_proba``."""
     node = np.zeros(X.shape[0], dtype=np.int64)
     feature = tree["feature"]
     threshold = tree["threshold"]
@@ -216,28 +294,68 @@ def route(tree: dict, X: np.ndarray) -> np.ndarray:
     return node
 
 
+# Routing steps between drops of the (tree, row) pairs that reached a leaf:
+# dropping costs about as much as one step, and most leaves are several
+# steps deep.
+_STEPS_PER_COMPACTION = 4
+
+
+def _route_packed(packed: PackedForest, X: np.ndarray) -> np.ndarray:
+    """Leaf node id of every (tree, row) pair, shape (n_trees, n_rows)."""
+    n, d = X.shape
+    n_trees = packed.offsets.size - 1
+    flat = X.ravel()
+    node = np.repeat(packed.offsets[:-1], n)
+    pairs = np.flatnonzero(packed.internal[node])
+    cur = node[pairs]
+    row_start = (pairs % n) * d
+    while pairs.size:
+        for _ in range(_STEPS_PER_COMPACTION):
+            # Inputs are finite, so >= is exactly "not < threshold".
+            go_right = flat[row_start + packed.feature[cur]] >= packed.threshold[cur]
+            cur = packed.child[2 * cur + go_right]
+        node[pairs] = cur
+        live = np.flatnonzero(packed.internal[cur])
+        pairs, cur, row_start = pairs[live], cur[live], row_start[live]
+    return node.reshape(n_trees, n)
+
+
 def _check_input(ensemble: TreeEnsemble, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != ensemble.n_features:
         raise ValueError(
             f"expected n x {ensemble.n_features} input, got {X.shape}"
         )
+    # A nan compares false against every threshold and would route silently.
+    if not np.isfinite(X).all():
+        raise ValueError("input contains non-finite values")
     return X
 
 
 def predict_proba(ensemble: TreeEnsemble, X: np.ndarray) -> np.ndarray:
     """Probability of the positive class: unweighted mean of leaf frequencies."""
     X = _check_input(ensemble, X)
+    leaf_values = ensemble.packed.value[_route_packed(ensemble.packed, X)]
+    # One tree after another: summing along a row would reorder the additions
+    # (numpy sums pairwise) and change the bits once leaves are impure.
     acc = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in ensemble.trees:
-        leaves = route(tree, X)
-        c = tree["counts"][leaves]
-        acc += c[:, 1] / c.sum(axis=1)
+    for values in leaf_values:
+        acc += values
     return acc / ensemble.n_trees
 
 
 def predict(ensemble: TreeEnsemble, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     return (predict_proba(ensemble, X) >= threshold).astype(np.int64)
+
+
+# The per-tree arrays of the file format and their in-memory dtypes.
+_TREE_DTYPES = {
+    "feature": np.int64,
+    "threshold": np.float64,
+    "left": np.int64,
+    "right": np.int64,
+    "counts": np.int64,
+}
 
 
 def serialize_ensemble(ensemble: TreeEnsemble) -> bytes:
@@ -250,21 +368,26 @@ def serialize_ensemble(ensemble: TreeEnsemble) -> bytes:
         "k_features": ensemble.k_features,
         "min_samples_split": ensemble.min_samples_split,
         "seed": ensemble.seed,
-        "trees": [
-            {
-                "feature": t["feature"].tolist(),
-                "threshold": t["threshold"].tolist(),
-                "left": t["left"].tolist(),
-                "right": t["right"].tolist(),
-                "counts": t["counts"].tolist(),
-            }
-            for t in ensemble.trees
-        ],
+        "trees": [{key: t[key].tolist() for key in _TREE_DTYPES} for t in ensemble.trees],
     }
     # Implicit when default, so ensembles written before the field keep their bytes.
     if ensemble.norm_mode != DEFAULT_NORM_MODE:
         payload["norm_mode"] = ensemble.norm_mode
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _tree_from_json(i: int, t) -> dict:
+    if not isinstance(t, dict):
+        raise ValueError(f"tree {i}: expected an object, got {type(t).__name__}")
+    tree = {}
+    for key, dtype in _TREE_DTYPES.items():
+        if key not in t:
+            raise ValueError(f"tree {i}: missing field {key!r}")
+        try:
+            tree[key] = np.asarray(t[key], dtype=dtype)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"tree {i}: field {key!r} is not numeric: {exc}") from exc
+    return tree
 
 
 def deserialize_ensemble(data: bytes) -> TreeEnsemble:
@@ -280,17 +403,9 @@ def deserialize_ensemble(data: bytes) -> TreeEnsemble:
     for key in required:
         if key not in payload:
             raise ValueError(f"ensemble payload missing field {key!r}")
-    trees = []
-    for t in payload["trees"]:
-        trees.append(
-            {
-                "feature": np.asarray(t["feature"], dtype=np.int64),
-                "threshold": np.asarray(t["threshold"], dtype=np.float64),
-                "left": np.asarray(t["left"], dtype=np.int64),
-                "right": np.asarray(t["right"], dtype=np.int64),
-                "counts": np.asarray(t["counts"], dtype=np.int64),
-            }
-        )
+    if not isinstance(payload["trees"], list):
+        raise ValueError("ensemble field 'trees' must be a list")
+    trees = [_tree_from_json(i, t) for i, t in enumerate(payload["trees"])]
     return TreeEnsemble(
         n_features=int(payload["n_features"]),
         n_trees=int(payload["n_trees"]),

@@ -285,6 +285,18 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_detect_refuses_cyclic_ensemble(self, art, tmp_path, capsys):
+        payload = json.loads(art["ens"].read_text())
+        root = payload["trees"][0]
+        assert root["feature"][0] != -1
+        root["left"][0] = 0  # the root is its own left child
+        cyclic = tmp_path / "cyclic.json"
+        cyclic.write_text(json.dumps(payload))
+        rc = main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                   "--ensemble", str(cyclic), "--out", str(tmp_path / "v.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: tree 0 node 0: children")
+
     def test_invalid_window_params(self, art, capsys):
         rc = main(["features", "--flows", str(art["flows"]), "--window-len", "0"])
         assert rc == 1

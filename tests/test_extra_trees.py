@@ -1,5 +1,8 @@
 """Randomized-tree ensemble: fitting, routing, probabilities, serialization."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,47 @@ def _route_one(tree, x):
         else:
             node = tree["right"][node]
     return node
+
+
+def _depth(tree, node=0):
+    if tree["feature"][node] == _LEAF:
+        return 0
+    return 1 + max(_depth(tree, tree["left"][node]), _depth(tree, tree["right"][node]))
+
+
+def _leaf_values(tree, Q):
+    c = tree["counts"][route(tree, Q)]
+    return c[:, 1] / c.sum(axis=1)
+
+
+def _oracle_proba(ens, Q):
+    """Per-tree routing, leaf frequencies added one tree after another."""
+    acc = np.zeros(Q.shape[0])
+    for tree in ens.trees:
+        acc += _leaf_values(tree, Q)
+    return acc / ens.n_trees
+
+
+# Tree 0 is a single leaf (1 of 4 positive). Tree 1 splits feature 0 at 0.5,
+# then its right side splits feature 2 at -1.0.
+_HAND_WRITTEN = {
+    "format": "botfuse-trees", "version": 1, "n_features": 3, "n_trees": 2,
+    "k_features": 1, "min_samples_split": 2, "seed": 0,
+    "trees": [
+        {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+         "counts": [[3, 1]]},
+        {"feature": [0, -1, 2, -1, -1], "threshold": [0.5, 0.0, -1.0, 0.0, 0.0],
+         "left": [1, -1, 3, -1, -1], "right": [2, -1, 4, -1, -1],
+         "counts": [[4, 7], [3, 0], [1, 7], [1, 1], [0, 6]]},
+    ],
+}
+
+
+def _hand_written(edit=None) -> bytes:
+    payload = copy.deepcopy(_HAND_WRITTEN)
+    if edit is not None:
+        edit(payload["trees"])
+    return json.dumps(payload).encode()
 
 
 class TestFit:
@@ -175,6 +219,14 @@ class TestPredict:
         assert np.array_equal(predict(ens, Q), (p >= 0.5).astype(np.int64))
         assert np.array_equal(predict(ens, Q, threshold=0.9), (p >= 0.9).astype(np.int64))
 
+    def test_non_finite_input_rejected(self):
+        ens = deserialize_ensemble(_hand_written())
+        for bad in (np.nan, np.inf, -np.inf):
+            Q = np.zeros((3, 3))
+            Q[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                predict_proba(ens, Q)
+
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(12)
         X, y = _separable(rng)
@@ -193,6 +245,98 @@ class TestPredict:
         assert np.array_equal(predict(ens, X), y)
         p = predict_proba(ens, X)
         assert np.array_equal(p, y.astype(np.float64))
+
+
+class TestPackedRouting:
+    """All trees routed together must equal the per-tree oracle bit for bit."""
+
+    def _impure_forest(self, seed=20, n_trees=40):
+        rng = np.random.default_rng(seed)
+        X, y = _separable(rng, n=300, d=5, margin=0.3)
+        flip = rng.random(y.size) < 0.2
+        y[flip] = 1 - y[flip]
+        return fit(X, y, n_trees=n_trees, min_samples_split=20, seed=seed), rng
+
+    def test_impure_leaves_match_oracle_in_tree_order(self):
+        ens, rng = self._impure_forest()
+        leaves = ens.trees[0]["counts"][ens.trees[0]["feature"] == _LEAF]
+        assert (leaves.min(axis=1) > 0).any()
+        Q = rng.standard_normal((200, 5))
+        expect = _oracle_proba(ens, Q)
+        assert np.array_equal(predict_proba(ens, Q), expect)
+        # The check is sharp: summing each row's leaf values along a
+        # contiguous axis (pairwise) gives other bits for some rows.
+        values = np.stack([_leaf_values(t, Q) for t in ens.trees], axis=1)
+        assert not np.array_equal(values.sum(axis=1) / ens.n_trees, expect)
+
+    def test_zero_and_one_row_inputs(self):
+        ens, rng = self._impure_forest(seed=21)
+        assert predict_proba(ens, np.zeros((0, 5))).shape == (0,)
+        for _ in range(20):
+            q = rng.standard_normal((1, 5))
+            assert np.array_equal(predict_proba(ens, q), _oracle_proba(ens, q))
+
+    def test_trees_of_different_depths(self):
+        ens, rng = self._impure_forest(seed=22, n_trees=6)
+        X, y = _separable(rng, n=200, d=5, margin=0.2)
+        deep = fit(X, y, n_trees=6, seed=22)
+        single_leaf = deserialize_ensemble(_hand_written()).trees[0]
+        single_leaf = {**single_leaf, "counts": np.array([[2, 9]])}
+        trees = [deep.trees[0], single_leaf, *ens.trees[:3], single_leaf, *deep.trees[1:]]
+        mixed = TreeEnsemble(n_features=5, n_trees=len(trees), k_features=3,
+                             min_samples_split=2, seed=0, trees=trees)
+        depths = {_depth(t) for t in trees}
+        assert 0 in depths and len(depths) >= 4
+        Q = rng.standard_normal((150, 5))
+        assert np.array_equal(predict_proba(mixed, Q), _oracle_proba(mixed, Q))
+
+    def test_hand_written_forest(self):
+        ens = deserialize_ensemble(_hand_written())
+        Q = np.array([
+            [0.0, 0.0, 0.0],    # tree 1: left leaf, 0/3
+            [1.0, 0.0, -2.0],   # tree 1: right then left, 1/2
+            [1.0, 0.0, 0.0],    # tree 1: right then right, 6/6
+            [0.5, 9.0, -1.0],   # both thresholds hit exactly: >= goes right
+        ])
+        expect = (0.25 + np.array([0.0, 0.5, 1.0, 1.0])) / 2
+        assert np.array_equal(predict_proba(ens, Q), expect)
+        assert np.array_equal(predict_proba(ens, Q), _oracle_proba(ens, Q))
+
+
+class TestTreeValidation:
+    def test_hand_written_forest_is_valid(self):
+        assert deserialize_ensemble(_hand_written()).n_trees == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        # A root that is its own child would make routing loop forever.
+        (lambda t: t[1]["left"].__setitem__(0, 0), r"tree 1 node 0: children"),
+        (lambda t: t[1]["right"].__setitem__(2, 999), r"tree 1 node 2: children"),
+        (lambda t: t[1]["right"].__setitem__(2, 1), r"tree 1 node 2: children"),
+        (lambda t: t[1]["feature"].__setitem__(2, 7), r"tree 1 node 2: feature outside \[0, 3\)"),
+        (lambda t: t[1]["feature"].__setitem__(0, -2), r"tree 1 node 0: feature outside"),
+        (lambda t: t[1]["counts"].__setitem__(1, [0, 0]), r"tree 1 node 1: counts sum to 0"),
+        (lambda t: t[1]["counts"].__setitem__(3, [-1, 2]), r"tree 1 node 3: counts are negative"),
+        (lambda t: t[1]["left"].__setitem__(1, 3), r"tree 1 node 1: leaf has a child"),
+        (lambda t: t[1]["threshold"].__setitem__(0, float("inf")), r"tree 1 node 0: threshold"),
+        (lambda t: t[0]["threshold"].append(1.0), r"tree 0: feature, threshold"),
+        (lambda t: t[0].__setitem__("feature", []), r"tree 0: feature, threshold"),
+        (lambda t: t[0].__setitem__("counts", [3, 1]), r"tree 0: counts must have shape \(1, 2\)"),
+        (lambda t: t[0].pop("left"), r"tree 0: missing field 'left'"),
+        (lambda t: t[0].__setitem__("feature", ["a"]), r"tree 0: field 'feature' is not numeric"),
+        (lambda t: t.__setitem__(0, [1, 2]), r"tree 0: expected an object"),
+    ])
+    def test_malformed_tree_rejected(self, edit, message):
+        with pytest.raises(ValueError, match=message):
+            deserialize_ensemble(_hand_written(edit))
+
+    def test_trees_must_be_a_non_empty_list(self):
+        payload = copy.deepcopy(_HAND_WRITTEN)
+        payload["trees"] = {"0": payload["trees"][0]}
+        with pytest.raises(ValueError, match="'trees' must be a list"):
+            deserialize_ensemble(json.dumps(payload).encode())
+        payload.update(trees=[], n_trees=0)
+        with pytest.raises(ValueError, match="no trees"):
+            deserialize_ensemble(json.dumps(payload).encode())
 
 
 class TestLabelFlipSymmetry:
