@@ -15,7 +15,7 @@ from botfuse.flow_ingest import (
     parse_flow_file,
     slice_windows,
 )
-from botfuse.flow_features import NodeFlowFeatures, classify_flow_success, extract_node_features
+from botfuse.flow_features import NodeFeatures, classify_flow_success, extract_node_features
 from botfuse.comm_graph import CommGraph, build_graph, load_graph, propagation_matrix, save_graph
 from botfuse.gcn_core import GcnModel, backward, deserialize_model, forward, gcn_layer_forward, init_gcn, serialize_model
 from botfuse.pretrain import SyntheticGraphSpec, TrainConfig, generate_synthetic_graph, load_graph_dataset, pretrain_gcn

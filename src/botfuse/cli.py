@@ -146,8 +146,8 @@ def cmd_features(args) -> int:
             obj = {
                 "window_start": w.window_start,
                 "features": {
-                    node: dict(zip(FEATURE_NAMES, nf.as_vector().tolist()))
-                    for node, nf in sorted(feats.items())
+                    node: dict(zip(FEATURE_NAMES, row))
+                    for node, row in zip(feats.nodes, feats.matrix.tolist())
                 },
             }
             out.write(json.dumps(obj, sort_keys=True) + "\n")

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
-from botfuse.flow_features import FEATURE_DIM, NodeFlowFeatures
+from botfuse.flow_features import FEATURE_DIM, NodeFeatures
 from botfuse.flow_ingest import Label, WindowSlice
 
 # Per-node label codes used in CommGraph.labels arrays.
@@ -76,47 +77,41 @@ def _canonical_edges(edges, n: int) -> np.ndarray:
 
 def build_graph(
     window: WindowSlice,
-    features: Mapping[str, NodeFlowFeatures],
+    features: NodeFeatures,
     node_labels: Mapping[str, Label] | None = None,
 ) -> CommGraph:
     """Build the directed unweighted communication graph of one window.
 
     A flow adds src -> dst when the source sent bytes and dst -> src when the
     destination sent bytes. Duplicate edges collapse; self-addressed flows
-    are dropped and counted.
+    are dropped and counted. ``features`` must be the window's own, so its
+    rows are the graph's nodes.
     """
-    records = window.records
-    src_ips = [r.src_ip for r in records]
-    dst_ips = [r.dst_ip for r in records]
-    nodes = sorted(set(src_ips).union(dst_ips))
-    index = {node: i for i, node in enumerate(nodes)}
+    table = window.table
+    nodes, local = table.node_index()
+    if nodes != features.nodes:
+        missing = sorted(set(nodes).difference(features.nodes))
+        if missing:
+            raise ValueError(f"missing features for endpoint {missing[0]!r}")
+        raise ValueError("feature rows do not match the window's endpoints")
 
-    matrix = np.empty((len(nodes), FEATURE_DIM), dtype=np.float64)
-    for i, node in enumerate(nodes):
-        try:
-            matrix[i] = features[node].as_vector()
-        except KeyError:
-            raise ValueError(f"missing features for endpoint {node!r}") from None
-
-    src = np.array([index[ip] for ip in src_ips], dtype=np.int64)
-    dst = np.array([index[ip] for ip in dst_ips], dtype=np.int64)
-    sent = np.array([r.src_bytes != 0 for r in records], dtype=bool)
-    received = np.array([r.dst_bytes != 0 for r in records], dtype=bool)
-    keep = src != dst
-    flows = np.column_stack((src, dst))
-    edges = np.concatenate((flows[sent & keep], flows[received & keep, ::-1]))
+    keep = local[:, 0] != local[:, 1]
+    edges = np.concatenate((
+        local[(table.src_bytes != 0) & keep],
+        local[(table.dst_bytes != 0) & keep, ::-1],
+    ))
 
     labels = None
     if node_labels is not None:
-        codes = [_LABEL_TO_CODE[node_labels.get(node, Label.UNKNOWN)] for node in nodes]
-        labels = np.array(codes, dtype=np.int8)
+        found = map(node_labels.get, nodes, repeat(Label.UNKNOWN))
+        labels = np.fromiter(map(_LABEL_TO_CODE.__getitem__, found), np.int8, len(nodes))
 
     return CommGraph(
         nodes=nodes,
         edges=edges,
-        features=matrix,
+        features=features.matrix,
         labels=labels,
-        dropped_self_loops=len(records) - int(keep.sum()),
+        dropped_self_loops=len(table) - int(keep.sum()),
     )
 
 

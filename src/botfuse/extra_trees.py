@@ -23,6 +23,7 @@ ENSEMBLE_FORMAT_VERSION = 1
 DEFAULT_N_TREES = 100
 DEFAULT_MIN_SAMPLES_SPLIT = 2
 DEFAULT_NORM_MODE = "per_vector"
+NORM_MODES = (DEFAULT_NORM_MODE, "per_dimension")
 
 _LEAF = -1
 
@@ -399,21 +400,24 @@ def deserialize_ensemble(data: bytes) -> TreeEnsemble:
         raise ValueError("ensemble payload has wrong format marker")
     if payload.get("version") != ENSEMBLE_FORMAT_VERSION:
         raise ValueError(f"unsupported ensemble version {payload.get('version')!r}")
-    required = ("n_features", "n_trees", "k_features", "min_samples_split", "seed", "trees")
-    for key in required:
+    integers = ("n_features", "n_trees", "k_features", "min_samples_split", "seed")
+    for key in (*integers, "trees"):
         if key not in payload:
             raise ValueError(f"ensemble payload missing field {key!r}")
+    for key in integers:
+        value = payload[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"ensemble field {key!r} must be an integer, got {value!r}")
+    norm_mode = payload.get("norm_mode", DEFAULT_NORM_MODE)
+    if norm_mode not in NORM_MODES:
+        raise ValueError(
+            f"ensemble field 'norm_mode' must be one of {NORM_MODES}, got {norm_mode!r}"
+        )
     if not isinstance(payload["trees"], list):
         raise ValueError("ensemble field 'trees' must be a list")
     trees = [_tree_from_json(i, t) for i, t in enumerate(payload["trees"])]
     return TreeEnsemble(
-        n_features=int(payload["n_features"]),
-        n_trees=int(payload["n_trees"]),
-        k_features=int(payload["k_features"]),
-        min_samples_split=int(payload["min_samples_split"]),
-        seed=int(payload["seed"]),
-        trees=trees,
-        norm_mode=payload.get("norm_mode", DEFAULT_NORM_MODE),
+        **{key: payload[key] for key in integers}, trees=trees, norm_mode=norm_mode
     )
 
 

@@ -13,8 +13,9 @@ FEATURE_DIM = len(FEATURE_NAMES)
 
 
 @dataclass
-class NodeFlowFeatures:
-    """Connection counts, mean duration, and mean byte volumes for one node.
+class NodeFeatures:
+    """The five features of every node of one window, one matrix row per
+    node, with columns in ``FEATURE_NAMES`` order and nodes in sorted order.
 
     ``conn``/``fail_conn`` count flows where the node is either endpoint;
     ``dur`` averages duration over the node's successful flows only;
@@ -22,18 +23,11 @@ class NodeFlowFeatures:
     received over all of its flows, successful or not.
     """
 
-    node_id: str
-    conn: int
-    fail_conn: int
-    dur: float
-    src_bytes_avg: float
-    dst_bytes_avg: float
+    nodes: list[str]
+    matrix: np.ndarray
 
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.conn, self.fail_conn, self.dur, self.src_bytes_avg, self.dst_bytes_avg],
-            dtype=np.float64,
-        )
+    def __len__(self) -> int:
+        return len(self.nodes)
 
 
 def classify_flow_success(record: FlowRecord) -> bool:
@@ -41,55 +35,39 @@ def classify_flow_success(record: FlowRecord) -> bool:
     return record.src_bytes > 0 and record.dst_bytes > 0
 
 
-class _Accumulator:
-    __slots__ = ("conn", "fail", "dur_sum", "sent_sum", "recv_sum", "n_flows")
-
-    def __init__(self) -> None:
-        self.conn = 0
-        self.fail = 0
-        self.dur_sum = 0.0
-        self.sent_sum = 0.0
-        self.recv_sum = 0.0
-        self.n_flows = 0
-
-    def add(self, success: bool, duration: float, sent: int, received: int) -> None:
-        if success:
-            self.conn += 1
-            self.dur_sum += duration
-        else:
-            self.fail += 1
-        self.sent_sum += sent
-        self.recv_sum += received
-        self.n_flows += 1
-
-
-def extract_node_features(window: WindowSlice) -> dict[str, NodeFlowFeatures]:
+def extract_node_features(window: WindowSlice) -> NodeFeatures:
     """Aggregate one window's flows into the five per-node features.
 
-    Every node appearing as source or destination of any record gets an
-    entry. A flow contributes to both of its endpoints (for a degenerate
+    Every node appearing as source or destination of any record gets a row.
+    A flow contributes to both of its endpoints (for a degenerate
     self-addressed flow, to the same node in both roles, which keeps the
     endpoint-participation accounting exact).
+
+    The sums run over the endpoint slots interleaved as [src0, dst0, src1,
+    dst1, ...]: ``np.bincount`` adds its weights in that order, so each
+    node's float sums take the same additions, in the same order, as a
+    record-by-record loop.
     """
-    if not window.records:
+    table = window.table
+    if not len(table):
         raise ValueError("cannot extract features from an empty window")
 
-    acc: dict[str, _Accumulator] = {}
-    for record in window.records:
-        success = classify_flow_success(record)
-        src = acc.setdefault(record.src_ip, _Accumulator())
-        src.add(success, record.duration, record.src_bytes, record.dst_bytes)
-        dst = acc.setdefault(record.dst_ip, _Accumulator())
-        dst.add(success, record.duration, record.dst_bytes, record.src_bytes)
+    nodes, local = table.node_index()
+    slots = local.ravel()
+    n = len(nodes)
+    success = np.repeat((table.src_bytes > 0) & (table.dst_bytes > 0), 2)
+    ok_slots = slots[success]
 
-    features: dict[str, NodeFlowFeatures] = {}
-    for node_id, a in acc.items():
-        features[node_id] = NodeFlowFeatures(
-            node_id=node_id,
-            conn=a.conn,
-            fail_conn=a.fail,
-            dur=a.dur_sum / a.conn if a.conn else 0.0,
-            src_bytes_avg=a.sent_sum / a.n_flows if a.n_flows else 0.0,
-            dst_bytes_avg=a.recv_sum / a.n_flows if a.n_flows else 0.0,
-        )
-    return features
+    n_flows = np.bincount(slots, minlength=n)
+    conn = np.bincount(ok_slots, minlength=n)
+    dur_sum = np.bincount(ok_slots, weights=np.repeat(table.duration, 2)[success], minlength=n)
+    sent = np.column_stack((table.src_bytes, table.dst_bytes)).ravel()
+    received = np.column_stack((table.dst_bytes, table.src_bytes)).ravel()
+    matrix = np.column_stack((
+        conn,
+        n_flows - conn,
+        np.divide(dur_sum, conn, out=np.zeros(n), where=conn > 0),
+        np.bincount(slots, weights=sent, minlength=n) / n_flows,
+        np.bincount(slots, weights=received, minlength=n) / n_flows,
+    ))
+    return NodeFeatures(nodes=nodes, matrix=matrix)

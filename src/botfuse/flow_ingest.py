@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import bisect
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 DEFAULT_WINDOW_LEN = 60.0
 DEFAULT_STRIDE = 10.0
@@ -56,13 +57,79 @@ class FlowRecord:
     label: Label = Label.UNKNOWN
 
 
+@dataclass(frozen=True)
+class FlowTable:
+    """Flows as numpy columns, row-aligned with a record sequence.
+
+    ``src``/``dst`` are int64 ids into ``endpoints``, an object array of the
+    sorted endpoint ids, so id order is node order. Byte counts are float64,
+    the type the feature sums accumulate in. Slicing rows gives views that
+    share ``endpoints``.
+    """
+
+    endpoints: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    duration: np.ndarray
+    src_bytes: np.ndarray
+    dst_bytes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.src.size
+
+    def __getitem__(self, rows: slice) -> FlowTable:
+        return FlowTable(
+            self.endpoints,
+            self.src[rows],
+            self.dst[rows],
+            self.duration[rows],
+            self.src_bytes[rows],
+            self.dst_bytes[rows],
+        )
+
+    def node_index(self) -> tuple[list[str], np.ndarray]:
+        """The endpoints these rows touch, in node order, and the (m, 2)
+        local node indices of each row's (src, dst)."""
+        ids, local = np.unique(np.column_stack((self.src, self.dst)), return_inverse=True)
+        return self.endpoints[ids].tolist(), local.reshape(-1, 2)
+
+
+def encode_flows(records: Sequence[FlowRecord]) -> FlowTable:
+    """Column table of the records, in their order, from one pass over them."""
+    columns = [(r.src_ip, r.dst_ip, r.duration, r.src_bytes, r.dst_bytes) for r in records]
+    src_ip, dst_ip, duration, src_bytes, dst_bytes = zip(*columns) if columns else [()] * 5
+    endpoints = sorted(set(src_ip).union(dst_ip))
+    index = {endpoint: i for i, endpoint in enumerate(endpoints)}
+    return FlowTable(
+        endpoints=np.array(endpoints, dtype=object),
+        src=np.fromiter(map(index.__getitem__, src_ip), np.int64, len(columns)),
+        dst=np.fromiter(map(index.__getitem__, dst_ip), np.int64, len(columns)),
+        duration=np.array(duration, dtype=np.float64),
+        src_bytes=np.array(src_bytes, dtype=np.float64),
+        dst_bytes=np.array(dst_bytes, dtype=np.float64),
+    )
+
+
 @dataclass
 class WindowSlice:
-    """All flows whose start time falls inside one sliding-window interval."""
+    """All flows whose start time falls inside one sliding-window interval.
+
+    ``table`` holds the same flows as columns; when it is not given, the
+    records are encoded into a table of their own.
+    """
 
     window_start: float
     window_len: float
     records: list[FlowRecord]
+    table: FlowTable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.table is None:
+            self.table = encode_flows(self.records)
+        elif len(self.table) != len(self.records):
+            raise ValueError(
+                f"flow table has {len(self.table)} rows for {len(self.records)} records"
+            )
 
 
 @dataclass
@@ -245,7 +312,8 @@ def slice_windows(
     Window starts are aligned to stride boundaries at or before the earliest
     flow; a flow belongs to every window whose half-open interval
     [start, start + window_len) contains its start time. Windows that would
-    contain no flows are omitted.
+    contain no flows are omitted. The flows are encoded once, in time order,
+    and each window's table is a view of its rows.
     """
     if window_len <= 0 or stride <= 0:
         raise ValueError(f"window_len and stride must be positive, got {window_len}/{stride}")
@@ -255,18 +323,18 @@ def slice_windows(
         return []
 
     ordered = sorted(records, key=lambda r: r.ts_start)
-    times = [r.ts_start for r in ordered]
+    table = encode_flows(ordered)
+    times = np.array([r.ts_start for r in ordered], dtype=np.float64)
     first = math.floor(times[0] / stride) * stride
-    last = times[-1]
+    n_starts = int(math.floor((times[-1] - first) / stride)) + 1
+    starts = first + np.arange(n_starts) * stride
+    los = np.searchsorted(times, starts).tolist()
+    his = np.searchsorted(times, starts + window_len).tolist()
 
     windows: list[WindowSlice] = []
-    n_starts = int(math.floor((last - first) / stride)) + 1
-    for k in range(n_starts):
-        start = first + k * stride
-        lo = bisect.bisect_left(times, start)
-        hi = bisect.bisect_left(times, start + window_len)
+    for start, lo, hi in zip(starts.tolist(), los, his):
         if hi > lo:
-            windows.append(WindowSlice(start, window_len, ordered[lo:hi]))
+            windows.append(WindowSlice(start, window_len, ordered[lo:hi], table[lo:hi]))
     return windows
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import extra_trees
 from .comm_graph import LABEL_BOT, LABEL_LEGIT, CommGraph, build_graph, propagation_matrix
-from .extra_trees import DEFAULT_NORM_MODE, TreeEnsemble
+from .extra_trees import NORM_MODES, TreeEnsemble
 from .flow_features import extract_node_features
 from .flow_ingest import Label, WindowSlice, derive_node_labels
 from .gcn_core import GcnModel, forward
@@ -19,9 +19,7 @@ from .pretrain import ARCH_DEPTH, ARCHITECTURES
 
 DEFAULT_THRESHOLD = 0.5
 
-NORM_PER_VECTOR = DEFAULT_NORM_MODE
-NORM_PER_DIMENSION = "per_dimension"
-NORM_MODES = (NORM_PER_VECTOR, NORM_PER_DIMENSION)
+NORM_PER_VECTOR, NORM_PER_DIMENSION = NORM_MODES
 
 VARIANT_FUSED = "fused"
 VARIANT_TOPOLOGY = "topology_only"
@@ -256,15 +254,12 @@ def detect(
         norm = normalize_embedding(emb.vectors, ensemble.norm_mode)
         t1 = time.perf_counter()
         probs = extra_trees.predict_proba(ensemble, norm)
+        flags = (probs >= config.threshold).tolist()
         verdicts = [
-            NodeVerdict(
-                node_id=node,
-                bot_probability=float(p),
-                verdict=bool(p >= config.threshold),
-            )
-            for node, p in zip(emb.nodes, probs)
+            NodeVerdict(node, p, flag)
+            for node, p, flag in zip(emb.nodes, probs.tolist(), flags)
         ]
-        n_flagged = sum(v.verdict for v in verdicts)
+        n_flagged = sum(flags)
         t2 = time.perf_counter()
 
         reports.append(

@@ -262,13 +262,11 @@ def test_criterion_04_flow_feature_oracle(capsys):
             )
         )
     window = WindowSlice(window_start=0.0, window_len=60.0, records=records)
-    got = extract_node_features(window)
+    feats = extract_node_features(window)
+    got = dict(zip(feats.nodes, map(tuple, feats.matrix.tolist())))
     want = _brute_force_features(window)
-    exact = set(got) == set(want) and all(
-        (f.conn, f.fail_conn, f.dur, f.src_bytes_avg, f.dst_bytes_avg) == want[node]
-        for node, f in got.items()
-    )
-    endpoint_events = sum(f.conn + f.fail_conn for f in got.values())
+    exact = set(got) == set(want) and all(row == want[node] for node, row in got.items())
+    endpoint_events = int(feats.matrix[:, :2].sum())
     identity = endpoint_events == 2 * len(records)
     elapsed = time.perf_counter() - t0
     ok = exact and identity and elapsed < 5.0

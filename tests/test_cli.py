@@ -297,6 +297,21 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: tree 0 node 0: children")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_features", None, "error: ensemble field 'n_features' must be an integer"),
+        ("norm_mode", "bogus", "error: ensemble field 'norm_mode' must be one of"),
+    ])
+    def test_detect_refuses_bad_ensemble_header(self, art, tmp_path, capsys, key, value,
+                                                message):
+        payload = json.loads(art["ens"].read_text())
+        payload[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                   "--ensemble", str(bad), "--out", str(tmp_path / "v.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(message)
+
     def test_invalid_window_params(self, art, capsys):
         rc = main(["features", "--flows", str(art["flows"]), "--window-len", "0"])
         assert rc == 1

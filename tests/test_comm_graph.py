@@ -124,13 +124,17 @@ class TestBuildGraph:
         w = _window(records)
         feats = extract_node_features(w)
         g = build_graph(w, feats)
+        assert g.nodes == feats.nodes
         for node in g.nodes:
-            assert g.features[g.index(node)].tolist() == feats[node].as_vector().tolist()
+            assert g.features[g.index(node)].tolist() == feats.matrix[feats.nodes.index(node)].tolist()
 
     def test_missing_features_rejected(self):
         w = _window([_flow("A", "B")])
         feats = extract_node_features(_window([_flow("A", "C")]))
-        with pytest.raises(ValueError, match="missing features"):
+        with pytest.raises(ValueError, match="missing features for endpoint 'B'"):
+            build_graph(w, feats)
+        feats = extract_node_features(_window([_flow("A", "B"), _flow("A", "C")]))
+        with pytest.raises(ValueError, match="feature rows do not match"):
             build_graph(w, feats)
 
     def test_label_codes(self):

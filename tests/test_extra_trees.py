@@ -329,6 +329,25 @@ class TestTreeValidation:
         with pytest.raises(ValueError, match=message):
             deserialize_ensemble(_hand_written(edit))
 
+    @pytest.mark.parametrize("key", [
+        "n_features", "n_trees", "k_features", "min_samples_split", "seed",
+    ])
+    @pytest.mark.parametrize("value", [None, True, 2.0, "2"])
+    def test_header_integers_must_be_json_integers(self, key, value):
+        payload = copy.deepcopy(_HAND_WRITTEN)
+        payload[key] = value
+        with pytest.raises(ValueError, match=f"field '{key}' must be an integer"):
+            deserialize_ensemble(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize("value", ["bogus", None, 0, ["per_vector"]])
+    def test_norm_mode_must_be_known(self, value):
+        payload = copy.deepcopy(_HAND_WRITTEN)
+        payload["norm_mode"] = value
+        with pytest.raises(ValueError, match="field 'norm_mode' must be one of"):
+            deserialize_ensemble(json.dumps(payload).encode())
+        payload["norm_mode"] = "per_dimension"
+        assert deserialize_ensemble(json.dumps(payload).encode()).norm_mode == "per_dimension"
+
     def test_trees_must_be_a_non_empty_list(self):
         payload = copy.deepcopy(_HAND_WRITTEN)
         payload["trees"] = {"0": payload["trees"][0]}

@@ -31,6 +31,11 @@ def _window(records):
     return WindowSlice(window_start=0.0, window_len=60.0, records=records)
 
 
+def _rows(feats):
+    """Node id -> (conn, fail_conn, dur, src_bytes_avg, dst_bytes_avg)."""
+    return dict(zip(feats.nodes, map(tuple, feats.matrix.tolist())))
+
+
 def _random_flows(rng, n, n_nodes=40, int_valued=False):
     flows = []
     for _ in range(n):
@@ -83,42 +88,39 @@ class TestExtractNodeFeatures:
         assert FEATURE_NAMES == ("conn", "fail_conn", "dur", "src_bytes_avg", "dst_bytes_avg")
 
     def test_single_flow_bookkeeping(self):
-        feats = extract_node_features(_window([_flow("A", "B", dur=2.0, up=100, down=50)]))
-        a, b = feats["A"], feats["B"]
-        assert (a.conn, a.fail_conn, a.dur, a.src_bytes_avg, a.dst_bytes_avg) == (1, 0, 2.0, 100.0, 50.0)
-        assert (b.conn, b.fail_conn, b.dur, b.src_bytes_avg, b.dst_bytes_avg) == (1, 0, 2.0, 50.0, 100.0)
+        feats = _rows(extract_node_features(_window([_flow("A", "B", dur=2.0, up=100, down=50)])))
+        assert feats["A"] == (1, 0, 2.0, 100.0, 50.0)
+        assert feats["B"] == (1, 0, 2.0, 50.0, 100.0)
 
     def test_scanner_all_failed(self):
         records = [_flow("A", f"t{i}", dur=1.0, up=40, down=0) for i in range(10)]
-        a = extract_node_features(_window(records))["A"]
-        assert (a.conn, a.fail_conn, a.dur) == (0, 10, 0.0)
-        assert a.src_bytes_avg == 40.0
-        assert a.dst_bytes_avg == 0.0
+        a = _rows(extract_node_features(_window(records)))["A"]
+        assert a == (0, 10, 0.0, 40.0, 0.0)
 
     def test_every_endpoint_gets_an_entry(self):
         rng = np.random.default_rng(0)
         records = _random_flows(rng, 100)
         feats = extract_node_features(_window(records))
         endpoints = {r.src_ip for r in records} | {r.dst_ip for r in records}
-        assert set(feats) == endpoints
+        assert feats.nodes == sorted(endpoints)
+        assert len(feats) == len(endpoints)
+        assert feats.matrix.shape == (len(endpoints), FEATURE_DIM)
 
     def test_brute_force_oracle_exact(self):
         rng = np.random.default_rng(1)
         records = _random_flows(rng, 300)
-        feats = extract_node_features(_window(records))
+        feats = _rows(extract_node_features(_window(records)))
         oracle = _brute_force(records)
         assert set(feats) == set(oracle)
         for node, expected in oracle.items():
-            f = feats[node]
-            got = (f.conn, f.fail_conn, f.dur, f.src_bytes_avg, f.dst_bytes_avg)
-            assert got == expected, node
+            assert feats[node] == expected, node
 
     def test_participation_accounting_identity(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             records = _random_flows(rng, 200)
             feats = extract_node_features(_window(records))
-            total = sum(f.conn + f.fail_conn for f in feats.values())
+            total = feats.matrix[:, :2].sum()
             assert total == 2 * len(records)
 
     def test_record_order_is_irrelevant(self):
@@ -129,18 +131,26 @@ class TestExtractNodeFeatures:
         shuffled = list(records)
         rng.shuffle(shuffled)
         other = extract_node_features(_window(shuffled))
-        for node in base:
-            assert base[node].as_vector().tolist() == other[node].as_vector().tolist()
+        assert other.nodes == base.nodes
+        assert other.matrix.tolist() == base.matrix.tolist()
+
+    def test_duration_sums_follow_record_order(self):
+        # N is a destination twice before it is a source. Summed in record
+        # order its durations give 1 + 2**-52; summing its source-role flows
+        # before its destination-role flows would give 1.0.
+        tiny = 2.0 ** -53
+        records = [_flow("A", "N", dur=tiny), _flow("B", "N", dur=tiny), _flow("N", "C", dur=1.0)]
+        dur = _rows(extract_node_features(_window(records)))["N"][2]
+        assert dur == ((tiny + tiny) + 1.0) / 3
+        assert dur != ((1.0 + tiny) + tiny) / 3
 
     def test_record_order_float_durations_close(self):
         rng = np.random.default_rng(3)
         records = _random_flows(rng, 150)
         base = extract_node_features(_window(records))
         other = extract_node_features(_window(records[::-1]))
-        for node in base:
-            np.testing.assert_allclose(
-                base[node].as_vector(), other[node].as_vector(), rtol=1e-12
-            )
+        assert other.nodes == base.nodes
+        np.testing.assert_allclose(base.matrix, other.matrix, rtol=1e-12)
 
     def test_byte_scaling_affects_only_averages(self):
         rng = np.random.default_rng(4)
@@ -154,28 +164,27 @@ class TestExtractNodeFeatures:
             )
             for r in records
         ]
-        base = extract_node_features(_window(records))
-        quad = extract_node_features(_window(scaled))
-        for node in base:
-            b, q = base[node], quad[node]
-            assert (q.conn, q.fail_conn, q.dur) == (b.conn, b.fail_conn, b.dur)
-            assert q.src_bytes_avg == 4 * b.src_bytes_avg
-            assert q.dst_bytes_avg == 4 * b.dst_bytes_avg
+        base = extract_node_features(_window(records)).matrix
+        quad = extract_node_features(_window(scaled)).matrix
+        assert np.array_equal(quad[:, :3], base[:, :3])
+        assert np.array_equal(quad[:, 3:], 4 * base[:, 3:])
 
     def test_self_addressed_flow_counts_both_roles(self):
         feats = extract_node_features(_window([_flow("A", "A", up=10, down=20)]))
-        a = feats["A"]
-        assert a.conn == 2
-        assert a.src_bytes_avg == 15.0
-        assert a.dst_bytes_avg == 15.0
+        assert feats.nodes == ["A"]
+        conn, _, _, sent, received = feats.matrix[0]
+        assert conn == 2
+        assert sent == 15.0
+        assert received == 15.0
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="empty window"):
             extract_node_features(_window([]))
 
-    def test_as_vector_layout(self):
-        f = extract_node_features(_window([_flow("A", "B", dur=2.0, up=100, down=50)]))["A"]
-        v = f.as_vector()
-        assert v.shape == (FEATURE_DIM,)
-        assert v.dtype == np.float64
-        assert v.tolist() == [1.0, 0.0, 2.0, 100.0, 50.0]
+    def test_matrix_layout(self):
+        feats = extract_node_features(_window([_flow("B", "A", dur=2.0, up=100, down=50)]))
+        assert feats.nodes == ["A", "B"]
+        assert feats.matrix.shape == (2, FEATURE_DIM)
+        assert feats.matrix.dtype == np.float64
+        assert feats.matrix.tolist() == [[1.0, 0.0, 2.0, 50.0, 100.0],
+                                         [1.0, 0.0, 2.0, 100.0, 50.0]]

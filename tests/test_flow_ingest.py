@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from botfuse.comm_graph import build_graph
+from botfuse.flow_features import extract_node_features
 from botfuse.flow_ingest import (
     DEFAULT_STRIDE,
     DEFAULT_WINDOW_LEN,
     FlowRecord,
     Label,
     Proto,
+    WindowSlice,
     derive_node_labels,
+    encode_flows,
     filter_tcp_udp,
     parse_flow_file,
     slice_windows,
@@ -243,6 +247,62 @@ class TestSliceWindows:
 
     def test_empty_input(self):
         assert slice_windows([], 60.0, 10.0) == []
+
+    def test_windows_are_views_of_one_table(self):
+        rng = np.random.default_rng(11)
+        records = [
+            _record(ts=float(t), src=f"h{rng.integers(0, 9)}", dst=f"h{rng.integers(0, 9)}",
+                    up=int(rng.integers(0, 3)), down=int(rng.integers(0, 3)))
+            for t in rng.uniform(0.0, 120.0, size=80)
+        ]
+        windows = slice_windows(records, 60.0, 10.0)
+        base = windows[0].table
+        for w in windows:
+            t = w.table
+            assert t.endpoints is base.endpoints
+            assert t.src.base is not None and t.src.base is base.src.base
+            assert len(t) == len(w.records)
+            assert t.endpoints[t.src].tolist() == [r.src_ip for r in w.records]
+            assert t.endpoints[t.dst].tolist() == [r.dst_ip for r in w.records]
+            assert t.duration.tolist() == [r.duration for r in w.records]
+            assert t.src_bytes.tolist() == [r.src_bytes for r in w.records]
+            assert t.dst_bytes.tolist() == [r.dst_bytes for r in w.records]
+        assert base.endpoints.tolist() == sorted({r.src_ip for r in records} | {r.dst_ip for r in records})
+
+    def test_table_views_match_hand_built_windows(self):
+        # Hand-built windows encode their own records; the slicer's windows
+        # are views of one table over the whole trace. Both must give the
+        # same nodes, feature bits, edges and dropped self-loops.
+        rng = np.random.default_rng(12)
+        records = []
+        for t in rng.uniform(0.0, 150.0, size=600):
+            # Hosts drift with time, so each window sees a subset of them.
+            hosts = int(t // 10) + rng.integers(0, 15, size=2)
+            src, dst = (f"10.0.{i // 10}.{i % 10}" for i in hosts)
+            records.append(FlowRecord(
+                ts_start=float(t), duration=float(rng.exponential(2.0)), proto=Proto.TCP,
+                src_ip=src, src_port=1, dst_ip=dst, dst_port=2,
+                src_bytes=int(rng.integers(0, 3)) * int(rng.integers(1, 900)),
+                dst_bytes=int(rng.integers(0, 3)) * int(rng.integers(1, 900)),
+            ))
+        assert any(r.src_ip == r.dst_ip for r in records)
+        assert any(r.src_bytes == 0 and r.dst_bytes == 0 for r in records)
+        windows = slice_windows(records, 60.0, 10.0)
+        assert len(windows) > 10
+        for w in windows:
+            hand = WindowSlice(w.window_start, w.window_len, list(w.records))
+            assert hand.table.endpoints.size < w.table.endpoints.size
+            got, want = extract_node_features(w), extract_node_features(hand)
+            assert got.nodes == want.nodes
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            g, h = build_graph(w, got), build_graph(hand, want)
+            assert np.array_equal(g.edges, h.edges)
+            assert g.dropped_self_loops == h.dropped_self_loops
+
+    def test_table_must_match_records(self):
+        records = [_record(ts=1.0), _record(ts=2.0)]
+        with pytest.raises(ValueError, match="1 rows for 2 records"):
+            WindowSlice(0.0, 60.0, records, encode_flows(records[:1]))
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ run("synth", "--kind", "flows", "--out", "flows.csv", "--n-background", "40",
     "--n-bots", "8", "--seed", "2")
 run("pretrain", "--data", "graphs", "--depth", "2", "--max-epochs", "5",
     "--patience", "2", "--out", "model.bin")
+run("features", "--flows", "flows.csv", "--out", "features.jsonl")
 run("train", "--flows", "flows.csv", "--model", "model.bin", "--n-trees", "5",
     "--out", "trees.json")
 run("detect", "--flows", "flows.csv", "--model", "model.bin", "--ensemble",
@@ -40,6 +41,7 @@ GOLDEN = {
     "trees.json": "71d0f04234ae22fea214fe46fb5750f395c084c4829b92944b3d09ee144d6df4",
     "report.jsonl": "93a8c90483fb7134c2e4286563e5c0cff9137c53c5a5f983db52eed08077d8b4",
     "eval.json": "bbc3727c72e4a30242c768fd77d54c421443dcd38baf99011e901c82c0197a12",
+    "features.jsonl": "d31d353c63684fce3f8437af837048b0625eb7e76f0a2159c93965c6706a5001",
 }
 
 

@@ -49,3 +49,25 @@ def test_gcn_model_keeps_residual_mode():
 
     assert "residual_mode" in GcnModel.__dataclass_fields__
     assert callable(gcn_layer_forward)
+
+
+def test_window_and_feature_hooks_count_on_a_real_trace(monkeypatch):
+    from botfuse.flow_features import extract_node_features
+    from botfuse.flow_ingest import FlowRecord, Proto, slice_windows
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    # Flows at 5 s and 25 s in 30 s windows every 10 s: the windows at 0
+    # (both flows), 10 and 20 (the second) hold 4 record copies.
+    records = [
+        FlowRecord(5.0, 1.0, Proto.TCP, "a", 1, "b", 2, 10, 5),
+        FlowRecord(25.0, 1.0, Proto.UDP, "b", 1, "c", 2, 0, 7),
+    ]
+    windows = slice_windows(records, window_len=30.0, stride=10.0)
+    counts = tracing._slice(None, (records,), {}, windows)
+    assert counts == {"flow_ingest.windows": 3, "_sliced_flows": 2, "_window_records": 4}
+    feats = extract_node_features(windows[0])
+    assert len(feats) == len(feats.nodes) == 3
+    assert tracing._features(None, (windows[0],), {}, feats) == {
+        "flow_features.node_windows": 3
+    }
