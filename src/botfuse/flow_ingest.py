@@ -327,7 +327,18 @@ def slice_windows(
     times = np.array([r.ts_start for r in ordered], dtype=np.float64)
     first = math.floor(times[0] / stride) * stride
     n_starts = int(math.floor((times[-1] - first) / stride)) + 1
-    starts = first + np.arange(n_starts) * stride
+    # A flow in stride slot c can only lie in windows c - reach .. c + 1 (one
+    # extra each side absorbs rounding). Trying just those keeps a long gap
+    # in the trace, such as one row stamped at the epoch, from costing
+    # memory in proportion to the gap.
+    reach = math.ceil(window_len / stride) + 1
+    slots = np.unique(np.floor((times - first) / stride).astype(np.int64))
+    if slots.size * (reach + 2) < n_starts:
+        ks = np.unique((slots[:, None] + np.arange(-reach, 2)).ravel())
+        ks = ks[(ks >= 0) & (ks < n_starts)]
+    else:
+        ks = np.arange(n_starts)
+    starts = first + ks * stride
     los = np.searchsorted(times, starts).tolist()
     his = np.searchsorted(times, starts + window_len).tolist()
 

@@ -248,6 +248,34 @@ class TestSliceWindows:
     def test_empty_input(self):
         assert slice_windows([], 60.0, 10.0) == []
 
+    def test_gapped_traces_match_every_window_start(self):
+        # Oracle: try every stride-aligned start between the first and last
+        # flow, with the slicer's start formula.
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            gaps = rng.choice([0.0, 1.0, 400.0], size=30) * rng.random(30)
+            times = np.round(rng.uniform(-500.0, 500.0) + np.cumsum(gaps), 1)
+            stride = float(rng.choice([0.5, 2.5, 10.0]))
+            window_len = stride * float(rng.choice([1.0, 2.5, 6.0]))
+            records = [_record(ts=float(t)) for t in rng.permutation(times)]
+            first = np.floor(times.min() / stride) * stride
+            expected = []
+            for k in range(int((times.max() - first) // stride) + 1):
+                start = first + k * stride
+                members = sorted(t for t in times if start <= t < start + window_len)
+                if members:
+                    expected.append((start, members))
+            windows = slice_windows(records, window_len, stride)
+            got = [(w.window_start, [r.ts_start for r in w.records]) for w in windows]
+            assert got == expected
+
+    def test_epoch_stamped_row_costs_no_window_per_stride(self):
+        # 1.6e8 empty stride slots lie between the two groups of flows.
+        records = [_record(ts=0.0), _record(ts=1.6e9), _record(ts=1.6e9 + 35.0)]
+        windows = slice_windows(records, 60.0, 10.0)
+        assert [w.window_start for w in windows] == [0.0] + [1.6e9 + 10.0 * k for k in range(-5, 4)]
+        assert [len(w.records) for w in windows] == [1, 1, 1, 1, 2, 2, 2, 1, 1, 1]
+
     def test_windows_are_views_of_one_table(self):
         rng = np.random.default_rng(11)
         records = [
