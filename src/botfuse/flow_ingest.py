@@ -183,6 +183,8 @@ def _validated(record: FlowRecord) -> FlowRecord:
         raise ValueError("negative duration")
     if record.src_bytes < 0 or record.dst_bytes < 0:
         raise ValueError("negative byte count")
+    if max(record.src_bytes, record.dst_bytes) >= 2**63:
+        raise ValueError("byte count out of range")
     if not record.src_ip or not record.dst_ip:
         raise ValueError("empty endpoint id")
     return record

@@ -102,6 +102,16 @@ class TestParseCanonical:
         assert len(result) == 1
         assert result.malformed == 3
 
+    def test_oversized_byte_count_is_malformed(self, tmp_path):
+        # A 400-digit count cannot become a float; it used to end slicing
+        # or feature extraction in an OverflowError traceback.
+        p = tmp_path / "flows.csv"
+        p.write_text(f"1.0,0.5,tcp,a,1,b,2,1{'0' * 400},5\n2.0,0.5,tcp,a,1,b,2,10,5\n")
+        result = parse_flow_file(p)
+        assert [r.ts_start for r in result.records] == [2.0]
+        assert result.malformed == 1
+        assert len(slice_windows(result.records)) == 1
+
     @pytest.mark.parametrize("ts", ["inf", "-inf", "nan"])
     def test_non_finite_start_time_is_malformed(self, tmp_path, ts):
         p = tmp_path / "flows.csv"
