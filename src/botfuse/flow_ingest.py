@@ -57,7 +57,7 @@ class FlowRecord:
     label: Label = Label.UNKNOWN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowTable:
     """Flows as numpy columns, row-aligned with a record sequence.
 
