@@ -70,13 +70,8 @@ def _canonical_edges(edges, n: int) -> np.ndarray:
     outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
     if outside.any():
         raise ValueError(f"edge {raw[int(np.argmax(outside))]!r} out of range")
-    # Codes i*n + j sort like the pairs, so sorting them and keeping the first
-    # of each run sorts and dedups. (np.unique does the same, but from numpy
-    # 2.3 it goes through a hash table that is ~10x slower on a window's edges.)
-    codes = np.sort(pairs[:, 0] * n + pairs[:, 1])
-    first = np.ones(codes.size, dtype=bool)
-    first[1:] = codes[1:] != codes[:-1]
-    codes = codes[first]
+    # Codes i*n + j sort like the pairs, so one np.unique sorts and dedups.
+    codes = np.unique(pairs[:, 0] * n + pairs[:, 1])
     return np.column_stack((codes // n, codes % n))
 
 

@@ -183,8 +183,10 @@ def _validated(record: FlowRecord) -> FlowRecord:
         raise ValueError("negative duration")
     if record.src_bytes < 0 or record.dst_bytes < 0:
         raise ValueError("negative byte count")
-    if max(record.src_bytes, record.dst_bytes) >= 2**63:
-        raise ValueError("byte count out of range")
+    try:
+        float(record.src_bytes), float(record.dst_bytes)
+    except OverflowError:
+        raise ValueError("byte count too large for a float") from None
     if not record.src_ip or not record.dst_ip:
         raise ValueError("empty endpoint id")
     return record
@@ -335,11 +337,8 @@ def slice_windows(
     # memory in proportion to the gap.
     reach = math.ceil(window_len / stride) + 1
     slots = np.unique(np.floor((times - first) / stride).astype(np.int64))
-    if slots.size * (reach + 2) < n_starts:
-        ks = np.unique((slots[:, None] + np.arange(-reach, 2)).ravel())
-        ks = ks[(ks >= 0) & (ks < n_starts)]
-    else:
-        ks = np.arange(n_starts)
+    ks = np.unique((slots[:, None] + np.arange(-reach, 2)).ravel())
+    ks = ks[(ks >= 0) & (ks < n_starts)]
     starts = first + ks * stride
     los = np.searchsorted(times, starts).tolist()
     his = np.searchsorted(times, starts + window_len).tolist()

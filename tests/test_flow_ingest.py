@@ -112,6 +112,18 @@ class TestParseCanonical:
         assert result.malformed == 1
         assert len(slice_windows(result.records)) == 1
 
+    def test_byte_count_beyond_int64_is_kept(self, tmp_path):
+        # Byte counts are float64 columns, so only a count that no float
+        # holds is malformed; 2**63 and 10**300 still give features.
+        p = tmp_path / "flows.csv"
+        p.write_text(f"1.0,0.5,tcp,a,1,b,2,{2**63},5\n2.0,0.5,tcp,a,1,b,2,1{'0' * 300},5\n")
+        result = parse_flow_file(p)
+        assert result.malformed == 0
+        (window,) = slice_windows(result.records)
+        assert window.table.src_bytes.tolist() == [float(2**63), float(10**300)]
+        features = extract_node_features(window)
+        assert features.matrix[features.nodes.index("a"), 3] == (0.0 + 2**63 + 10**300) / 2
+
     @pytest.mark.parametrize("ts", ["inf", "-inf", "nan"])
     def test_non_finite_start_time_is_malformed(self, tmp_path, ts):
         p = tmp_path / "flows.csv"
