@@ -342,7 +342,7 @@ def main(argv=None) -> int:
             _apply_config(registry[args.command], args.config)
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -221,13 +223,55 @@ def _binetflow_label(text: str) -> Label:
     return Label.UNKNOWN
 
 
-def _parse_binetflow_row(row: Sequence[str]) -> FlowRecord:
+def _binetflow_start_time(text: str) -> float:
+    started = datetime.strptime(text.strip(), "%Y/%m/%d %H:%M:%S.%f")
+    return started.replace(tzinfo=timezone.utc).timestamp()
+
+
+# The one shape numpy casts as strptime reads it. strptime also takes 1-digit
+# fields and non-ASCII digits; such strings go to strptime. numpy takes year
+# 0000, which strptime refuses, but that lies outside float64's exact range.
+_BINETFLOW_TIME = re.compile(r"[0-9]{4}/[0-9]{2}/[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{6}")
+
+
+def binetflow_start_times(texts: Sequence[str]) -> list[float | None]:
+    """UTC epoch seconds of binetflow StartTime strings, cast as one vector.
+
+    Gives strptime's float for each string of the shape
+    ``YYYY/MM/DD HH:MM:SS.ffffff`` that numpy accepts and whose microsecond
+    count a float64 holds exactly, and None for every other string, which
+    then goes through strptime.
+    """
+    texts = [t.strip() for t in texts]
+    fast = [i for i, t in enumerate(texts) if _BINETFLOW_TIME.fullmatch(t)]
+    iso = [texts[i].replace("/", "-").replace(" ", "T") for i in fast]
+    try:
+        micros = np.array(iso, dtype="datetime64[us]").astype(np.int64).tolist()
+    except ValueError:
+        # A field out of range, such as 02/30 or 24:00, refuses the whole
+        # cast; cast one at a time and leave the refused ones to strptime.
+        micros = [_datetime64_us(t) for t in iso]
+    times: list[float | None] = [None] * len(texts)
+    for i, us in zip(fast, micros):
+        if us is not None and abs(us) < 2**53:
+            times[i] = us / 1e6
+    return times
+
+
+def _datetime64_us(text: str) -> int | None:
+    try:
+        return int(np.datetime64(text, "us").astype(np.int64))
+    except ValueError:
+        return None
+
+
+def _parse_binetflow_row(row: Sequence[str], ts_start: float | None = None) -> FlowRecord:
     # StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,State,sTos,dTos,
     # TotPkts,TotBytes,SrcBytes,Label
     if len(row) < 14:
         raise ValueError(f"expected >= 14 columns, got {len(row)}")
-    started = datetime.strptime(row[0].strip(), "%Y/%m/%d %H:%M:%S.%f")
-    ts_start = started.replace(tzinfo=timezone.utc).timestamp()
+    if ts_start is None:
+        ts_start = _binetflow_start_time(row[0])
     tot_bytes = int(row[12])
     src_bytes = int(row[13])
     if src_bytes > tot_bytes:
@@ -276,21 +320,47 @@ def parse_flow_file(path: str | Path, format_descriptor: str = "canonical") -> P
     if not path.is_file():
         raise FileNotFoundError(f"flow file not found: {path}")
 
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        rows, malformed = _read_rows(handle)
+    start_times = (
+        binetflow_start_times([row[0] for _, row in rows])
+        if parse_row is _parse_binetflow_row
+        else [None] * len(rows)
+    )
     records: list[FlowRecord] = []
-    malformed = 0
-    with path.open(newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle)):
-            if not row or all(not cell.strip() for cell in row):
+    for (lineno, row), ts_start in zip(rows, start_times):
+        try:
+            # A byte that is not UTF-8 decodes to a lone surrogate, which
+            # does not encode back.
+            "".join(row).encode()
+            records.append(parse_row(row) if ts_start is None else parse_row(row, ts_start))
+        except (ValueError, IndexError):
+            if lineno == 0 and _looks_like_header(row):
                 continue
-            try:
-                records.append(parse_row(row))
-            except (ValueError, IndexError):
-                if lineno == 0 and _looks_like_header(row):
-                    continue
-                malformed += 1
+            malformed += 1
     if not records:
         raise ValueError(f"no parseable flow records in {path} ({malformed} malformed lines)")
     return ParseResult(records=records, malformed=malformed)
+
+
+def _read_rows(handle) -> tuple[list[tuple[int, list[str]]], int]:
+    """The non-blank CSV rows with their row numbers, and the number of rows
+    the reader refused (a field over the size limit, say). The reader goes on
+    at the next line after a refusal."""
+    rows = []
+    refused = 0
+    reader = csv.reader(handle)
+    for lineno in itertools.count():
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error:
+            refused += 1
+            continue
+        if row and any(cell.strip() for cell in row):
+            rows.append((lineno, row))
+    return rows, refused
 
 
 def _looks_like_header(row: Sequence[str]) -> bool:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import extra_trees
 from .fusion_pipeline import pool_labeled_rows
@@ -42,6 +41,20 @@ class MetricSet:
         }
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; each tie group gets its members' mean rank.
+
+    A group of ``c`` equal values ending at rank ``e`` shares ``e - (c - 1) / 2``,
+    a half-integer, so the ranks are exact in float64. A NaN makes every rank
+    NaN.
+    """
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[inverse.reshape(-1)]
+
+
 def rank_auc(y_true: np.ndarray, y_prob: np.ndarray) -> float | None:
     """Probability a random positive outranks a random negative, ties half.
 
@@ -54,7 +67,7 @@ def rank_auc(y_true: np.ndarray, y_prob: np.ndarray) -> float | None:
     n_neg = y_true.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = stats.rankdata(np.asarray(y_prob, dtype=np.float64), method="average")
+    ranks = average_ranks(np.asarray(y_prob, dtype=np.float64))
     pos_rank_sum = float(ranks[pos].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 

@@ -94,6 +94,16 @@ class TestFeatures:
         first = capsys.readouterr().out.splitlines()[0]
         json.loads(first)
 
+    def test_line_that_is_not_utf8_leaves_the_output_as_it_was(self, art, tmp_path):
+        lines = art["flows"].read_bytes().splitlines(keepends=True)
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_bytes(b"".join(lines[:5]) + b"\xff" + lines[5] + b"".join(lines[5:]))
+        assert parse_flow_file(dirty).malformed == 1
+        outs = [tmp_path / "clean.jsonl", tmp_path / "dirty.jsonl"]
+        for flows, out in zip([art["flows"], dirty], outs):
+            assert main(["features", "--flows", str(flows), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestTrainDetect:
     def test_ensemble_artifact(self, art):
@@ -284,6 +294,15 @@ class TestErrors:
         rc = main(["features", "--flows", "/nonexistent/flows.csv"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["features", "detect"])
+    def test_output_path_that_is_a_directory(self, art, tmp_path, capsys, command):
+        argv = [command, "--flows", str(art["flows"]), "--out", str(tmp_path)]
+        if command == "detect":
+            argv += ["--model", str(art["model"]), "--ensemble", str(art["ens"])]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Is a directory" in err
 
     def test_detect_refuses_cyclic_ensemble(self, art, tmp_path, capsys):
         payload = json.loads(art["ens"].read_text())

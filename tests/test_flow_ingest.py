@@ -1,7 +1,11 @@
 """Parsing, protocol filtering, and sliding-window slicing."""
 
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botfuse.comm_graph import build_graph
 from botfuse.flow_features import extract_node_features
@@ -12,6 +16,7 @@ from botfuse.flow_ingest import (
     Label,
     Proto,
     WindowSlice,
+    binetflow_start_times,
     derive_node_labels,
     encode_flows,
     filter_tcp_udp,
@@ -162,6 +167,27 @@ class TestParseCanonical:
         p.write_text("1.0,0.5,icmp,a,0,b,0,10,5\n")
         assert parse_flow_file(p).records[0].proto is Proto.OTHER
 
+    CLEAN = b"1.0,0.5,tcp,a,1,b,2,10,5\n2.0,0.5,tcp,b,1,c,2,10,5\n3.0,0.5,udp,c,1,a,2,10,5\n"
+
+    def test_line_that_is_not_utf8_is_one_malformed_row(self, tmp_path):
+        clean = tmp_path / "clean.csv"
+        clean.write_bytes(self.CLEAN)
+        dirty = tmp_path / "dirty.csv"
+        lines = self.CLEAN.splitlines(keepends=True)
+        dirty.write_bytes(lines[0] + b"1.5,0.5,tcp,a\xff,1,b,2,10,5\n" + b"".join(lines[1:]))
+        expected = parse_flow_file(clean)
+        result = parse_flow_file(dirty)
+        assert result.records == expected.records
+        assert (expected.malformed, result.malformed) == (0, 1)
+
+    def test_field_over_the_csv_size_limit_is_one_malformed_row(self, tmp_path):
+        p = tmp_path / "flows.csv"
+        lines = self.CLEAN.splitlines(keepends=True)
+        p.write_bytes(lines[0] + b"1.5,0.5,tcp," + b"x" * 200_000 + b",1,b,2,10,5\n" + b"".join(lines[1:]))
+        result = parse_flow_file(p)
+        assert [r.ts_start for r in result.records] == [1.0, 2.0, 3.0]
+        assert result.malformed == 1
+
 
 class TestParseBinetflow:
     LINE = (
@@ -196,6 +222,91 @@ class TestParseBinetflow:
         result = parse_flow_file(p, format_descriptor="binetflow")
         assert len(result) == 1
         assert result.malformed == 1
+
+    def test_start_times_match_strptime_row_by_row(self, tmp_path):
+        # Off-shape and out-of-range times in one file: the refused ones are
+        # malformed and the others keep strptime's values.
+        starts = [
+            "2011/08/10 09:46:53.047277",
+            "2011/8/10 9:46:53.5",
+            "2011/02/29 00:00:00.000000",
+            "2012/02/29 23:59:59.999999",
+            "2011/08/10 09:46:60.000000",
+            "0000/01/01 00:00:00.000000",
+            "0001/01/01 00:00:00.000001",
+            " 2011/08/10 09:46:53.047277 ",
+        ]
+        p = tmp_path / "flows.binetflow"
+        p.write_text("".join(self.LINE.replace(self.LINE[:26], t) for t in starts))
+        result = parse_flow_file(p, format_descriptor="binetflow")
+        expected = [v for v in map(_strptime_seconds, starts) if v is not None]
+        assert [r.ts_start.hex() for r in result.records] == [v.hex() for v in expected]
+        assert result.malformed == len(starts) - len(expected)
+
+    def test_line_that_is_not_utf8_is_one_malformed_row(self, tmp_path):
+        p = tmp_path / "flows.binetflow"
+        p.write_bytes(self.LINE.encode() + b"\xff" + self.LINE.encode() + self.LINE.encode())
+        result = parse_flow_file(p, format_descriptor="binetflow")
+        assert len(result) == 2
+        assert result.malformed == 1
+
+
+def _strptime_seconds(text: str) -> float | None:
+    try:
+        started = datetime.strptime(text.strip(), "%Y/%m/%d %H:%M:%S.%f")
+    except ValueError:
+        return None
+    return started.replace(tzinfo=timezone.utc).timestamp()
+
+
+_EPOCH = datetime(1970, 1, 1)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _format_exact(t: datetime) -> str:
+    return (
+        f"{t.year:04d}/{t.month:02d}/{t.day:02d} "
+        f"{t.hour:02d}:{t.minute:02d}:{t.second:02d}.{t.microsecond:06d}"
+    )
+
+
+# Fields of the exact shape, with values just outside each field's range.
+_exact_shape = st.builds(
+    "{:04d}/{:02d}/{:02d} {:02d}:{:02d}:{:02d}.{:06d}".format,
+    st.one_of(st.integers(0, 9999), st.integers(1685, 2255), st.sampled_from([0, 1, 1970, 2000])),
+    st.integers(0, 13),
+    st.integers(0, 32),
+    st.integers(0, 25),
+    st.integers(0, 61),
+    st.integers(0, 61),
+    st.integers(0, 999_999),
+)
+_off_shape = st.one_of(
+    _exact_shape.map(lambda t: t.replace("/0", "/").replace(" 0", " ").replace(":0", ":")),
+    _exact_shape.map(lambda t: t[:-1]),
+    _exact_shape.map(lambda t: t + "0"),
+    _exact_shape.map(lambda t: f" {t}\t"),
+    _exact_shape.map(lambda t: t.replace("1", "\u0661")),
+    _exact_shape.map(lambda t: t.replace(" ", "T")),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_exact_shape, _off_shape), max_size=8))
+def test_vector_start_times_are_strptime_bits_or_refused(texts):
+    fast = binetflow_start_times(texts)
+    assert len(fast) == len(texts)
+    for text, value in zip(texts, fast):
+        reference = _strptime_seconds(text)
+        if value is not None:
+            assert reference is not None and value.hex() == reference.hex()
+        elif reference is not None:
+            # Only a time off the exact shape, or one a float64 cannot hold to
+            # the microsecond, may leave the vector path.
+            started = datetime.strptime(text.strip(), "%Y/%m/%d %H:%M:%S.%f")
+            exact_shape = _format_exact(started) == text.strip()
+            assert not exact_shape or abs((started - _EPOCH) // _MICROSECOND) >= 2**53
 
 
 class TestFilterTcpUdp:

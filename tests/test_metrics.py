@@ -1,11 +1,18 @@
 """Scoring, ranking AUC, stratified cross-validation, and the depth sweep."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import botfuse
 from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice
 from botfuse.metrics import (
     MetricSet,
+    average_ranks,
     compute_metrics,
     depth_sweep,
     format_metrics_table,
@@ -52,6 +59,33 @@ class TestRankAuc:
             # Quantized scores force plenty of ties.
             p = rng.integers(0, 8, size=n) / 8.0
             assert rank_auc(y, p) == _pairs_auc(y, p)
+
+    def test_matches_scipy_rankdata_bit_for_bit(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(1)
+        for trial in range(200):
+            n = int(rng.integers(2, 300))
+            levels = int(rng.integers(1, 12))
+            p = rng.integers(0, levels, size=n) / levels
+            if trial % 4 == 0:
+                p = np.concatenate([p, rng.random(n)])
+            y = (rng.random(p.size) < 0.4).astype(np.int64)
+            y[:2] = [0, 1]
+            ranks = stats.rankdata(p, method="average")
+            assert average_ranks(p).tobytes() == ranks.tobytes()
+            n_pos = int(y.sum())
+            n_neg = y.size - n_pos
+            expected = (float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+            assert rank_auc(y, p) == expected
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(average_ranks(np.array([0.2, np.nan, 0.2]))).all()
+        assert np.isnan(rank_auc([0, 1, 1], [0.1, np.nan, 0.3]))
+
+    def test_cli_import_does_not_load_scipy_stats(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(botfuse.__file__).resolve().parents[1]))
+        code = "import sys, botfuse.cli; assert 'scipy.stats' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_single_class_returns_none(self):
         assert rank_auc([1, 1], [0.2, 0.8]) is None
