@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -320,33 +320,41 @@ def parse_flow_file(path: str | Path, format_descriptor: str = "canonical") -> P
     if not path.is_file():
         raise FileNotFoundError(f"flow file not found: {path}")
 
-    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
-        rows, malformed = _read_rows(handle)
-    start_times = (
-        binetflow_start_times([row[0] for _, row in rows])
-        if parse_row is _parse_binetflow_row
-        else [None] * len(rows)
-    )
     records: list[FlowRecord] = []
-    for (lineno, row), ts_start in zip(rows, start_times):
-        try:
-            # A byte that is not UTF-8 decodes to a lone surrogate, which
-            # does not encode back.
-            "".join(row).encode()
-            records.append(parse_row(row) if ts_start is None else parse_row(row, ts_start))
-        except (ValueError, IndexError):
-            if lineno == 0 and _looks_like_header(row):
-                continue
-            malformed += 1
+    malformed = 0
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        for rows, refused in _read_rows(handle):
+            malformed += refused
+            start_times = (
+                binetflow_start_times([row[0] for _, row in rows])
+                if parse_row is _parse_binetflow_row
+                else [None] * len(rows)
+            )
+            for (lineno, row), ts_start in zip(rows, start_times):
+                try:
+                    # A byte that is not UTF-8 decodes to a lone surrogate,
+                    # which does not encode back.
+                    "".join(row).encode()
+                    records.append(
+                        parse_row(row) if ts_start is None else parse_row(row, ts_start)
+                    )
+                except (ValueError, IndexError):
+                    if lineno == 0 and _looks_like_header(row):
+                        continue
+                    malformed += 1
     if not records:
         raise ValueError(f"no parseable flow records in {path} ({malformed} malformed lines)")
     return ParseResult(records=records, malformed=malformed)
 
 
-def _read_rows(handle) -> tuple[list[tuple[int, list[str]]], int]:
-    """The non-blank CSV rows with their row numbers, and the number of rows
-    the reader refused (a field over the size limit, say). The reader goes on
-    at the next line after a refusal."""
+_CHUNK_ROWS = 1 << 16
+
+
+def _read_rows(handle) -> Iterator[tuple[list[tuple[int, list[str]]], int]]:
+    """The non-blank CSV rows with their row numbers, in chunks of at most
+    ``_CHUNK_ROWS``, each with the number of rows the reader refused (a
+    field over the size limit, say). The reader goes on at the next line
+    after a refusal."""
     rows = []
     refused = 0
     reader = csv.reader(handle)
@@ -360,7 +368,10 @@ def _read_rows(handle) -> tuple[list[tuple[int, list[str]]], int]:
             continue
         if row and any(cell.strip() for cell in row):
             rows.append((lineno, row))
-    return rows, refused
+            if len(rows) == _CHUNK_ROWS:
+                yield rows, refused
+                rows, refused = [], 0
+    yield rows, refused
 
 
 def _looks_like_header(row: Sequence[str]) -> bool:

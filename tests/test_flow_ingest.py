@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from botfuse import flow_ingest
 from botfuse.comm_graph import build_graph
 from botfuse.flow_features import extract_node_features
 from botfuse.flow_ingest import (
@@ -242,6 +243,19 @@ class TestParseBinetflow:
         expected = [v for v in map(_strptime_seconds, starts) if v is not None]
         assert [r.ts_start.hex() for r in result.records] == [v.hex() for v in expected]
         assert result.malformed == len(starts) - len(expected)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    def test_chunked_reading_gives_the_same_result(self, tmp_path, monkeypatch, chunk_rows):
+        p = tmp_path / "flows.binetflow"
+        header = "StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,State,sTos,dTos,TotPkts\n"
+        later = self.LINE.replace("09:46:53.047277", "09:47:00.5")
+        p.write_text(header + self.LINE + "\n" + "x" * 200_000 + "\n" + later + "short,row\n")
+        whole = parse_flow_file(p, format_descriptor="binetflow")
+        monkeypatch.setattr(flow_ingest, "_CHUNK_ROWS", chunk_rows)
+        chunked = parse_flow_file(p, format_descriptor="binetflow")
+        assert chunked.records == whole.records
+        assert [r.ts_start for r in whole.records] == [1312969613.047277, 1312969620.5]
+        assert (chunked.malformed, whole.malformed) == (2, 2)
 
     def test_line_that_is_not_utf8_is_one_malformed_row(self, tmp_path):
         p = tmp_path / "flows.binetflow"
