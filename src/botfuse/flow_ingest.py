@@ -223,11 +223,6 @@ def _binetflow_label(text: str) -> Label:
     return Label.UNKNOWN
 
 
-def _binetflow_start_time(text: str) -> float:
-    started = datetime.strptime(text.strip(), "%Y/%m/%d %H:%M:%S.%f")
-    return started.replace(tzinfo=timezone.utc).timestamp()
-
-
 # The one shape numpy casts as strptime reads it. strptime also takes 1-digit
 # fields and non-ASCII digits; such strings go to strptime. numpy takes year
 # 0000, which strptime refuses, but that lies outside float64's exact range.
@@ -271,7 +266,8 @@ def _parse_binetflow_row(row: Sequence[str], ts_start: float | None = None) -> F
     if len(row) < 14:
         raise ValueError(f"expected >= 14 columns, got {len(row)}")
     if ts_start is None:
-        ts_start = _binetflow_start_time(row[0])
+        started = datetime.strptime(row[0].strip(), "%Y/%m/%d %H:%M:%S.%f")
+        ts_start = started.replace(tzinfo=timezone.utc).timestamp()
     tot_bytes = int(row[12])
     src_bytes = int(row[13])
     if src_bytes > tot_bytes:
