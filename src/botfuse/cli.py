@@ -9,7 +9,9 @@ the command line take precedence. Exit code is nonzero on any error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -59,6 +61,22 @@ def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
             raise ValueError(f"config key {key!r}: {value!r} is not one of {action.choices}")
         defaults[action.dest] = str(value) if action.type else value
     sub.set_defaults(**defaults)
+
+
+# Subcommands whose --out names a file that is written only after their work.
+_FILE_OUTPUT_COMMANDS = frozenset({"pretrain", "features", "train", "detect", "eval", "sweep"})
+
+
+def _check_output_path(path: str) -> None:
+    """Refuse an output file path that is a directory or lies in a missing
+    directory, so the command fails before it parses, trains or scores."""
+    p = Path(path)
+    if p.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not p.parent.is_dir():
+        raise FileNotFoundError(
+            errno.ENOENT, "output directory does not exist", str(p.parent)
+        )
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -341,6 +359,8 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(registry[args.command], args.config)
             args = parser.parse_args(argv)
+        if args.command in _FILE_OUTPUT_COMMANDS and args.out is not None:
+            _check_output_path(args.out)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -126,65 +126,81 @@ class TreeEnsemble:
 def _entropy(c0: int, c1: int) -> float:
     # Summed smaller-count-first so swapping the classes gives the identical
     # float, keeping tie-breaks stable under label inversion.
+    if c0 == 0 or c1 == 0:
+        return 0.0
     n = c0 + c1
-    h = 0.0
-    for c in sorted((c0, c1)):
-        if c:
-            p = c / n
-            h -= p * math.log2(p)
-    return h
+    p, q = (c0 / n, c1 / n) if c0 <= c1 else (c1 / n, c0 / n)
+    return 0.0 - p * math.log2(p) - q * math.log2(q)
 
 
-def _draw_cut(rng: np.random.Generator, lo: float, hi: float) -> float | None:
-    # Threshold must fall strictly inside (lo, hi); routing is < left, >= right.
-    u = rng.uniform(lo, hi)
-    if lo < u < hi:
-        return float(u)
-    u = 0.5 * (lo + hi)
-    if lo < u < hi:
-        return float(u)
-    u = float(np.nextafter(lo, hi))
-    return u if lo < u < hi else None
+# Rows that decide which attributes vary in a node: an attribute that varies
+# among them varies in the node, and only the others need the full scan.
+_PROBE_ROWS = 8
 
 
-def _choose_split(X, y, idx, k, min_split, rng, c0, c1):
+def _choose_split(Xt, y, idx, k, min_split, rng, c0, c1):
+    """Best of k random cuts at the node holding rows ``idx``, or None.
+
+    ``Xt`` is the feature-major training matrix and ``y`` the boolean labels.
+    Returns (feature, threshold, left rows, right rows, left class counts).
+    The generator is drawn once for the attribute subset and then once per
+    drawn attribute, in the order of the subset."""
     n = idx.size
     if n < min_split or c0 == 0 or c1 == 0:
         return None
-    sub = X[idx]
-    mins = sub.min(axis=0)
-    maxs = sub.max(axis=0)
-    candidates = np.nonzero(mins < maxs)[0]
+    probe = Xt.take(idx[:_PROBE_ROWS], axis=1)
+    varies = probe.min(axis=1) < probe.max(axis=1)
+    if n > _PROBE_ROWS:
+        flat = (~varies).nonzero()[0]
+        if flat.size:
+            rest = Xt.take(flat, axis=0).take(idx, axis=1)
+            varies[flat] = (rest != probe[flat, :1]).any(axis=1)
+    candidates = varies.nonzero()[0]
     if candidates.size == 0:
         return None
-    k_eff = min(k, candidates.size)
-    chosen = rng.choice(candidates, size=k_eff, replace=False)
+    chosen = rng.choice(candidates, size=min(k, candidates.size), replace=False)
+    if n <= _PROBE_ROWS:
+        cols = probe[chosen]
+    else:
+        cols = Xt.take(chosen, axis=0).take(idx, axis=1)
+    lo = cols.min(axis=1)
+    hi = cols.max(axis=1)
+    # Bit-equal to one rng.uniform(lo, hi) call per attribute, in order.
+    cut = lo + (hi - lo) * rng.random(chosen.size)
+    # Threshold must fall strictly inside (lo, hi); routing is < left, >= right.
+    inside = (lo < cut) & (cut < hi)
+    if not inside.all():
+        with np.errstate(over="ignore"):  # lo + hi may overflow, as floats do
+            cut = np.where(inside, cut, 0.5 * (lo + hi))
+        inside = (lo < cut) & (cut < hi)
+        if not inside.all():
+            cut = np.where(inside, cut, np.nextafter(lo, hi))
+            inside = (lo < cut) & (cut < hi)
+    goes_left = cols < cut[:, None]
+    n_left = goes_left.sum(axis=1).tolist()
+    pos_left = (goes_left & y[idx]).sum(axis=1).tolist()
 
     parent_h = _entropy(c0, c1)
     best = None
-    for f in chosen:
-        t = _draw_cut(rng, float(mins[f]), float(maxs[f]))
-        if t is None:
-            continue
-        lmask = sub[:, f] < t
-        nl = int(lmask.sum())
-        nr = n - nl
-        l1 = int(y[idx[lmask]].sum())
-        l0 = nl - l1
+    for j in inside.nonzero()[0].tolist():
+        nl, l1 = n_left[j], pos_left[j]
+        nr, l0 = n - nl, nl - l1
         gain = (
             parent_h
             - (nl / n) * _entropy(l0, l1)
             - (nr / n) * _entropy(c0 - l0, c1 - l1)
         )
         if best is None or gain > best[0]:
-            best = (gain, int(f), t, lmask)
+            best = (gain, j)
     if best is None:
         return None
-    _, f, t, lmask = best
-    return f, t, idx[lmask], idx[~lmask]
+    j = best[1]
+    mask = goes_left[j]
+    l1 = pos_left[j]
+    return int(chosen[j]), float(cut[j]), idx[mask], idx[~mask], (n_left[j] - l1, l1)
 
 
-def _build_tree(X, y, k, min_split, rng) -> dict:
+def _build_tree(Xt, y, k, min_split, rng) -> dict:
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -192,30 +208,28 @@ def _build_tree(X, y, k, min_split, rng) -> dict:
     counts: list[list[int]] = []
 
     # Explicit stack, left child processed first: node ids follow a fixed
-    # pre-order so identical draws give identical arrays.
-    stack: list[tuple[np.ndarray, int, bool]] = [(np.arange(y.size), _LEAF, False)]
+    # pre-order so identical draws give identical arrays. Each entry carries
+    # its rows' class counts, which the parent's split already knows.
+    c1 = int(np.count_nonzero(y))
+    stack = [(np.arange(y.size), _LEAF, False, y.size - c1, c1)]
     while stack:
-        idx, parent, is_left = stack.pop()
+        idx, parent, is_left, c0, c1 = stack.pop()
         node_id = len(feature)
         if parent != _LEAF:
             (left if is_left else right)[parent] = node_id
-        c1 = int(y[idx].sum())
-        c0 = idx.size - c1
         counts.append([c0, c1])
-        split = _choose_split(X, y, idx, k, min_split, rng, c0, c1)
+        split = _choose_split(Xt, y, idx, k, min_split, rng, c0, c1)
+        left.append(_LEAF)
+        right.append(_LEAF)
         if split is None:
             feature.append(_LEAF)
             threshold.append(0.0)
-            left.append(_LEAF)
-            right.append(_LEAF)
             continue
-        f, t, idx_l, idx_r = split
+        f, t, idx_l, idx_r, (l0, l1) = split
         feature.append(f)
         threshold.append(t)
-        left.append(_LEAF)
-        right.append(_LEAF)
-        stack.append((idx_r, node_id, False))
-        stack.append((idx_l, node_id, True))
+        stack.append((idx_r, node_id, False, c0 - l0, c1 - l1))
+        stack.append((idx_l, node_id, True, l0, l1))
 
     return {
         "feature": np.asarray(feature, dtype=np.int64),
@@ -257,13 +271,26 @@ def fit(
     if not 1 <= k <= d:
         raise ValueError(f"k_features must be in [1, {d}], got {k}")
 
-    y = y.astype(np.int64)
+    # A nan would drop its attribute from every node that holds it, and an
+    # infinite range has no cut-point inside it.
+    if not np.isfinite(X).all():
+        raise ValueError("X contains non-finite values")
+    with np.errstate(over="ignore"):
+        span = X.max(axis=0) - X.min(axis=0)
+    if not np.isfinite(span).all():
+        raise ValueError(
+            f"the range of feature {int(np.flatnonzero(~np.isfinite(span))[0])} "
+            "overflows float64"
+        )
+
+    Xt = np.ascontiguousarray(X.T)
+    y = y == 1
     trees = []
     for i in range(n_trees):
         # Derived per-tree stream: tree i gets the same draws whether the
         # forest is grown serially or in parallel.
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        trees.append(_build_tree(X, y, k, min_samples_split, rng))
+        trees.append(_build_tree(Xt, y, k, min_samples_split, rng))
 
     return TreeEnsemble(
         n_features=d,

@@ -295,14 +295,39 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("command", ["features", "detect"])
-    def test_output_path_that_is_a_directory(self, art, tmp_path, capsys, command):
-        argv = [command, "--flows", str(art["flows"]), "--out", str(tmp_path)]
+    @staticmethod
+    def _flow_command(art, command, out):
+        argv = [command, "--flows", str(art["flows"]), "--out", str(out)]
+        if command != "features":
+            argv += ["--model", str(art["model"])]
         if command == "detect":
-            argv += ["--model", str(art["model"]), "--ensemble", str(art["ens"])]
-        assert main(argv) == 1
+            argv += ["--ensemble", str(art["ens"])]
+        return argv
+
+    @staticmethod
+    def _forbid_parsing(monkeypatch):
+        def parse(*args, **kwargs):
+            raise AssertionError("the trace was parsed before --out was checked")
+
+        monkeypatch.setattr("botfuse.cli.parse_flow_file", parse)
+
+    @pytest.mark.parametrize("command", ["features", "detect", "train", "eval"])
+    def test_output_path_that_is_a_directory(self, art, tmp_path, capsys, monkeypatch,
+                                             command):
+        self._forbid_parsing(monkeypatch)
+        assert main(self._flow_command(art, command, tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Is a directory" in err
+
+    @pytest.mark.parametrize("command", ["features", "detect", "train", "eval"])
+    def test_output_path_whose_directory_is_missing(self, art, tmp_path, capsys,
+                                                    monkeypatch, command):
+        self._forbid_parsing(monkeypatch)
+        out = tmp_path / "missing" / "out.json"
+        assert main(self._flow_command(art, command, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "output directory does not exist" in err
+        assert not out.parent.exists()
 
     def test_detect_refuses_cyclic_ensemble(self, art, tmp_path, capsys):
         payload = json.loads(art["ens"].read_text())

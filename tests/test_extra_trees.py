@@ -2,12 +2,16 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botfuse.extra_trees import (
     TreeEnsemble,
+    _build_tree,
     deserialize_ensemble,
     fit,
     load_ensemble,
@@ -80,6 +84,191 @@ def _hand_written(edit=None) -> bytes:
     if edit is not None:
         edit(payload["trees"])
     return json.dumps(payload).encode()
+
+
+# Reference grower: the per-attribute split search that ``fit`` replaced.
+# Each node scans every attribute of the node, draws one scalar
+# ``rng.uniform`` per drawn attribute and scores the cuts one at a time; the
+# fast search must grow byte-identical trees from the same generator.
+
+
+def _oracle_entropy(c0: int, c1: int) -> float:
+    n = c0 + c1
+    h = 0.0
+    for c in sorted((c0, c1)):
+        if c:
+            p = c / n
+            h -= p * math.log2(p)
+    return h
+
+
+def _oracle_draw_cut(rng, lo: float, hi: float) -> float | None:
+    # Threshold must fall strictly inside (lo, hi); routing is < left, >= right.
+    u = rng.uniform(lo, hi)
+    if lo < u < hi:
+        return float(u)
+    u = 0.5 * (lo + hi)
+    if lo < u < hi:
+        return float(u)
+    u = float(np.nextafter(lo, hi))
+    return u if lo < u < hi else None
+
+
+def _oracle_choose_split(X, y, idx, k, min_split, rng, c0, c1):
+    n = idx.size
+    if n < min_split or c0 == 0 or c1 == 0:
+        return None
+    sub = X[idx]
+    mins = sub.min(axis=0)
+    maxs = sub.max(axis=0)
+    candidates = np.nonzero(mins < maxs)[0]
+    if candidates.size == 0:
+        return None
+    k_eff = min(k, candidates.size)
+    chosen = rng.choice(candidates, size=k_eff, replace=False)
+
+    parent_h = _oracle_entropy(c0, c1)
+    best = None
+    for f in chosen:
+        t = _oracle_draw_cut(rng, float(mins[f]), float(maxs[f]))
+        if t is None:
+            continue
+        lmask = sub[:, f] < t
+        nl = int(lmask.sum())
+        nr = n - nl
+        l1 = int(y[idx[lmask]].sum())
+        l0 = nl - l1
+        gain = (
+            parent_h
+            - (nl / n) * _oracle_entropy(l0, l1)
+            - (nr / n) * _oracle_entropy(c0 - l0, c1 - l1)
+        )
+        if best is None or gain > best[0]:
+            best = (gain, int(f), t, lmask)
+    if best is None:
+        return None
+    _, f, t, lmask = best
+    return f, t, idx[lmask], idx[~lmask]
+
+
+def _oracle_build_tree(X, y, k, min_split, rng) -> dict:
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    counts: list[list[int]] = []
+
+    stack: list[tuple[np.ndarray, int, bool]] = [(np.arange(y.size), _LEAF, False)]
+    while stack:
+        idx, parent, is_left = stack.pop()
+        node_id = len(feature)
+        if parent != _LEAF:
+            (left if is_left else right)[parent] = node_id
+        c1 = int(y[idx].sum())
+        c0 = idx.size - c1
+        counts.append([c0, c1])
+        split = _oracle_choose_split(X, y, idx, k, min_split, rng, c0, c1)
+        if split is None:
+            feature.append(_LEAF)
+            threshold.append(0.0)
+            left.append(_LEAF)
+            right.append(_LEAF)
+            continue
+        f, t, idx_l, idx_r = split
+        feature.append(f)
+        threshold.append(t)
+        left.append(_LEAF)
+        right.append(_LEAF)
+        stack.append((idx_r, node_id, False))
+        stack.append((idx_l, node_id, True))
+
+    return {
+        "feature": np.asarray(feature, dtype=np.int64),
+        "threshold": np.asarray(threshold, dtype=np.float64),
+        "left": np.asarray(left, dtype=np.int64),
+        "right": np.asarray(right, dtype=np.int64),
+        "counts": np.asarray(counts, dtype=np.int64),
+    }
+
+
+def _oracle_fit(X, y, n_trees, k, min_split, seed) -> TreeEnsemble:
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y).astype(np.int64)
+    trees = [
+        _oracle_build_tree(
+            X, y, k, min_split,
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))),
+        )
+        for i in range(n_trees)
+    ]
+    return TreeEnsemble(n_features=X.shape[1], n_trees=n_trees, k_features=k,
+                        min_samples_split=min_split, seed=seed, trees=trees)
+
+
+class _FixedDraws:
+    """Generator stand-in that keeps the attribute order and draws ``u`` for
+    every cut, so a cut at the range's end forces the fallbacks."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def choice(self, a, size, replace):
+        return np.asarray(a)[:size]
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self.u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def _adjacent(base: float, steps) -> np.ndarray:
+    """``base`` moved up by each of ``steps`` ulps."""
+    out = []
+    for s in steps:
+        v = base
+        for _ in range(s):
+            v = np.nextafter(v, np.inf)
+        out.append(v)
+    return np.asarray(out, dtype=np.float64)
+
+
+_BASES = (0.0, 1.0, -3.5, 5e-324, 1.7e308, -1.7e308, 1e-300)
+_COLUMN_KINDS = ("normal", "constant", "few", "step", "relu", "ulps")
+
+
+@st.composite
+def _training_sets(draw):
+    """Small training sets whose columns are constant, constant only inside
+    some nodes, heavily tied, or a few ulps wide; rows may repeat."""
+    n_distinct = draw(st.integers(2, 40))
+    repeats = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=6))
+    base = draw(st.sampled_from(_BASES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = len(kinds)
+    X = rng.standard_normal((n_distinct, d))
+    steps = np.floor(2 * X[:, 0])
+    for j, kind in enumerate(kinds):
+        if kind == "constant":
+            X[:, j] = base
+        elif kind == "few":
+            X[:, j] = rng.integers(0, 3, n_distinct)
+        elif kind == "step":
+            X[:, j] = steps  # constant inside nodes cut on column 0
+        elif kind == "relu":
+            X[:, j] = np.maximum(X[:, j], 0.0)
+        elif kind == "ulps":
+            X[:, j] = _adjacent(base, rng.integers(0, draw(st.integers(1, 3)) + 1, n_distinct))
+    X = np.repeat(X, repeats, axis=0)
+    n = X.shape[0]
+    # Labels are drawn after the repeat, so equal rows may disagree.
+    y = (rng.random(n) < draw(st.sampled_from([0.1, 0.5]))).astype(np.int64)
+    y[rng.choice(n, 2, replace=False)] = [0, 1]
+    order = rng.permutation(n)
+    k = draw(st.integers(1, d))
+    min_split = draw(st.integers(2, 12))
+    return X[order], y[order], k, min_split, draw(st.integers(0, 2**16))
 
 
 class TestFit:
@@ -174,6 +363,82 @@ class TestFit:
         for tree in ens.trees:
             internal = tree["feature"] != _LEAF
             assert (tree["counts"][internal].sum(axis=1) >= 20).all()
+
+
+class TestFastSplitSearch:
+    """The split search against the reference grower."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_training_sets())
+    def test_fit_bytes_equal_the_reference(self, case):
+        X, y, k, min_split, seed = case
+        fast = fit(X, y, n_trees=3, k_features=k, min_samples_split=min_split, seed=seed)
+        slow = _oracle_fit(X, y, 3, k, min_split, seed)
+        assert serialize_ensemble(fast) == serialize_ensemble(slow)
+
+    @pytest.mark.parametrize("u", [0.0, 1.0])
+    @pytest.mark.parametrize("base", _BASES)
+    def test_fallback_cuts_match_the_reference(self, base, u):
+        # A draw at the range's end is never strictly inside, so every cut
+        # comes from a fallback: the midpoint across a 2-ulp column, nextafter
+        # where lo + hi overflows, and no cut at all across a 1-ulp column.
+        X = np.column_stack([
+            _adjacent(base, [0, 2, 2, 0, 2, 0] * 2),
+            _adjacent(base, [0, 1, 1, 0, 0, 1] * 2),
+            np.arange(12, dtype=np.float64),
+        ])
+        y = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0])
+        fast = _build_tree(np.ascontiguousarray(X.T), y == 1, 3, 2, _FixedDraws(u))
+        slow = _oracle_build_tree(X, y, 3, 2, _FixedDraws(u))
+        for key in slow:
+            assert fast[key].tobytes() == slow[key].tobytes(), key
+
+    @pytest.mark.parametrize("column, expected", [
+        ([0.0, 1.0], 0.5),  # the midpoint
+        ([1e308, 1.5e308], float(np.nextafter(1e308, np.inf))),  # lo + hi overflows
+        (_adjacent(1.0, [0, 1]).tolist(), None),  # no float strictly inside
+    ])
+    @pytest.mark.parametrize("u", [0.0, 1.0])
+    def test_fallback_cut_values(self, column, expected, u):
+        X = np.array(column * 2)[:, None]
+        y = np.array([0, 1, 1, 0])
+        tree = _build_tree(np.ascontiguousarray(X.T), y == 1, 1, 2, _FixedDraws(u))
+        if expected is None:
+            assert tree["feature"].tolist() == [_LEAF]
+        else:
+            assert tree["feature"][0] == 0 and tree["threshold"][0] == expected
+
+    def test_scalar_uniform_draws_equal_one_vector_draw(self):
+        # fit draws a node's k cut-points as lo + (hi - lo) * rng.random(k);
+        # the trees keep their bytes only while that equals k scalar
+        # rng.uniform(lo, hi) calls and leaves the generator in the same state.
+        rng = np.random.default_rng(11)
+        size = 2000
+        lo = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 300, size)
+        hi = lo + np.abs(lo) * 10.0 ** rng.uniform(-15, 3, size)
+        edges = np.array([[0.0, 5e-324], [-1e308, 7e307], [1.0, np.nextafter(1.0, 2.0)],
+                          [-2.0, -1.0], [1e-310, 3e-310], [-1.7e308, -1.6e308]])
+        lo, hi = np.concatenate([lo, edges[:, 0]]), np.concatenate([hi, edges[:, 1]])
+        assert np.isfinite(hi - lo).all() and (lo < hi).all()
+        scalar_rng = np.random.default_rng(12)
+        vector_rng = np.random.default_rng(12)
+        scalar = np.array([scalar_rng.uniform(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+        vector = lo + (hi - lo) * vector_rng.random(lo.size)
+        assert scalar.tobytes() == vector.tobytes()
+        assert scalar_rng.random() == vector_rng.random()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_fit_refuses_non_finite_input(self, value):
+        X = np.arange(12, dtype=np.float64).reshape(6, 2)
+        X[3, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(X, np.array([0, 1] * 3))
+
+    def test_fit_refuses_a_range_that_overflows(self):
+        X = np.zeros((4, 2))
+        X[:, 1] = [-1e308, 1e308, 0.0, 1.0]
+        with pytest.raises(ValueError, match="range of feature 1 overflows"):
+            fit(X, np.array([0, 1, 0, 1]))
 
 
 class TestPredict:

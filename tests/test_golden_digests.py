@@ -1,8 +1,9 @@
-"""Byte-for-byte reproducibility of a small CLI round trip.
+"""Byte-for-byte reproducibility of a small CLI round trip and of a forest
+fit at a realistic size.
 
 The round trip runs in a child process with BLAS pinned to one thread: the
 model's bytes depend on the order in which BLAS sums its products, so they
-are only reproducible at a fixed thread count.
+are only reproducible at a fixed thread count. Tree fitting uses no BLAS.
 """
 
 import hashlib
@@ -10,6 +11,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from botfuse.extra_trees import fit, serialize_ensemble
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -59,3 +64,19 @@ def test_cli_round_trip_is_byte_identical(tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
     }
     assert digests == GOLDEN
+
+
+# 20 trees on a 2000 x 32 matrix with 115 positives (5.75%); half of the
+# columns are rectified, so many nodes hold columns that are constant there.
+FIT_GOLDEN = "088717d66b4261fe3f1f41c91ff070d9a1b66c9a3fdb2c769999ff3862a5986c"
+
+
+def test_forest_fit_is_byte_identical():
+    rng = np.random.default_rng(20261018)
+    X = rng.standard_normal((2000, 32))
+    y = (rng.random(2000) < 0.05).astype(np.int64)
+    X[y == 1, :4] += 1.0
+    X[:, 16:] = np.maximum(X[:, 16:], 0.0)
+    assert int(y.sum()) == 115
+    ensemble = fit(X, y, n_trees=20, seed=3)
+    assert hashlib.sha256(serialize_ensemble(ensemble)).hexdigest() == FIT_GOLDEN
