@@ -86,10 +86,10 @@ def _hand_written(edit=None) -> bytes:
     return json.dumps(payload).encode()
 
 
-# Reference grower: the per-attribute split search that ``fit`` replaced.
-# Each node scans every attribute of the node, draws one scalar
-# ``rng.uniform`` per drawn attribute and scores the cuts one at a time; the
-# fast search must grow byte-identical trees from the same generator.
+# Reference grower, one attribute at a time: each node scans every attribute
+# of the node, draws one scalar ``rng.uniform`` per drawn attribute and scores
+# the cuts one by one. ``fit`` must grow byte-identical trees from the same
+# generator.
 
 
 def _oracle_entropy(c0: int, c1: int) -> float:
