@@ -63,7 +63,8 @@ def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
     sub.set_defaults(**defaults)
 
 
-# Subcommands whose --out names a file that is written only after their work.
+# Subcommands whose --out (and pretrain's --report) names a file that is written
+# only after their work.
 _FILE_OUTPUT_COMMANDS = frozenset({"pretrain", "features", "train", "detect", "eval", "sweep"})
 
 
@@ -359,8 +360,10 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(registry[args.command], args.config)
             args = parser.parse_args(argv)
-        if args.command in _FILE_OUTPUT_COMMANDS and args.out is not None:
-            _check_output_path(args.out)
+        if args.command in _FILE_OUTPUT_COMMANDS:
+            for path in (args.out, getattr(args, "report", None)):
+                if path is not None:
+                    _check_output_path(path)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -141,17 +141,22 @@ def forward(
     P,
     X0: np.ndarray,
     with_head: bool = False,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run the full stack; final hidden activations are the fused features.
 
     With ``with_head`` the linear classification head is appended and raw
-    logits are returned instead.
+    logits are returned instead. An optional ``work`` workspace, as for
+    `backward`, holds the layer intermediates; the result has the same bits.
     """
     X0 = np.asarray(X0, dtype=np.float64)
     if X0.ndim != 2 or X0.shape[1] != model.input_dim:
         raise ValueError(
             f"input must be n x {model.input_dim}, got {X0.shape}"
         )
+    if work is not None:
+        activations, _, logits = _forward_cached(model, P, X0, _workspace(model, X0, work))
+        return logits if with_head else activations[-1].copy()
     X = X0
     for W in model.weights:
         X = gcn_layer_forward(P, X, W, model.residual_mode)
@@ -160,22 +165,42 @@ def forward(
     return X
 
 
-def _forward_cached(model: GcnModel, P, X0: np.ndarray):
-    activations = [X0]
-    preacts = []
+def _workspace(model: GcnModel, X0: np.ndarray, work: np.ndarray | None) -> np.ndarray:
+    """The first n rows of each slot of ``work`` (float64, shape
+    (2 * depth + 1, N >= n, hidden_dim)), or a new workspace if None."""
+    n = X0.shape[0]
+    slots = 2 * model.depth + 1
+    if work is None:
+        return np.empty((slots, n, model.hidden_dim))
+    if (work.dtype != np.float64 or work.ndim != 3 or work.shape[0] != slots
+            or work.shape[1] < n or work.shape[2] != model.hidden_dim):
+        raise ValueError(
+            f"workspace must be float64 of shape ({slots}, >= {n}, {model.hidden_dim}), "
+            f"got {work.dtype} {work.shape}"
+        )
+    return work[:, :n]
+
+
+def _forward_cached(model: GcnModel, P, X0: np.ndarray, work: np.ndarray):
+    """Forward pass that keeps every layer's pre-activation and output in
+    ``work``, an (2 * depth + 1, n, hidden) array: slot k takes layer k's
+    pre-activation and slot depth + k its output. The last slot is left to
+    the backward pass."""
+    depth = model.depth
+    preacts = list(work[:depth])
+    outputs = list(work[depth : 2 * depth])
     X = X0
-    for W in model.weights:
+    for W, Z, A in zip(model.weights, preacts, outputs):
         _check_operands(P, X, W)
-        Z = P @ (X @ W)
-        preacts.append(Z)
+        np.copyto(Z, P @ (X @ W))
+        np.maximum(Z, 0.0, out=A)
         if model.residual_mode == RESIDUAL_Z_PLUS_RELU:
-            X = Z + np.maximum(Z, 0.0)
-        else:
-            act = np.maximum(Z, 0.0)
-            X = X + act if X.shape == Z.shape else act
-        activations.append(X)
+            np.add(Z, A, out=A)
+        elif X.shape == Z.shape:
+            np.add(X, A, out=A)
+        X = A
     logits = X @ model.head_weight + model.head_bias
-    return activations, preacts, logits
+    return [X0, *outputs], preacts, logits
 
 
 def masked_cross_entropy(
@@ -210,18 +235,24 @@ def backward(
     X0: np.ndarray,
     labels: np.ndarray,
     mask: np.ndarray,
+    work: np.ndarray | None = None,
 ) -> tuple[float, GcnGradients]:
     """Loss and exact gradients of mean masked cross-entropy over the logits.
 
     P must be symmetric (as produced by the propagation-matrix construction).
+    ``work`` is an optional float64 workspace of shape
+    (2 * depth + 1, N, hidden_dim) with N >= n; the first n rows of each slot
+    hold the layer intermediates. Reusing one workspace across calls spares
+    allocating (and faulting in) those arrays per call; results are the same
+    bits either way.
     """
     if model.frozen:
         raise FrozenModelError("backward pass is disallowed on a frozen model")
     X0 = np.asarray(X0, dtype=np.float64)
     if X0.shape[1] != model.input_dim:
         raise ValueError(f"input must be n x {model.input_dim}, got {X0.shape}")
-
-    activations, preacts, logits = _forward_cached(model, P, X0)
+    work = _workspace(model, X0, work)
+    activations, preacts, logits = _forward_cached(model, P, X0, work)
     loss, dlogits = masked_cross_entropy(logits, labels, mask)
 
     final_hidden = activations[-1]
@@ -229,15 +260,18 @@ def backward(
     d_head_b = dlogits.sum(axis=0)
     dX = dlogits @ model.head_weight.T
 
+    # dZ = dX * relu-merge derivative: 1 + (Z > 0) for z_plus_relu, (Z > 0)
+    # for x_plus_relu, written into the spare slot.
+    dZ = work[-1]
     d_weights: list[np.ndarray] = [np.empty(0)] * model.depth
     for k in range(model.depth - 1, -1, -1):
-        Z = preacts[k]
+        np.greater(preacts[k], 0.0, out=dZ)
         if model.residual_mode == RESIDUAL_Z_PLUS_RELU:
-            dZ = dX * (1.0 + (Z > 0.0))
+            dZ += 1.0
             carry = None
         else:
-            dZ = dX * (Z > 0.0)
             carry = dX if activations[k].shape == activations[k + 1].shape else None
+        np.multiply(dX, dZ, out=dZ)
         S = P @ dZ
         d_weights[k] = activations[k].T @ S
         dX = S @ model.weights[k].T

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 
 from .comm_graph import (
@@ -24,6 +23,12 @@ from .comm_graph import (
 )
 from .flow_features import FEATURE_DIM
 from .gcn_core import GcnModel, backward, forward, init_gcn
+from .random_graphs import (
+    barabasi_albert_edges,
+    complete_edges,
+    gnp_edges,
+    random_regular_edges,
+)
 
 ARCH_C2 = "c2"
 ARCH_P2P = "p2p"
@@ -91,14 +96,14 @@ class TrainConfig:
             raise ValueError("patience must be >= 0")
 
 
-def _background_graph(spec: SyntheticGraphSpec, seed: int) -> nx.Graph:
+def _background_edges(spec: SyntheticGraphSpec, seed: int) -> np.ndarray:
     if spec.background_model == BACKGROUND_PA:
         m = min(spec.ba_m, spec.n_background - 1) if spec.n_background > 1 else 1
         if spec.n_background <= m:
-            return nx.complete_graph(spec.n_background)
-        return nx.barabasi_albert_graph(spec.n_background, m, seed=seed)
+            return complete_edges(spec.n_background)
+        return barabasi_albert_edges(spec.n_background, m, seed)
     p = spec.er_p if spec.er_p is not None else min(1.0, 4.0 / spec.n_background)
-    return nx.gnp_random_graph(spec.n_background, p, seed=seed)
+    return gnp_edges(spec.n_background, p, seed)
 
 
 def generate_synthetic_graph(spec: SyntheticGraphSpec) -> CommGraph:
@@ -121,17 +126,13 @@ def generate_synthetic_graph(spec: SyntheticGraphSpec) -> CommGraph:
     bg_idx, bot_idx, ctl_idx = (np.array([index[name] for name in names], dtype=np.int64)
                                 for names in (bg_names, bot_names, ctl_names))
 
-    def edge_array(graph: nx.Graph) -> np.ndarray:
-        return np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
-
-    links = [bg_idx[edge_array(_background_graph(spec, bg_seed))]]
+    links = [bg_idx[_background_edges(spec, bg_seed)]]
     if spec.architecture == ARCH_C2:
         links.append(np.column_stack((ctl_idx[np.arange(spec.n_bots) % n_ctl], bot_idx)))
     else:
         if (spec.p2p_degree * spec.n_bots) % 2 == 1:
             raise ValueError("infeasible mesh: degree times bot count must be even")
-        mesh = nx.random_regular_graph(spec.p2p_degree, spec.n_bots, seed=mesh_seed)
-        links.append(bot_idx[edge_array(mesh)])
+        links.append(bot_idx[random_regular_edges(spec.p2p_degree, spec.n_bots, mesh_seed)])
 
     rng = np.random.default_rng(attach_seed)
     for i in np.concatenate((bot_idx, ctl_idx)):
@@ -333,12 +334,17 @@ def pretrain_gcn(
     stopper = EarlyStopper(config.patience)
     best_params = [p.copy() for p in params]
     epoch_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0xE0,)))
+    # One workspace for every forward and backward pass, sized for the
+    # largest graph: reusing it keeps the heap from shrinking and faulting
+    # back in between passes.
+    n_max = max(P.shape[0] for P, *_ in train_set + val_set)
+    work = np.empty((2 * model.depth + 1, n_max, model.hidden_dim))
 
     for epoch in range(config.max_epochs):
         epoch_loss = 0.0
         for gi in epoch_rng.permutation(len(train_set)):
             P, X, y, mask = train_set[gi]
-            loss, grads = backward(model, P, X, y, mask)
+            loss, grads = backward(model, P, X, y, mask, work=work)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"pretraining diverged at epoch {epoch}: loss={loss!r}"
@@ -350,7 +356,7 @@ def pretrain_gcn(
         correct = 0
         total = 0
         for P, X, y, mask in val_set:
-            logits = forward(model, P, X, with_head=True)
+            logits = forward(model, P, X, with_head=True, work=work)
             pred = logits.argmax(axis=1)
             correct += int((pred[mask] == y[mask]).sum())
             total += int(mask.sum())

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .flow_ingest import FlowRecord, Label, Proto
+from .random_graphs import random_regular_edges
 
 ARCH_C2 = "c2"
 ARCH_P2P = "p2p"
@@ -166,8 +166,8 @@ def generate_flow_benchmark(spec: FlowBenchSpec) -> list[FlowRecord]:
         channel_edges = [(bots[i], controllers[i % n_ctl]) for i in range(spec.n_bots)]
     else:
         mesh_seed = int(mesh_rng.integers(0, 2**31 - 1))
-        mesh = nx.random_regular_graph(spec.p2p_degree, spec.n_bots, seed=mesh_seed)
-        channel_edges = [(bots[u], bots[v]) for u, v in mesh.edges()]
+        mesh = random_regular_edges(spec.p2p_degree, spec.n_bots, mesh_seed)
+        channel_edges = [(bots[u], bots[v]) for u, v in mesh.tolist()]
 
     for a, b in channel_edges:
         quiet = a in stealth or b in stealth

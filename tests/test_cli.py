@@ -329,6 +329,21 @@ class TestErrors:
         assert err.startswith("error:") and "output directory does not exist" in err
         assert not out.parent.exists()
 
+    def test_pretrain_report_whose_directory_is_missing(self, art, tmp_path, capsys,
+                                                       monkeypatch):
+        def pretrain(*args, **kwargs):
+            raise AssertionError("pretrained before --report was checked")
+
+        monkeypatch.setattr("botfuse.pretrain.pretrain_gcn", pretrain)
+        model = tmp_path / "model.bin"
+        report = tmp_path / "missing" / "r.jsonl"
+        rc = main(["pretrain", "--data", str(art["graphs"]), "--depth", "2",
+                   "--out", str(model), "--report", str(report)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "output directory does not exist" in err
+        assert not model.exists() and not report.parent.exists()
+
     def test_detect_refuses_cyclic_ensemble(self, art, tmp_path, capsys):
         payload = json.loads(art["ens"].read_text())
         root = payload["trees"][0]

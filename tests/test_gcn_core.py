@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from botfuse.gcn_core import (
     DEFAULT_HIDDEN_DIM,
     DEFAULT_INPUT_DIM,
+    RESIDUAL_MODES,
     RESIDUAL_X_PLUS_RELU,
     RESIDUAL_Z_PLUS_RELU,
     FrozenModelError,
@@ -285,6 +287,47 @@ class TestBackward:
         X = rng.standard_normal((8, 5))
         labels = rng.integers(0, 2, size=8)
         assert _gradcheck(m, P, X, labels, np.ones(8, dtype=bool)) < 1e-4
+
+
+class TestWorkspace:
+    """A reused workspace gives the bits of a pass without one."""
+
+    @staticmethod
+    def _case(rng, n, input_dim):
+        labels = rng.integers(0, 2, size=n)
+        mask = rng.random(n) < 0.7
+        mask[0] = True
+        return sp.csr_matrix(_random_p(rng, n)), rng.standard_normal((n, input_dim)), labels, mask
+
+    @pytest.mark.parametrize("mode", RESIDUAL_MODES)
+    @pytest.mark.parametrize("input_dim, hidden_dim", [(5, 8), (6, 6)])
+    def test_shared_workspace_changes_no_bits(self, mode, input_dim, hidden_dim):
+        rng = np.random.default_rng(15)
+        m = init_gcn(4, input_dim, hidden_dim, seed=15, residual_mode=mode)
+        big, small = self._case(rng, 30, input_dim), self._case(rng, 17, input_dim)
+        # NaN rows would poison any result that read a row it did not write.
+        work = np.full((2 * m.depth + 1, 30, hidden_dim), np.nan)
+        for P, X, labels, mask in (big, small, big, small):
+            loss, grads = backward(m, P, X, labels, mask)
+            loss_w, grads_w = backward(m, P, X, labels, mask, work=work)
+            assert np.float64(loss_w).tobytes() == np.float64(loss).tobytes()
+            for a, b in zip(grads.parameters(), grads_w.parameters()):
+                assert a.tobytes() == b.tobytes()
+            for with_head in (False, True):
+                plain = forward(m, P, X, with_head=with_head)
+                reused = forward(m, P, X, with_head=with_head, work=work)
+                assert reused.tobytes() == plain.tobytes()
+                assert not np.shares_memory(reused, work)
+
+    def test_rejects_a_workspace_that_does_not_fit(self):
+        rng = np.random.default_rng(16)
+        m = init_gcn(2, hidden_dim=8, seed=16)
+        P, X, labels, mask = self._case(rng, 10, 5)
+        for shape in [(4, 10, 8), (5, 9, 8), (5, 10, 7), (10, 8)]:
+            with pytest.raises(ValueError, match="workspace"):
+                backward(m, P, X, labels, mask, work=np.zeros(shape))
+        with pytest.raises(ValueError, match="workspace"):
+            forward(m, P, X, work=np.zeros((5, 10, 8), dtype=np.float32))
 
 
 class TestSerialization:

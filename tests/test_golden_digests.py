@@ -1,5 +1,5 @@
-"""Byte-for-byte reproducibility of a small CLI round trip and of a forest
-fit at a realistic size.
+"""Byte-for-byte reproducibility of a small CLI round trip, of a forest fit
+at a realistic size, and of the synthetic graphs and flow traces.
 
 The round trip runs in a child process with BLAS pinned to one thread: the
 model's bytes depend on the order in which BLAS sums its products, so they
@@ -7,6 +7,7 @@ are only reproducible at a fixed thread count. Tree fitting uses no BLAS.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
+from botfuse.comm_graph import graph_to_json
 from botfuse.extra_trees import fit, serialize_ensemble
+from botfuse.flow_ingest import write_flows_csv
+from botfuse.pretrain import (
+    BACKGROUND_PA,
+    SyntheticGraphSpec,
+    default_pretrain_dataset,
+    generate_synthetic_graph,
+)
+from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -80,3 +90,42 @@ def test_forest_fit_is_byte_identical():
     assert int(y.sum()) == 115
     ensemble = fit(X, y, n_trees=20, seed=3)
     assert hashlib.sha256(serialize_ensemble(ensemble)).hexdigest() == FIT_GOLDEN
+
+
+# Digests of graph_to_json: the default pretraining datasets (Erdős–Rényi
+# backgrounds, a star or a random regular mesh on top) and one
+# preferential-attachment background. They pin the random graph generators.
+GRAPH_GOLDEN = {
+    "c2": "1cd6fa9b4349d2c1485a6b136c9c0911ba31c5e1b930cfb18e5f0c436ac385c2",
+    "p2p": "4ead625142485cdb273a1b9983072d1b662a57fb6763858ffc02e04e5807a0ac",
+    "pa": "8fa679c5cb9de248039df677ae134874b5b827e2d07f226fa2071a63d7f55839",
+}
+
+
+def _graphs_digest(graphs) -> str:
+    payload = json.dumps([graph_to_json(g) for g in graphs], sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_synthetic_graphs_are_byte_identical():
+    spec = SyntheticGraphSpec(
+        architecture="c2", n_background=300, n_bots=30, background_model=BACKGROUND_PA,
+        ba_m=3, n_controllers=2, seed=7,
+    )
+    digests = {
+        "c2": _graphs_digest(default_pretrain_dataset("c2", n_graphs=2)),
+        "p2p": _graphs_digest(default_pretrain_dataset("p2p", n_graphs=2)),
+        "pa": _graphs_digest([generate_synthetic_graph(spec)]),
+    }
+    assert digests == GRAPH_GOLDEN
+
+
+# A p2p flow trace: its bot channels follow the random regular mesh's edge order.
+FLOWS_GOLDEN = "ca6e70a8554c6dcefab455eeb1fe3b4c2fc5ef8f03c22dc2254a452a18a46994"
+
+
+def test_p2p_flow_trace_is_byte_identical(tmp_path):
+    records = generate_flow_benchmark(FlowBenchSpec(architecture="p2p", seed=3))
+    write_flows_csv(records, tmp_path / "flows.csv")
+    digest = hashlib.sha256((tmp_path / "flows.csv").read_bytes()).hexdigest()
+    assert digest == FLOWS_GOLDEN

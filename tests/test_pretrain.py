@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from botfuse import pretrain as pretrain_mod
 from botfuse.comm_graph import LABEL_BOT, LABEL_LEGIT, LABEL_UNKNOWN, CommGraph, save_graph
 from botfuse.gcn_core import FrozenModelError, backward, serialize_model
 from botfuse.pretrain import (
@@ -306,3 +307,28 @@ class TestPretrain:
             reports.append(report)
         assert blobs[0] == blobs[1]
         assert reports[0] == reports[1]
+
+    def test_every_pass_shares_one_workspace(self, monkeypatch):
+        calls = []
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, kwargs.get("work")))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # pretrain_gcn calls both by their module names, as the benchmark's
+        # tracer requires.
+        monkeypatch.setattr(pretrain_mod, "backward", recorded("backward", backward))
+        monkeypatch.setattr(pretrain_mod, "forward", recorded("forward", pretrain_mod.forward))
+        dataset = (default_pretrain_dataset("c2", n_graphs=2, seed=1, n_background=40, n_bots=8)
+                   + default_pretrain_dataset("c2", n_graphs=3, seed=5, n_background=25,
+                                              n_bots=5))
+        cfg = TrainConfig(seed=3, patience=2, max_epochs=4, hidden_dim=4)
+        pretrain_gcn(dataset, depth=3, config=cfg)
+        names = [name for name, _ in calls]
+        assert names.count("backward") == 4 * 4 and names.count("forward") == 4
+        work = calls[0][1]
+        assert work.shape == (7, max(g.n for g in dataset), 4)
+        assert all(w is work for _, w in calls)
