@@ -13,6 +13,7 @@ import errno
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import extra_trees, metrics as metrics_mod, pretrain as pretrain_mod, synth_flows
@@ -156,10 +157,19 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
+@contextmanager
+def _text_output(path: str | None):
+    """The --out file, opened for writing, or stdout when there is none."""
+    if path is None:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
+
+
 def cmd_features(args) -> int:
     windows = _load_windows(args)
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
-    try:
+    with _text_output(args.out) as out:
         for w in windows:
             feats = extract_node_features(w)
             obj = {
@@ -170,9 +180,6 @@ def cmd_features(args) -> int:
                 },
             }
             out.write(json.dumps(obj, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -201,11 +208,9 @@ def cmd_detect(args) -> int:
         threshold=args.threshold,
     )
     report = detect(windows, model, ensemble, config)
-    payload = report.to_json_lines(include_timings=not args.no_timings)
-    if args.out is None:
-        sys.stdout.write(payload)
-    else:
-        Path(args.out).write_text(payload, encoding="utf-8")
+    with _text_output(args.out) as out:
+        for line in report.json_lines(include_timings=not args.no_timings):
+            out.write(line + "\n")
     flagged = sum(w.n_flagged for w in report.windows)
     total = sum(w.n_nodes for w in report.windows)
     print(f"flagged {flagged} of {total} node-windows across {len(report.windows)} windows",

@@ -70,9 +70,19 @@ def _canonical_edges(edges, n: int) -> np.ndarray:
     outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
     if outside.any():
         raise ValueError(f"edge {raw[int(np.argmax(outside))]!r} out of range")
-    # Codes i*n + j sort like the pairs, so one np.unique sorts and dedups.
-    codes = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    # Codes i*n + j sort like the pairs, so sorting them sorts the pairs.
+    codes = _sorted_unique(pairs[:, 0] * n + pairs[:, 1])
     return np.column_stack((codes // n, codes % n))
+
+
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """``np.unique(codes)`` by a sort and a neighbor comparison: with numpy
+    2.4, np.unique took 7-16x longer on window-sized int64 arrays."""
+    codes = np.sort(codes)
+    keep = np.empty(codes.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
 
 
 def build_graph(
@@ -125,18 +135,20 @@ def propagation_matrix(graph: CommGraph) -> sp.csr_matrix:
     result is in canonical CSR form (sorted indices, no duplicates).
     """
     n = graph.n
-    rows, cols = graph.edges.T
-    adjacency = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    connected = (adjacency + adjacency.T).tocsr()
+    i, j = graph.edges.T
+    # Codes r*n + c sort like (row, col) pairs: the sorted union of both
+    # directions is the symmetrized entry list in CSR order.
+    codes = _sorted_unique(np.concatenate((i * n + j, j * n + i)))
+    rows, cols = np.divmod(codes, n)
+    degree = np.bincount(rows, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
 
-    degree = np.diff(connected.indptr)
     inv_sqrt = np.zeros(n, dtype=np.float64)
     nonzero = degree > 0
     inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
-
-    row_of_entry = np.repeat(np.arange(n), degree)
-    values = inv_sqrt[row_of_entry] * inv_sqrt[connected.indices]
-    return sp.csr_matrix((values, connected.indices, connected.indptr), shape=(n, n))
+    values = inv_sqrt[rows] * inv_sqrt[cols]
+    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
 
 
 def graph_to_json(graph: CommGraph) -> dict:

@@ -302,26 +302,6 @@ def fit(
     )
 
 
-def route(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Leaf index reached by each row (routing rule: value < threshold goes left).
-
-    Routes one tree on its own; tests keep it as the reference for the
-    packed routing in ``predict_proba``."""
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    feature = tree["feature"]
-    threshold = tree["threshold"]
-    left = tree["left"]
-    right = tree["right"]
-    active = feature[node] != _LEAF
-    while active.any():
-        rows = np.nonzero(active)[0]
-        cur = node[rows]
-        goleft = X[rows, feature[cur]] < threshold[cur]
-        node[rows] = np.where(goleft, left[cur], right[cur])
-        active = feature[node] != _LEAF
-    return node
-
-
 # Routing steps between drops of the (tree, row) pairs that reached a leaf:
 # dropping costs about as much as one step, and most leaves are several
 # steps deep.
@@ -364,12 +344,15 @@ def predict_proba(ensemble: TreeEnsemble, X: np.ndarray) -> np.ndarray:
     """Probability of the positive class: unweighted mean of leaf frequencies."""
     X = _check_input(ensemble, X)
     leaf_values = ensemble.packed.value[_route_packed(ensemble.packed, X)]
-    # One tree after another: summing along a row would reorder the additions
-    # (numpy sums pairwise) and change the bits once leaves are impure.
-    acc = np.zeros(X.shape[0], dtype=np.float64)
-    for values in leaf_values:
-        acc += values
-    return acc / ensemble.n_trees
+    # One tree after another: numpy reduces the outer (tree) axis row after
+    # row. A lone input row is one contiguous column, which numpy would sum
+    # pairwise, in another order and with other bits once leaves are impure.
+    if X.shape[0] == 1:
+        total = 0.0
+        for value in leaf_values[:, 0].tolist():
+            total += value
+        return np.array([total]) / ensemble.n_trees
+    return np.add.reduce(leaf_values, axis=0) / ensemble.n_trees
 
 
 def predict(ensemble: TreeEnsemble, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:

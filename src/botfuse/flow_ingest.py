@@ -343,7 +343,7 @@ def parse_flow_file(path: str | Path, format_descriptor: str = "canonical") -> P
     return ParseResult(records=records, malformed=malformed)
 
 
-_CHUNK_ROWS = 1 << 16
+_CHUNK_ROWS = 1024
 
 
 def _read_rows(handle) -> Iterator[tuple[list[tuple[int, list[str]]], int]]:

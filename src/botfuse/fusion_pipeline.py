@@ -4,7 +4,9 @@ detection."""
 
 from __future__ import annotations
 
+import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,19 +59,29 @@ class NodeEmbedding:
 
 
 @dataclass
-class NodeVerdict:
-    node_id: str
-    bot_probability: float
-    verdict: bool
-
-
-@dataclass
 class WindowReport:
+    """One window's verdicts: node ``nodes[i]`` has bot probability
+    ``probabilities[i]`` and is flagged when ``flags[i]``."""
+
     window_start: float
-    n_nodes: int
-    n_flagged: int
-    verdicts: list[NodeVerdict]
+    nodes: list[str]
+    probabilities: np.ndarray
+    flags: np.ndarray
     timings: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def n_flagged(self) -> int:
+        return int(np.count_nonzero(self.flags))
+
+
+# The report's encoding: a line is json.dumps(obj, sort_keys=True,
+# separators=(",", ":")) of its window's object.
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_JSON_BOOL = ("false", "true")
 
 
 @dataclass
@@ -79,30 +91,32 @@ class DetectionReport:
     windows: list[WindowReport]
     total_seconds: float = 0.0
 
-    def to_json_lines(self, include_timings: bool = True) -> str:
-        import json
+    def json_lines(self, include_timings: bool = True) -> Iterator[str]:
+        """One JSON line (without its newline) per window, made as it is asked for.
 
-        lines = []
+        The object of a window has the keys architecture, n_flagged, n_nodes,
+        nodes, threshold, [timings,] window_start; a node is an object with
+        bot_probability, node_id and verdict. The node entries are written
+        straight from the arrays, between the encoded keys that sort before
+        "nodes" and those that sort after it.
+        """
         for w in self.windows:
-            obj = {
-                "window_start": w.window_start,
-                "architecture": self.architecture,
-                "threshold": self.threshold,
-                "n_nodes": w.n_nodes,
-                "n_flagged": w.n_flagged,
-                "nodes": [
-                    {
-                        "node_id": v.node_id,
-                        "bot_probability": v.bot_probability,
-                        "verdict": v.verdict,
-                    }
-                    for v in w.verdicts
-                ],
-            }
+            head = _JSON.encode(
+                {"architecture": self.architecture, "n_flagged": w.n_flagged,
+                 "n_nodes": w.n_nodes}
+            )
+            tail = {"threshold": self.threshold, "window_start": w.window_start}
             if include_timings:
-                obj["timings"] = w.timings
-            lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
+                tail["timings"] = w.timings
+            # The encoder's own text of every probability ("NaN" included);
+            # no float's text holds a comma.
+            probs = _JSON.encode(w.probabilities.tolist())[1:-1].split(",")
+            nodes = ",".join(
+                f'{{"bot_probability":{p},"node_id":{_JSON.encode(node)},'
+                f'"verdict":{_JSON_BOOL[flag]}}}'
+                for p, node, flag in zip(probs, w.nodes, w.flags.tolist())
+            )
+            yield f'{head[:-1]},"nodes":[{nodes}],{_JSON.encode(tail)[1:]}'
 
 
 def normalize_fused(v: np.ndarray) -> np.ndarray:
@@ -254,20 +268,15 @@ def detect(
         norm = normalize_embedding(emb.vectors, ensemble.norm_mode)
         t1 = time.perf_counter()
         probs = extra_trees.predict_proba(ensemble, norm)
-        flags = (probs >= config.threshold).tolist()
-        verdicts = [
-            NodeVerdict(node, p, flag)
-            for node, p, flag in zip(emb.nodes, probs.tolist(), flags)
-        ]
-        n_flagged = sum(flags)
+        flags = probs >= config.threshold
         t2 = time.perf_counter()
 
         reports.append(
             WindowReport(
                 window_start=window.window_start,
-                n_nodes=emb.graph.n,
-                n_flagged=n_flagged,
-                verdicts=verdicts,
+                nodes=emb.nodes,
+                probabilities=probs,
+                flags=flags,
                 timings={**emb.timings, "normalize": t1 - t0, "classify": t2 - t1},
             )
         )

@@ -136,12 +136,34 @@ def gcn_layer_forward(
     raise ValueError(f"unknown residual mode {residual_mode!r}")
 
 
+@dataclass
+class GcnWorkspace:
+    """Buffers that `forward` and `backward` reuse on graphs of up to N nodes.
+
+    ``outputs`` is float64 of shape (depth + 1, N, hidden): slot k takes
+    layer k's output and the last slot the backward pass's dZ. ``masks`` is
+    bool of shape (depth, N, hidden): slot k takes layer k's Z > 0, all that
+    the backward pass needs of a pre-activation.
+    """
+
+    outputs: np.ndarray
+    masks: np.ndarray
+
+
+def make_workspace(model: GcnModel, n: int) -> GcnWorkspace:
+    """A workspace for passes of ``model`` on graphs of up to n nodes."""
+    return GcnWorkspace(
+        outputs=np.empty((model.depth + 1, n, model.hidden_dim)),
+        masks=np.empty((model.depth, n, model.hidden_dim), dtype=bool),
+    )
+
+
 def forward(
     model: GcnModel,
     P,
     X0: np.ndarray,
     with_head: bool = False,
-    work: np.ndarray | None = None,
+    work: GcnWorkspace | None = None,
 ) -> np.ndarray:
     """Run the full stack; final hidden activations are the fused features.
 
@@ -155,7 +177,7 @@ def forward(
             f"input must be n x {model.input_dim}, got {X0.shape}"
         )
     if work is not None:
-        activations, _, logits = _forward_cached(model, P, X0, _workspace(model, X0, work))
+        activations, logits = _forward_cached(model, P, X0, _workspace(model, X0, work))
         return logits if with_head else activations[-1].copy()
     X = X0
     for W in model.weights:
@@ -165,34 +187,36 @@ def forward(
     return X
 
 
-def _workspace(model: GcnModel, X0: np.ndarray, work: np.ndarray | None) -> np.ndarray:
-    """The first n rows of each slot of ``work`` (float64, shape
-    (2 * depth + 1, N >= n, hidden_dim)), or a new workspace if None."""
+def _workspace(model: GcnModel, X0: np.ndarray, work: GcnWorkspace | None) -> GcnWorkspace:
+    """The first n rows of every slot of ``work``, or a new workspace if None."""
     n = X0.shape[0]
-    slots = 2 * model.depth + 1
     if work is None:
-        return np.empty((slots, n, model.hidden_dim))
-    if (work.dtype != np.float64 or work.ndim != 3 or work.shape[0] != slots
-            or work.shape[1] < n or work.shape[2] != model.hidden_dim):
+        return make_workspace(model, n)
+    depth, hidden = model.depth, model.hidden_dim
+    outputs, masks = work.outputs, work.masks
+    if (outputs.dtype != np.float64 or outputs.ndim != 3
+            or outputs.shape[0] != depth + 1 or outputs.shape[1] < n
+            or outputs.shape[2] != hidden
+            or masks.dtype != np.bool_ or masks.ndim != 3 or masks.shape[0] != depth
+            or masks.shape[1] < n or masks.shape[2] != hidden):
         raise ValueError(
-            f"workspace must be float64 of shape ({slots}, >= {n}, {model.hidden_dim}), "
-            f"got {work.dtype} {work.shape}"
+            f"workspace must hold float64 outputs of shape ({depth + 1}, >= {n}, {hidden}) "
+            f"and bool masks of shape ({depth}, >= {n}, {hidden}), got "
+            f"{outputs.dtype} {outputs.shape} and {masks.dtype} {masks.shape}"
         )
-    return work[:, :n]
+    return GcnWorkspace(outputs=outputs[:, :n], masks=masks[:, :n])
 
 
-def _forward_cached(model: GcnModel, P, X0: np.ndarray, work: np.ndarray):
-    """Forward pass that keeps every layer's pre-activation and output in
-    ``work``, an (2 * depth + 1, n, hidden) array: slot k takes layer k's
-    pre-activation and slot depth + k its output. The last slot is left to
-    the backward pass."""
-    depth = model.depth
-    preacts = list(work[:depth])
-    outputs = list(work[depth : 2 * depth])
+def _forward_cached(model: GcnModel, P, X0: np.ndarray, work: GcnWorkspace):
+    """Forward pass that keeps what `backward` reads: layer k's output in
+    slot k of ``work.outputs`` and its Z > 0 in slot k of ``work.masks``.
+    The last output slot is left to the backward pass."""
+    outputs = list(work.outputs[: model.depth])
     X = X0
-    for W, Z, A in zip(model.weights, preacts, outputs):
+    for W, A, mask in zip(model.weights, outputs, work.masks):
         _check_operands(P, X, W)
-        np.copyto(Z, P @ (X @ W))
+        Z = P @ (X @ W)
+        np.greater(Z, 0.0, out=mask)
         np.maximum(Z, 0.0, out=A)
         if model.residual_mode == RESIDUAL_Z_PLUS_RELU:
             np.add(Z, A, out=A)
@@ -200,7 +224,7 @@ def _forward_cached(model: GcnModel, P, X0: np.ndarray, work: np.ndarray):
             np.add(X, A, out=A)
         X = A
     logits = X @ model.head_weight + model.head_bias
-    return [X0, *outputs], preacts, logits
+    return [X0, *outputs], logits
 
 
 def masked_cross_entropy(
@@ -235,16 +259,15 @@ def backward(
     X0: np.ndarray,
     labels: np.ndarray,
     mask: np.ndarray,
-    work: np.ndarray | None = None,
+    work: GcnWorkspace | None = None,
 ) -> tuple[float, GcnGradients]:
     """Loss and exact gradients of mean masked cross-entropy over the logits.
 
     P must be symmetric (as produced by the propagation-matrix construction).
-    ``work`` is an optional float64 workspace of shape
-    (2 * depth + 1, N, hidden_dim) with N >= n; the first n rows of each slot
-    hold the layer intermediates. Reusing one workspace across calls spares
-    allocating (and faulting in) those arrays per call; results are the same
-    bits either way.
+    ``work`` is an optional `make_workspace` workspace for graphs of N >= n
+    nodes; the first n rows of each slot hold the layer intermediates.
+    Reusing one workspace across calls spares allocating (and faulting in)
+    those arrays per call; results are the same bits either way.
     """
     if model.frozen:
         raise FrozenModelError("backward pass is disallowed on a frozen model")
@@ -252,7 +275,7 @@ def backward(
     if X0.shape[1] != model.input_dim:
         raise ValueError(f"input must be n x {model.input_dim}, got {X0.shape}")
     work = _workspace(model, X0, work)
-    activations, preacts, logits = _forward_cached(model, P, X0, work)
+    activations, logits = _forward_cached(model, P, X0, work)
     loss, dlogits = masked_cross_entropy(logits, labels, mask)
 
     final_hidden = activations[-1]
@@ -262,10 +285,10 @@ def backward(
 
     # dZ = dX * relu-merge derivative: 1 + (Z > 0) for z_plus_relu, (Z > 0)
     # for x_plus_relu, written into the spare slot.
-    dZ = work[-1]
+    dZ = work.outputs[-1]
     d_weights: list[np.ndarray] = [np.empty(0)] * model.depth
     for k in range(model.depth - 1, -1, -1):
-        np.greater(preacts[k], 0.0, out=dZ)
+        np.copyto(dZ, work.masks[k])
         if model.residual_mode == RESIDUAL_Z_PLUS_RELU:
             dZ += 1.0
             carry = None

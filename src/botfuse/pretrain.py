@@ -22,7 +22,7 @@ from .comm_graph import (
     propagation_matrix,
 )
 from .flow_features import FEATURE_DIM
-from .gcn_core import GcnModel, backward, forward, init_gcn
+from .gcn_core import GcnModel, backward, forward, init_gcn, make_workspace
 from .random_graphs import (
     barabasi_albert_edges,
     complete_edges,
@@ -338,7 +338,7 @@ def pretrain_gcn(
     # largest graph: reusing it keeps the heap from shrinking and faulting
     # back in between passes.
     n_max = max(P.shape[0] for P, *_ in train_set + val_set)
-    work = np.empty((2 * model.depth + 1, n_max, model.hidden_dim))
+    work = make_workspace(model, n_max)
 
     for epoch in range(config.max_epochs):
         epoch_loss = 0.0

@@ -339,6 +339,15 @@ def test_criterion_07_ablation_direction(capsys):
     )
 
 
+def _route_one(tree, x):
+    """Leaf one sample reaches in one tree (value < threshold goes left)."""
+    node = 0
+    while tree["feature"][node] >= 0:
+        go_left = x[tree["feature"][node]] < tree["threshold"][node]
+        node = tree["left"][node] if go_left else tree["right"][node]
+    return node
+
+
 def _pairs_auc(y, p):
     pos = p[y == 1]
     neg = p[y != 1]
@@ -362,7 +371,7 @@ def test_criterion_08_tree_ensemble_correctness(capsys):
     got = extra_trees.predict_proba(ens, Q)
     acc = np.zeros(60)
     for tree in ens.trees:
-        leaves = extra_trees.route(tree, Q)
+        leaves = [_route_one(tree, q) for q in Q]
         c = tree["counts"][leaves]
         acc += c[:, 1] / c.sum(axis=1)
     proba_exact = np.array_equal(got, acc / ens.n_trees)
@@ -419,8 +428,8 @@ def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
     windows = slice_windows(generate_flow_benchmark(spec), 60.0, 10.0)
     detector = train_detector(windows, m1, n_trees=20, seed=4)
     cfg = PipelineConfig(architecture="c2", depth=2)
-    r1 = detect(windows, m1, detector, cfg).to_json_lines(include_timings=False)
-    r2 = detect(windows, m1, detector, cfg).to_json_lines(include_timings=False)
+    r1 = list(detect(windows, m1, detector, cfg).json_lines(include_timings=False))
+    r2 = list(detect(windows, m1, detector, cfg).json_lines(include_timings=False))
     reports_identical = r1 == r2
 
     g = default_pretrain_dataset("c2", n_graphs=1, seed=5, n_background=20, n_bots=4)[0]

@@ -123,6 +123,18 @@ class TestTrainDetect:
         assert "timings" in obj
         assert obj["architecture"] == "c2"
 
+    def test_detect_to_stdout_and_to_out_give_the_same_bytes(self, art, tmp_path, capsys):
+        argv = ["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                "--ensemble", str(art["ens"]), "--no-timings"]
+        out = tmp_path / "verdicts.jsonl"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.encode("utf-8")
+        assert printed == out.read_bytes()
+        assert len(printed.splitlines()) > 1
+
     def test_detect_skips_non_finite_rows(self, art, tmp_path):
         dirty = tmp_path / "dirty.csv"
         dirty.write_text(

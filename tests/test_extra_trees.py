@@ -17,7 +17,6 @@ from botfuse.extra_trees import (
     load_ensemble,
     predict,
     predict_proba,
-    route,
     save_ensemble,
     serialize_ensemble,
 )
@@ -42,6 +41,21 @@ def _route_one(tree, x):
             node = tree["left"][node]
         else:
             node = tree["right"][node]
+    return node
+
+
+def route(tree, X):
+    """Leaf index reached by each row of X in one tree (value < threshold
+    goes left): the routing oracle for the packed routing in predict_proba."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    feature, threshold = tree["feature"], tree["threshold"]
+    active = feature[node] != _LEAF
+    while active.any():
+        rows = np.nonzero(active)[0]
+        cur = node[rows]
+        goleft = X[rows, feature[cur]] < threshold[cur]
+        node[rows] = np.where(goleft, tree["left"][cur], tree["right"][cur])
+        active = feature[node] != _LEAF
     return node
 
 

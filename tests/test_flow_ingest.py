@@ -258,6 +258,32 @@ class TestParseBinetflow:
         assert [r.ts_start for r in whole.records] == [1312969613.047277, 1312969620.5]
         assert (chunked.malformed, whole.malformed) == (2, 2)
 
+    @pytest.mark.parametrize("fmt", ["canonical", "binetflow"])
+    def test_chunk_edges_change_no_result(self, tmp_path, monkeypatch, fmt):
+        # A header, a blank line, and a bad row on each side of the first
+        # chunk edge, then a row the reader refuses, in a file of several
+        # chunks of the default size.
+        chunk = flow_ingest._CHUNK_ROWS
+        if fmt == "canonical":
+            header = "ts_start,duration,proto,src_ip,src_port,dst_ip,dst_port,src_bytes,dst_bytes"
+            rows = [f"{k}.5,0.5,tcp,10.0.{k % 7}.1,1,10.0.0.2,80,{k},5" for k in range(2 * chunk + 300)]
+        else:
+            header = "StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,State,sTos,dTos,TotPkts"
+            rows = [self.LINE.strip().replace("53.047277", f"{k % 60:02d}.{k:06d}")
+                    .replace("39678", str(k)) for k in range(2 * chunk + 300)]
+        # Non-blank row k + 1 of the file is rows[k]: the header is row 0.
+        rows[chunk - 2] = "short,row"
+        rows[chunk - 1] = rows[chunk - 1].replace(",", ";", 2)
+        lines = [header, *rows[:5], "", *rows[5:chunk], "x" * 200_000, *rows[chunk:]]
+        p = tmp_path / f"flows.{fmt}"
+        p.write_text("\n".join(lines) + "\n")
+        chunked = parse_flow_file(p, format_descriptor=fmt)
+        monkeypatch.setattr(flow_ingest, "_CHUNK_ROWS", 10 * len(lines))
+        whole = parse_flow_file(p, format_descriptor=fmt)
+        assert chunked == whole
+        assert whole.malformed == 3
+        assert len(whole.records) == len(rows) - 2 > 2 * chunk
+
 
 def _strptime_seconds(text: str) -> float | None:
     try:

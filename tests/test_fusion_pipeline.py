@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botfuse import extra_trees
 from botfuse.comm_graph import LABEL_BOT, LABEL_LEGIT, build_graph, propagation_matrix
@@ -11,10 +13,12 @@ from botfuse.flow_features import extract_node_features
 from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice, derive_node_labels
 from botfuse.gcn_core import init_gcn, forward
 from botfuse.fusion_pipeline import (
+    DetectionReport,
     PipelineConfig,
     VARIANT_FLOW,
     VARIANT_FUSED,
     VARIANT_TOPOLOGY,
+    WindowReport,
     detect,
     embed_window,
     normalize_embedding,
@@ -313,7 +317,7 @@ class TestDetect:
             expect = extra_trees.predict_proba(
                 ens, normalize_embedding(embed_window(window, model).vectors, mode)
             )
-            assert [v.bot_probability for v in w.verdicts] == expect.tolist()
+            assert w.probabilities.tolist() == expect.tolist()
 
     def test_refuses_unfrozen_model(self):
         windows = _training_windows()
@@ -333,11 +337,10 @@ class TestDetect:
         assert report.threshold == 0.4
         assert [w.window_start for w in report.windows] == [0.0, 10.0]
         for w in report.windows:
-            assert w.n_nodes == len(w.verdicts) == 4
-            for v in w.verdicts:
-                assert 0.0 <= v.bot_probability <= 1.0
-                assert v.verdict == (v.bot_probability >= 0.4)
-            assert w.n_flagged == sum(v.verdict for v in w.verdicts)
+            assert w.n_nodes == len(w.nodes) == w.probabilities.size == w.flags.size == 4
+            assert ((0.0 <= w.probabilities) & (w.probabilities <= 1.0)).all()
+            assert np.array_equal(w.flags, w.probabilities >= 0.4)
+            assert w.n_flagged == int(w.flags.sum())
 
     def test_threshold_zero_flags_everything(self):
         windows = _training_windows()
@@ -366,17 +369,83 @@ class TestDetect:
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
         cfg = PipelineConfig(architecture="c2", depth=2)
-        a = detect(windows, model, ens, cfg).to_json_lines(include_timings=False)
-        b = detect(windows, model, ens, cfg).to_json_lines(include_timings=False)
+        a = list(detect(windows, model, ens, cfg).json_lines(include_timings=False))
+        b = list(detect(windows, model, ens, cfg).json_lines(include_timings=False))
         assert a == b
-        assert a.endswith("\n")
-        lines = a.strip().split("\n")
-        assert len(lines) == 2
-        obj = json.loads(lines[0])
+        assert len(a) == 2 and not any("\n" in line for line in a)
+        obj = json.loads(a[0])
         assert set(obj) == {
             "window_start", "architecture", "threshold", "n_nodes", "n_flagged", "nodes",
         }
-        assert "timings" in json.loads(
-            detect(windows, model, ens, cfg).to_json_lines()
-            .strip().split("\n")[0]
+        assert "timings" in json.loads(next(detect(windows, model, ens, cfg).json_lines()))
+
+
+def _reference_line(report, w, include_timings):
+    """The report line as one json.dumps of the window's whole object."""
+    obj = {
+        "window_start": w.window_start,
+        "architecture": report.architecture,
+        "threshold": report.threshold,
+        "n_nodes": len(w.nodes),
+        "n_flagged": sum(w.flags.tolist()),
+        "nodes": [
+            {"node_id": node, "bot_probability": p, "verdict": flag}
+            for node, p, flag in zip(w.nodes, w.probabilities.tolist(), w.flags.tolist())
+        ],
+    }
+    if include_timings:
+        obj["timings"] = w.timings
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+_NODE_IDS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t", "é", "\u2028", "\ud800",
+                     "\U0001f600", "10.0.0.1", ""]),
+)
+_PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0), st.floats())
+_WINDOWS = st.lists(
+    st.tuples(
+        st.floats(allow_nan=False),
+        st.lists(st.tuples(_NODE_IDS, _PROBABILITIES, st.booleans()), max_size=6),
+        st.dictionaries(st.sampled_from(["features", "graph", "embed", "classify"]),
+                        st.floats(0.0, 10.0)),
+    ),
+    max_size=3,
+)
+
+
+class TestReportLines:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        architecture=st.one_of(st.sampled_from(["c2", "p2p"]), st.text(max_size=4)),
+        threshold=st.sampled_from([0, 1, 0.0, 1.0, 0.5]),
+        windows=_WINDOWS,
+        include_timings=st.booleans(),
+    )
+    def test_lines_equal_json_dumps(self, architecture, threshold, windows, include_timings):
+        report = DetectionReport(
+            architecture=architecture,
+            threshold=threshold,
+            windows=[
+                WindowReport(
+                    window_start=start,
+                    nodes=[node for node, _, _ in entries],
+                    probabilities=np.array([p for _, p, _ in entries], dtype=np.float64),
+                    flags=np.array([flag for _, _, flag in entries], dtype=bool),
+                    timings=timings,
+                )
+                for start, entries, timings in windows
+            ],
         )
+        lines = list(report.json_lines(include_timings=include_timings))
+        assert lines == [_reference_line(report, w, include_timings) for w in report.windows]
+
+    def test_lines_are_made_one_at_a_time(self):
+        w = WindowReport(0.0, ["a"], np.array([0.5]), np.array([True]))
+        report = DetectionReport("c2", 0.5, [w, w])
+        lines = report.json_lines()
+        first = next(lines)
+        report.windows[1] = WindowReport(10.0, ["b"], np.array([0.25]), np.array([False]))
+        assert json.loads(first)["nodes"][0]["node_id"] == "a"
+        assert json.loads(next(lines))["nodes"][0]["node_id"] == "b"

@@ -12,6 +12,7 @@ from botfuse.gcn_core import (
     RESIDUAL_Z_PLUS_RELU,
     FrozenModelError,
     GcnModel,
+    GcnWorkspace,
     ModelFormatError,
     backward,
     deserialize_model,
@@ -19,6 +20,7 @@ from botfuse.gcn_core import (
     gcn_layer_forward,
     init_gcn,
     load_model,
+    make_workspace,
     masked_cross_entropy,
     save_model,
     serialize_model,
@@ -299,14 +301,23 @@ class TestWorkspace:
         mask[0] = True
         return sp.csr_matrix(_random_p(rng, n)), rng.standard_normal((n, input_dim)), labels, mask
 
+    def test_slots_hold_outputs_and_masks(self):
+        m = init_gcn(5, hidden_dim=8, seed=14)
+        work = make_workspace(m, 30)
+        assert work.outputs.dtype == np.float64 and work.outputs.shape == (m.depth + 1, 30, 8)
+        assert work.masks.dtype == np.bool_ and work.masks.shape == (m.depth, 30, 8)
+
     @pytest.mark.parametrize("mode", RESIDUAL_MODES)
     @pytest.mark.parametrize("input_dim, hidden_dim", [(5, 8), (6, 6)])
     def test_shared_workspace_changes_no_bits(self, mode, input_dim, hidden_dim):
         rng = np.random.default_rng(15)
         m = init_gcn(4, input_dim, hidden_dim, seed=15, residual_mode=mode)
         big, small = self._case(rng, 30, input_dim), self._case(rng, 17, input_dim)
-        # NaN rows would poison any result that read a row it did not write.
-        work = np.full((2 * m.depth + 1, 30, hidden_dim), np.nan)
+        work = make_workspace(m, 30)
+        # NaN rows would poison any result that read a row it did not write;
+        # set masks would turn on gradients the pass did not.
+        work.outputs.fill(np.nan)
+        work.masks.fill(True)
         for P, X, labels, mask in (big, small, big, small):
             loss, grads = backward(m, P, X, labels, mask)
             loss_w, grads_w = backward(m, P, X, labels, mask, work=work)
@@ -317,17 +328,54 @@ class TestWorkspace:
                 plain = forward(m, P, X, with_head=with_head)
                 reused = forward(m, P, X, with_head=with_head, work=work)
                 assert reused.tobytes() == plain.tobytes()
-                assert not np.shares_memory(reused, work)
+                assert not np.shares_memory(reused, work.outputs)
+
+    @pytest.mark.parametrize("mode", RESIDUAL_MODES)
+    def test_gradient_matches_a_preactivation_oracle(self, mode):
+        # The mask slots stand in for the pre-activations: a backward pass
+        # that recomputes every Z from the layer inputs gives the same bits.
+        rng = np.random.default_rng(17)
+        m = init_gcn(3, 6, 6, seed=17, residual_mode=mode)
+        P, X, labels, mask = self._case(rng, 20, 6)
+        acts, zs = [X], []
+        for W in m.weights:
+            zs.append(P @ (acts[-1] @ W))
+            acts.append(gcn_layer_forward(P, acts[-1], W, mode))
+        loss, dlogits = masked_cross_entropy(acts[-1] @ m.head_weight + m.head_bias,
+                                             labels, mask)
+        dX = dlogits @ m.head_weight.T
+        expect = [None] * m.depth
+        for k in reversed(range(m.depth)):
+            deriv = (zs[k] > 0.0).astype(np.float64)
+            if mode == RESIDUAL_Z_PLUS_RELU:
+                deriv += 1.0
+            S = P @ (dX * deriv)
+            expect[k] = acts[k].T @ S
+            dX = S @ m.weights[k].T + (dX if mode == RESIDUAL_X_PLUS_RELU else 0.0)
+        got_loss, grads = backward(m, P, X, labels, mask, work=make_workspace(m, 20))
+        assert got_loss == loss
+        for a, b in zip(grads.weights, expect):
+            assert a.tobytes() == b.tobytes()
 
     def test_rejects_a_workspace_that_does_not_fit(self):
         rng = np.random.default_rng(16)
         m = init_gcn(2, hidden_dim=8, seed=16)
         P, X, labels, mask = self._case(rng, 10, 5)
-        for shape in [(4, 10, 8), (5, 9, 8), (5, 10, 7), (10, 8)]:
+        good = make_workspace(m, 10)
+        bad = [
+            GcnWorkspace(np.zeros((2, 10, 8)), good.masks),
+            GcnWorkspace(np.zeros((3, 9, 8)), good.masks),
+            GcnWorkspace(np.zeros((3, 10, 7)), good.masks),
+            GcnWorkspace(np.zeros((10, 8)), good.masks),
+            GcnWorkspace(good.outputs, np.zeros((3, 10, 8), dtype=bool)),
+            GcnWorkspace(good.outputs, np.zeros((2, 9, 8), dtype=bool)),
+            GcnWorkspace(good.outputs, np.zeros((2, 10, 8))),
+        ]
+        for work in bad:
             with pytest.raises(ValueError, match="workspace"):
-                backward(m, P, X, labels, mask, work=np.zeros(shape))
+                backward(m, P, X, labels, mask, work=work)
         with pytest.raises(ValueError, match="workspace"):
-            forward(m, P, X, work=np.zeros((5, 10, 8), dtype=np.float32))
+            forward(m, P, X, work=GcnWorkspace(good.outputs.astype(np.float32), good.masks))
 
 
 class TestSerialization:

@@ -330,5 +330,7 @@ class TestPretrain:
         names = [name for name, _ in calls]
         assert names.count("backward") == 4 * 4 and names.count("forward") == 4
         work = calls[0][1]
-        assert work.shape == (7, max(g.n for g in dataset), 4)
+        n_max = max(g.n for g in dataset)
+        assert work.outputs.dtype == np.float64 and work.outputs.shape == (4, n_max, 4)
+        assert work.masks.dtype == np.bool_ and work.masks.shape == (3, n_max, 4)
         assert all(w is work for _, w in calls)
