@@ -22,7 +22,7 @@ from .flow_ingest import filter_tcp_udp, parse_flow_file, slice_windows, write_f
 from .flow_features import FEATURE_NAMES, extract_node_features
 from .fusion_pipeline import PipelineConfig, detect, pool_labeled_rows, train_detector
 from .gcn_core import load_model, save_model
-from .pretrain import ARCH_DEPTH, TrainConfig
+from .pretrain import ARCH_DEPTH, ARCHITECTURES, TrainConfig
 
 
 def _load_config_file(path: str) -> dict:
@@ -59,7 +59,7 @@ def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
         if action.choices is not None and value not in action.choices:
-            raise ValueError(f"config key {key!r}: {value!r} is not one of {action.choices}")
+            raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
         defaults[action.dest] = str(value) if action.type else value
     sub.set_defaults(**defaults)
 
@@ -97,18 +97,16 @@ def _load_windows(args) -> list:
 
 def cmd_synth(args) -> int:
     if args.kind == "graphs":
-        n_background = args.n_background if args.n_background is not None else 880
-        n_bots = args.n_bots if args.n_bots is not None else 110
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i in range(args.n_graphs):
-            spec = pretrain_mod.default_graph_spec(
-                args.arch,
-                seed=args.seed + i,
-                n_background=n_background,
-                n_bots=n_bots,
-            )
-            g = pretrain_mod.generate_synthetic_graph(spec)
+        graphs = pretrain_mod.default_pretrain_dataset(
+            args.arch,
+            n_graphs=args.n_graphs,
+            seed=args.seed,
+            n_background=args.n_background if args.n_background is not None else 880,
+            n_bots=args.n_bots if args.n_bots is not None else 110,
+        )
+        for i, g in enumerate(graphs):
             save_graph(g, out_dir / f"graph_{args.arch}_{i:03d}.json")
         print(f"wrote {args.n_graphs} graphs to {out_dir}")
         return 0
@@ -202,11 +200,7 @@ def cmd_detect(args) -> int:
     windows = _load_windows(args)
     model = load_model(args.model)
     ensemble = extra_trees.load_ensemble(args.ensemble)
-    config = PipelineConfig(
-        architecture=args.arch,
-        depth=model.depth,
-        threshold=args.threshold,
-    )
+    config = PipelineConfig(architecture=args.arch, threshold=args.threshold)
     report = detect(windows, model, ensemble, config)
     with _text_output(args.out) as out:
         for line in report.json_lines(include_timings=not args.no_timings):
@@ -278,7 +272,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     s = sub("synth", help="generate synthetic graphs or a labeled flow benchmark")
     s.add_argument("--kind", choices=["graphs", "flows"], default="flows")
-    s.add_argument("--arch", choices=["c2", "p2p"], default="c2")
+    s.add_argument("--arch", choices=ARCHITECTURES, default="c2")
     s.add_argument("--n-graphs", type=int, default=6)
     s.add_argument("--n-background", type=int, default=None,
                    help="default 400 for flows, 880 for graphs")
@@ -289,7 +283,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.set_defaults(func=cmd_synth)
 
     s = sub("pretrain", help="train the graph network on labeled graphs and freeze it")
-    s.add_argument("--arch", choices=["c2", "p2p"], default="c2")
+    s.add_argument("--arch", choices=ARCHITECTURES, default="c2")
     s.add_argument("--depth", type=int, default=None, help="defaults to 12 (c2) / 24 (p2p)")
     s.add_argument("--data", default="synth", help="'synth' or a graph file/directory")
     s.add_argument("--n-graphs", type=int, default=6, help="graph count when --data synth")
@@ -315,7 +309,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s = sub("train", help="fit the tree ensemble on labeled flows")
     add_flow_args(s)
     s.add_argument("--model", required=True)
-    s.add_argument("--norm-mode", choices=["per_vector", "per_dimension"], default="per_vector")
+    s.add_argument("--norm-mode", choices=extra_trees.NORM_MODES, default="per_vector")
     s.add_argument("--n-trees", type=int, default=100)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_train)
@@ -324,7 +318,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     add_flow_args(s)
     s.add_argument("--model", required=True)
     s.add_argument("--ensemble", required=True)
-    s.add_argument("--arch", choices=["c2", "p2p"], default="c2")
+    s.add_argument("--arch", choices=ARCHITECTURES, default="c2")
     s.add_argument("--threshold", type=float, default=0.5)
     s.add_argument("--no-timings", action="store_true",
                    help="omit timing fields for byte-stable output")
@@ -336,14 +330,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--model", required=True)
     s.add_argument("--k", type=int, default=10)
     s.add_argument("--n-trees", type=int, default=100)
-    s.add_argument("--norm-mode", choices=["per_vector", "per_dimension"], default="per_vector")
+    s.add_argument("--norm-mode", choices=extra_trees.NORM_MODES, default="per_vector")
     s.add_argument("--threshold", type=float, default=0.5)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_eval)
 
     s = sub("sweep", help="pretrain and cross-validate across candidate depths")
     add_flow_args(s)
-    s.add_argument("--arch", choices=["c2", "p2p"], default="c2")
+    s.add_argument("--arch", choices=ARCHITECTURES, default="c2")
     s.add_argument("--depths", default="10,12,14,16")
     s.add_argument("--data", default="synth")
     s.add_argument("--n-graphs", type=int, default=6)
@@ -351,7 +345,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--patience", type=int, default=10)
     s.add_argument("--k", type=int, default=10)
     s.add_argument("--n-trees", type=int, default=100)
-    s.add_argument("--norm-mode", choices=["per_vector", "per_dimension"], default="per_vector")
+    s.add_argument("--norm-mode", choices=extra_trees.NORM_MODES, default="per_vector")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_sweep)
 

@@ -17,7 +17,7 @@ from .extra_trees import NORM_MODES, TreeEnsemble
 from .flow_features import extract_node_features
 from .flow_ingest import Label, WindowSlice, derive_node_labels
 from .gcn_core import GcnModel, forward
-from .pretrain import ARCH_DEPTH, ARCHITECTURES
+from .pretrain import ARCHITECTURES
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -32,14 +32,11 @@ VARIANTS = (VARIANT_FUSED, VARIANT_TOPOLOGY, VARIANT_FLOW)
 @dataclass
 class PipelineConfig:
     architecture: str = "c2"
-    depth: int | None = None
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
-        if self.depth is None:
-            self.depth = ARCH_DEPTH[self.architecture]
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
 
@@ -250,10 +247,6 @@ def detect(
         raise ValueError("no windows to detect on")
     if model.input_dim != 5:
         raise ValueError(f"model expects {model.input_dim}-dim input, pipeline produces 5")
-    if model.depth != config.depth:
-        raise ValueError(
-            f"model depth {model.depth} does not match pipeline depth {config.depth}"
-        )
     if ensemble.n_features != model.hidden_dim:
         raise ValueError(
             f"ensemble expects {ensemble.n_features} features, "

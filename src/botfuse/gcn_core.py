@@ -119,43 +119,62 @@ def gcn_layer_forward(
     X: np.ndarray,
     W: np.ndarray,
     residual_mode: str = RESIDUAL_Z_PLUS_RELU,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One graph-convolution layer with the merged-sum residual.
 
     Computes Z = P @ X @ W and returns Z + relu(Z). The alternative
     ``x_plus_relu`` wiring returns X + relu(Z) when the input and output
-    widths match (plain relu(Z) otherwise).
+    widths match (plain relu(Z) otherwise). The result is written into
+    ``out`` when given, with the same bits.
     """
     _check_operands(P, X, W)
     Z = P @ (X @ W)
+    act = np.maximum(Z, 0.0, out=out)
     if residual_mode == RESIDUAL_Z_PLUS_RELU:
-        return Z + np.maximum(Z, 0.0)
+        return np.add(Z, act, out=act)
     if residual_mode == RESIDUAL_X_PLUS_RELU:
-        act = np.maximum(Z, 0.0)
-        return X + act if X.shape == Z.shape else act
+        return np.add(X, act, out=act) if X.shape == Z.shape else act
     raise ValueError(f"unknown residual mode {residual_mode!r}")
 
 
-@dataclass
-class GcnWorkspace:
-    """Buffers that `forward` and `backward` reuse on graphs of up to N nodes.
+def make_workspace(model: GcnModel, n: int) -> list[np.ndarray]:
+    """Buffers that `forward` and `backward` reuse on graphs of up to n nodes.
 
-    ``outputs`` is float64 of shape (depth + 1, N, hidden): slot k takes
-    layer k's output and the last slot the backward pass's dZ. ``masks`` is
-    bool of shape (depth, N, hidden): slot k takes layer k's Z > 0, all that
-    the backward pass needs of a pre-activation.
+    depth + 1 float64 (n, hidden) arrays: slot k takes layer k's output and
+    the last slot the backward pass's dZ. Each slot is its own array, not a
+    slice of one block: freeing a block of megabytes raises glibc's dynamic
+    mmap threshold to its size, after which smaller arrays stay resident in
+    the heap and the process's RSS ratchets up from one pretraining to the
+    next.
     """
-
-    outputs: np.ndarray
-    masks: np.ndarray
+    return [np.empty((n, model.hidden_dim)) for _ in range(model.depth + 1)]
 
 
-def make_workspace(model: GcnModel, n: int) -> GcnWorkspace:
-    """A workspace for passes of ``model`` on graphs of up to n nodes."""
-    return GcnWorkspace(
-        outputs=np.empty((model.depth + 1, n, model.hidden_dim)),
-        masks=np.empty((model.depth, n, model.hidden_dim), dtype=bool),
-    )
+def _workspace(model: GcnModel, n: int, work: list[np.ndarray] | None) -> list[np.ndarray]:
+    """The first n rows of every slot of ``work``, or a new workspace if None."""
+    if work is None:
+        return make_workspace(model, n)
+    depth, hidden = model.depth, model.hidden_dim
+    if len(work) != depth + 1 or any(
+        s.dtype != np.float64 or s.ndim != 2 or s.shape[0] < n or s.shape[1] != hidden
+        for s in work
+    ):
+        raise ValueError(
+            f"workspace must be {depth + 1} float64 arrays of shape (>= {n}, {hidden}), got "
+            + ", ".join(f"{s.dtype} {s.shape}" for s in work)
+        )
+    return [s[:n] for s in work]
+
+
+def _stack(model: GcnModel, P, X0: np.ndarray, outs) -> np.ndarray:
+    """Final hidden activations; layer k's output goes into ``outs[k]``
+    (a new array where that is None)."""
+    X = X0
+    for W, out in zip(model.weights, outs):
+        X = gcn_layer_forward(P, X, W, model.residual_mode, out=out)
+    return X
 
 
 def forward(
@@ -163,68 +182,25 @@ def forward(
     P,
     X0: np.ndarray,
     with_head: bool = False,
-    work: GcnWorkspace | None = None,
+    work: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Run the full stack; final hidden activations are the fused features.
 
     With ``with_head`` the linear classification head is appended and raw
     logits are returned instead. An optional ``work`` workspace, as for
-    `backward`, holds the layer intermediates; the result has the same bits.
+    `backward`, holds the layer outputs; the result has the same bits and
+    shares no memory with it.
     """
     X0 = np.asarray(X0, dtype=np.float64)
     if X0.ndim != 2 or X0.shape[1] != model.input_dim:
         raise ValueError(
             f"input must be n x {model.input_dim}, got {X0.shape}"
         )
-    if work is not None:
-        activations, logits = _forward_cached(model, P, X0, _workspace(model, X0, work))
-        return logits if with_head else activations[-1].copy()
-    X = X0
-    for W in model.weights:
-        X = gcn_layer_forward(P, X, W, model.residual_mode)
+    outs = [None] * model.depth if work is None else _workspace(model, X0.shape[0], work)
+    X = _stack(model, P, X0, outs)
     if with_head:
         return X @ model.head_weight + model.head_bias
-    return X
-
-
-def _workspace(model: GcnModel, X0: np.ndarray, work: GcnWorkspace | None) -> GcnWorkspace:
-    """The first n rows of every slot of ``work``, or a new workspace if None."""
-    n = X0.shape[0]
-    if work is None:
-        return make_workspace(model, n)
-    depth, hidden = model.depth, model.hidden_dim
-    outputs, masks = work.outputs, work.masks
-    if (outputs.dtype != np.float64 or outputs.ndim != 3
-            or outputs.shape[0] != depth + 1 or outputs.shape[1] < n
-            or outputs.shape[2] != hidden
-            or masks.dtype != np.bool_ or masks.ndim != 3 or masks.shape[0] != depth
-            or masks.shape[1] < n or masks.shape[2] != hidden):
-        raise ValueError(
-            f"workspace must hold float64 outputs of shape ({depth + 1}, >= {n}, {hidden}) "
-            f"and bool masks of shape ({depth}, >= {n}, {hidden}), got "
-            f"{outputs.dtype} {outputs.shape} and {masks.dtype} {masks.shape}"
-        )
-    return GcnWorkspace(outputs=outputs[:, :n], masks=masks[:, :n])
-
-
-def _forward_cached(model: GcnModel, P, X0: np.ndarray, work: GcnWorkspace):
-    """Forward pass that keeps what `backward` reads: layer k's output in
-    slot k of ``work.outputs`` and its Z > 0 in slot k of ``work.masks``.
-    The last output slot is left to the backward pass."""
-    outputs = list(work.outputs[: model.depth])
-    X = X0
-    for W, A, mask in zip(model.weights, outputs, work.masks):
-        _check_operands(P, X, W)
-        Z = P @ (X @ W)
-        np.greater(Z, 0.0, out=mask)
-        np.maximum(Z, 0.0, out=A)
-        if model.residual_mode == RESIDUAL_Z_PLUS_RELU:
-            np.add(Z, A, out=A)
-        elif X.shape == Z.shape:
-            np.add(X, A, out=A)
-        X = A
-    logits = X @ model.head_weight + model.head_bias
-    return [X0, *outputs], logits
+    return X if work is None else X.copy()
 
 
 def masked_cross_entropy(
@@ -259,13 +235,13 @@ def backward(
     X0: np.ndarray,
     labels: np.ndarray,
     mask: np.ndarray,
-    work: GcnWorkspace | None = None,
+    work: list[np.ndarray] | None = None,
 ) -> tuple[float, GcnGradients]:
     """Loss and exact gradients of mean masked cross-entropy over the logits.
 
     P must be symmetric (as produced by the propagation-matrix construction).
     ``work`` is an optional `make_workspace` workspace for graphs of N >= n
-    nodes; the first n rows of each slot hold the layer intermediates.
+    nodes; the first n rows of each slot hold the layer outputs and dZ.
     Reusing one workspace across calls spares allocating (and faulting in)
     those arrays per call; results are the same bits either way.
     """
@@ -274,29 +250,33 @@ def backward(
     X0 = np.asarray(X0, dtype=np.float64)
     if X0.shape[1] != model.input_dim:
         raise ValueError(f"input must be n x {model.input_dim}, got {X0.shape}")
-    work = _workspace(model, X0, work)
-    activations, logits = _forward_cached(model, P, X0, work)
+    work = _workspace(model, X0.shape[0], work)
+    _stack(model, P, X0, work)
+    acts = [X0, *work[:-1]]
+    logits = acts[-1] @ model.head_weight + model.head_bias
     loss, dlogits = masked_cross_entropy(logits, labels, mask)
 
-    final_hidden = activations[-1]
-    d_head_w = final_hidden.T @ dlogits
+    d_head_w = acts[-1].T @ dlogits
     d_head_b = dlogits.sum(axis=0)
     dX = dlogits @ model.head_weight.T
 
-    # dZ = dX * relu-merge derivative: 1 + (Z > 0) for z_plus_relu, (Z > 0)
-    # for x_plus_relu, written into the spare slot.
-    dZ = work.outputs[-1]
+    # dZ = dX * relu-merge derivative, written into the spare slot: 1 + (Z > 0)
+    # for z_plus_relu, where Z + relu(Z) > 0 exactly where Z > 0, so the
+    # stored output gives the sign; (Z > 0) for x_plus_relu, whose output
+    # does not, so Z is computed again.
+    dZ = work[-1]
     d_weights: list[np.ndarray] = [np.empty(0)] * model.depth
     for k in range(model.depth - 1, -1, -1):
-        np.copyto(dZ, work.masks[k])
         if model.residual_mode == RESIDUAL_Z_PLUS_RELU:
+            np.greater(acts[k + 1], 0.0, out=dZ)
             dZ += 1.0
             carry = None
         else:
-            carry = dX if activations[k].shape == activations[k + 1].shape else None
+            np.greater(P @ (acts[k] @ model.weights[k]), 0.0, out=dZ)
+            carry = dX if acts[k].shape == acts[k + 1].shape else None
         np.multiply(dX, dZ, out=dZ)
         S = P @ dZ
-        d_weights[k] = activations[k].T @ S
+        d_weights[k] = acts[k].T @ S
         dX = S @ model.weights[k].T
         if carry is not None:
             dX = dX + carry

@@ -427,7 +427,7 @@ def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
     )
     windows = slice_windows(generate_flow_benchmark(spec), 60.0, 10.0)
     detector = train_detector(windows, m1, n_trees=20, seed=4)
-    cfg = PipelineConfig(architecture="c2", depth=2)
+    cfg = PipelineConfig(architecture="c2")
     r1 = list(detect(windows, m1, detector, cfg).json_lines(include_timings=False))
     r2 = list(detect(windows, m1, detector, cfg).json_lines(include_timings=False))
     reports_identical = r1 == r2

@@ -53,11 +53,6 @@ def _training_windows():
 
 
 class TestPipelineConfig:
-    def test_depth_defaults_follow_architecture(self):
-        assert PipelineConfig(architecture="c2").depth == 12
-        assert PipelineConfig(architecture="p2p").depth == 24
-        assert PipelineConfig(architecture="c2", depth=3).depth == 3
-
     def test_validation(self):
         with pytest.raises(ValueError, match="architecture"):
             PipelineConfig(architecture="hybrid")
@@ -290,14 +285,12 @@ class TestDetect:
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        cfg = PipelineConfig(architecture="c2", depth=2)
+        cfg = PipelineConfig(architecture="c2")
         with pytest.raises(ValueError, match="no windows"):
             detect([], model, ens, cfg)
         narrow = _frozen(depth=2, hidden=4, input_dim=3)
         with pytest.raises(ValueError, match="-dim input"):
             detect(windows, narrow, ens, cfg)
-        with pytest.raises(ValueError, match="depth"):
-            detect(windows, model, ens, PipelineConfig(architecture="c2"))
         rng = np.random.default_rng(0)
         wide = extra_trees.fit(
             rng.standard_normal((10, 7)), np.array([0, 1] * 5), n_trees=3
@@ -311,7 +304,7 @@ class TestDetect:
         model = _frozen(depth=2, hidden=4, seed=6)
         ens = train_detector(windows, model, norm_mode=mode, n_trees=10, seed=0)
         assert ens.norm_mode == mode
-        cfg = PipelineConfig(architecture="c2", depth=2)
+        cfg = PipelineConfig(architecture="c2")
         report = detect(windows, model, ens, cfg)
         for window, w in zip(windows, report.windows):
             expect = extra_trees.predict_proba(
@@ -325,13 +318,13 @@ class TestDetect:
         ens = self._fitted(model, windows)
         model.frozen = False
         with pytest.raises(ValueError, match="frozen"):
-            detect(windows, model, ens, PipelineConfig(architecture="c2", depth=2))
+            detect(windows, model, ens, PipelineConfig(architecture="c2"))
 
     def test_report_structure_and_verdict_consistency(self):
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        cfg = PipelineConfig(architecture="c2", depth=2, threshold=0.4)
+        cfg = PipelineConfig(architecture="c2", threshold=0.4)
         report = detect(windows, model, ens, cfg)
         assert report.architecture == "c2"
         assert report.threshold == 0.4
@@ -346,7 +339,7 @@ class TestDetect:
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        cfg = PipelineConfig(architecture="c2", depth=2, threshold=0.0)
+        cfg = PipelineConfig(architecture="c2", threshold=0.0)
         report = detect(windows, model, ens, cfg)
         assert all(w.n_flagged == w.n_nodes for w in report.windows)
 
@@ -354,7 +347,7 @@ class TestDetect:
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        cfg = PipelineConfig(architecture="c2", depth=2)
+        cfg = PipelineConfig(architecture="c2")
         report = detect(windows, model, ens, cfg)
         staged = 0.0
         for w in report.windows:
@@ -368,7 +361,7 @@ class TestDetect:
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        cfg = PipelineConfig(architecture="c2", depth=2)
+        cfg = PipelineConfig(architecture="c2")
         a = list(detect(windows, model, ens, cfg).json_lines(include_timings=False))
         b = list(detect(windows, model, ens, cfg).json_lines(include_timings=False))
         assert a == b

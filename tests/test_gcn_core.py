@@ -12,7 +12,6 @@ from botfuse.gcn_core import (
     RESIDUAL_Z_PLUS_RELU,
     FrozenModelError,
     GcnModel,
-    GcnWorkspace,
     ModelFormatError,
     backward,
     deserialize_model,
@@ -301,11 +300,14 @@ class TestWorkspace:
         mask[0] = True
         return sp.csr_matrix(_random_p(rng, n)), rng.standard_normal((n, input_dim)), labels, mask
 
-    def test_slots_hold_outputs_and_masks(self):
+    def test_slots_are_separate_per_layer_arrays(self):
         m = init_gcn(5, hidden_dim=8, seed=14)
         work = make_workspace(m, 30)
-        assert work.outputs.dtype == np.float64 and work.outputs.shape == (m.depth + 1, 30, 8)
-        assert work.masks.dtype == np.bool_ and work.masks.shape == (m.depth, 30, 8)
+        assert len(work) == m.depth + 1
+        for i, slot in enumerate(work):
+            assert slot.dtype == np.float64 and slot.shape == (30, 8)
+            assert slot.base is None
+            assert not any(np.shares_memory(slot, other) for other in work[i + 1:])
 
     @pytest.mark.parametrize("mode", RESIDUAL_MODES)
     @pytest.mark.parametrize("input_dim, hidden_dim", [(5, 8), (6, 6)])
@@ -314,10 +316,9 @@ class TestWorkspace:
         m = init_gcn(4, input_dim, hidden_dim, seed=15, residual_mode=mode)
         big, small = self._case(rng, 30, input_dim), self._case(rng, 17, input_dim)
         work = make_workspace(m, 30)
-        # NaN rows would poison any result that read a row it did not write;
-        # set masks would turn on gradients the pass did not.
-        work.outputs.fill(np.nan)
-        work.masks.fill(True)
+        # NaN rows would poison any result that read a row it did not write.
+        for slot in work:
+            slot.fill(np.nan)
         for P, X, labels, mask in (big, small, big, small):
             loss, grads = backward(m, P, X, labels, mask)
             loss_w, grads_w = backward(m, P, X, labels, mask, work=work)
@@ -328,12 +329,13 @@ class TestWorkspace:
                 plain = forward(m, P, X, with_head=with_head)
                 reused = forward(m, P, X, with_head=with_head, work=work)
                 assert reused.tobytes() == plain.tobytes()
-                assert not np.shares_memory(reused, work.outputs)
+                assert not any(np.shares_memory(reused, slot) for slot in work)
 
     @pytest.mark.parametrize("mode", RESIDUAL_MODES)
     def test_gradient_matches_a_preactivation_oracle(self, mode):
-        # The mask slots stand in for the pre-activations: a backward pass
-        # that recomputes every Z from the layer inputs gives the same bits.
+        # backward reads the sign of each Z from the layer's stored output
+        # (or computes Z again): a backward pass that keeps every Z from the
+        # forward pass gives the same bits.
         rng = np.random.default_rng(17)
         m = init_gcn(3, 6, 6, seed=17, residual_mode=mode)
         P, X, labels, mask = self._case(rng, 20, 6)
@@ -363,19 +365,46 @@ class TestWorkspace:
         P, X, labels, mask = self._case(rng, 10, 5)
         good = make_workspace(m, 10)
         bad = [
-            GcnWorkspace(np.zeros((2, 10, 8)), good.masks),
-            GcnWorkspace(np.zeros((3, 9, 8)), good.masks),
-            GcnWorkspace(np.zeros((3, 10, 7)), good.masks),
-            GcnWorkspace(np.zeros((10, 8)), good.masks),
-            GcnWorkspace(good.outputs, np.zeros((3, 10, 8), dtype=bool)),
-            GcnWorkspace(good.outputs, np.zeros((2, 9, 8), dtype=bool)),
-            GcnWorkspace(good.outputs, np.zeros((2, 10, 8))),
+            good[:2],
+            [*good, np.zeros((10, 8))],
+            [good[0], np.zeros((9, 8)), good[2]],
+            [good[0], good[1], np.zeros((10, 7))],
+            [good[0], np.zeros((10, 8), dtype=np.float32), good[2]],
+            [good[0], np.zeros((10, 8), dtype=bool), good[2]],
+            [good[0], good[1], np.zeros(80)],
+            [good[0], good[1], np.zeros((1, 10, 8))],
         ]
         for work in bad:
             with pytest.raises(ValueError, match="workspace"):
                 backward(m, P, X, labels, mask, work=work)
-        with pytest.raises(ValueError, match="workspace"):
-            forward(m, P, X, work=GcnWorkspace(good.outputs.astype(np.float32), good.masks))
+            with pytest.raises(ValueError, match="workspace"):
+                forward(m, P, X, work=work)
+
+
+class TestLayerOut:
+    @pytest.mark.parametrize("mode", RESIDUAL_MODES)
+    @pytest.mark.parametrize("width", [5, 7])
+    def test_out_gets_the_bits_of_a_call_without_it(self, mode, width):
+        rng = np.random.default_rng(18)
+        P = sp.csr_matrix(_random_p(rng, 12))
+        X = rng.standard_normal((12, 5))
+        W = rng.standard_normal((5, width))
+        buf = np.full((12, width), np.nan)
+        got = gcn_layer_forward(P, X, W, mode, out=buf)
+        assert got is buf
+        assert buf.tobytes() == gcn_layer_forward(P, X, W, mode).tobytes()
+
+    def test_merged_sum_is_positive_exactly_where_z_is(self):
+        # backward takes Z > 0 from the stored Z + relu(Z).
+        rng = np.random.default_rng(19)
+        z = np.concatenate((
+            [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.finfo(float).max],
+            rng.standard_normal(1000),
+            rng.standard_normal(1000) * 1e-310,
+        ))
+        with np.errstate(over="ignore"):
+            merged = z + np.maximum(z, 0.0)
+        assert np.array_equal(merged > 0.0, z > 0.0)
 
 
 class TestSerialization:

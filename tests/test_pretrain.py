@@ -331,6 +331,6 @@ class TestPretrain:
         assert names.count("backward") == 4 * 4 and names.count("forward") == 4
         work = calls[0][1]
         n_max = max(g.n for g in dataset)
-        assert work.outputs.dtype == np.float64 and work.outputs.shape == (4, n_max, 4)
-        assert work.masks.dtype == np.bool_ and work.masks.shape == (3, n_max, 4)
+        assert len(work) == 4
+        assert all(slot.dtype == np.float64 and slot.shape == (n_max, 4) for slot in work)
         assert all(w is work for _, w in calls)
