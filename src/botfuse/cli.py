@@ -318,7 +318,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     add_flow_args(s)
     s.add_argument("--model", required=True)
     s.add_argument("--ensemble", required=True)
-    s.add_argument("--arch", choices=ARCHITECTURES, default="c2")
+    s.add_argument("--arch", choices=ARCHITECTURES, default="c2",
+                   help="only sets the report's \"architecture\" field; "
+                        "not checked against the model")
     s.add_argument("--threshold", type=float, default=0.5)
     s.add_argument("--no-timings", action="store_true",
                    help="omit timing fields for byte-stable output")

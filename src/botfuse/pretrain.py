@@ -1,10 +1,11 @@
 """Topology-only pretraining of the graph network.
 
-Synthetic labeled graphs (background model plus an overlaid bot topology,
-star-shaped for centralized botnets and a random regular mesh for
-peer-to-peer ones) stand in for a public balanced graph corpus. Training
-runs on all-ones node features with Adam and a balanced loss mask, early
-stops on validation accuracy, and returns the best checkpoint frozen.
+Synthetic labeled graphs stand in for a public balanced graph corpus. Each
+is one recipe: an Erdős–Rényi background of mean degree 16 with a bot
+overlay on top, a single controller wired to every bot for centralized
+botnets or a 4-regular mesh for peer-to-peer ones. Training runs on all-ones
+node features with Adam and a balanced loss mask, early stops on validation
+accuracy, and returns the best checkpoint frozen.
 """
 
 from __future__ import annotations
@@ -23,59 +24,24 @@ from .comm_graph import (
 )
 from .flow_features import FEATURE_DIM
 from .gcn_core import GcnModel, backward, forward, init_gcn, make_workspace
-from .random_graphs import (
-    barabasi_albert_edges,
-    complete_edges,
-    gnp_edges,
-    random_regular_edges,
-)
+from .random_graphs import gnp_edges, random_regular_edges
 
 ARCH_C2 = "c2"
 ARCH_P2P = "p2p"
 ARCHITECTURES = (ARCH_C2, ARCH_P2P)
 
-BACKGROUND_PA = "preferential_attachment"
-BACKGROUND_ER = "erdos_renyi"
-
 # Feature-extractor depth per architecture.
 ARCH_DEPTH = {ARCH_C2: 12, ARCH_P2P: 24}
+
+# Expected degree of a background node among the background, and the degree
+# of every bot in the peer-to-peer mesh.
+ER_MEAN_DEGREE = 16.0
+MESH_DEGREE = 4
 
 # Adam moment decay rates and denominator guard.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Background nodes kept in the loss mask per bot node.
-BALANCE_RATIO = 1.0
-
-
-@dataclass
-class SyntheticGraphSpec:
-    """Recipe for one labeled background-plus-botnet graph."""
-
-    architecture: str
-    n_background: int
-    n_bots: int
-    background_model: str = BACKGROUND_PA
-    ba_m: int = 2
-    er_p: float | None = None
-    n_controllers: int = 1
-    p2p_degree: int = 4
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"architecture must be one of {ARCHITECTURES}")
-        if self.background_model not in (BACKGROUND_PA, BACKGROUND_ER):
-            raise ValueError(f"unknown background model {self.background_model!r}")
-        if self.n_background < 1 or self.n_bots < 1:
-            raise ValueError("node counts must be positive")
-        if self.architecture == ARCH_C2 and self.n_controllers < 1:
-            raise ValueError("need at least one controller")
-        if self.architecture == ARCH_P2P:
-            if not 1 <= self.p2p_degree < self.n_bots:
-                raise ValueError(
-                    f"mesh degree must be in [1, {self.n_bots - 1}], got {self.p2p_degree}"
-                )
 
 
 @dataclass
@@ -96,29 +62,36 @@ class TrainConfig:
             raise ValueError("patience must be >= 0")
 
 
-def _background_edges(spec: SyntheticGraphSpec, seed: int) -> np.ndarray:
-    if spec.background_model == BACKGROUND_PA:
-        m = min(spec.ba_m, spec.n_background - 1) if spec.n_background > 1 else 1
-        if spec.n_background <= m:
-            return complete_edges(spec.n_background)
-        return barabasi_albert_edges(spec.n_background, m, seed)
-    p = spec.er_p if spec.er_p is not None else min(1.0, 4.0 / spec.n_background)
-    return gnp_edges(spec.n_background, p, seed)
-
-
-def generate_synthetic_graph(spec: SyntheticGraphSpec) -> CommGraph:
+def generate_synthetic_graph(
+    arch: str,
+    n_background: int = 880,
+    n_bots: int = 110,
+    seed: int = 0,
+) -> CommGraph:
     """Labeled graph with all-ones features: background plus bot overlay.
 
-    Centralized overlay wires every bot to its controller (round-robin
-    assignment); peer-to-peer overlay wires the bots into a random regular
-    mesh. Every bot node also attaches to at least one background node.
+    Desk scale by default: ~1000 nodes with a clearly identifiable overlay.
+    The c2 overlay wires every bot to one controller; the p2p overlay wires
+    the bots into a random MESH_DEGREE-regular mesh, so it needs more bots
+    than that. Every bot node also attaches to one or two background nodes.
+
+    The background is Erdős–Rényi rather than preferential attachment: with
+    all-ones inputs the stack's node score is a monotone function of the
+    propagated mass, and the heavy-tailed hub mass of a
+    preferential-attachment background overlaps the bot band, capping
+    reachable accuracy well below the target. A concentrated-degree
+    background keeps the overlay separable.
     """
-    ss = np.random.SeedSequence(spec.seed)
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"architecture must be one of {ARCHITECTURES}")
+    if n_background < 1 or n_bots < 1:
+        raise ValueError("node counts must be positive")
+    ss = np.random.SeedSequence(seed)
     bg_seed, mesh_seed, attach_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
 
-    n_ctl = spec.n_controllers if spec.architecture == ARCH_C2 else 0
-    bg_names = [f"h{i:05d}" for i in range(spec.n_background)]
-    bot_names = [f"b{i:04d}" for i in range(spec.n_bots)]
+    n_ctl = 1 if arch == ARCH_C2 else 0
+    bg_names = [f"h{i:05d}" for i in range(n_background)]
+    bot_names = [f"b{i:04d}" for i in range(n_bots)]
     ctl_names = [f"m{i:03d}" for i in range(n_ctl)]
 
     nodes = sorted(bg_names + bot_names + ctl_names)
@@ -126,18 +99,17 @@ def generate_synthetic_graph(spec: SyntheticGraphSpec) -> CommGraph:
     bg_idx, bot_idx, ctl_idx = (np.array([index[name] for name in names], dtype=np.int64)
                                 for names in (bg_names, bot_names, ctl_names))
 
-    links = [bg_idx[_background_edges(spec, bg_seed)]]
-    if spec.architecture == ARCH_C2:
-        links.append(np.column_stack((ctl_idx[np.arange(spec.n_bots) % n_ctl], bot_idx)))
+    background = gnp_edges(n_background, ER_MEAN_DEGREE / n_background, bg_seed)
+    links = [bg_idx[background]]
+    if arch == ARCH_C2:
+        links.append(np.column_stack((np.repeat(ctl_idx, n_bots), bot_idx)))
     else:
-        if (spec.p2p_degree * spec.n_bots) % 2 == 1:
-            raise ValueError("infeasible mesh: degree times bot count must be even")
-        links.append(bot_idx[random_regular_edges(spec.p2p_degree, spec.n_bots, mesh_seed)])
+        links.append(bot_idx[random_regular_edges(MESH_DEGREE, n_bots, mesh_seed)])
 
     rng = np.random.default_rng(attach_seed)
     for i in np.concatenate((bot_idx, ctl_idx)):
-        n_attach = min(int(rng.integers(1, 3)), spec.n_background)
-        targets = bg_idx[rng.choice(spec.n_background, size=n_attach, replace=False)]
+        n_attach = min(int(rng.integers(1, 3)), n_background)
+        targets = bg_idx[rng.choice(n_background, size=n_attach, replace=False)]
         links.append(np.column_stack((np.full(n_attach, i), targets)))
 
     links = np.concatenate(links)
@@ -152,42 +124,14 @@ def generate_synthetic_graph(spec: SyntheticGraphSpec) -> CommGraph:
         features=np.ones((len(nodes), FEATURE_DIM), dtype=np.float64),
         labels=labels,
         meta={
-            "architecture": spec.architecture,
-            "background_model": spec.background_model,
-            "n_background": spec.n_background,
-            "n_bots": spec.n_bots,
+            "architecture": arch,
+            "background_model": "erdos_renyi",
+            "n_background": n_background,
+            "n_bots": n_bots,
             "n_controllers": n_ctl,
-            "seed": spec.seed,
+            "seed": seed,
         },
     )
-
-
-def default_graph_spec(
-    arch: str,
-    seed: int = 0,
-    n_background: int = 880,
-    n_bots: int = 110,
-) -> SyntheticGraphSpec:
-    """Desk-scale recipe: ~1000 nodes with a clearly identifiable overlay.
-
-    The background here is Erdős–Rényi rather than the type-level
-    preferential-attachment default: with all-ones inputs the stack's
-    node score is a monotone function of the propagated mass, and the
-    heavy-tailed hub mass of a preferential-attachment background overlaps
-    the bot band, capping reachable accuracy well below the target. A
-    concentrated-degree background keeps the overlay separable.
-    """
-    common = dict(
-        architecture=arch,
-        n_background=n_background,
-        n_bots=n_bots,
-        background_model=BACKGROUND_ER,
-        er_p=16.0 / max(n_background, 1),
-        seed=seed,
-    )
-    if arch == ARCH_C2:
-        return SyntheticGraphSpec(n_controllers=1, **common)
-    return SyntheticGraphSpec(p2p_degree=4, **common)
 
 
 def default_pretrain_dataset(
@@ -198,9 +142,7 @@ def default_pretrain_dataset(
     n_bots: int = 110,
 ) -> list[CommGraph]:
     return [
-        generate_synthetic_graph(
-            default_graph_spec(arch, seed=seed + i, n_background=n_background, n_bots=n_bots)
-        )
+        generate_synthetic_graph(arch, n_background, n_bots, seed=seed + i)
         for i in range(n_graphs)
     ]
 
@@ -208,8 +150,8 @@ def default_pretrain_dataset(
 def load_graph_dataset(path) -> list[CommGraph]:
     """Load labeled interchange-format graphs from a file or directory.
 
-    Graphs stored without features get all-ones features installed so they
-    are directly usable for topology-only training.
+    Pretraining reads only their topology and labels: every graph gets
+    all-ones inputs whatever features it stores.
     """
     path = Path(path)
     if path.is_dir():
@@ -226,30 +168,8 @@ def load_graph_dataset(path) -> list[CommGraph]:
         g = load_graph(f)
         if g.labels is None or not ((g.labels == LABEL_BOT) | (g.labels == LABEL_LEGIT)).any():
             raise ValueError(f"graph {f} is missing labels")
-        if not g.features.any():
-            g.features = np.ones((g.n, FEATURE_DIM), dtype=np.float64)
         graphs.append(g)
     return graphs
-
-
-class EarlyStopper:
-    """Strict-improvement tracker: stop after `patience` non-improving epochs."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -np.inf
-        self.best_epoch = -1
-        self.since_improve = 0
-
-    def update(self, epoch: int, value: float) -> bool:
-        """Record one epoch; returns True when training should stop."""
-        if value > self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.since_improve = 0
-        else:
-            self.since_improve += 1
-        return self.since_improve > self.patience
 
 
 class _Adam:
@@ -271,11 +191,12 @@ class _Adam:
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def _balanced_mask(labels: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
-    """Loss mask: every bot plus a seeded sample of background nodes."""
+def _balanced_mask(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Loss mask: every bot plus a seeded sample of as many background nodes,
+    or all of them when there are fewer."""
     bots = np.nonzero(labels == LABEL_BOT)[0]
     legit = np.nonzero(labels == LABEL_LEGIT)[0]
-    n_keep = min(legit.size, max(1, int(round(ratio * bots.size))))
+    n_keep = min(legit.size, max(1, bots.size))
     keep = rng.choice(legit, size=n_keep, replace=False)
     mask = np.zeros(labels.size, dtype=bool)
     mask[bots] = True
@@ -290,7 +211,7 @@ def _graph_tensors(graphs, config):
         P = propagation_matrix(g)
         X = np.ones((g.n, FEATURE_DIM), dtype=np.float64)
         y = (g.labels == LABEL_BOT).astype(np.int64)
-        mask = _balanced_mask(g.labels, BALANCE_RATIO, rng)
+        mask = _balanced_mask(g.labels, rng)
         prepared.append((P, X, y, mask))
     return prepared
 
@@ -331,7 +252,8 @@ def pretrain_gcn(
     model = init_gcn(depth, FEATURE_DIM, config.hidden_dim, seed=config.seed)
     params = model.parameters()
     adam = _Adam([p.shape for p in params], config.lr)
-    stopper = EarlyStopper(config.patience)
+    best_acc = -np.inf
+    since_best = 0
     best_params = [p.copy() for p in params]
     epoch_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0xE0,)))
     # One workspace for every forward and backward pass, sized for the
@@ -364,12 +286,15 @@ def pretrain_gcn(
 
         if report is not None:
             report.append({"epoch": epoch, "loss": epoch_loss, "val_acc": val_acc})
-        improved_to_best = val_acc > stopper.best
-        stop = stopper.update(epoch, val_acc)
-        if improved_to_best:
+        # A tie is no improvement, so the earliest best epoch is kept.
+        if val_acc > best_acc:
+            best_acc = val_acc
+            since_best = 0
             best_params = [p.copy() for p in params]
-        if stop:
-            break
+        else:
+            since_best += 1
+            if since_best > config.patience:
+                break
 
     model.weights = best_params[: model.depth]
     model.head_weight = best_params[model.depth]

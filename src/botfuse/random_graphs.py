@@ -71,25 +71,6 @@ def gnp_edges(n: int, p: float, seed: int) -> np.ndarray:
     return np.column_stack((rows, index - starts[rows] + rows + 1))
 
 
-def barabasi_albert_edges(n: int, m: int, seed: int) -> np.ndarray:
-    """Preferential attachment from a star on m + 1 nodes, as
-    ``barabasi_albert_graph``."""
-    if m < 1 or m >= n:
-        raise ValueError(f"preferential attachment needs 1 <= m < n, got m={m}, n={n}")
-    rng = random.Random(seed)
-    pairs = [(0, v) for v in range(1, m + 1)]
-    # Each node repeated once per incident edge.
-    repeated = [0] * m + list(range(1, m + 1))
-    for source in range(m + 1, n):
-        targets: set[int] = set()
-        while len(targets) < m:
-            targets.add(rng.choice(repeated))
-        pairs.extend((source, t) for t in targets)
-        repeated.extend(targets)
-        repeated.extend([source] * m)
-    return _graph_order(n, pairs)
-
-
 def _suitable(edges: set, potential_edges: dict) -> bool:
     """Whether some two leftover stubs could still be paired."""
     if not potential_edges:

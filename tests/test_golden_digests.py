@@ -18,12 +18,7 @@ import numpy as np
 from botfuse.comm_graph import graph_to_json
 from botfuse.extra_trees import fit, serialize_ensemble
 from botfuse.flow_ingest import write_flows_csv
-from botfuse.pretrain import (
-    BACKGROUND_PA,
-    SyntheticGraphSpec,
-    default_pretrain_dataset,
-    generate_synthetic_graph,
-)
+from botfuse.pretrain import default_pretrain_dataset
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -93,12 +88,11 @@ def test_forest_fit_is_byte_identical():
 
 
 # Digests of graph_to_json: the default pretraining datasets (Erdős–Rényi
-# backgrounds, a star or a random regular mesh on top) and one
-# preferential-attachment background. They pin the random graph generators.
+# backgrounds, a star or a random regular mesh on top). They pin the random
+# graph generators.
 GRAPH_GOLDEN = {
     "c2": "1cd6fa9b4349d2c1485a6b136c9c0911ba31c5e1b930cfb18e5f0c436ac385c2",
     "p2p": "4ead625142485cdb273a1b9983072d1b662a57fb6763858ffc02e04e5807a0ac",
-    "pa": "8fa679c5cb9de248039df677ae134874b5b827e2d07f226fa2071a63d7f55839",
 }
 
 
@@ -108,14 +102,9 @@ def _graphs_digest(graphs) -> str:
 
 
 def test_synthetic_graphs_are_byte_identical():
-    spec = SyntheticGraphSpec(
-        architecture="c2", n_background=300, n_bots=30, background_model=BACKGROUND_PA,
-        ba_m=3, n_controllers=2, seed=7,
-    )
     digests = {
         "c2": _graphs_digest(default_pretrain_dataset("c2", n_graphs=2)),
         "p2p": _graphs_digest(default_pretrain_dataset("p2p", n_graphs=2)),
-        "pa": _graphs_digest([generate_synthetic_graph(spec)]),
     }
     assert digests == GRAPH_GOLDEN
 

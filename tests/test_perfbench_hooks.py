@@ -1,13 +1,31 @@
-"""The benchmark's tracer hooks into botfuse by module and function name.
+"""The benchmark hooks into botfuse by module and function name.
 
-A renamed or removed traced function would otherwise only show up when the
-benchmark's own suite runs (``python3 -m pytest perfbench``).
+A renamed or removed traced function or imported name would otherwise only
+show up when the benchmark's own suite runs (``python3 -m pytest perfbench``).
 """
 
+import ast
 import importlib
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_botfuse_import_resolves():
+    # The benchmark imports botfuse inside its functions, so the names are
+    # found by walking each file's syntax tree, not by importing it.
+    imports = [
+        (path.name, node.module, alias.name)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "botfuse"
+        for alias in node.names
+    ]
+    assert any(module == "botfuse.pretrain" for _, module, _ in imports)
+    missing = [f"{where}: from {module} import {name}" for where, module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing
 
 
 def test_traced_functions_exist(monkeypatch):

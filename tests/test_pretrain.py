@@ -8,12 +8,7 @@ from botfuse.comm_graph import LABEL_BOT, LABEL_LEGIT, LABEL_UNKNOWN, CommGraph,
 from botfuse.gcn_core import FrozenModelError, backward, serialize_model
 from botfuse.pretrain import (
     ARCH_DEPTH,
-    BACKGROUND_ER,
-    EarlyStopper,
-    SyntheticGraphSpec,
     TrainConfig,
-    _balanced_mask,
-    default_graph_spec,
     default_pretrain_dataset,
     generate_synthetic_graph,
     load_graph_dataset,
@@ -43,38 +38,23 @@ def _tiny_graph(labels):
     )
 
 
-class TestSpecValidation:
-    def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError, match="architecture"):
-            SyntheticGraphSpec(architecture="mesh", n_background=10, n_bots=2)
-        with pytest.raises(ValueError, match="background model"):
-            SyntheticGraphSpec(
-                architecture="c2", n_background=10, n_bots=2, background_model="grid"
-            )
-        with pytest.raises(ValueError, match="positive"):
-            SyntheticGraphSpec(architecture="c2", n_background=0, n_bots=2)
-        with pytest.raises(ValueError, match="controller"):
-            SyntheticGraphSpec(
-                architecture="c2", n_background=10, n_bots=2, n_controllers=0
-            )
-        with pytest.raises(ValueError, match="mesh degree"):
-            SyntheticGraphSpec(
-                architecture="p2p", n_background=10, n_bots=4, p2p_degree=4
-            )
-
-
 class TestGenerate:
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="architecture"):
+            generate_synthetic_graph("mesh", n_background=10, n_bots=2)
+        for n_background, n_bots in [(0, 2), (10, 0), (-1, 2), (10, -3)]:
+            with pytest.raises(ValueError, match="positive"):
+                generate_synthetic_graph("c2", n_background=n_background, n_bots=n_bots)
+
     def test_centralized_overlay_labels_and_wiring(self):
-        spec = SyntheticGraphSpec(
-            architecture="c2", n_background=30, n_bots=10, n_controllers=1, seed=1
-        )
-        g = generate_synthetic_graph(spec)
+        g = generate_synthetic_graph("c2", n_background=30, n_bots=10, seed=1)
         assert g.n == 41
         assert g.nodes == sorted(g.nodes)
         for name in g.nodes:
             want = LABEL_LEGIT if name.startswith("h") else LABEL_BOT
             assert g.labels[g.index(name)] == want
         assert int((g.labels == LABEL_BOT).sum()) == 11
+        assert [n for n in g.nodes if n.startswith("m")] == ["m000"]
         # The lone controller serves every bot, plus background camouflage.
         ctl = _neighbors(g, "m000")
         assert sum(1 for v in ctl if v.startswith("b")) == 10
@@ -84,27 +64,23 @@ class TestGenerate:
             assert any(v.startswith("h") for v in nb)
 
     def test_mesh_overlay_degree(self):
-        spec = SyntheticGraphSpec(
-            architecture="p2p", n_background=30, n_bots=10, p2p_degree=4, seed=2
-        )
-        g = generate_synthetic_graph(spec)
+        g = generate_synthetic_graph("p2p", n_background=30, n_bots=10, seed=2)
         assert not any(n.startswith("m") for n in g.nodes)
         assert int((g.labels == LABEL_BOT).sum()) == 10
         for bot in (n for n in g.nodes if n.startswith("b")):
             nb = _neighbors(g, bot)
-            assert sum(1 for v in nb if v.startswith("b")) >= 4
+            assert sum(1 for v in nb if v.startswith("b")) == 4
+            assert any(v.startswith("h") for v in nb)
 
     def test_infeasible_mesh_rejected(self):
-        spec = SyntheticGraphSpec(
-            architecture="p2p", n_background=10, n_bots=5, p2p_degree=3
-        )
-        with pytest.raises(ValueError, match="even"):
-            generate_synthetic_graph(spec)
+        # A 4-regular mesh needs at least five bots.
+        for n_bots in (1, 4):
+            with pytest.raises(ValueError, match="d < n"):
+                generate_synthetic_graph("p2p", n_background=10, n_bots=n_bots)
+        assert generate_synthetic_graph("p2p", n_background=10, n_bots=5).n == 15
 
     def test_edges_are_symmetric_and_loop_free(self):
-        g = generate_synthetic_graph(
-            SyntheticGraphSpec(architecture="c2", n_background=25, n_bots=6, seed=3)
-        )
+        g = generate_synthetic_graph("c2", n_background=25, n_bots=6, seed=3)
         pairs = set(map(tuple, g.edges.tolist()))
         assert pairs
         for a, b in pairs:
@@ -112,40 +88,43 @@ class TestGenerate:
             assert (b, a) in pairs
 
     def test_all_ones_features(self):
-        g = generate_synthetic_graph(
-            SyntheticGraphSpec(architecture="c2", n_background=12, n_bots=3, seed=4)
-        )
+        g = generate_synthetic_graph("c2", n_background=12, n_bots=3, seed=4)
         assert g.features.shape == (g.n, 5)
         assert (g.features == 1.0).all()
 
     def test_seed_determinism(self):
-        spec = SyntheticGraphSpec(architecture="p2p", n_background=20, n_bots=6, seed=7)
-        a = generate_synthetic_graph(spec)
-        b = generate_synthetic_graph(spec)
+        a = generate_synthetic_graph("p2p", n_background=20, n_bots=6, seed=7)
+        b = generate_synthetic_graph("p2p", n_background=20, n_bots=6, seed=7)
         assert a.nodes == b.nodes
         assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.labels, b.labels)
-        spec2 = SyntheticGraphSpec(architecture="p2p", n_background=20, n_bots=6, seed=8)
-        assert not np.array_equal(generate_synthetic_graph(spec2).edges, a.edges)
+        c = generate_synthetic_graph("p2p", n_background=20, n_bots=6, seed=8)
+        assert not np.array_equal(c.edges, a.edges)
 
     def test_meta_records_recipe(self):
-        g = generate_synthetic_graph(
-            SyntheticGraphSpec(architecture="c2", n_background=15, n_bots=4, seed=5)
-        )
-        assert g.meta["architecture"] == "c2"
-        assert g.meta["n_background"] == 15
-        assert g.meta["n_bots"] == 4
-        assert g.meta["n_controllers"] == 1
-        assert g.meta["seed"] == 5
+        g = generate_synthetic_graph("c2", n_background=15, n_bots=4, seed=5)
+        assert g.meta == {
+            "architecture": "c2",
+            "background_model": "erdos_renyi",
+            "n_background": 15,
+            "n_bots": 4,
+            "n_controllers": 1,
+            "seed": 5,
+        }
+        assert generate_synthetic_graph("p2p", 15, 6).meta["n_controllers"] == 0
 
 
 class TestDefaults:
     def test_default_spec_shape(self):
-        spec = default_graph_spec("c2", seed=9)
-        assert spec.background_model == BACKGROUND_ER
-        assert spec.er_p == pytest.approx(16.0 / spec.n_background)
-        assert spec.n_controllers == 1
-        assert default_graph_spec("p2p").p2p_degree == 4
+        for arch, n_ctl in (("c2", 1), ("p2p", 0)):
+            g = generate_synthetic_graph(arch, seed=9)
+            assert g.n == 880 + 110 + n_ctl
+            assert g.meta["n_controllers"] == n_ctl
+            assert g.meta["background_model"] == "erdos_renyi"
+            # Background-background links average 16 per background node.
+            bg = g.labels[g.edges] == LABEL_LEGIT
+            mean_degree = int(bg.all(axis=1).sum()) / 880
+            assert 15.0 < mean_degree < 17.0
 
     def test_default_dataset_varies_seed(self):
         graphs = default_pretrain_dataset("c2", n_graphs=3, seed=2, n_background=40, n_bots=8)
@@ -171,18 +150,23 @@ class TestLoadDataset:
             assert np.array_equal(got.labels, orig.labels)
 
     def test_single_file(self, tmp_path):
-        g = generate_synthetic_graph(
-            SyntheticGraphSpec(architecture="c2", n_background=10, n_bots=2, seed=0)
-        )
+        g = generate_synthetic_graph("c2", n_background=10, n_bots=2, seed=0)
         save_graph(g, tmp_path / "one.json")
         assert len(load_graph_dataset(tmp_path / "one.json")) == 1
 
-    def test_zero_features_become_ones(self, tmp_path):
-        g = _tiny_graph([LABEL_BOT, LABEL_LEGIT, LABEL_LEGIT])
-        g.features = np.zeros((3, 5))
-        save_graph(g, tmp_path / "z.json")
-        (loaded,) = load_graph_dataset(tmp_path / "z.json")
-        assert (loaded.features == 1.0).all()
+    def test_stored_features_do_not_change_pretraining(self, tmp_path):
+        graphs = default_pretrain_dataset("c2", n_graphs=4, seed=1, n_background=40, n_bots=8)
+        cfg = TrainConfig(seed=3, patience=3, max_epochs=12, hidden_dim=4)
+        blobs = []
+        for name, fill in (("ones", 1.0), ("zeros", 0.0), ("random", None)):
+            (tmp_path / name).mkdir()
+            for i, g in enumerate(graphs):
+                g.features = (np.full((g.n, 5), fill) if fill is not None
+                              else np.random.default_rng(i).random((g.n, 5)))
+                save_graph(g, tmp_path / name / f"g{i}.json")
+            loaded = load_graph_dataset(tmp_path / name)
+            blobs.append(serialize_model(pretrain_gcn(loaded, depth=2, config=cfg)))
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_unlabeled_graphs_rejected(self, tmp_path):
         g = _tiny_graph([LABEL_UNKNOWN, LABEL_UNKNOWN, LABEL_UNKNOWN])
@@ -199,30 +183,40 @@ class TestLoadDataset:
             load_graph_dataset(empty)
 
 
+def _pretrain_run(patience, max_epochs=200):
+    dataset = default_pretrain_dataset("c2", n_graphs=5, seed=0, n_background=160, n_bots=20)
+    cfg = TrainConfig(seed=0, lr=0.01, patience=patience, max_epochs=max_epochs, hidden_dim=8)
+    report = []
+    model = pretrain_gcn(dataset, depth=3, config=cfg, report=report)
+    return serialize_model(model), [r["val_acc"] for r in report]
+
+
 class TestEarlyStopper:
+    """Early stopping on validation accuracy inside pretrain_gcn."""
+
     def test_zero_patience_stops_on_first_plateau(self):
-        s = EarlyStopper(patience=0)
-        assert not s.update(0, 0.5)
-        assert s.update(1, 0.5)
-        assert s.best == 0.5
-        assert s.best_epoch == 0
+        _, accs = _pretrain_run(patience=0)
+        assert len(accs) >= 2
+        assert accs[-1] <= max(accs[:-1])
+        assert all(b > a for a, b in zip(accs[:-2], accs[1:-1]))
 
     def test_ties_are_not_improvements(self):
-        s = EarlyStopper(patience=1)
-        assert not s.update(0, 0.8)
-        assert not s.update(1, 0.8)
-        assert s.update(2, 0.8)
-        assert s.best_epoch == 0
+        blob, accs = _pretrain_run(patience=8)
+        best_epoch = accs.index(max(accs))
+        # The run must tie its best later on, or this checks nothing.
+        assert accs[best_epoch + 1:].count(max(accs)) >= 2
+        rerun, rerun_accs = _pretrain_run(patience=8, max_epochs=best_epoch + 1)
+        assert rerun_accs == accs[: best_epoch + 1]
+        assert rerun == blob
 
     def test_improvement_resets_counter(self):
-        s = EarlyStopper(patience=1)
-        assert not s.update(0, 0.5)
-        assert not s.update(1, 0.4)
-        assert not s.update(2, 0.6)
-        assert not s.update(3, 0.6)
-        assert s.update(4, 0.55)
-        assert s.best == 0.6
-        assert s.best_epoch == 2
+        for patience in (0, 3, 8):
+            _, accs = _pretrain_run(patience)
+            best_epoch = accs.index(max(accs))
+            assert len(accs) == best_epoch + patience + 2
+        # With patience 8 the best epoch comes after earlier improvements
+        # and non-improving epochs, so the count restarted at each improvement.
+        assert best_epoch > 0 and any(b <= a for a, b in zip(accs, accs[1:best_epoch + 1]))
 
 
 class TestTrainConfigValidation:
@@ -236,17 +230,28 @@ class TestTrainConfigValidation:
 
 
 class TestBalancedMask:
-    def test_mask_keeps_all_bots_and_matched_background(self):
-        labels = np.array([LABEL_BOT] * 3 + [LABEL_LEGIT] * 10, dtype=np.int8)
-        rng = np.random.default_rng(0)
-        mask = _balanced_mask(labels, 1.0, rng)
-        assert mask[:3].all()
-        assert int(mask[3:].sum()) == 3
-        mask2 = _balanced_mask(labels, 2.0, np.random.default_rng(0))
-        assert int(mask2[3:].sum()) == 6
-        # Ratio beyond the available background saturates.
-        mask3 = _balanced_mask(labels, 100.0, np.random.default_rng(0))
-        assert int(mask3[3:].sum()) == 10
+    def test_mask_keeps_all_bots_and_matched_background(self, monkeypatch):
+        masks = []
+
+        def recorded(model, P, X, y, mask, **kwargs):
+            masks.append((y.copy(), mask.copy()))
+            return backward(model, P, X, y, mask, **kwargs)
+
+        monkeypatch.setattr(pretrain_mod, "backward", recorded)
+        # 9 bots among 40 background nodes, and 13 bots among 5.
+        dataset = [generate_synthetic_graph("c2", n_background=40, n_bots=8, seed=s)
+                   for s in range(3)]
+        dataset += [generate_synthetic_graph("c2", n_background=5, n_bots=12, seed=s)
+                    for s in range(3)]
+        pretrain_gcn(dataset, depth=2, config=TrainConfig(max_epochs=1, hidden_dim=4))
+        saturated = set()
+        for y, mask in masks:
+            n_bots, n_legit = int(y.sum()), int((y == 0).sum())
+            assert mask[y == 1].all()
+            assert int(mask[y == 0].sum()) == min(n_bots, n_legit)
+            saturated.add(n_legit < n_bots)
+        # Both a matched and a saturated mask were trained on.
+        assert saturated == {False, True}
 
 
 class TestPretrain:

@@ -16,12 +16,7 @@ from hypothesis import strategies as st
 
 import botfuse
 from botfuse import random_graphs
-from botfuse.random_graphs import (
-    barabasi_albert_edges,
-    complete_edges,
-    gnp_edges,
-    random_regular_edges,
-)
+from botfuse.random_graphs import complete_edges, gnp_edges, random_regular_edges
 
 seeds = st.integers(min_value=0, max_value=2**64)
 
@@ -58,16 +53,6 @@ def test_gnp_matches_networkx(nx, n, p, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(0, 40), m=st.integers(-1, 42), seed=seeds)
-def test_barabasi_albert_matches_networkx(nx, n, m, seed):
-    _same_or_both_refuse(
-        lambda: barabasi_albert_edges(n, m, seed),
-        lambda: nx.barabasi_albert_graph(n, m, seed=seed),
-        nx,
-    )
-
-
-@settings(max_examples=100, deadline=None)
 @given(n=st.integers(0, 30), d=st.integers(-1, 8), seed=seeds)
 def test_random_regular_matches_networkx(nx, n, d, seed):
     _same_or_both_refuse(
@@ -89,10 +74,6 @@ def test_complete_graph(nx, n):
 
 
 def test_refusals():
-    with pytest.raises(ValueError, match="1 <= m < n"):
-        barabasi_albert_edges(3, 3, 0)
-    with pytest.raises(ValueError, match="1 <= m < n"):
-        barabasi_albert_edges(5, 0, 0)
     with pytest.raises(ValueError, match="even"):
         random_regular_edges(3, 5, 0)
     with pytest.raises(ValueError, match="0 <= d < n"):
@@ -112,7 +93,6 @@ def test_default_scale_graphs_match_networkx(nx):
                                                                        seed=123456789))
     _same(random_regular_edges(4, 110, 987654321),
           nx.random_regular_graph(4, 110, seed=987654321))
-    _same(barabasi_albert_edges(500, 2, 42), nx.barabasi_albert_graph(500, 2, seed=42))
 
 
 COMMANDS = """
