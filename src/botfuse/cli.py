@@ -96,15 +96,14 @@ def _load_windows(args) -> list:
 
 
 def cmd_synth(args) -> int:
+    # Sizes left unset take the defaults of the kind being generated.
+    sizes = dict(n_background=args.n_background, n_bots=args.n_bots)
+    sizes = {name: value for name, value in sizes.items() if value is not None}
     if args.kind == "graphs":
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         graphs = pretrain_mod.default_pretrain_dataset(
-            args.arch,
-            n_graphs=args.n_graphs,
-            seed=args.seed,
-            n_background=args.n_background if args.n_background is not None else 880,
-            n_bots=args.n_bots if args.n_bots is not None else 110,
+            args.arch, n_graphs=args.n_graphs, seed=args.seed, **sizes
         )
         for i, g in enumerate(graphs):
             save_graph(g, out_dir / f"graph_{args.arch}_{i:03d}.json")
@@ -112,11 +111,7 @@ def cmd_synth(args) -> int:
         return 0
 
     spec = synth_flows.FlowBenchSpec(
-        architecture=args.arch,
-        n_background=args.n_background if args.n_background is not None else 400,
-        n_bots=args.n_bots if args.n_bots is not None else 16,
-        duration=args.duration,
-        seed=args.seed,
+        architecture=args.arch, duration=args.duration, seed=args.seed, **sizes
     )
     records = synth_flows.generate_flow_benchmark(spec)
     write_flows_csv(records, args.out)
@@ -274,11 +269,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--kind", choices=["graphs", "flows"], default="flows")
     s.add_argument("--arch", choices=ARCHITECTURES, default="c2")
     s.add_argument("--n-graphs", type=int, default=6)
+    flow_spec = synth_flows.FlowBenchSpec
     s.add_argument("--n-background", type=int, default=None,
-                   help="default 400 for flows, 880 for graphs")
+                   help=f"default {flow_spec.n_background} for flows, "
+                        f"{pretrain_mod.DEFAULT_N_BACKGROUND} for graphs")
     s.add_argument("--n-bots", type=int, default=None,
-                   help="default 16 for flows, 110 for graphs")
-    s.add_argument("--duration", type=float, default=120.0)
+                   help=f"default {flow_spec.n_bots} for flows, "
+                        f"{pretrain_mod.DEFAULT_N_BOTS} for graphs")
+    s.add_argument("--duration", type=float, default=flow_spec.duration)
     s.add_argument("--out", required=True, help="output file (flows) or directory (graphs)")
     s.set_defaults(func=cmd_synth)
 

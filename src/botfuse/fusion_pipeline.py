@@ -29,6 +29,12 @@ VARIANT_FLOW = "flow_only"
 VARIANTS = (VARIANT_FUSED, VARIANT_TOPOLOGY, VARIANT_FLOW)
 
 
+def check_threshold(threshold: float) -> None:
+    """Refuse a bot-probability threshold outside [0, 1], nan included."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+
+
 @dataclass
 class PipelineConfig:
     architecture: str = "c2"
@@ -37,8 +43,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
+        check_threshold(self.threshold)
 
 
 @dataclass

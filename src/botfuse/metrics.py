@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import extra_trees
-from .fusion_pipeline import pool_labeled_rows
+from .fusion_pipeline import check_threshold, pool_labeled_rows
 from .pretrain import TrainConfig, pretrain_gcn
 
 METRIC_FIELDS = ("accuracy", "precision", "recall", "fpr", "f1", "roc_auc")
@@ -27,18 +27,7 @@ class MetricSet:
     roc_auc: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "fpr": self.fpr,
-            "f1": self.f1,
-            "roc_auc": self.roc_auc,
-        }
+        return asdict(self)
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -163,6 +152,7 @@ def kfold_cv(
     leave-one-out (k = n); every training split must still contain both
     classes.
     """
+    check_threshold(threshold)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).astype(np.int64)
     if X.shape[0] != y.shape[0]:

@@ -38,6 +38,10 @@ ARCH_DEPTH = {ARCH_C2: 12, ARCH_P2P: 24}
 ER_MEAN_DEGREE = 16.0
 MESH_DEGREE = 4
 
+# Desk-scale graph size: ~1000 nodes with a clearly identifiable overlay.
+DEFAULT_N_BACKGROUND = 880
+DEFAULT_N_BOTS = 110
+
 # Adam moment decay rates and denominator guard.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -64,13 +68,12 @@ class TrainConfig:
 
 def generate_synthetic_graph(
     arch: str,
-    n_background: int = 880,
-    n_bots: int = 110,
+    n_background: int = DEFAULT_N_BACKGROUND,
+    n_bots: int = DEFAULT_N_BOTS,
     seed: int = 0,
 ) -> CommGraph:
     """Labeled graph with all-ones features: background plus bot overlay.
 
-    Desk scale by default: ~1000 nodes with a clearly identifiable overlay.
     The c2 overlay wires every bot to one controller; the p2p overlay wires
     the bots into a random MESH_DEGREE-regular mesh, so it needs more bots
     than that. Every bot node also attaches to one or two background nodes.
@@ -138,8 +141,8 @@ def default_pretrain_dataset(
     arch: str,
     n_graphs: int = 6,
     seed: int = 0,
-    n_background: int = 880,
-    n_bots: int = 110,
+    n_background: int = DEFAULT_N_BACKGROUND,
+    n_bots: int = DEFAULT_N_BOTS,
 ) -> list[CommGraph]:
     return [
         generate_synthetic_graph(arch, n_background, n_bots, seed=seed + i)

@@ -7,10 +7,10 @@ signal alone is sufficient:
   coordination hubs, stressing topology-only detection),
 * scanner hosts that spray failed connections (noisy flow statistics and
   star-shaped fan-out on legitimate hosts),
-* bots that keep a command channel alive: a star to their controller or a
-  random regular mesh among peers. A configurable fraction are "stealth"
-  bots whose command-channel cadence and payload sizes match quiet
-  background hosts, so only the communication structure gives them away.
+* bots that keep a command channel alive: a star to the one controller or a
+  random 4-regular mesh among peers. A quarter of them are "stealth" bots
+  whose command-channel cadence and payload sizes match quiet background
+  hosts, so only the communication structure gives them away.
 
 Traffic density is kept low on purpose: per-window communication graphs of
 real traces are fragmented into many small components, and the detection
@@ -25,10 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow_ingest import FlowRecord, Label, Proto
+from .pretrain import ARCH_C2, ARCH_P2P, ARCHITECTURES, MESH_DEGREE
 from .random_graphs import random_regular_edges
 
-ARCH_C2 = "c2"
-ARCH_P2P = "p2p"
+# Share of bots whose command channel runs at the stealth cadence, and the
+# mean seconds between beats of an ordinary and of a stealth channel.
+STEALTH_FRAC = 0.25
+HEARTBEAT_PERIOD = 12.0
+STEALTH_PERIOD = 45.0
+
+# The one controller of a centralized botnet.
+CONTROLLER_IP = "10.2.0.1"
 
 
 @dataclass
@@ -37,27 +44,21 @@ class FlowBenchSpec:
     n_background: int = 400
     n_bots: int = 16
     n_scanners: int = 4
-    n_controllers: int = 1
-    p2p_degree: int = 4
-    stealth_frac: float = 0.25
     duration: float = 120.0
     n_background_flows: int = 800
     scan_flows_per_host: int = 120
-    heartbeat_period: float = 12.0
-    stealth_period: float = 45.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.architecture not in (ARCH_C2, ARCH_P2P):
+        if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be c2 or p2p, got {self.architecture!r}")
         if self.n_background < 2 or self.n_bots < 1:
             raise ValueError("need at least 2 background hosts and 1 bot")
-        if not 0.0 <= self.stealth_frac <= 1.0:
-            raise ValueError("stealth_frac must be in [0, 1]")
-        if self.architecture == ARCH_P2P and not 1 <= self.p2p_degree < self.n_bots:
-            raise ValueError("mesh degree must be in [1, n_bots)")
-        if self.heartbeat_period <= 0 or self.stealth_period <= 0:
-            raise ValueError("periods must be positive")
+        if self.architecture == ARCH_P2P and self.n_bots <= MESH_DEGREE:
+            raise ValueError(
+                f"a {MESH_DEGREE}-regular mesh needs more than {MESH_DEGREE} bots, "
+                f"got {self.n_bots}"
+            )
 
 
 def _bg_ip(i: int) -> str:
@@ -66,10 +67,6 @@ def _bg_ip(i: int) -> str:
 
 def _bot_ip(i: int) -> str:
     return f"10.1.{i // 256}.{i % 256}"
-
-
-def _ctl_ip(i: int) -> str:
-    return f"10.2.0.{i + 1}"
 
 
 def _scan_ip(i: int) -> str:
@@ -127,8 +124,6 @@ def generate_flow_benchmark(spec: FlowBenchSpec) -> list[FlowRecord]:
     bg_hosts = [_bg_ip(i) for i in range(n_bg)]
     bots = [_bot_ip(i) for i in range(spec.n_bots)]
     scanners = [_scan_ip(i) for i in range(spec.n_scanners)]
-    n_ctl = spec.n_controllers if spec.architecture == ARCH_C2 else 0
-    controllers = [_ctl_ip(i) for i in range(n_ctl)]
 
     # Hub-weighted destination draw: a few background hosts see most traffic.
     hub_w = 1.0 / (np.arange(n_bg) + 1.0)
@@ -156,22 +151,22 @@ def generate_flow_benchmark(spec: FlowBenchSpec) -> list[FlowRecord]:
             ts = float(rng.uniform(0.0, spec.duration))
             records.append(_flow(rng, ts, scanner, dst, Label.LEGIT, success=False))
 
-    n_stealth = int(round(spec.stealth_frac * spec.n_bots))
+    n_stealth = int(round(STEALTH_FRAC * spec.n_bots))
     stealth = set(bots[:n_stealth])
 
     # Command-channel edges. An edge incident to a stealth bot runs at the
     # slow cadence with background-like payloads, so neither endpoint's flow
     # statistics stand out; the channel stays visible only structurally.
     if spec.architecture == ARCH_C2:
-        channel_edges = [(bots[i], controllers[i % n_ctl]) for i in range(spec.n_bots)]
+        channel_edges = [(bot, CONTROLLER_IP) for bot in bots]
     else:
         mesh_seed = int(mesh_rng.integers(0, 2**31 - 1))
-        mesh = random_regular_edges(spec.p2p_degree, spec.n_bots, mesh_seed)
+        mesh = random_regular_edges(MESH_DEGREE, spec.n_bots, mesh_seed)
         channel_edges = [(bots[u], bots[v]) for u, v in mesh.tolist()]
 
     for a, b in channel_edges:
         quiet = a in stealth or b in stealth
-        period = spec.stealth_period if quiet else spec.heartbeat_period
+        period = STEALTH_PERIOD if quiet else HEARTBEAT_PERIOD
         t = float(rng.uniform(0.0, period))
         beat = 0
         while t < spec.duration:

@@ -7,10 +7,12 @@ import pytest
 
 from botfuse import extra_trees
 from botfuse.cli import main
-from botfuse.flow_ingest import filter_tcp_udp, parse_flow_file, slice_windows
+from botfuse.comm_graph import save_graph
+from botfuse.flow_ingest import filter_tcp_udp, parse_flow_file, slice_windows, write_flows_csv
 from botfuse.fusion_pipeline import embed_window, normalize_embedding
 from botfuse.gcn_core import load_model
-from botfuse.pretrain import load_graph_dataset
+from botfuse.pretrain import default_pretrain_dataset, load_graph_dataset
+from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,29 @@ class TestSynth:
         loaded = load_graph_dataset(art["graphs"])
         assert len(loaded) == 4
         assert all(g.n == 37 for g in loaded)
+
+    def test_graphs_without_sizes_take_the_pretraining_defaults(self, tmp_path):
+        assert main(["synth", "--kind", "graphs", "--arch", "p2p", "--n-graphs", "2",
+                     "--seed", "5", "--out", str(tmp_path / "cli")]) == 0
+        for i, g in enumerate(default_pretrain_dataset("p2p", 2, 5)):
+            save_graph(g, tmp_path / "lib.json")
+            name = f"graph_p2p_{i:03d}.json"
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+    def test_flows_without_sizes_take_the_spec_defaults(self, tmp_path):
+        cli, lib = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        assert main(["synth", "--kind", "flows", "--arch", "p2p", "--duration", "30",
+                     "--seed", "5", "--out", str(cli)]) == 0
+        spec = FlowBenchSpec(architecture="p2p", duration=30.0, seed=5)
+        write_flows_csv(generate_flow_benchmark(spec), lib)
+        assert cli.read_bytes() == lib.read_bytes()
+
+    def test_help_names_the_defaults_of_both_kinds(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "default 400 for flows, 880 for graphs" in help_text
+        assert "default 16 for flows, 110 for graphs" in help_text
 
 
 class TestPretrain:
@@ -382,6 +407,24 @@ class TestErrors:
                    "--ensemble", str(bad), "--out", str(tmp_path / "v.jsonl")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan"])
+    def test_threshold_outside_unit_interval(self, art, tmp_path, capsys, command, threshold):
+        out = tmp_path / "out.json"
+        rc = main(self._flow_command(art, command, out) + ["--threshold", threshold])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: threshold must be in [0, 1], got {float(threshold)}")
+        assert not out.exists()
+
+    def test_p2p_flows_need_more_bots_than_the_mesh_degree(self, tmp_path, capsys):
+        out = tmp_path / "flows.csv"
+        rc = main(["synth", "--kind", "flows", "--arch", "p2p", "--n-bots", "4",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_invalid_window_params(self, art, capsys):
         rc = main(["features", "--flows", str(art["flows"]), "--window-len", "0"])

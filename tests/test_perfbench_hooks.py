@@ -89,3 +89,23 @@ def test_window_and_feature_hooks_count_on_a_real_trace(monkeypatch):
     assert tracing._features(None, (windows[0],), {}, feats) == {
         "flow_features.node_windows": 3
     }
+
+
+def test_every_workload_builds_its_spec_and_parses_its_calls(monkeypatch, tmp_path):
+    # Nothing runs: a renamed spec field or CLI flag fails here instead of
+    # only in the benchmark's own suite.
+    from botfuse.cli import build_parser
+    from botfuse.synth_flows import FlowBenchSpec
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    parser, _ = build_parser()
+    argvs = []
+    for w in workloads.WORKLOADS.values():
+        for scale in workloads.SCALES.values():
+            FlowBenchSpec(architecture=w.arch, seed=0, **workloads.spec_fields(w.trace, scale))
+            setup, timed = workloads.cli_calls(w, scale, tmp_path)
+            argvs += setup + timed
+    assert argvs
+    for argv in argvs:
+        parser.parse_args(argv)
