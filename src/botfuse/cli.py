@@ -16,13 +16,20 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import extra_trees, metrics as metrics_mod, pretrain as pretrain_mod, synth_flows
+from . import extra_trees, flow_ingest, synth_flows
+from . import metrics as metrics_mod, pretrain as pretrain_mod
 from .comm_graph import save_graph
 from .flow_ingest import filter_tcp_udp, parse_flow_file, slice_windows, write_flows_csv
 from .flow_features import FEATURE_NAMES, extract_node_features
-from .fusion_pipeline import PipelineConfig, detect, pool_labeled_rows, train_detector
+from .fusion_pipeline import (
+    PipelineConfig,
+    check_threshold,
+    detect,
+    pool_labeled_rows,
+    train_detector,
+)
 from .gcn_core import load_model, save_model
-from .pretrain import ARCH_DEPTH, ARCHITECTURES, TrainConfig
+from .pretrain import ARCH_C2, ARCH_DEPTH, ARCHITECTURES, DEFAULT_N_GRAPHS, TrainConfig
 
 
 def _load_config_file(path: str) -> dict:
@@ -100,11 +107,11 @@ def cmd_synth(args) -> int:
     sizes = dict(n_background=args.n_background, n_bots=args.n_bots)
     sizes = {name: value for name, value in sizes.items() if value is not None}
     if args.kind == "graphs":
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         graphs = pretrain_mod.default_pretrain_dataset(
             args.arch, n_graphs=args.n_graphs, seed=args.seed, **sizes
         )
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for i, g in enumerate(graphs):
             save_graph(g, out_dir / f"graph_{args.arch}_{i:03d}.json")
         print(f"wrote {args.n_graphs} graphs to {out_dir}")
@@ -128,8 +135,6 @@ def _pretrain_dataset(args) -> list:
 
 
 def cmd_pretrain(args) -> int:
-    dataset = _pretrain_dataset(args)
-    depth = args.depth if args.depth is not None else ARCH_DEPTH[args.arch]
     config = TrainConfig(
         lr=args.lr,
         max_epochs=args.max_epochs,
@@ -137,6 +142,8 @@ def cmd_pretrain(args) -> int:
         val_fraction=args.val_fraction,
         seed=args.seed,
     )
+    dataset = _pretrain_dataset(args)
+    depth = args.depth if args.depth is not None else ARCH_DEPTH[args.arch]
     report: list = []
     model = pretrain_mod.pretrain_gcn(dataset, depth, config, report=report)
     save_model(model, args.out)
@@ -228,11 +235,11 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     depths = [int(d) for d in args.depths.split(",") if d.strip()]
-    dataset = _pretrain_dataset(args)
-    windows = _load_windows(args)
     config = TrainConfig(
         max_epochs=args.max_epochs, patience=args.patience, seed=args.seed
     )
+    dataset = _pretrain_dataset(args)
+    windows = _load_windows(args)
     rows = metrics_mod.depth_sweep(
         args.arch,
         depths,
@@ -267,8 +274,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     s = sub("synth", help="generate synthetic graphs or a labeled flow benchmark")
     s.add_argument("--kind", choices=["graphs", "flows"], default="flows")
-    s.add_argument("--arch", choices=ARCHITECTURES, default="c2")
-    s.add_argument("--n-graphs", type=int, default=6)
+    s.add_argument("--arch", choices=ARCHITECTURES, default=ARCH_C2)
+    s.add_argument("--n-graphs", type=int, default=DEFAULT_N_GRAPHS)
     flow_spec = synth_flows.FlowBenchSpec
     s.add_argument("--n-background", type=int, default=None,
                    help=f"default {flow_spec.n_background} for flows, "
@@ -281,23 +288,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.set_defaults(func=cmd_synth)
 
     s = sub("pretrain", help="train the graph network on labeled graphs and freeze it")
-    s.add_argument("--arch", choices=ARCHITECTURES, default="c2")
-    s.add_argument("--depth", type=int, default=None, help="defaults to 12 (c2) / 24 (p2p)")
+    s.add_argument("--arch", choices=ARCHITECTURES, default=ARCH_C2)
+    depths = " / ".join(f"{depth} ({arch})" for arch, depth in ARCH_DEPTH.items())
+    s.add_argument("--depth", type=int, default=None, help=f"defaults to {depths}")
     s.add_argument("--data", default="synth", help="'synth' or a graph file/directory")
-    s.add_argument("--n-graphs", type=int, default=6, help="graph count when --data synth")
-    s.add_argument("--lr", type=float, default=0.003)
-    s.add_argument("--max-epochs", type=int, default=500)
-    s.add_argument("--patience", type=int, default=10)
-    s.add_argument("--val-fraction", type=float, default=0.2)
+    s.add_argument("--n-graphs", type=int, default=DEFAULT_N_GRAPHS,
+                   help="graph count when --data synth")
+    s.add_argument("--lr", type=float, default=TrainConfig.lr)
+    s.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    s.add_argument("--patience", type=int, default=TrainConfig.patience)
+    s.add_argument("--val-fraction", type=float, default=TrainConfig.val_fraction)
     s.add_argument("--report", help="write per-epoch JSON lines here")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_pretrain)
 
     def add_flow_args(s: argparse.ArgumentParser) -> None:
         s.add_argument("--flows", required=True)
-        s.add_argument("--format", default="canonical", help="canonical or binetflow")
-        s.add_argument("--window-len", type=float, default=60.0)
-        s.add_argument("--stride", type=float, default=10.0)
+        s.add_argument("--format", default=flow_ingest.DEFAULT_FORMAT,
+                       help="canonical or binetflow")
+        s.add_argument("--window-len", type=float, default=flow_ingest.DEFAULT_WINDOW_LEN)
+        s.add_argument("--stride", type=float, default=flow_ingest.DEFAULT_STRIDE)
 
     s = sub("features", help="emit per-window per-node flow features as JSON lines")
     add_flow_args(s)
@@ -307,8 +317,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s = sub("train", help="fit the tree ensemble on labeled flows")
     add_flow_args(s)
     s.add_argument("--model", required=True)
-    s.add_argument("--norm-mode", choices=extra_trees.NORM_MODES, default="per_vector")
-    s.add_argument("--n-trees", type=int, default=100)
+    s.add_argument("--norm-mode", choices=extra_trees.NORM_MODES,
+                   default=extra_trees.DEFAULT_NORM_MODE)
+    s.add_argument("--n-trees", type=int, default=extra_trees.DEFAULT_N_TREES)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_train)
 
@@ -316,10 +327,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     add_flow_args(s)
     s.add_argument("--model", required=True)
     s.add_argument("--ensemble", required=True)
-    s.add_argument("--arch", choices=ARCHITECTURES, default="c2",
+    s.add_argument("--arch", choices=ARCHITECTURES, default=ARCH_C2,
                    help="only sets the report's \"architecture\" field; "
                         "not checked against the model")
-    s.add_argument("--threshold", type=float, default=0.5)
+    s.add_argument("--threshold", type=float, default=extra_trees.DEFAULT_THRESHOLD)
     s.add_argument("--no-timings", action="store_true",
                    help="omit timing fields for byte-stable output")
     s.add_argument("--out", default=None)
@@ -328,24 +339,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s = sub("eval", help="stratified k-fold cross-validation on labeled flows")
     add_flow_args(s)
     s.add_argument("--model", required=True)
-    s.add_argument("--k", type=int, default=10)
-    s.add_argument("--n-trees", type=int, default=100)
-    s.add_argument("--norm-mode", choices=extra_trees.NORM_MODES, default="per_vector")
-    s.add_argument("--threshold", type=float, default=0.5)
+    s.add_argument("--k", type=int, default=metrics_mod.DEFAULT_K)
+    s.add_argument("--n-trees", type=int, default=extra_trees.DEFAULT_N_TREES)
+    s.add_argument("--norm-mode", choices=extra_trees.NORM_MODES,
+                   default=extra_trees.DEFAULT_NORM_MODE)
+    s.add_argument("--threshold", type=float, default=extra_trees.DEFAULT_THRESHOLD)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_eval)
 
     s = sub("sweep", help="pretrain and cross-validate across candidate depths")
     add_flow_args(s)
-    s.add_argument("--arch", choices=ARCHITECTURES, default="c2")
+    s.add_argument("--arch", choices=ARCHITECTURES, default=ARCH_C2)
     s.add_argument("--depths", default="10,12,14,16")
     s.add_argument("--data", default="synth")
-    s.add_argument("--n-graphs", type=int, default=6)
-    s.add_argument("--max-epochs", type=int, default=500)
-    s.add_argument("--patience", type=int, default=10)
-    s.add_argument("--k", type=int, default=10)
-    s.add_argument("--n-trees", type=int, default=100)
-    s.add_argument("--norm-mode", choices=extra_trees.NORM_MODES, default="per_vector")
+    s.add_argument("--n-graphs", type=int, default=DEFAULT_N_GRAPHS)
+    s.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    s.add_argument("--patience", type=int, default=TrainConfig.patience)
+    s.add_argument("--k", type=int, default=metrics_mod.DEFAULT_K)
+    s.add_argument("--n-trees", type=int, default=extra_trees.DEFAULT_N_TREES)
+    s.add_argument("--norm-mode", choices=extra_trees.NORM_MODES,
+                   default=extra_trees.DEFAULT_NORM_MODE)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_sweep)
 
@@ -363,6 +376,8 @@ def main(argv=None) -> int:
             for path in (args.out, getattr(args, "report", None)):
                 if path is not None:
                     _check_output_path(path)
+        if "threshold" in vars(args):
+            check_threshold(args.threshold)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

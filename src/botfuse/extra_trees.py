@@ -24,6 +24,8 @@ DEFAULT_N_TREES = 100
 DEFAULT_MIN_SAMPLES_SPLIT = 2
 DEFAULT_NORM_MODE = "per_vector"
 NORM_MODES = (DEFAULT_NORM_MODE, "per_dimension")
+# Bot probability at or above which a row is flagged.
+DEFAULT_THRESHOLD = 0.5
 
 _LEAF = -1
 
@@ -355,7 +357,9 @@ def predict_proba(ensemble: TreeEnsemble, X: np.ndarray) -> np.ndarray:
     return np.add.reduce(leaf_values, axis=0) / ensemble.n_trees
 
 
-def predict(ensemble: TreeEnsemble, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+def predict(
+    ensemble: TreeEnsemble, X: np.ndarray, threshold: float = DEFAULT_THRESHOLD
+) -> np.ndarray:
     return (predict_proba(ensemble, X) >= threshold).astype(np.int64)
 
 

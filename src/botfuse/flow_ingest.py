@@ -16,6 +16,7 @@ import numpy as np
 
 DEFAULT_WINDOW_LEN = 60.0
 DEFAULT_STRIDE = 10.0
+DEFAULT_FORMAT = "canonical"
 
 CANONICAL_COLUMNS = (
     "ts_start",
@@ -295,7 +296,7 @@ _ROW_PARSERS = {
 }
 
 
-def parse_flow_file(path: str | Path, format_descriptor: str = "canonical") -> ParseResult:
+def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -> ParseResult:
     """Parse a flow-record file into FlowRecords.
 
     Two column mappings are supported: ``canonical`` (CSV columns
@@ -396,8 +397,9 @@ def slice_windows(
     contain no flows are omitted. The flows are encoded once, in time order,
     and each window's table is a view of its rows.
     """
-    if window_len <= 0 or stride <= 0:
-        raise ValueError(f"window_len and stride must be positive, got {window_len}/{stride}")
+    for name, value in (("window_len", window_len), ("stride", stride)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     if stride > window_len:
         raise ValueError(f"stride {stride} exceeds window length {window_len}")
     if not records:

@@ -13,15 +13,11 @@ import numpy as np
 
 from . import extra_trees
 from .comm_graph import LABEL_BOT, LABEL_LEGIT, CommGraph, build_graph, propagation_matrix
-from .extra_trees import NORM_MODES, TreeEnsemble
-from .flow_features import extract_node_features
+from .extra_trees import DEFAULT_NORM_MODE, DEFAULT_THRESHOLD, NORM_MODES, TreeEnsemble
+from .flow_features import FEATURE_DIM, extract_node_features
 from .flow_ingest import Label, WindowSlice, derive_node_labels
 from .gcn_core import GcnModel, forward
-from .pretrain import ARCHITECTURES
-
-DEFAULT_THRESHOLD = 0.5
-
-NORM_PER_VECTOR, NORM_PER_DIMENSION = NORM_MODES
+from .pretrain import ARCH_C2, ARCHITECTURES
 
 VARIANT_FUSED = "fused"
 VARIANT_TOPOLOGY = "topology_only"
@@ -37,7 +33,7 @@ def check_threshold(threshold: float) -> None:
 
 @dataclass
 class PipelineConfig:
-    architecture: str = "c2"
+    architecture: str = ARCH_C2
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -130,7 +126,7 @@ def normalize_fused(v: np.ndarray) -> np.ndarray:
     return normalize_embedding(v.reshape(1, -1)).reshape(v.shape)
 
 
-def normalize_embedding(M: np.ndarray, mode: str = NORM_PER_VECTOR) -> np.ndarray:
+def normalize_embedding(M: np.ndarray, mode: str = DEFAULT_NORM_MODE) -> np.ndarray:
     """Min-max rescale of a node-embedding matrix onto [0, 100].
 
     per_vector rescales each node's vector (row) by its own min and max;
@@ -145,7 +141,7 @@ def normalize_embedding(M: np.ndarray, mode: str = NORM_PER_VECTOR) -> np.ndarra
         raise ValueError(f"unknown normalization mode {mode!r}")
     if not np.isfinite(M).all():
         raise ValueError("non-finite values in feature vector")
-    axis = 1 if mode == NORM_PER_VECTOR else 0
+    axis = 1 if mode == "per_vector" else 0
     lo = M.min(axis=axis, keepdims=True)
     span = M.max(axis=axis, keepdims=True) - lo
     # A constant slice has M - lo == 0, so any nonzero divisor keeps it zero.
@@ -190,7 +186,7 @@ def pool_labeled_rows(
     windows: list[WindowSlice],
     model: GcnModel,
     node_labels: dict[str, Label] | None = None,
-    norm_mode: str = NORM_PER_VECTOR,
+    norm_mode: str = DEFAULT_NORM_MODE,
     variant: str = VARIANT_FUSED,
 ):
     """Normalized per-node rows pooled across windows, labeled 1 = bot.
@@ -219,7 +215,7 @@ def train_detector(
     windows: list[WindowSlice],
     model: GcnModel,
     node_labels: dict[str, Label] | None = None,
-    norm_mode: str = NORM_PER_VECTOR,
+    norm_mode: str = DEFAULT_NORM_MODE,
     n_trees: int = extra_trees.DEFAULT_N_TREES,
     seed: int = 0,
 ) -> TreeEnsemble:
@@ -250,8 +246,10 @@ def detect(
     config = config or PipelineConfig()
     if not windows:
         raise ValueError("no windows to detect on")
-    if model.input_dim != 5:
-        raise ValueError(f"model expects {model.input_dim}-dim input, pipeline produces 5")
+    if model.input_dim != FEATURE_DIM:
+        raise ValueError(
+            f"model expects {model.input_dim}-dim input, pipeline produces {FEATURE_DIM}"
+        )
     if ensemble.n_features != model.hidden_dim:
         raise ValueError(
             f"ensemble expects {ensemble.n_features} features, "

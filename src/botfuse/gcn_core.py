@@ -3,8 +3,8 @@ gradients of the masked cross-entropy objective, and a versioned binary
 model format.
 
 Each layer computes Z = P @ X @ W with the symmetric normalized propagation
-matrix P, then merges the pre-activation with its ReLU by addition
-(Z + relu(Z), the default residual wiring). The final hidden activations are
+matrix P, then merges the pre-activation with its ReLU by addition:
+Z + relu(Z), the stack's one layer wiring. The final hidden activations are
 the fused per-node features; a small linear head on top is used only while
 training on labeled graphs.
 """
@@ -17,13 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_INPUT_DIM = 5
+from .flow_features import FEATURE_DIM
+
 DEFAULT_HIDDEN_DIM = 32
 N_CLASSES = 2
 
+# The name of the one layer wiring. It survives only as the
+# `GcnModel.residual_mode` field and the `residual_mode` parameter of
+# `gcn_layer_forward`, which the benchmark's layer replay still passes;
+# ROADMAP item 1 removes both.
 RESIDUAL_Z_PLUS_RELU = "z_plus_relu"
-RESIDUAL_X_PLUS_RELU = "x_plus_relu"
-RESIDUAL_MODES = (RESIDUAL_Z_PLUS_RELU, RESIDUAL_X_PLUS_RELU)
 
 # Z + relu(Z) doubles positive activations; for zero-mean pre-activations the
 # layer gain is E[(z + relu(z))^2] / E[z^2] = 2.5, so initial weights are
@@ -68,19 +71,16 @@ class GcnGradients:
 
 def init_gcn(
     depth: int,
-    input_dim: int = DEFAULT_INPUT_DIM,
+    input_dim: int = FEATURE_DIM,
     hidden_dim: int = DEFAULT_HIDDEN_DIM,
     seed: int = 0,
-    residual_mode: str = RESIDUAL_Z_PLUS_RELU,
 ) -> GcnModel:
     """Seeded uniform Glorot-style initialization of a depth-layer model."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if residual_mode not in RESIDUAL_MODES:
-        raise ValueError(f"unknown residual mode {residual_mode!r}")
 
     rng = np.random.default_rng(seed)
-    comp = 1.0 / np.sqrt(_MERGED_SUM_GAIN) if residual_mode == RESIDUAL_Z_PLUS_RELU else 1.0
+    comp = 1.0 / np.sqrt(_MERGED_SUM_GAIN)
 
     def glorot(fan_in: int, fan_out: int, scale: float = 1.0) -> np.ndarray:
         limit = scale * np.sqrt(6.0 / (fan_in + fan_out))
@@ -97,7 +97,6 @@ def init_gcn(
         weights=weights,
         head_weight=head_weight,
         head_bias=head_bias,
-        residual_mode=residual_mode,
     )
 
 
@@ -124,19 +123,16 @@ def gcn_layer_forward(
 ) -> np.ndarray:
     """One graph-convolution layer with the merged-sum residual.
 
-    Computes Z = P @ X @ W and returns Z + relu(Z). The alternative
-    ``x_plus_relu`` wiring returns X + relu(Z) when the input and output
-    widths match (plain relu(Z) otherwise). The result is written into
-    ``out`` when given, with the same bits.
+    Computes Z = P @ X @ W and returns Z + relu(Z), the stack's one wiring;
+    ``residual_mode`` must name it. The result is written into ``out`` when
+    given, with the same bits.
     """
+    if residual_mode != RESIDUAL_Z_PLUS_RELU:
+        raise ValueError(f"unknown residual mode {residual_mode!r}")
     _check_operands(P, X, W)
     Z = P @ (X @ W)
     act = np.maximum(Z, 0.0, out=out)
-    if residual_mode == RESIDUAL_Z_PLUS_RELU:
-        return np.add(Z, act, out=act)
-    if residual_mode == RESIDUAL_X_PLUS_RELU:
-        return np.add(X, act, out=act) if X.shape == Z.shape else act
-    raise ValueError(f"unknown residual mode {residual_mode!r}")
+    return np.add(Z, act, out=act)
 
 
 def make_workspace(model: GcnModel, n: int) -> list[np.ndarray]:
@@ -173,7 +169,7 @@ def _stack(model: GcnModel, P, X0: np.ndarray, outs) -> np.ndarray:
     (a new array where that is None)."""
     X = X0
     for W, out in zip(model.weights, outs):
-        X = gcn_layer_forward(P, X, W, model.residual_mode, out=out)
+        X = gcn_layer_forward(P, X, W, out=out)
     return X
 
 
@@ -260,26 +256,18 @@ def backward(
     d_head_b = dlogits.sum(axis=0)
     dX = dlogits @ model.head_weight.T
 
-    # dZ = dX * relu-merge derivative, written into the spare slot: 1 + (Z > 0)
-    # for z_plus_relu, where Z + relu(Z) > 0 exactly where Z > 0, so the
-    # stored output gives the sign; (Z > 0) for x_plus_relu, whose output
-    # does not, so Z is computed again.
+    # dZ = dX * relu-merge derivative 1 + (Z > 0), written into the spare
+    # slot. Z + relu(Z) > 0 exactly where Z > 0, so the stored output gives
+    # the sign.
     dZ = work[-1]
     d_weights: list[np.ndarray] = [np.empty(0)] * model.depth
     for k in range(model.depth - 1, -1, -1):
-        if model.residual_mode == RESIDUAL_Z_PLUS_RELU:
-            np.greater(acts[k + 1], 0.0, out=dZ)
-            dZ += 1.0
-            carry = None
-        else:
-            np.greater(P @ (acts[k] @ model.weights[k]), 0.0, out=dZ)
-            carry = dX if acts[k].shape == acts[k + 1].shape else None
+        np.greater(acts[k + 1], 0.0, out=dZ)
+        dZ += 1.0
         np.multiply(dX, dZ, out=dZ)
         S = P @ dZ
         d_weights[k] = acts[k].T @ S
         dX = S @ model.weights[k].T
-        if carry is not None:
-            dX = dX + carry
 
     return loss, GcnGradients(weights=d_weights, head_weight=d_head_w, head_bias=d_head_b)
 
@@ -287,7 +275,7 @@ def backward(
 _MAGIC = b"BFGC"
 _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHHHHBBBB")
-_RESIDUAL_CODES = {RESIDUAL_Z_PLUS_RELU: 0, RESIDUAL_X_PLUS_RELU: 1}
+_RESIDUAL_CODES = {RESIDUAL_Z_PLUS_RELU: 0}
 _RESIDUAL_NAMES = {v: k for k, v in _RESIDUAL_CODES.items()}
 
 
@@ -337,8 +325,10 @@ def deserialize_model(data: bytes) -> GcnModel:
         raise ModelFormatError("corrupt payload: bad magic")
     if version != _FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version}")
-    if n_classes != N_CLASSES or res_code not in _RESIDUAL_NAMES:
+    if n_classes != N_CLASSES:
         raise ModelFormatError("corrupt payload: invalid header fields")
+    if res_code not in _RESIDUAL_NAMES:
+        raise ModelFormatError(f"unsupported residual code {res_code}")
 
     shapes = _weight_shapes(depth, input_dim, hidden_dim)
     expected = _HEADER.size + sum(int(np.prod(s)) * 8 for s in shapes)

@@ -7,10 +7,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import extra_trees
+from .extra_trees import DEFAULT_THRESHOLD
 from .fusion_pipeline import check_threshold, pool_labeled_rows
 from .pretrain import TrainConfig, pretrain_gcn
 
 METRIC_FIELDS = ("accuracy", "precision", "recall", "fpr", "f1", "roc_auc")
+
+# Cross-validation fold count.
+DEFAULT_K = 10
 
 
 @dataclass
@@ -64,7 +68,7 @@ def rank_auc(y_true: np.ndarray, y_prob: np.ndarray) -> float | None:
 def compute_metrics(
     y_true: np.ndarray,
     y_prob: np.ndarray,
-    threshold: float = 0.5,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> MetricSet:
     """Confusion-count metrics at the threshold plus the rank-statistic AUC."""
     y_true = np.asarray(y_true).astype(np.int64)
@@ -141,10 +145,10 @@ def summarize_folds(fold_metrics: list[MetricSet]) -> dict:
 def kfold_cv(
     X: np.ndarray,
     y: np.ndarray,
-    k: int = 10,
+    k: int = DEFAULT_K,
     seed: int = 0,
     n_trees: int = extra_trees.DEFAULT_N_TREES,
-    threshold: float = 0.5,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[list[MetricSet], dict]:
     """Stratified k-fold: fit the ensemble on k-1 folds, score the held-out one.
 
@@ -180,10 +184,10 @@ def depth_sweep(
     windows,
     node_labels=None,
     train_config: TrainConfig | None = None,
-    k: int = 10,
+    k: int = DEFAULT_K,
     seed: int = 0,
     n_trees: int = extra_trees.DEFAULT_N_TREES,
-    norm_mode: str = "per_vector",
+    norm_mode: str = extra_trees.DEFAULT_NORM_MODE,
 ) -> list[dict]:
     """Pretrain, freeze, embed, and cross-validate once per candidate depth."""
     if not depths:

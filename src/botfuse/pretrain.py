@@ -23,7 +23,7 @@ from .comm_graph import (
     propagation_matrix,
 )
 from .flow_features import FEATURE_DIM
-from .gcn_core import GcnModel, backward, forward, init_gcn, make_workspace
+from .gcn_core import DEFAULT_HIDDEN_DIM, GcnModel, backward, forward, init_gcn, make_workspace
 from .random_graphs import gnp_edges, random_regular_edges
 
 ARCH_C2 = "c2"
@@ -41,6 +41,7 @@ MESH_DEGREE = 4
 # Desk-scale graph size: ~1000 nodes with a clearly identifiable overlay.
 DEFAULT_N_BACKGROUND = 880
 DEFAULT_N_BOTS = 110
+DEFAULT_N_GRAPHS = 6
 
 # Adam moment decay rates and denominator guard.
 ADAM_BETA1 = 0.9
@@ -54,16 +55,26 @@ class TrainConfig:
     max_epochs: int = 500
     patience: int = 10
     val_fraction: float = 0.2
-    hidden_dim: int = 32
+    hidden_dim: int = DEFAULT_HIDDEN_DIM
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+
+
+def check_mesh_bots(n_bots: int) -> None:
+    """Refuse a peer-to-peer botnet too small for its MESH_DEGREE-regular mesh."""
+    if n_bots <= MESH_DEGREE:
+        raise ValueError(
+            f"a {MESH_DEGREE}-regular mesh needs more than {MESH_DEGREE} bots, got {n_bots}"
+        )
 
 
 def generate_synthetic_graph(
@@ -89,6 +100,8 @@ def generate_synthetic_graph(
         raise ValueError(f"architecture must be one of {ARCHITECTURES}")
     if n_background < 1 or n_bots < 1:
         raise ValueError("node counts must be positive")
+    if arch == ARCH_P2P:
+        check_mesh_bots(n_bots)
     ss = np.random.SeedSequence(seed)
     bg_seed, mesh_seed, attach_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
 
@@ -139,7 +152,7 @@ def generate_synthetic_graph(
 
 def default_pretrain_dataset(
     arch: str,
-    n_graphs: int = 6,
+    n_graphs: int = DEFAULT_N_GRAPHS,
     seed: int = 0,
     n_background: int = DEFAULT_N_BACKGROUND,
     n_bots: int = DEFAULT_N_BOTS,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow_ingest import FlowRecord, Label, Proto
-from .pretrain import ARCH_C2, ARCH_P2P, ARCHITECTURES, MESH_DEGREE
+from .pretrain import ARCH_C2, ARCH_P2P, ARCHITECTURES, MESH_DEGREE, check_mesh_bots
 from .random_graphs import random_regular_edges
 
 # Share of bots whose command channel runs at the stealth cadence, and the
@@ -54,11 +54,10 @@ class FlowBenchSpec:
             raise ValueError(f"architecture must be c2 or p2p, got {self.architecture!r}")
         if self.n_background < 2 or self.n_bots < 1:
             raise ValueError("need at least 2 background hosts and 1 bot")
-        if self.architecture == ARCH_P2P and self.n_bots <= MESH_DEGREE:
-            raise ValueError(
-                f"a {MESH_DEGREE}-regular mesh needs more than {MESH_DEGREE} bots, "
-                f"got {self.n_bots}"
-            )
+        if self.architecture == ARCH_P2P:
+            check_mesh_bots(self.n_bots)
+        if not 0.0 < self.duration < np.inf:
+            raise ValueError(f"duration must be finite and > 0, got {self.duration}")
 
 
 def _bg_ip(i: int) -> str:

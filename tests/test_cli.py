@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from botfuse import extra_trees
-from botfuse.cli import main
+from botfuse.cli import build_parser, main
 from botfuse.comm_graph import save_graph
 from botfuse.flow_ingest import filter_tcp_udp, parse_flow_file, slice_windows, write_flows_csv
 from botfuse.fusion_pipeline import embed_window, normalize_embedding
@@ -72,6 +72,15 @@ class TestSynth:
         spec = FlowBenchSpec(architecture="p2p", duration=30.0, seed=5)
         write_flows_csv(generate_flow_benchmark(spec), lib)
         assert cli.read_bytes() == lib.read_bytes()
+
+    @pytest.mark.parametrize("duration", ["0", "-5", "nan", "inf"])
+    def test_refuses_a_duration_that_is_not_finite_and_positive(self, tmp_path, capsys,
+                                                               duration):
+        out = tmp_path / "flows.csv"
+        assert main(["synth", "--kind", "flows", "--duration", duration,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: duration must be finite and > 0")
+        assert not out.exists()
 
     def test_help_names_the_defaults_of_both_kinds(self, capsys):
         with pytest.raises(SystemExit):
@@ -237,6 +246,51 @@ class TestSweep:
         assert table.split("\n")[0].split()[:2] == ["arch", "depth"]
         rows = json.loads(out.read_text())
         assert [r["depth"] for r in rows] == [2, 3]
+
+
+# What each subcommand parses from its required flags alone: every default
+# the CLI reads from the library, written out.
+_PARSED_DEFAULTS = {
+    "synth": (["--out", "o"], {
+        "kind": "flows", "arch": "c2", "n_graphs": 6, "n_background": None,
+        "n_bots": None, "duration": 120.0, "out": "o",
+    }),
+    "pretrain": (["--out", "o"], {
+        "arch": "c2", "depth": None, "data": "synth", "n_graphs": 6, "lr": 0.003,
+        "max_epochs": 500, "patience": 10, "val_fraction": 0.2, "report": None, "out": "o",
+    }),
+    "features": (["--flows", "f"], {
+        "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0, "out": None,
+    }),
+    "train": (["--flows", "f", "--model", "m", "--out", "o"], {
+        "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0,
+        "model": "m", "norm_mode": "per_vector", "n_trees": 100, "out": "o",
+    }),
+    "detect": (["--flows", "f", "--model", "m", "--ensemble", "e"], {
+        "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0,
+        "model": "m", "ensemble": "e", "arch": "c2", "threshold": 0.5,
+        "no_timings": False, "out": None,
+    }),
+    "eval": (["--flows", "f", "--model", "m"], {
+        "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0,
+        "model": "m", "k": 10, "n_trees": 100, "norm_mode": "per_vector",
+        "threshold": 0.5, "out": None,
+    }),
+    "sweep": (["--flows", "f"], {
+        "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0,
+        "arch": "c2", "depths": "10,12,14,16", "data": "synth", "n_graphs": 6,
+        "max_epochs": 500, "patience": 10, "k": 10, "n_trees": 100,
+        "norm_mode": "per_vector", "out": None,
+    }),
+}
+
+
+@pytest.mark.parametrize("command", list(_PARSED_DEFAULTS))
+def test_parsed_defaults(command):
+    required, expect = _PARSED_DEFAULTS[command]
+    parsed = vars(build_parser()[0].parse_args([command, *required]))
+    assert parsed.pop("func").__name__ == f"cmd_{command}"
+    assert parsed == {"command": command, "seed": 0, "config": None, **expect}
 
 
 class TestConfigFile:
@@ -410,7 +464,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["detect", "eval"])
     @pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan"])
-    def test_threshold_outside_unit_interval(self, art, tmp_path, capsys, command, threshold):
+    def test_threshold_outside_unit_interval(self, art, tmp_path, capsys, monkeypatch, command,
+                                             threshold):
+        self._forbid_parsing(monkeypatch)
         out = tmp_path / "out.json"
         rc = main(self._flow_command(art, command, out) + ["--threshold", threshold])
         assert rc == 1
@@ -426,7 +482,46 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
-    def test_invalid_window_params(self, art, capsys):
-        rc = main(["features", "--flows", str(art["flows"]), "--window-len", "0"])
+    def test_p2p_graphs_need_more_bots_than_the_mesh_degree(self, tmp_path, capsys):
+        out = tmp_path / "graphs"
+        rc = main(["synth", "--kind", "graphs", "--arch", "p2p", "--n-bots", "4",
+                   "--out", str(out)])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: a 4-regular mesh needs more than 4 bots, got 4")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+    def test_pretrain_refuses_lr_before_any_graph(self, tmp_path, capsys, monkeypatch, lr):
+        def graphs(*args, **kwargs):
+            raise AssertionError("graphs were made before --lr was checked")
+
+        monkeypatch.setattr("botfuse.pretrain.default_pretrain_dataset", graphs)
+        out = tmp_path / "model.bin"
+        assert main(["pretrain", "--lr", lr, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: lr must be finite and > 0")
+        assert not out.exists()
+
+    def test_detect_refuses_a_model_with_residual_code_1(self, art, tmp_path, capsys):
+        import struct
+        import zlib
+
+        # Header byte 15 is the residual code; 0 is the one wiring.
+        data = art["model"].read_bytes()
+        assert data[15] == 0
+        body = data[:15] + b"\x01" + data[16:-4]
+        model = tmp_path / "x_plus_relu.bin"
+        model.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc = main(["detect", "--flows", str(art["flows"]), "--model", str(model),
+                   "--ensemble", str(art["ens"]), "--out", str(tmp_path / "v.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: unsupported residual code 1")
+        assert not (tmp_path / "v.jsonl").exists()
+
+    def test_invalid_window_params(self, art, capsys):
+        for flag, value in [("--window-len", "0"), ("--window-len", "inf"),
+                            ("--window-len", "nan"), ("--stride", "nan")]:
+            rc = main(["features", "--flows", str(art["flows"]), flag, value])
+            assert rc == 1
+            name = flag[2:].replace("-", "_")
+            assert capsys.readouterr().err.startswith(f"error: {name} must be finite and > 0")

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from botfuse.flow_features import FEATURE_DIM
 from botfuse.gcn_core import (
     DEFAULT_HIDDEN_DIM,
-    DEFAULT_INPUT_DIM,
-    RESIDUAL_MODES,
-    RESIDUAL_X_PLUS_RELU,
     RESIDUAL_Z_PLUS_RELU,
     FrozenModelError,
     GcnModel,
@@ -69,7 +67,7 @@ class TestInit:
     def test_weight_shapes_chain(self):
         m = init_gcn(depth=4)
         assert len(m.weights) == 4
-        assert m.weights[0].shape == (DEFAULT_INPUT_DIM, DEFAULT_HIDDEN_DIM)
+        assert m.weights[0].shape == (FEATURE_DIM, DEFAULT_HIDDEN_DIM)
         for w in m.weights[1:]:
             assert w.shape == (DEFAULT_HIDDEN_DIM, DEFAULT_HIDDEN_DIM)
         assert m.head_weight.shape == (DEFAULT_HIDDEN_DIM, 2)
@@ -85,8 +83,6 @@ class TestInit:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             init_gcn(0)
-        with pytest.raises(ValueError):
-            init_gcn(2, residual_mode="bogus")
 
 
 class TestLayerForward:
@@ -124,18 +120,11 @@ class TestLayerForward:
         Z = P @ (X @ W)
         assert np.array_equal(gcn_layer_forward(P, X, W), 2.0 * Z)
 
-    def test_x_plus_relu_mode(self):
-        rng = np.random.default_rng(3)
-        P = _random_p(rng, 6)
-        X = rng.standard_normal((6, 6))
-        W = rng.standard_normal((6, 6))
-        Z = P @ (X @ W)
-        got = gcn_layer_forward(P, X, W, residual_mode=RESIDUAL_X_PLUS_RELU)
-        assert np.allclose(got, X + np.maximum(Z, 0.0))
-        # Width change means no identity path to add.
-        W2 = rng.standard_normal((6, 4))
-        got2 = gcn_layer_forward(P, X, W2, residual_mode=RESIDUAL_X_PLUS_RELU)
-        assert np.allclose(got2, np.maximum(P @ (X @ W2), 0.0))
+    def test_refuses_any_other_residual_mode(self):
+        P, X, W = np.eye(3), np.ones((3, 5)), np.ones((5, 2))
+        for mode in ("x_plus_relu", "bogus"):
+            with pytest.raises(ValueError, match="unknown residual mode"):
+                gcn_layer_forward(P, X, W, mode)
 
     def test_operand_validation(self):
         P = np.eye(3)
@@ -281,14 +270,6 @@ class TestBackward:
             backward(m, np.eye(3), np.ones((3, 5)), np.zeros(3, dtype=int),
                      np.ones(3, dtype=bool))
 
-    def test_x_plus_relu_gradcheck(self):
-        rng = np.random.default_rng(14)
-        m = init_gcn(3, seed=14, residual_mode=RESIDUAL_X_PLUS_RELU)
-        P = _random_p(rng, 8)
-        X = rng.standard_normal((8, 5))
-        labels = rng.integers(0, 2, size=8)
-        assert _gradcheck(m, P, X, labels, np.ones(8, dtype=bool)) < 1e-4
-
 
 class TestWorkspace:
     """A reused workspace gives the bits of a pass without one."""
@@ -309,11 +290,12 @@ class TestWorkspace:
             assert slot.base is None
             assert not any(np.shares_memory(slot, other) for other in work[i + 1:])
 
-    @pytest.mark.parametrize("mode", RESIDUAL_MODES)
+    @pytest.mark.parametrize("mode", [RESIDUAL_Z_PLUS_RELU])
     @pytest.mark.parametrize("input_dim, hidden_dim", [(5, 8), (6, 6)])
     def test_shared_workspace_changes_no_bits(self, mode, input_dim, hidden_dim):
         rng = np.random.default_rng(15)
-        m = init_gcn(4, input_dim, hidden_dim, seed=15, residual_mode=mode)
+        m = init_gcn(4, input_dim, hidden_dim, seed=15)
+        assert m.residual_mode == mode
         big, small = self._case(rng, 30, input_dim), self._case(rng, 17, input_dim)
         work = make_workspace(m, 30)
         # NaN rows would poison any result that read a row it did not write.
@@ -331,13 +313,13 @@ class TestWorkspace:
                 assert reused.tobytes() == plain.tobytes()
                 assert not any(np.shares_memory(reused, slot) for slot in work)
 
-    @pytest.mark.parametrize("mode", RESIDUAL_MODES)
+    @pytest.mark.parametrize("mode", [RESIDUAL_Z_PLUS_RELU])
     def test_gradient_matches_a_preactivation_oracle(self, mode):
-        # backward reads the sign of each Z from the layer's stored output
-        # (or computes Z again): a backward pass that keeps every Z from the
-        # forward pass gives the same bits.
+        # backward reads the sign of each Z from the layer's stored output:
+        # a backward pass that keeps every Z from the forward pass gives the
+        # same bits.
         rng = np.random.default_rng(17)
-        m = init_gcn(3, 6, 6, seed=17, residual_mode=mode)
+        m = init_gcn(3, 6, 6, seed=17)
         P, X, labels, mask = self._case(rng, 20, 6)
         acts, zs = [X], []
         for W in m.weights:
@@ -348,12 +330,10 @@ class TestWorkspace:
         dX = dlogits @ m.head_weight.T
         expect = [None] * m.depth
         for k in reversed(range(m.depth)):
-            deriv = (zs[k] > 0.0).astype(np.float64)
-            if mode == RESIDUAL_Z_PLUS_RELU:
-                deriv += 1.0
+            deriv = (zs[k] > 0.0).astype(np.float64) + 1.0
             S = P @ (dX * deriv)
             expect[k] = acts[k].T @ S
-            dX = S @ m.weights[k].T + (dX if mode == RESIDUAL_X_PLUS_RELU else 0.0)
+            dX = S @ m.weights[k].T
         got_loss, grads = backward(m, P, X, labels, mask, work=make_workspace(m, 20))
         assert got_loss == loss
         for a, b in zip(grads.weights, expect):
@@ -382,7 +362,7 @@ class TestWorkspace:
 
 
 class TestLayerOut:
-    @pytest.mark.parametrize("mode", RESIDUAL_MODES)
+    @pytest.mark.parametrize("mode", [RESIDUAL_Z_PLUS_RELU])
     @pytest.mark.parametrize("width", [5, 7])
     def test_out_gets_the_bits_of_a_call_without_it(self, mode, width):
         rng = np.random.default_rng(18)

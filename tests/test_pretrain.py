@@ -75,7 +75,7 @@ class TestGenerate:
     def test_infeasible_mesh_rejected(self):
         # A 4-regular mesh needs at least five bots.
         for n_bots in (1, 4):
-            with pytest.raises(ValueError, match="d < n"):
+            with pytest.raises(ValueError, match="4-regular mesh needs more than 4 bots"):
                 generate_synthetic_graph("p2p", n_background=10, n_bots=n_bots)
         assert generate_synthetic_graph("p2p", n_background=10, n_bots=5).n == 15
 
@@ -227,6 +227,9 @@ class TestTrainConfigValidation:
             TrainConfig(max_epochs=0)
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=-1)
+        for lr in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lr must be finite and > 0"):
+                TrainConfig(lr=lr)
 
 
 class TestBalancedMask:
