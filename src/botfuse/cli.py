@@ -3,7 +3,8 @@
 Subcommands: synth (generate benchmark data), pretrain, features, train,
 detect, eval, sweep. Every subcommand accepts --config with a JSON (or, on
 Python 3.11+, TOML) file whose keys override flag defaults; flags given on
-the command line take precedence. Exit code is nonzero on any error.
+the command line take precedence. All but features and detect take --seed.
+Exit code is nonzero on any error.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
 
     Parsing argv again afterwards lets explicit flags win over the config.
     Values of typed arguments are installed as strings, so argparse runs
-    each one through its argument's type as it would a flag.
+    each one through its argument's type as it would a flag. A flag takes
+    only a JSON boolean, and any other untyped argument only a string.
     """
     actions = {a.dest: a for a in sub._actions}
     defaults = {}
@@ -67,6 +69,10 @@ def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
             raise ValueError(f"unknown config key {key!r}")
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        if action.nargs == 0 and not isinstance(value, bool):
+            raise ValueError(f"config key {key!r}: {value!r} is not true or false")
+        if action.nargs != 0 and action.type is None and not isinstance(value, str):
+            raise ValueError(f"config key {key!r}: {value!r} is not a string")
         defaults[action.dest] = str(value) if action.type else value
     sub.set_defaults(**defaults)
 
@@ -88,18 +94,14 @@ def _check_output_path(path: str) -> None:
         )
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--config", help="JSON (or TOML on 3.11+) file of option defaults")
-
-
-def _load_windows(args) -> list:
+def _load_windows(args) -> tuple[list, list]:
+    """The TCP/UDP flows of --flows and the windows sliced from them."""
     result = parse_flow_file(args.flows, format_descriptor=args.format)
     records = filter_tcp_udp(result.records)
     windows = slice_windows(records, window_len=args.window_len, stride=args.stride)
     if not windows:
         raise ValueError("no windows produced from the input flows")
-    return windows
+    return records, windows
 
 
 def cmd_synth(args) -> int:
@@ -168,7 +170,7 @@ def _text_output(path: str | None):
 
 
 def cmd_features(args) -> int:
-    windows = _load_windows(args)
+    _, windows = _load_windows(args)
     with _text_output(args.out) as out:
         for w in windows:
             feats = extract_node_features(w)
@@ -184,11 +186,12 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    windows = _load_windows(args)
+    records, windows = _load_windows(args)
     model = load_model(args.model)
     ensemble = train_detector(
         windows,
         model,
+        flow_ingest.derive_node_labels(records),
         norm_mode=args.norm_mode,
         n_trees=args.n_trees,
         seed=args.seed,
@@ -199,7 +202,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    windows = _load_windows(args)
+    _, windows = _load_windows(args)
     model = load_model(args.model)
     ensemble = extra_trees.load_ensemble(args.ensemble)
     config = PipelineConfig(architecture=args.arch, threshold=args.threshold)
@@ -216,7 +219,10 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    X, y = pool_labeled_rows(_load_windows(args), model, norm_mode=args.norm_mode)
+    records, windows = _load_windows(args)
+    X, y = pool_labeled_rows(
+        windows, model, flow_ingest.derive_node_labels(records), args.norm_mode
+    )
     folds, summary = metrics_mod.kfold_cv(
         X, y, k=args.k, seed=args.seed, n_trees=args.n_trees, threshold=args.threshold
     )
@@ -239,12 +245,13 @@ def cmd_sweep(args) -> int:
         max_epochs=args.max_epochs, patience=args.patience, seed=args.seed
     )
     dataset = _pretrain_dataset(args)
-    windows = _load_windows(args)
+    records, windows = _load_windows(args)
     rows = metrics_mod.depth_sweep(
         args.arch,
         depths,
         dataset,
         windows,
+        flow_ingest.derive_node_labels(records),
         train_config=config,
         k=args.k,
         seed=args.seed,
@@ -266,9 +273,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     subs = parser.add_subparsers(dest="command", required=True)
     registry: dict[str, argparse.ArgumentParser] = {}
 
-    def sub(name: str, **kw) -> argparse.ArgumentParser:
+    def sub(name: str, seeded: bool = True, **kw) -> argparse.ArgumentParser:
         s = subs.add_parser(name, **kw)
-        _add_common(s)
+        if seeded:
+            s.add_argument("--seed", type=int, default=0)
+        s.add_argument("--config", help="JSON (or TOML on 3.11+) file of option defaults")
         registry[name] = s
         return s
 
@@ -309,7 +318,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         s.add_argument("--window-len", type=float, default=flow_ingest.DEFAULT_WINDOW_LEN)
         s.add_argument("--stride", type=float, default=flow_ingest.DEFAULT_STRIDE)
 
-    s = sub("features", help="emit per-window per-node flow features as JSON lines")
+    s = sub("features", seeded=False,
+            help="emit per-window per-node flow features as JSON lines")
     add_flow_args(s)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_features)
@@ -323,7 +333,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_train)
 
-    s = sub("detect", help="classify nodes per window with a frozen model and ensemble")
+    s = sub("detect", seeded=False,
+            help="classify nodes per window with a frozen model and ensemble")
     add_flow_args(s)
     s.add_argument("--model", required=True)
     s.add_argument("--ensemble", required=True)

@@ -4,22 +4,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
 from botfuse.flow_features import FEATURE_DIM, NodeFeatures
-from botfuse.flow_ingest import Label, WindowSlice
+from botfuse.flow_ingest import WindowSlice
 
 # Per-node label codes used in CommGraph.labels arrays.
 LABEL_LEGIT = 0
 LABEL_BOT = 1
 LABEL_UNKNOWN = -1
 
-_LABEL_TO_CODE = {Label.LEGIT: LABEL_LEGIT, Label.BOT: LABEL_BOT, Label.UNKNOWN: LABEL_UNKNOWN}
 _CODE_TO_NAME = {LABEL_LEGIT: "legit", LABEL_BOT: "bot", LABEL_UNKNOWN: "unknown"}
 _NAME_TO_CODE = {name: code for code, name in _CODE_TO_NAME.items()}
 
@@ -85,11 +82,7 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
-def build_graph(
-    window: WindowSlice,
-    features: NodeFeatures,
-    node_labels: Mapping[str, Label] | None = None,
-) -> CommGraph:
+def build_graph(window: WindowSlice, features: NodeFeatures) -> CommGraph:
     """Build the directed unweighted communication graph of one window.
 
     A flow adds src -> dst when the source sent bytes and dst -> src when the
@@ -111,16 +104,10 @@ def build_graph(
         local[(table.dst_bytes != 0) & keep, ::-1],
     ))
 
-    labels = None
-    if node_labels is not None:
-        found = map(node_labels.get, nodes, repeat(Label.UNKNOWN))
-        labels = np.fromiter(map(_LABEL_TO_CODE.__getitem__, found), np.int8, len(nodes))
-
     return CommGraph(
         nodes=nodes,
         edges=edges,
         features=features.matrix,
-        labels=labels,
         dropped_self_loops=len(table) - int(keep.sum()),
     )
 
@@ -184,6 +171,8 @@ def graph_from_json(payload: dict) -> CommGraph:
             raise ValueError(f"graph schema violation: missing field {key!r}")
 
     n = payload["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"graph schema violation: n must be an integer >= 0, got {n!r}")
     nodes = payload["nodes"]
     if not isinstance(nodes, list) or len(nodes) != n:
         raise ValueError("graph schema violation: node list does not match n")
@@ -196,16 +185,22 @@ def graph_from_json(payload: dict) -> CommGraph:
     labels = None
     raw_labels = payload.get("labels")
     if raw_labels is not None:
+        if not isinstance(raw_labels, list):
+            raise ValueError("graph schema violation: labels must be a list or null")
         if len(raw_labels) != n:
             raise ValueError("graph schema violation: label list does not match n")
         try:
             labels = np.array([_NAME_TO_CODE[name] for name in raw_labels], dtype=np.int8)
-        except KeyError as exc:
-            raise ValueError(f"graph schema violation: unknown label {exc.args[0]!r}") from None
+        except (KeyError, TypeError):
+            bad = next(name for name in raw_labels if name not in _CODE_TO_NAME.values())
+            raise ValueError(f"graph schema violation: unknown label {bad!r}") from None
 
     raw_features = payload.get("features")
     if raw_features is not None:
-        features = np.asarray(raw_features, dtype=np.float64)
+        try:
+            features = np.asarray(raw_features, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError("graph schema violation: features must be numbers") from None
         if features.shape != (n, FEATURE_DIM):
             raise ValueError(
                 f"graph schema violation: feature matrix shape {features.shape}, "
@@ -214,12 +209,16 @@ def graph_from_json(payload: dict) -> CommGraph:
     else:
         features = np.zeros((n, FEATURE_DIM), dtype=np.float64)
 
+    meta = payload.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise ValueError("graph schema violation: meta must be an object or null")
+
     return CommGraph(
         nodes=list(nodes),
         edges=edges,
         features=features,
         labels=labels,
-        meta=dict(payload.get("meta") or {}),
+        meta=dict(meta or {}),
     )
 
 

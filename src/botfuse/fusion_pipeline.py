@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import extra_trees
-from .comm_graph import LABEL_BOT, LABEL_LEGIT, CommGraph, build_graph, propagation_matrix
+from .comm_graph import CommGraph, build_graph, propagation_matrix
 from .extra_trees import DEFAULT_NORM_MODE, DEFAULT_THRESHOLD, NORM_MODES, TreeEnsemble
 from .flow_features import FEATURE_DIM, extract_node_features
-from .flow_ingest import Label, WindowSlice, derive_node_labels
+from .flow_ingest import Label, WindowSlice
 from .gcn_core import GcnModel, forward
 from .pretrain import ARCH_C2, ARCHITECTURES
 
@@ -149,10 +149,7 @@ def normalize_embedding(M: np.ndarray, mode: str = DEFAULT_NORM_MODE) -> np.ndar
 
 
 def embed_window(
-    window: WindowSlice,
-    model: GcnModel,
-    node_labels: dict[str, Label] | None = None,
-    variant: str = VARIANT_FUSED,
+    window: WindowSlice, model: GcnModel, variant: str = VARIANT_FUSED
 ) -> NodeEmbedding:
     """Window flows through graph construction and the frozen network.
 
@@ -168,7 +165,7 @@ def embed_window(
     t0 = time.perf_counter()
     feats = extract_node_features(window)
     t1 = time.perf_counter()
-    graph = build_graph(window, feats, node_labels=node_labels)
+    graph = build_graph(window, feats)
     if variant == VARIANT_FLOW:
         t2 = time.perf_counter()
         vectors = graph.features
@@ -185,27 +182,27 @@ def embed_window(
 def pool_labeled_rows(
     windows: list[WindowSlice],
     model: GcnModel,
-    node_labels: dict[str, Label] | None = None,
+    node_labels: dict[str, Label],
     norm_mode: str = DEFAULT_NORM_MODE,
     variant: str = VARIANT_FUSED,
 ):
     """Normalized per-node rows pooled across windows, labeled 1 = bot.
 
-    Labels default to the source-of-bot-flows rule derived over all
-    windows' records; unknown nodes are left out of the pool.
+    ``node_labels`` is the trace's labels, as `derive_node_labels` gives
+    them; nodes it marks unknown or does not name are left out of the pool.
     """
-    if node_labels is None:
-        node_labels = derive_node_labels(r for w in windows for r in w.records)
+    classes = {node: int(label is Label.BOT)
+               for node, label in node_labels.items() if label is not Label.UNKNOWN}
     X_parts = []
     y_parts = []
     for window in windows:
-        emb = embed_window(window, model, node_labels, variant)
+        emb = embed_window(window, model, variant)
         norm = normalize_embedding(emb.vectors, norm_mode)
-        labels = emb.graph.labels
-        keep = (labels == LABEL_BOT) | (labels == LABEL_LEGIT)
+        y = np.array([classes.get(node, -1) for node in emb.nodes], dtype=np.int64)
+        keep = y >= 0
         if keep.any():
             X_parts.append(norm[keep])
-            y_parts.append((labels[keep] == LABEL_BOT).astype(np.int64))
+            y_parts.append(y[keep])
     if not X_parts:
         raise ValueError("no labeled nodes in the training windows")
     return np.vstack(X_parts), np.concatenate(y_parts)
@@ -214,7 +211,7 @@ def pool_labeled_rows(
 def train_detector(
     windows: list[WindowSlice],
     model: GcnModel,
-    node_labels: dict[str, Label] | None = None,
+    node_labels: dict[str, Label],
     norm_mode: str = DEFAULT_NORM_MODE,
     n_trees: int = extra_trees.DEFAULT_N_TREES,
     seed: int = 0,

@@ -325,7 +325,7 @@ def deserialize_model(data: bytes) -> GcnModel:
         raise ModelFormatError("corrupt payload: bad magic")
     if version != _FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version}")
-    if n_classes != N_CLASSES:
+    if n_classes != N_CLASSES or 0 in (depth, input_dim, hidden_dim):
         raise ModelFormatError("corrupt payload: invalid header fields")
     if res_code not in _RESIDUAL_NAMES:
         raise ModelFormatError(f"unsupported residual code {res_code}")

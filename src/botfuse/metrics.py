@@ -182,7 +182,7 @@ def depth_sweep(
     depths: list[int],
     pretrain_dataset,
     windows,
-    node_labels=None,
+    node_labels,
     train_config: TrainConfig | None = None,
     k: int = DEFAULT_K,
     seed: int = 0,

@@ -157,6 +157,8 @@ def default_pretrain_dataset(
     n_background: int = DEFAULT_N_BACKGROUND,
     n_bots: int = DEFAULT_N_BOTS,
 ) -> list[CommGraph]:
+    if n_graphs < 1:
+        raise ValueError(f"n_graphs must be >= 1, got {n_graphs}")
     return [
         generate_synthetic_graph(arch, n_background, n_bots, seed=seed + i)
         for i in range(n_graphs)

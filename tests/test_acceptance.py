@@ -425,8 +425,9 @@ def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
         architecture="c2", n_background=60, n_bots=8, n_scanners=2,
         n_background_flows=150, scan_flows_per_host=30, seed=9,
     )
-    windows = slice_windows(generate_flow_benchmark(spec), 60.0, 10.0)
-    detector = train_detector(windows, m1, n_trees=20, seed=4)
+    flows = generate_flow_benchmark(spec)
+    windows = slice_windows(flows, 60.0, 10.0)
+    detector = train_detector(windows, m1, derive_node_labels(flows), n_trees=20, seed=4)
     cfg = PipelineConfig(architecture="c2")
     r1 = list(detect(windows, m1, detector, cfg).json_lines(include_timings=False))
     r2 = list(detect(windows, m1, detector, cfg).json_lines(include_timings=False))

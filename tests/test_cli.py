@@ -8,8 +8,14 @@ import pytest
 from botfuse import extra_trees
 from botfuse.cli import build_parser, main
 from botfuse.comm_graph import save_graph
-from botfuse.flow_ingest import filter_tcp_udp, parse_flow_file, slice_windows, write_flows_csv
-from botfuse.fusion_pipeline import embed_window, normalize_embedding
+from botfuse.flow_ingest import (
+    derive_node_labels,
+    filter_tcp_udp,
+    parse_flow_file,
+    slice_windows,
+    write_flows_csv,
+)
+from botfuse.fusion_pipeline import embed_window, normalize_embedding, train_detector
 from botfuse.gcn_core import load_model
 from botfuse.pretrain import default_pretrain_dataset, load_graph_dataset
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
@@ -82,6 +88,14 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error: duration must be finite and > 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_graphs", ["0", "-1"])
+    def test_refuses_fewer_than_one_graph(self, tmp_path, capsys, n_graphs):
+        out = tmp_path / "graphs"
+        assert main(["synth", "--kind", "graphs", "--n-graphs", n_graphs,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: n_graphs must be >= 1, got {n_graphs}")
+        assert not out.exists()
+
     def test_help_names_the_defaults_of_both_kinds(self, capsys):
         with pytest.raises(SystemExit):
             main(["synth", "--help"])
@@ -106,6 +120,17 @@ class TestPretrain:
         rows = [json.loads(line) for line in report.read_text().splitlines()]
         assert rows
         assert set(rows[0]) == {"epoch", "loss", "val_acc"}
+
+    def test_graph_file_with_mistyped_fields_fails_cleanly(self, art, tmp_path, capsys):
+        good = json.loads(next(art["graphs"].glob("*.json")).read_text())
+        for field, value in (("labels", 5), ("meta", 5), ("n", 3.0), ("n", True)):
+            bad = tmp_path / "g.json"
+            bad.write_text(json.dumps({**good, field: value}))
+            rc = main(["pretrain", "--data", str(bad), "--depth", "2", "--max-epochs", "1",
+                       "--out", str(tmp_path / "m.bin")])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error: graph schema violation: ")
+        assert not (tmp_path / "m.bin").exists()
 
 
 class TestFeatures:
@@ -144,6 +169,14 @@ class TestTrainDetect:
         ens = extra_trees.load_ensemble(art["ens"])
         assert ens.n_trees == 10
         assert ens.n_features == 32
+
+    def test_train_labels_come_from_the_parsed_flows(self, art):
+        records = filter_tcp_udp(parse_flow_file(art["flows"]).records)
+        windows = slice_windows(records, 60.0, 10.0)
+        expect = train_detector(
+            windows, load_model(art["model"]), derive_node_labels(records), n_trees=10
+        )
+        assert art["ens"].read_bytes() == extra_trees.serialize_ensemble(expect)
 
     def test_detect_writes_verdict_lines(self, art, tmp_path, capsys):
         out = tmp_path / "verdicts.jsonl"
@@ -249,21 +282,22 @@ class TestSweep:
 
 
 # What each subcommand parses from its required flags alone: every default
-# the CLI reads from the library, written out.
+# the CLI reads from the library, written out. features and detect draw no
+# random numbers, so they take no --seed.
 _PARSED_DEFAULTS = {
     "synth": (["--out", "o"], {
-        "kind": "flows", "arch": "c2", "n_graphs": 6, "n_background": None,
+        "seed": 0, "kind": "flows", "arch": "c2", "n_graphs": 6, "n_background": None,
         "n_bots": None, "duration": 120.0, "out": "o",
     }),
     "pretrain": (["--out", "o"], {
-        "arch": "c2", "depth": None, "data": "synth", "n_graphs": 6, "lr": 0.003,
+        "seed": 0, "arch": "c2", "depth": None, "data": "synth", "n_graphs": 6, "lr": 0.003,
         "max_epochs": 500, "patience": 10, "val_fraction": 0.2, "report": None, "out": "o",
     }),
     "features": (["--flows", "f"], {
         "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0, "out": None,
     }),
     "train": (["--flows", "f", "--model", "m", "--out", "o"], {
-        "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0,
+        "seed": 0, "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0,
         "model": "m", "norm_mode": "per_vector", "n_trees": 100, "out": "o",
     }),
     "detect": (["--flows", "f", "--model", "m", "--ensemble", "e"], {
@@ -272,12 +306,12 @@ _PARSED_DEFAULTS = {
         "no_timings": False, "out": None,
     }),
     "eval": (["--flows", "f", "--model", "m"], {
-        "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0,
+        "seed": 0, "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0,
         "model": "m", "k": 10, "n_trees": 100, "norm_mode": "per_vector",
         "threshold": 0.5, "out": None,
     }),
     "sweep": (["--flows", "f"], {
-        "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0,
+        "seed": 0, "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0,
         "arch": "c2", "depths": "10,12,14,16", "data": "synth", "n_graphs": 6,
         "max_epochs": 500, "patience": 10, "k": 10, "n_trees": 100,
         "norm_mode": "per_vector", "out": None,
@@ -290,7 +324,7 @@ def test_parsed_defaults(command):
     required, expect = _PARSED_DEFAULTS[command]
     parsed = vars(build_parser()[0].parse_args([command, *required]))
     assert parsed.pop("func").__name__ == f"cmd_{command}"
-    assert parsed == {"command": command, "seed": 0, "config": None, **expect}
+    assert parsed == {"command": command, "config": None, **expect}
 
 
 class TestConfigFile:
@@ -337,6 +371,37 @@ class TestConfigFile:
             ])
         assert exc.value.code != 0
         assert "error: argument --n-trees: invalid int value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("detect", "out", 5, "5 is not a string"),
+        ("pretrain", "data", 5, "5 is not a string"),
+        ("sweep", "depths", 5, "5 is not a string"),
+        ("detect", "no_timings", "false", "'false' is not true or false"),
+    ])
+    def test_untyped_option_of_wrong_type_fails(self, art, tmp_path, capsys, command, key,
+                                                value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = {
+            "detect": ["--flows", str(art["flows"]), "--model", str(art["model"]),
+                       "--ensemble", str(art["ens"])],
+            "pretrain": ["--out", str(tmp_path / "m.bin")],
+            "sweep": ["--flows", str(art["flows"])],
+        }[command]
+        assert main([command, *argv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config key {key!r}: {message}\n"
+        assert captured.out == ""
+
+    def test_flag_takes_a_json_boolean(self, art, tmp_path):
+        argv = ["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                "--ensemble", str(art["ens"])]
+        for value in (True, False):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"no-timings": value}))
+            out = tmp_path / f"{value}.jsonl"
+            assert main(argv + ["--out", str(out), "--config", str(cfg)]) == 0
+            assert ("timings" in json.loads(out.read_text().splitlines()[0])) is not value
 
     def test_unknown_key_fails(self, art, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

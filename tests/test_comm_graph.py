@@ -21,7 +21,7 @@ from botfuse.comm_graph import (
     save_graph,
 )
 from botfuse.flow_features import extract_node_features
-from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice
+from botfuse.flow_ingest import FlowRecord, Proto, WindowSlice
 
 
 def _flow(src, dst, up=100, down=50):
@@ -35,9 +35,9 @@ def _window(records):
     return WindowSlice(window_start=0.0, window_len=60.0, records=records)
 
 
-def _graph_from_flows(records, node_labels=None):
+def _graph_from_flows(records):
     w = _window(records)
-    return build_graph(w, extract_node_features(w), node_labels=node_labels)
+    return build_graph(w, extract_node_features(w))
 
 
 def _random_graph(rng, n=None, p=0.1):
@@ -137,12 +137,8 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="feature rows do not match"):
             build_graph(w, feats)
 
-    def test_label_codes(self):
-        labels = {"A": Label.BOT, "B": Label.LEGIT}
-        g = _graph_from_flows([_flow("A", "B"), _flow("C", "B")], node_labels=labels)
-        assert g.labels[g.index("A")] == LABEL_BOT
-        assert g.labels[g.index("B")] == LABEL_LEGIT
-        assert g.labels[g.index("C")] == LABEL_UNKNOWN
+    def test_window_graphs_carry_no_labels(self):
+        assert _graph_from_flows([_flow("A", "B")]).labels is None
 
     def test_index_of_unknown_node(self):
         g = _graph_from_flows([_flow("A", "B")])
@@ -277,8 +273,8 @@ class TestSpectralRadiusEstimate:
 
 class TestInterchangeFormat:
     def _sample(self):
-        labels = {"A": Label.BOT, "B": Label.LEGIT}
-        g = _graph_from_flows([_flow("A", "B"), _flow("C", "B", up=10, down=0)], labels)
+        g = _graph_from_flows([_flow("A", "B"), _flow("C", "B", up=10, down=0)])
+        g.labels = np.array([LABEL_BOT, LABEL_LEGIT, LABEL_UNKNOWN], dtype=np.int8)
         g.meta["architecture"] = "c2"
         return g
 
@@ -336,6 +332,22 @@ class TestInterchangeFormat:
         bad = dict(good); bad["labels"] = ["bot", "weird", "legit"]
         with pytest.raises(ValueError, match="unknown label"):
             graph_from_json(bad)
+
+        for field, value, message in (
+            ("n", 3.0, "n must be an integer >= 0, got 3.0"),
+            ("n", True, "n must be an integer >= 0, got True"),
+            ("n", -1, "n must be an integer >= 0, got -1"),
+            ("labels", 5, "labels must be a list or null"),
+            ("labels", "bot", "labels must be a list or null"),
+            ("meta", 5, "meta must be an object or null"),
+            ("meta", [], "meta must be an object or null"),
+            ("labels", [[1], "bot", "legit"], "unknown label [1]"),
+            ("features", [[{}] * 5] * 3, "features must be numbers"),
+            ("features", [["x"] * 5] * 3, "features must be numbers"),
+        ):
+            bad = dict(good); bad[field] = value
+            with pytest.raises(ValueError, match=re.escape(f"graph schema violation: {message}")):
+                graph_from_json(bad)
 
         bad = dict(good)
         bad["features"] = [[1.0, 2.0]] * bad["n"]

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botfuse import extra_trees
-from botfuse.comm_graph import LABEL_BOT, LABEL_LEGIT, build_graph, propagation_matrix
+from botfuse.comm_graph import build_graph, propagation_matrix
 from botfuse.flow_features import extract_node_features
-from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice, derive_node_labels
+from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice
 from botfuse.gcn_core import init_gcn, forward
 from botfuse.fusion_pipeline import (
     DetectionReport,
@@ -50,6 +50,13 @@ def _training_windows():
         _flow("10.0.0.1", "10.0.0.3", ts=start + 3, sb=20, db=900, label=Label.LEGIT),
     ]
     return [_window(mk(0.0), start=0.0), _window(mk(10.0), start=10.0)]
+
+
+# What derive_node_labels gives the training windows' nodes: the two sources
+# take their flows' labels; the two destinations only receive, so they stay
+# unknown.
+TRAINING_LABELS = {"10.0.0.9": Label.BOT, "10.0.0.1": Label.LEGIT,
+                   "10.0.0.2": Label.UNKNOWN, "10.0.0.3": Label.UNKNOWN}
 
 
 class TestPipelineConfig:
@@ -162,14 +169,6 @@ class TestEmbedWindow:
         assert emb.nodes == graph.nodes
         assert emb.vectors.shape == (4, 6)
 
-    def test_labels_attach_when_provided(self):
-        model = _frozen()
-        window = _window([_flow("a", "b")])
-        emb = embed_window(window, model, node_labels={"a": Label.BOT, "b": Label.LEGIT})
-        assert emb.graph.labels is not None
-        assert emb.graph.labels[emb.graph.index("a")] == LABEL_BOT
-        assert emb.graph.labels[emb.graph.index("b")] == LABEL_LEGIT
-
     def test_stage_timings(self):
         emb = embed_window(_window([_flow("a", "b")]), _frozen())
         assert set(emb.timings) == {"features", "graph", "embed"}
@@ -188,22 +187,21 @@ class TestEmbedWindow:
 
 
 class TestPoolVariants:
-    LABELS = {"10.0.0.9": Label.BOT, "10.0.0.1": Label.LEGIT}
-
     def _oracle(self, windows, model, labels, variant, mode="per_vector"):
-        X_parts, y_parts = [], []
+        """Rows one node at a time: a bot or legit node's row, labeled 1 = bot."""
+        X_rows, y_rows = [], []
         for w in windows:
-            graph = build_graph(w, extract_node_features(w), node_labels=labels)
+            graph = build_graph(w, extract_node_features(w))
             if variant == VARIANT_FLOW:
                 vec = graph.features
             else:
                 X0 = graph.features if variant == VARIANT_FUSED else np.ones_like(graph.features)
                 vec = forward(model, propagation_matrix(graph), X0, with_head=False)
-            norm = normalize_embedding(vec, mode)
-            keep = (graph.labels == LABEL_BOT) | (graph.labels == LABEL_LEGIT)
-            X_parts.append(norm[keep])
-            y_parts.append((graph.labels[keep] == LABEL_BOT).astype(np.int64))
-        return np.vstack(X_parts), np.concatenate(y_parts)
+            for node, row in zip(graph.nodes, normalize_embedding(vec, mode)):
+                if labels.get(node) in (Label.BOT, Label.LEGIT):
+                    X_rows.append(row)
+                    y_rows.append(int(labels[node] is Label.BOT))
+        return np.array(X_rows), np.array(y_rows, dtype=np.int64)
 
     @pytest.mark.parametrize(
         "variant,width", [(VARIANT_FUSED, 4), (VARIANT_TOPOLOGY, 4), (VARIANT_FLOW, 5)]
@@ -211,8 +209,8 @@ class TestPoolVariants:
     def test_variant_rows_match_oracle(self, variant, width):
         model = _frozen(depth=2, hidden=4, seed=3)
         windows = _training_windows()
-        X, y = pool_labeled_rows(windows, model, self.LABELS, variant=variant)
-        ox, oy = self._oracle(windows, model, self.LABELS, variant)
+        X, y = pool_labeled_rows(windows, model, TRAINING_LABELS, variant=variant)
+        ox, oy = self._oracle(windows, model, TRAINING_LABELS, variant)
         assert X.shape == (4, width)
         assert np.array_equal(X, ox)
         assert np.array_equal(y, oy)
@@ -221,24 +219,26 @@ class TestPoolVariants:
     def test_unlabeled_nodes_are_excluded(self):
         model = _frozen()
         windows = _training_windows()
-        X, y = pool_labeled_rows(windows, model, self.LABELS)
-        # Each window has 4 endpoints but only 2 carry labels.
+        X, y = pool_labeled_rows(windows, model, TRAINING_LABELS)
+        # Each window has 4 endpoints but only 2 are bot or legit.
         assert X.shape[0] == 4
         assert y.tolist() == [1, 0] * 2 or y.tolist() == [0, 1] * 2
 
-    def test_labels_default_to_derivation_over_windows(self):
-        model = _frozen(seed=5)
-        windows = _training_windows()
-        derived = derive_node_labels([r for w in windows for r in w.records])
-        X, y = pool_labeled_rows(windows, model)
-        ox, oy = pool_labeled_rows(windows, model, derived)
-        assert np.array_equal(X, ox)
-        assert np.array_equal(y, oy)
+    def test_label_codes(self):
+        # Bot is 1 and legit 0; unknown nodes and nodes the labels do not name
+        # are left out.
+        window = _window([_flow("A", "B"), _flow("C", "B"), _flow("D", "B", sb=7)])
+        labels = {"A": Label.BOT, "B": Label.LEGIT, "C": Label.UNKNOWN}
+        X, y = pool_labeled_rows([window], _frozen(), labels, variant=VARIANT_FLOW)
+        assert y.dtype == np.int64
+        assert y.tolist() == [1, 0]
+        rows = normalize_embedding(extract_node_features(window).matrix)
+        assert np.array_equal(X, rows[:2])
 
     def test_unknown_variant_rejected(self):
         model = _frozen()
         with pytest.raises(ValueError, match="variant"):
-            pool_labeled_rows(_training_windows(), model, self.LABELS, variant="hybrid")
+            pool_labeled_rows(_training_windows(), model, TRAINING_LABELS, variant="hybrid")
 
     def test_no_labeled_nodes_rejected(self):
         model = _frozen()
@@ -248,7 +248,7 @@ class TestPoolVariants:
     def test_flow_variant_ignores_model_state(self):
         unfrozen = init_gcn(2, 5, 4, seed=0)
         X, _ = pool_labeled_rows(
-            _training_windows(), unfrozen, self.LABELS, variant=VARIANT_FLOW
+            _training_windows(), unfrozen, TRAINING_LABELS, variant=VARIANT_FLOW
         )
         assert X.shape == (4, 5)
 
@@ -257,29 +257,15 @@ class TestTrainDetector:
     def test_requires_windows_and_two_classes(self):
         model = _frozen()
         with pytest.raises(ValueError, match="no training windows"):
-            train_detector([], model)
+            train_detector([], model, TRAINING_LABELS)
         legit_only = [_window([_flow("a", "b", label=Label.LEGIT)])]
         with pytest.raises(ValueError, match="single class"):
-            train_detector(legit_only, model)
-
-    def test_default_labels_match_explicit_derivation(self):
-        model = _frozen(seed=4)
-        windows = _training_windows()
-        auto = train_detector(windows, model, n_trees=10, seed=1)
-        explicit = train_detector(
-            windows,
-            model,
-            node_labels=derive_node_labels([r for w in windows for r in w.records]),
-            n_trees=10,
-            seed=1,
-        )
-        assert extra_trees.serialize_ensemble(auto) == extra_trees.serialize_ensemble(explicit)
-        assert auto.n_features == model.hidden_dim
+            train_detector(legit_only, model, {"a": Label.LEGIT})
 
 
 class TestDetect:
     def _fitted(self, model, windows):
-        return train_detector(windows, model, n_trees=10, seed=0)
+        return train_detector(windows, model, TRAINING_LABELS, n_trees=10, seed=0)
 
     def test_input_contract_errors(self):
         windows = _training_windows()
@@ -302,7 +288,8 @@ class TestDetect:
     def test_probabilities_match_stage_by_stage_replay(self, mode):
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4, seed=6)
-        ens = train_detector(windows, model, norm_mode=mode, n_trees=10, seed=0)
+        ens = train_detector(windows, model, TRAINING_LABELS, norm_mode=mode, n_trees=10,
+                             seed=0)
         assert ens.norm_mode == mode
         cfg = PipelineConfig(architecture="c2")
         report = detect(windows, model, ens, cfg)

@@ -434,6 +434,28 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="version"):
             deserialize_model(body + struct.pack("<I", zlib.crc32(body)))
 
+    @staticmethod
+    def _payload(depth, input_dim, hidden_dim, n_classes=2):
+        """A checksummed model file of zero weights whose body is as long as
+        its header says."""
+        import struct
+        import zlib
+
+        header = struct.pack("<4sHHHHHBBBB", b"BFGC", 1, depth, input_dim, hidden_dim,
+                             n_classes, 1, 0, 0, 0)
+        n_weights = (input_dim * hidden_dim + max(depth - 1, 0) * hidden_dim ** 2
+                     + hidden_dim * 2 + 2)
+        body = header + bytes(8 * n_weights)
+        return body + struct.pack("<I", zlib.crc32(body))
+
+    @pytest.mark.parametrize("dims", [(0, 5, 32), (2, 0, 4), (2, 5, 0), (2, 5, 4, 3)],
+                             ids=["depth", "input_dim", "hidden_dim", "n_classes"])
+    def test_invalid_header_fields_rejected(self, dims):
+        model = deserialize_model(self._payload(2, 5, 4))
+        assert (model.depth, model.input_dim, model.hidden_dim) == (2, 5, 4)
+        with pytest.raises(ModelFormatError, match="corrupt payload: invalid header fields"):
+            deserialize_model(self._payload(*dims))
+
     def test_non_finite_weights_rejected(self):
         m = init_gcn(2)
         m.weights[0][0, 0] = np.inf

@@ -252,6 +252,8 @@ class TestKfoldCv:
 
 
 class TestDepthSweep:
+    LABELS = {"10.0.0.9": Label.BOT, "10.0.0.1": Label.LEGIT, "10.0.0.2": Label.UNKNOWN}
+
     def _windows(self):
         def mk(start):
             f = lambda s, d, lab: FlowRecord(
@@ -268,7 +270,7 @@ class TestDepthSweep:
         dataset = default_pretrain_dataset("c2", n_graphs=4, seed=0, n_background=25, n_bots=5)
         cfg = TrainConfig(seed=0, max_epochs=3, patience=1, hidden_dim=4)
         rows = depth_sweep(
-            "c2", [1, 2], dataset, self._windows(),
+            "c2", [1, 2], dataset, self._windows(), self.LABELS,
             train_config=cfg, k=3, seed=0, n_trees=5,
         )
         assert [r["depth"] for r in rows] == [1, 2]
@@ -281,7 +283,7 @@ class TestDepthSweep:
 
     def test_rejects_empty_depth_list(self):
         with pytest.raises(ValueError, match="no depths"):
-            depth_sweep("c2", [], [], [])
+            depth_sweep("c2", [], [], [], {})
 
 
 class TestFormatting:
