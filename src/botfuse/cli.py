@@ -389,6 +389,10 @@ def main(argv=None) -> int:
                     _check_output_path(path)
         if "threshold" in vars(args):
             check_threshold(args.threshold)
+        if "n_trees" in vars(args):
+            extra_trees.check_n_trees(args.n_trees)
+        if "k" in vars(args):
+            metrics_mod.check_k(args.k)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,12 +6,20 @@ are non-constant in the node, one uniform random cut-point is drawn per
 attribute strictly inside the node's value range, and the cut with the best
 information gain wins. Splitting stops at purity, at min_samples_split, or
 when no attribute admits a cut.
+
+Trees are independent, so where two CPUs are available ``fit`` grows the
+second half of the forest in one forked worker while the calling process
+grows the first; each tree draws from its own stream, so the ensemble has the
+same bytes either way.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -242,6 +250,72 @@ def _build_tree(Xt, y, k, min_split, rng) -> dict:
     }
 
 
+def check_n_trees(n_trees: int) -> None:
+    """Refuse a forest of fewer than one tree."""
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+
+
+def _two_cpus() -> bool:
+    """Whether this process may fork and run on at least two CPUs. The
+    affinity mask, not ``os.cpu_count()``, which counts the host's CPUs."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _grow_forked(grow, n_trees: int) -> list[dict]:
+    """Trees ``0..n_trees`` from ``grow``: this process grows the first half
+    while one forked child grows the rest and sends each tree back through a
+    pipe as its own pickle, read once the first half is done.
+
+    The child grows its whole half before writing, so a full pipe never
+    stalls its growing. It inherits the training matrix copy-on-write, makes
+    no BLAS call (fork copies no BLAS threads) and leaves only through
+    ``os._exit``, flushing none of the parent's buffers. A child that fails
+    or a stream that ends early raises RuntimeError. The child is reaped on
+    every path, and killed first if this process fails."""
+    half = n_trees // 2
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                for tree in grow(range(half, n_trees)):
+                    pickle.dump(tree, out, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as stream:
+            trees = grow(range(half))
+            try:
+                for _ in range(half, n_trees):
+                    tree = pickle.load(stream)
+                    # Unpickled arrays are views over pickle buffers with
+                    # private dtype copies: three times the small-object
+                    # memory of a grown tree. Copies hold what a tree grown
+                    # here holds.
+                    trees.append({key: tree[key].astype(dtype)
+                                  for key, dtype in _TREE_DTYPES.items()})
+            except (EOFError, pickle.UnpicklingError):
+                pass  # the child's exit status says why
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or len(trees) != n_trees:
+        raise RuntimeError(
+            f"tree worker exited with code {code} after sending "
+            f"{len(trees) - half} of its {n_trees - half} trees"
+        )
+    return trees
+
+
 def fit(
     X: np.ndarray,
     y: np.ndarray,
@@ -265,8 +339,7 @@ def fit(
         if classes.size == 1:
             raise ValueError("training data contains a single class")
         raise ValueError(f"labels must be binary 0/1, got classes {classes.tolist()}")
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    check_n_trees(n_trees)
     if min_samples_split < 2:
         raise ValueError(f"min_samples_split must be >= 2, got {min_samples_split}")
     k = math.ceil(math.sqrt(d)) if k_features is None else k_features
@@ -287,12 +360,20 @@ def fit(
 
     Xt = np.ascontiguousarray(X.T)
     y = y == 1
-    trees = []
-    for i in range(n_trees):
-        # Derived per-tree stream: tree i gets the same draws whether the
-        # forest is grown serially or in parallel.
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        trees.append(_build_tree(Xt, y, k, min_samples_split, rng))
+
+    def grow(tree_ids: range) -> list[dict]:
+        # Derived per-tree stream: tree i gets the same draws whichever
+        # process grows it and in whatever order.
+        return [
+            _build_tree(Xt, y, k, min_samples_split,
+                        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))))
+            for i in tree_ids
+        ]
+
+    if n_trees >= 2 and _two_cpus():
+        trees = _grow_forked(grow, n_trees)
+    else:
+        trees = grow(range(n_trees))
 
     return TreeEnsemble(
         n_features=d,

@@ -106,6 +106,12 @@ def compute_metrics(
     )
 
 
+def check_k(k: int) -> None:
+    """Refuse fewer than two cross-validation folds."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+
+
 def stratified_folds(y: np.ndarray, k: int, seed: int = 0) -> list[np.ndarray]:
     """Per-class round-robin assignment; fold sizes differ by at most 1 per class.
 
@@ -113,8 +119,7 @@ def stratified_folds(y: np.ndarray, k: int, seed: int = 0) -> list[np.ndarray]:
     whenever k <= n, which keeps k = n (leave-one-out) valid.
     """
     y = np.asarray(y)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    check_k(k)
     if k > y.size:
         raise ValueError(f"cannot make {k} folds from {y.size} samples")
     rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand plus config-file semantics."""
 
 import json
+import os
 import sys
 
 import pytest
@@ -538,6 +539,56 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: threshold must be in [0, 1], got {float(threshold)}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("train", "--n-trees", "0", "n_trees must be >= 1, got 0"),
+        ("eval", "--n-trees", "-2", "n_trees must be >= 1, got -2"),
+        ("sweep", "--n-trees", "0", "n_trees must be >= 1, got 0"),
+        ("eval", "--k", "1", "k must be >= 2, got 1"),
+        ("sweep", "--k", "0", "k must be >= 2, got 0"),
+    ])
+    def test_forest_and_fold_counts_are_checked_before_any_work(
+            self, art, tmp_path, capsys, monkeypatch, command, option, value, message):
+        self._forbid_parsing(monkeypatch)
+
+        def graphs(*args, **kwargs):
+            raise AssertionError(f"graphs were made before {option} was checked")
+
+        monkeypatch.setattr("botfuse.pretrain.default_pretrain_dataset", graphs)
+        out = tmp_path / "out.json"
+        argv = [command, "--flows", str(art["flows"]), "--out", str(out), option, value]
+        if command != "sweep":
+            argv += ["--model", str(art["model"])]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_n_trees_is_checked_before_the_flow_file(self, art, tmp_path, capsys):
+        out = tmp_path / "trees.json"
+        rc = main(["train", "--flows", str(tmp_path / "missing.csv"), "--model",
+                   str(art["model"]), "--n-trees", "0", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: n_trees must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_train_whose_tree_worker_fails(self, art, tmp_path, capsys, monkeypatch):
+        parent, build = os.getpid(), extra_trees._build_tree
+
+        def build_in_parent_only(*args):
+            if os.getpid() != parent:
+                raise MemoryError("the worker ran out of memory")
+            return build(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(extra_trees, "_build_tree", build_in_parent_only)
+        out = tmp_path / "trees.json"
+        rc = main(["train", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                   "--n-trees", "4", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: tree worker exited with code 1")
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_p2p_flows_need_more_bots_than_the_mesh_degree(self, tmp_path, capsys):
         out = tmp_path / "flows.csv"

@@ -3,12 +3,15 @@
 import copy
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from botfuse import extra_trees
 from botfuse.extra_trees import (
     TreeEnsemble,
     _build_tree,
@@ -453,6 +456,115 @@ class TestFastSplitSearch:
         X[:, 1] = [-1e308, 1e308, 0.0, 1.0]
         with pytest.raises(ValueError, match="range of feature 1 overflows"):
             fit(X, np.array([0, 1, 0, 1]))
+
+
+def _in_process_only(mp: pytest.MonkeyPatch) -> None:
+    """One CPU in the affinity mask, and a fork that fails the test."""
+    def fork():
+        raise AssertionError("the one-CPU fit forked")
+
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+    mp.setattr(os, "fork", fork)
+
+
+def _counted_forks(mp: pytest.MonkeyPatch) -> list:
+    """Two CPUs in the affinity mask; each fork is appended to the list."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    mp.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _golden_matrix():
+    """The training matrix that ``FIT_GOLDEN`` in test_golden_digests.py pins."""
+    rng = np.random.default_rng(20261018)
+    X = rng.standard_normal((2000, 32))
+    y = (rng.random(2000) < 0.05).astype(np.int64)
+    X[y == 1, :4] += 1.0
+    X[:, 16:] = np.maximum(X[:, 16:], 0.0)
+    return X, y
+
+
+class TestForkedFit:
+    """With two CPUs, fit grows half the forest in one forked worker."""
+
+    @staticmethod
+    def _both_ways(X, y, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            forks = _counted_forks(mp)
+            forked = serialize_ensemble(fit(X, y, **kwargs))
+        with pytest.MonkeyPatch.context() as mp:
+            _in_process_only(mp)
+            in_process = serialize_ensemble(fit(X, y, **kwargs))
+        _assert_no_child_left()
+        return forked, in_process, len(forks)
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 7])
+    def test_golden_matrix_bytes_equal_the_in_process_fit(self, n_trees):
+        X, y = _golden_matrix()
+        forked, in_process, forks = self._both_ways(X, y, n_trees=n_trees, seed=3)
+        assert forked == in_process
+        assert forks == (1 if n_trees >= 2 else 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_training_sets(), st.sampled_from([1, 2, 3, 7]))
+    def test_bytes_equal_the_in_process_fit(self, case, n_trees):
+        X, y, k, min_split, seed = case
+        forked, in_process, forks = self._both_ways(
+            X, y, n_trees=n_trees, k_features=k, min_samples_split=min_split, seed=seed
+        )
+        assert forked == in_process
+        assert forks == (1 if n_trees >= 2 else 0)
+
+    def test_a_failing_worker_raises_and_is_reaped(self):
+        parent, build = os.getpid(), extra_trees._build_tree
+
+        def build_in_parent_only(*args):
+            if os.getpid() != parent:
+                raise MemoryError("the worker ran out of memory")
+            return build(*args)
+
+        X, y = _separable(np.random.default_rng(30))
+        with pytest.MonkeyPatch.context() as mp:
+            forks = _counted_forks(mp)
+            mp.setattr(extra_trees, "_build_tree", build_in_parent_only)
+            with pytest.raises(RuntimeError, match="tree worker exited with code 1 "
+                                                   "after sending 0 of its 3 trees"):
+                fit(X, y, n_trees=5)
+        assert forks == [parent]
+        _assert_no_child_left()
+
+    def test_a_failing_parent_half_propagates_and_the_worker_is_reaped(self):
+        parent, build = os.getpid(), extra_trees._build_tree
+        grown = []
+
+        def build_slowly_in_worker(*args):
+            if os.getpid() != parent:
+                time.sleep(30)  # outlives the test unless the parent stops it
+            elif len(grown) == 1:
+                raise KeyError("second tree")
+            grown.append(1)
+            return build(*args)
+
+        X, y = _separable(np.random.default_rng(31))
+        with pytest.MonkeyPatch.context() as mp:
+            _counted_forks(mp)
+            mp.setattr(extra_trees, "_build_tree", build_slowly_in_worker)
+            start = time.monotonic()
+            with pytest.raises(KeyError, match="second tree"):
+                fit(X, y, n_trees=4)
+        assert time.monotonic() - start < 15
+        _assert_no_child_left()
 
 
 class TestPredict:
