@@ -241,23 +241,26 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     depths = [int(d) for d in args.depths.split(",") if d.strip()]
+    if not depths:
+        raise ValueError("no depths requested")
     config = TrainConfig(
         max_epochs=args.max_epochs, patience=args.patience, seed=args.seed
     )
     dataset = _pretrain_dataset(args)
     records, windows = _load_windows(args)
-    rows = metrics_mod.depth_sweep(
-        args.arch,
-        depths,
-        dataset,
-        windows,
-        flow_ingest.derive_node_labels(records),
-        train_config=config,
-        k=args.k,
-        seed=args.seed,
-        n_trees=args.n_trees,
-        norm_mode=args.norm_mode,
-    )
+    node_labels = flow_ingest.derive_node_labels(records)
+    rows = []
+    for depth in depths:
+        model = pretrain_mod.pretrain_gcn(dataset, depth, config)
+        X, y = pool_labeled_rows(windows, model, node_labels, args.norm_mode)
+        folds, summary = metrics_mod.kfold_cv(X, y, k=args.k, seed=args.seed, n_trees=args.n_trees)
+        rows.append({
+            "arch": args.arch,
+            "depth": depth,
+            "mean": summary["mean"],
+            "std": summary["std"],
+            "folds": [m.to_dict() for m in folds],
+        })
     print(metrics_mod.format_sweep_table(rows), end="")
     if args.out:
         Path(args.out).write_text(json.dumps(rows, indent=2, sort_keys=True),
@@ -384,9 +387,11 @@ def main(argv=None) -> int:
             _apply_config(registry[args.command], args.config)
             args = parser.parse_args(argv)
         if args.command in _FILE_OUTPUT_COMMANDS:
-            for path in (args.out, getattr(args, "report", None)):
-                if path is not None:
-                    _check_output_path(path)
+            outputs = [p for p in (args.out, getattr(args, "report", None)) if p is not None]
+            for path in outputs:
+                _check_output_path(path)
+            if len({Path(path).resolve() for path in outputs}) < len(outputs):
+                raise ValueError("--out and --report name the same file")
         if "threshold" in vars(args):
             check_threshold(args.threshold)
         if "n_trees" in vars(args):

@@ -45,12 +45,6 @@ class CommGraph:
     def n(self) -> int:
         return len(self.nodes)
 
-    def index(self, node_id: str) -> int:
-        try:
-            return self.nodes.index(node_id)
-        except ValueError:
-            raise KeyError(f"node {node_id!r} not in graph") from None
-
 
 def _canonical_edges(edges, n: int) -> np.ndarray:
     """Sorted, duplicate-free (m, 2) int64 copy of the (i, j) pairs. The
@@ -171,16 +165,18 @@ def graph_from_json(payload: dict) -> CommGraph:
             raise ValueError(f"graph schema violation: missing field {key!r}")
 
     n = payload["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError(f"graph schema violation: n must be an integer >= 0, got {n!r}")
     nodes = payload["nodes"]
     if not isinstance(nodes, list) or len(nodes) != n:
         raise ValueError("graph schema violation: node list does not match n")
 
-    try:
-        edges = _canonical_edges(payload["edges"], n)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"graph schema violation: {exc}") from None
+    edges = payload["edges"]
+    if not isinstance(edges, list):
+        raise ValueError(f"graph schema violation: bad edge list {edges!r}")
+    for edge in edges:
+        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
+            raise ValueError(f"graph schema violation: bad edge {edge!r}")
 
     labels = None
     raw_labels = payload.get("labels")
@@ -197,9 +193,13 @@ def graph_from_json(payload: dict) -> CommGraph:
 
     raw_features = payload.get("features")
     if raw_features is not None:
+        if not isinstance(raw_features, list) or not all(
+            isinstance(row, list) and all(map(_is_number, row)) for row in raw_features
+        ):
+            raise ValueError("graph schema violation: features must be numbers")
         try:
             features = np.asarray(raw_features, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (ValueError, OverflowError):
             raise ValueError("graph schema violation: features must be numbers") from None
         if features.shape != (n, FEATURE_DIM):
             raise ValueError(
@@ -213,13 +213,26 @@ def graph_from_json(payload: dict) -> CommGraph:
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("graph schema violation: meta must be an object or null")
 
-    return CommGraph(
-        nodes=list(nodes),
-        edges=edges,
-        features=features,
-        labels=labels,
-        meta=dict(meta or {}),
-    )
+    try:
+        return CommGraph(
+            nodes=list(nodes),
+            edges=edges,
+            features=features,
+            labels=labels,
+            meta=dict(meta or {}),
+        )
+    except ValueError as exc:
+        raise ValueError(f"graph schema violation: {exc}") from None
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def save_graph(graph: CommGraph, path: str | Path) -> None:

@@ -142,12 +142,6 @@ class ParseResult:
     records: list[FlowRecord]
     malformed: int = 0
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
 
 def _parse_proto(text: str) -> Proto:
     text = text.strip().lower()
@@ -179,9 +173,18 @@ def _parse_port(text: str) -> int:
     return port
 
 
+# UTC epoch seconds of 0001-01-01 and 10000-01-01: the start times a binetflow
+# StartTime can name. The upper end is closed because strptime's float of
+# 9999/12/31 23:59:59.999999 rounds up to it.
+_FIRST_START = -62_135_596_800.0
+_LAST_START = 253_402_300_800.0
+
+
 def _validated(record: FlowRecord) -> FlowRecord:
-    if not (math.isfinite(record.ts_start) and math.isfinite(record.duration)):
-        raise ValueError("non-finite start time or duration")
+    if not _FIRST_START <= record.ts_start <= _LAST_START:
+        raise ValueError(f"start time {record.ts_start} outside years 1-9999")
+    if not math.isfinite(record.duration):
+        raise ValueError("non-finite duration")
     if record.duration < 0:
         raise ValueError("negative duration")
     if record.src_bytes < 0 or record.dst_bytes < 0:
@@ -457,13 +460,12 @@ def derive_node_labels(records: Iterable[FlowRecord]) -> dict[str, Label]:
     return labels
 
 
-def write_flows_csv(records: Iterable[FlowRecord], path: str | Path, header: bool = True) -> None:
-    """Write flows in the canonical CSV column order."""
+def write_flows_csv(records: Iterable[FlowRecord], path: str | Path) -> None:
+    """Write flows in the canonical CSV column order, under a header row."""
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        if header:
-            writer.writerow(CANONICAL_COLUMNS)
+        writer.writerow(CANONICAL_COLUMNS)
         for r in records:
             writer.writerow(
                 [

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import extra_trees
-from .comm_graph import CommGraph, build_graph, propagation_matrix
+from .comm_graph import build_graph, propagation_matrix
 from .extra_trees import DEFAULT_NORM_MODE, DEFAULT_THRESHOLD, NORM_MODES, TreeEnsemble
 from .flow_features import FEATURE_DIM, extract_node_features
 from .flow_ingest import Label, WindowSlice
@@ -47,13 +47,9 @@ class NodeEmbedding:
     """Final-hidden-layer activations for one window's nodes, with the
     seconds spent in the features, graph and embed stages."""
 
-    graph: CommGraph
+    nodes: list[str]
     vectors: np.ndarray
     timings: dict[str, float]
-
-    @property
-    def nodes(self) -> list[str]:
-        return self.graph.nodes
 
 
 @dataclass
@@ -176,7 +172,7 @@ def embed_window(
         vectors = forward(model, P, X0, with_head=False)
     t3 = time.perf_counter()
     timings = {"features": t1 - t0, "graph": t2 - t1, "embed": t3 - t2}
-    return NodeEmbedding(graph=graph, vectors=vectors, timings=timings)
+    return NodeEmbedding(nodes=graph.nodes, vectors=vectors, timings=timings)
 
 
 def pool_labeled_rows(

@@ -1,4 +1,4 @@
-"""Detection metrics, stratified cross-validation, and the depth sweep."""
+"""Detection metrics, stratified cross-validation, and their text tables."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import numpy as np
 
 from . import extra_trees
 from .extra_trees import DEFAULT_THRESHOLD
-from .fusion_pipeline import check_threshold, pool_labeled_rows
-from .pretrain import TrainConfig, pretrain_gcn
+from .fusion_pipeline import check_threshold
 
 METRIC_FIELDS = ("accuracy", "precision", "recall", "fpr", "f1", "roc_auc")
 
@@ -180,39 +179,6 @@ def kfold_cv(
         fold_metrics.append(compute_metrics(y[test_idx], probs, threshold))
 
     return fold_metrics, summarize_folds(fold_metrics)
-
-
-def depth_sweep(
-    arch: str,
-    depths: list[int],
-    pretrain_dataset,
-    windows,
-    node_labels,
-    train_config: TrainConfig | None = None,
-    k: int = DEFAULT_K,
-    seed: int = 0,
-    n_trees: int = extra_trees.DEFAULT_N_TREES,
-    norm_mode: str = extra_trees.DEFAULT_NORM_MODE,
-) -> list[dict]:
-    """Pretrain, freeze, embed, and cross-validate once per candidate depth."""
-    if not depths:
-        raise ValueError("no depths requested")
-
-    rows = []
-    for depth in depths:
-        model = pretrain_gcn(pretrain_dataset, depth, train_config)
-        X, y = pool_labeled_rows(windows, model, node_labels, norm_mode)
-        fold_metrics, summary = kfold_cv(X, y, k=k, seed=seed, n_trees=n_trees)
-        rows.append(
-            {
-                "arch": arch,
-                "depth": depth,
-                "mean": summary["mean"],
-                "std": summary["std"],
-                "folds": [m.to_dict() for m in fold_metrics],
-            }
-        )
-    return rows
 
 
 def format_metrics_table(summary: dict) -> str:

@@ -133,6 +133,19 @@ class TestPretrain:
             assert capsys.readouterr().err.startswith("error: graph schema violation: ")
         assert not (tmp_path / "m.bin").exists()
 
+    def test_graph_files_with_fractional_endpoints_fail_cleanly(self, art, tmp_path, capsys):
+        data = tmp_path / "graphs"
+        data.mkdir()
+        for path in sorted(art["graphs"].glob("*.json")):
+            payload = json.loads(path.read_text())
+            payload["edges"] = [[i + 0.5, j + 0.5] for i, j in payload["edges"]]
+            (data / path.name).write_text(json.dumps(payload))
+        rc = main(["pretrain", "--data", str(data), "--depth", "2", "--max-epochs", "1",
+                   "--out", str(tmp_path / "m.bin")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: graph schema violation: bad edge [0.5")
+        assert not (tmp_path / "m.bin").exists()
+
 
 class TestFeatures:
     def test_json_lines_to_file(self, art, tmp_path):
@@ -250,6 +263,19 @@ class TestTrainDetect:
         assert a.read_bytes() == b.read_bytes()
         assert "timings" not in json.loads(a.read_text().splitlines()[0])
 
+    @pytest.mark.parametrize("ts", ["-1e300", "-1e18", "1e300"])
+    def test_detect_ignores_a_far_off_start_time(self, art, tmp_path, ts):
+        flows = tmp_path / "flows.csv"
+        flows.write_text(art["flows"].read_text()
+                         + f"{ts},0.5,tcp,10.0.0.1,1,10.0.0.2,80,100,100,\n")
+        reports = []
+        for path in (art["flows"], flows):
+            out = tmp_path / f"report{len(reports)}.jsonl"
+            assert main(["detect", "--flows", str(path), "--model", str(art["model"]),
+                         "--ensemble", str(art["ens"]), "--no-timings", "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestEval:
     def test_table_and_json_output(self, art, tmp_path, capsys):
@@ -280,6 +306,23 @@ class TestSweep:
         assert table.split("\n")[0].split()[:2] == ["arch", "depth"]
         rows = json.loads(out.read_text())
         assert [r["depth"] for r in rows] == [2, 3]
+        for row in rows:
+            assert row["arch"] == "c2"
+            assert len(row["folds"]) == 3
+            assert set(row["mean"]) == {"accuracy", "precision", "recall", "fpr", "f1", "roc_auc"}
+
+    def test_no_depths_is_refused_before_any_input(self, art, tmp_path, capsys, monkeypatch):
+        def read(*args, **kwargs):
+            raise AssertionError("an input was read before --depths was checked")
+
+        monkeypatch.setattr("botfuse.pretrain.load_graph_dataset", read)
+        monkeypatch.setattr("botfuse.cli.parse_flow_file", read)
+        out = tmp_path / "sweep.json"
+        rc = main(["sweep", "--flows", str(art["flows"]), "--data", str(art["graphs"]),
+                   "--depths", ",", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no depths requested\n"
+        assert not out.exists()
 
 
 # What each subcommand parses from its required flags alone: every default
@@ -500,6 +543,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "output directory does not exist" in err
         assert not model.exists() and not report.parent.exists()
+
+    @pytest.mark.parametrize("report", ["m.bin", "./sub/../m.bin"])
+    def test_pretrain_report_that_names_the_model_file(self, art, tmp_path, capsys,
+                                                       monkeypatch, report):
+        def pretrain(*args, **kwargs):
+            raise AssertionError("pretrained before the output paths were checked")
+
+        monkeypatch.setattr("botfuse.pretrain.pretrain_gcn", pretrain)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        rc = main(["pretrain", "--data", str(art["graphs"]), "--depth", "2",
+                   "--out", "m.bin", "--report", report])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --out and --report name the same file\n"
+        assert not (tmp_path / "m.bin").exists()
 
     def test_detect_refuses_cyclic_ensemble(self, art, tmp_path, capsys):
         payload = json.loads(art["ens"].read_text())

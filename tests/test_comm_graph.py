@@ -72,16 +72,16 @@ def _dense_oracle(graph):
 class TestBuildGraph:
     def test_one_directional_edge(self):
         g = _graph_from_flows([_flow("A", "B", up=100, down=0)])
-        assert g.edges.tolist() == [[g.index("A"), g.index("B")]]
+        assert g.edges.tolist() == [[g.nodes.index("A"), g.nodes.index("B")]]
 
     def test_bidirectional_edge(self):
         g = _graph_from_flows([_flow("A", "B", up=100, down=50)])
-        a, b = g.index("A"), g.index("B")
+        a, b = g.nodes.index("A"), g.nodes.index("B")
         assert g.edges.tolist() == sorted([[a, b], [b, a]])
 
     def test_duplicate_flows_dedup(self):
         g = _graph_from_flows([_flow("A", "B"), _flow("B", "A")])
-        a, b = g.index("A"), g.index("B")
+        a, b = g.nodes.index("A"), g.nodes.index("B")
         assert g.edges.tolist() == sorted([[a, b], [b, a]])
 
     def test_self_addressed_flow_dropped_and_counted(self):
@@ -126,7 +126,7 @@ class TestBuildGraph:
         g = build_graph(w, feats)
         assert g.nodes == feats.nodes
         for node in g.nodes:
-            assert g.features[g.index(node)].tolist() == feats.matrix[feats.nodes.index(node)].tolist()
+            assert g.features[g.nodes.index(node)].tolist() == feats.matrix[feats.nodes.index(node)].tolist()
 
     def test_missing_features_rejected(self):
         w = _window([_flow("A", "B")])
@@ -139,11 +139,6 @@ class TestBuildGraph:
 
     def test_window_graphs_carry_no_labels(self):
         assert _graph_from_flows([_flow("A", "B")]).labels is None
-
-    def test_index_of_unknown_node(self):
-        g = _graph_from_flows([_flow("A", "B")])
-        with pytest.raises(KeyError):
-            g.index("missing")
 
 
 class TestEdgeCanonicalization:
@@ -180,9 +175,9 @@ class TestPropagationMatrix:
         records = [_flow("hub", f"leaf{i}") for i in range(4)]
         g = _graph_from_flows(records)
         P = propagation_matrix(g).toarray()
-        h = g.index("hub")
+        h = g.nodes.index("hub")
         for i in range(4):
-            leaf = g.index(f"leaf{i}")
+            leaf = g.nodes.index(f"leaf{i}")
             assert P[h, leaf] == 0.5
             assert P[leaf, h] == 0.5
             assert P[leaf, leaf] == 0.0
@@ -344,6 +339,10 @@ class TestInterchangeFormat:
             ("labels", [[1], "bot", "legit"], "unknown label [1]"),
             ("features", [[{}] * 5] * 3, "features must be numbers"),
             ("features", [["x"] * 5] * 3, "features must be numbers"),
+            ("features", [["1.0"] * 5] * 3, "features must be numbers"),
+            ("features", [[True] * 5] * 3, "features must be numbers"),
+            ("features", [[0.0] * 4 + [False]] * 3, "features must be numbers"),
+            ("features", [[1e308, 2, 3, 4, 10**400]] * 3, "features must be numbers"),
         ):
             bad = dict(good); bad[field] = value
             with pytest.raises(ValueError, match=re.escape(f"graph schema violation: {message}")):
@@ -365,9 +364,15 @@ class TestInterchangeFormat:
             ([[]], "bad edge []"),
             ([[0, 1], 7], "bad edge 7"),
             ([[0, 1], [1, -1], [0, 3]], "edge [1, -1] out of range"),
+            ([[0, 1], [0.5, 1]], "bad edge [0.5, 1]"),
+            ([[1.9, 0]], "bad edge [1.9, 0]"),
+            ([[1.0, 0]], "bad edge [1.0, 0]"),
+            ([["1", 0]], "bad edge ['1', 0]"),
+            ([[0, True]], "bad edge [0, True]"),
+            ({"0": 1}, "bad edge list {'0': 1}"),
         ):
             bad = dict(good); bad["edges"] = edges
-            with pytest.raises(ValueError, match=re.escape(message)):
+            with pytest.raises(ValueError, match=re.escape(f"graph schema violation: {message}")):
                 graph_from_json(bad)
         empty = dict(good); empty["edges"] = []
         assert graph_from_json(empty).edges.shape == (0, 2)

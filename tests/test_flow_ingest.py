@@ -47,7 +47,7 @@ class TestParseCanonical:
         p = tmp_path / "flows.csv"
         p.write_text("0.0,1.5,tcp,10.0.0.1,1234,10.0.0.2,80,500,300,legit\n")
         result = parse_flow_file(p)
-        assert len(result) == 1
+        assert len(result.records) == 1
         r = result.records[0]
         assert r.ts_start == 0.0
         assert r.duration == 1.5
@@ -74,7 +74,7 @@ class TestParseCanonical:
             "1.0,0.5,tcp,a,1,b,2,10,5\n"
         )
         result = parse_flow_file(p)
-        assert len(result) == 1
+        assert len(result.records) == 1
         assert result.malformed == 0
 
     def test_malformed_lines_counted_not_fatal(self, tmp_path):
@@ -86,7 +86,7 @@ class TestParseCanonical:
             "3.0,0.5,tcp,a,1,b,2,10,5\n"
         )
         result = parse_flow_file(p)
-        assert len(result) == 3
+        assert len(result.records) == 3
         assert result.malformed == 1
 
     def test_all_lines_malformed_is_error(self, tmp_path):
@@ -105,7 +105,7 @@ class TestParseCanonical:
             "1.0,0.5,tcp,a,1,b,2,10,5\n"
         )
         result = parse_flow_file(p)
-        assert len(result) == 1
+        assert len(result.records) == 1
         assert result.malformed == 3
 
     def test_oversized_byte_count_is_malformed(self, tmp_path):
@@ -137,6 +137,26 @@ class TestParseCanonical:
         result = parse_flow_file(p)
         assert [r.ts_start for r in result.records] == [1.0]
         assert result.malformed == 1
+
+    @pytest.mark.parametrize("ts", ["-1e300", "-1e18", "1e300"])
+    def test_start_time_outside_years_1_to_9999_is_malformed(self, tmp_path, ts):
+        # One far-off row must neither empty nor shift the trace's windows.
+        rows = "".join(f"{k}.5,0.5,tcp,10.0.0.{k % 7},1,10.0.1.{k % 3},80,100,100,\n"
+                       for k in range(200))
+        clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+        clean.write_text(rows)
+        dirty.write_text(rows + f"{ts},0.5,tcp,10.0.0.1,1,10.0.0.2,80,100,100,\n")
+        expect, result = parse_flow_file(clean), parse_flow_file(dirty)
+        assert result.malformed == expect.malformed + 1
+        assert slice_windows(result.records) == slice_windows(expect.records)
+
+    def test_start_times_of_years_1_and_9999_are_kept(self, tmp_path):
+        p = tmp_path / "flows.csv"
+        p.write_text("".join(f"{ts},0.5,tcp,a,1,b,2,10,5\n" for ts in (
+            "-62135596800.001", "-62135596800", "253402300800", "253402300800.001")))
+        result = parse_flow_file(p)
+        assert [r.ts_start for r in result.records] == [-62135596800.0, 253402300800.0]
+        assert result.malformed == 2
 
     @pytest.mark.parametrize("dur", ["nan", "inf"])
     def test_non_finite_duration_is_malformed(self, tmp_path, dur):
@@ -222,7 +242,7 @@ class TestParseBinetflow:
         p = tmp_path / "flows.binetflow"
         p.write_text(self.LINE + bad)
         result = parse_flow_file(p, format_descriptor="binetflow")
-        assert len(result) == 1
+        assert len(result.records) == 1
         assert result.malformed == 1
 
     def test_start_times_match_strptime_row_by_row(self, tmp_path):
@@ -554,6 +574,6 @@ class TestCsvRoundTrip:
 
     def test_unknown_label_round_trips_as_empty(self, tmp_path):
         p = tmp_path / "out.csv"
-        write_flows_csv([_record(label=Label.UNKNOWN)], p, header=False)
+        write_flows_csv([_record(label=Label.UNKNOWN)], p)
         assert p.read_text().rstrip().endswith(",")
         assert parse_flow_file(p).records[0].label is Label.UNKNOWN

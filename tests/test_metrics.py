@@ -1,4 +1,4 @@
-"""Scoring, ranking AUC, stratified cross-validation, and the depth sweep."""
+"""Scoring, ranking AUC, stratified cross-validation, and the text tables."""
 
 import os
 import subprocess
@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 import botfuse
-from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice
 from botfuse.metrics import (
     MetricSet,
     average_ranks,
     compute_metrics,
-    depth_sweep,
     format_metrics_table,
     format_sweep_table,
     kfold_cv,
@@ -22,7 +20,6 @@ from botfuse.metrics import (
     stratified_folds,
     summarize_folds,
 )
-from botfuse.pretrain import TrainConfig, default_pretrain_dataset
 
 
 def _pairs_auc(y, p):
@@ -249,41 +246,6 @@ class TestKfoldCv:
             kfold_cv(X, y[:-1], k=2)
         with pytest.raises(ValueError, match="single-class"):
             kfold_cv(np.zeros((4, 2)), np.array([0, 0, 0, 1]), k=2)
-
-
-class TestDepthSweep:
-    LABELS = {"10.0.0.9": Label.BOT, "10.0.0.1": Label.LEGIT, "10.0.0.2": Label.UNKNOWN}
-
-    def _windows(self):
-        def mk(start):
-            f = lambda s, d, lab: FlowRecord(
-                start + 1.0, 1.0, Proto.TCP, s, 40000, d, 80, 100, 50, lab
-            )
-            return [
-                f("10.0.0.9", "10.0.0.2", Label.BOT),
-                f("10.0.0.1", "10.0.0.2", Label.LEGIT),
-            ]
-
-        return [WindowSlice(s, 60.0, mk(s)) for s in (0.0, 10.0, 20.0)]
-
-    def test_one_row_per_depth(self):
-        dataset = default_pretrain_dataset("c2", n_graphs=4, seed=0, n_background=25, n_bots=5)
-        cfg = TrainConfig(seed=0, max_epochs=3, patience=1, hidden_dim=4)
-        rows = depth_sweep(
-            "c2", [1, 2], dataset, self._windows(), self.LABELS,
-            train_config=cfg, k=3, seed=0, n_trees=5,
-        )
-        assert [r["depth"] for r in rows] == [1, 2]
-        for row in rows:
-            assert row["arch"] == "c2"
-            assert len(row["folds"]) == 3
-            assert set(row["mean"]) == {
-                "accuracy", "precision", "recall", "fpr", "f1", "roc_auc",
-            }
-
-    def test_rejects_empty_depth_list(self):
-        with pytest.raises(ValueError, match="no depths"):
-            depth_sweep("c2", [], [], [], {})
 
 
 class TestFormatting:

@@ -21,7 +21,7 @@ _FAST_CFG = dict(lr=0.01, patience=60, max_epochs=400, hidden_dim=8)
 
 
 def _neighbors(g, name):
-    i = g.index(name)
+    i = g.nodes.index(name)
     return {g.nodes[j] for a, j in g.edges if a == i}
 
 
@@ -52,7 +52,7 @@ class TestGenerate:
         assert g.nodes == sorted(g.nodes)
         for name in g.nodes:
             want = LABEL_LEGIT if name.startswith("h") else LABEL_BOT
-            assert g.labels[g.index(name)] == want
+            assert g.labels[g.nodes.index(name)] == want
         assert int((g.labels == LABEL_BOT).sum()) == 11
         assert [n for n in g.nodes if n.startswith("m")] == ["m000"]
         # The lone controller serves every bot, plus background camouflage.
