@@ -29,7 +29,7 @@ from .fusion_pipeline import (
     pool_labeled_rows,
     train_detector,
 )
-from .gcn_core import load_model, save_model
+from .gcn_core import check_depth, load_model, save_model
 from .pretrain import ARCH_C2, ARCH_DEPTH, ARCHITECTURES, DEFAULT_N_GRAPHS, TrainConfig
 
 
@@ -239,10 +239,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def _sweep_depths(args) -> list[int]:
     depths = [int(d) for d in args.depths.split(",") if d.strip()]
     if not depths:
         raise ValueError("no depths requested")
+    return depths
+
+
+def cmd_sweep(args) -> int:
+    depths = _sweep_depths(args)
     config = TrainConfig(
         max_epochs=args.max_epochs, patience=args.patience, seed=args.seed
     )
@@ -398,6 +403,11 @@ def main(argv=None) -> int:
             extra_trees.check_n_trees(args.n_trees)
         if "k" in vars(args):
             metrics_mod.check_k(args.k)
+        if getattr(args, "depth", None) is not None:
+            check_depth(args.depth)
+        if "depths" in vars(args):
+            for depth in _sweep_depths(args):
+                check_depth(depth)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,7 +55,7 @@ def _canonical_edges(edges, n: int) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         pairs = None
     if pairs is None or not (pairs.shape == (0,) or pairs.ndim == 2 and pairs.shape[1] == 2):
-        bad = next((p for p in raw if np.ndim(p) != 1 or len(p) != 2), raw)
+        bad = next((p for p in raw if not _is_int64_pair(p)), raw)
         raise ValueError(f"bad edge {bad!r}")
     pairs = pairs.reshape(-1, 2)
     outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
@@ -64,6 +64,14 @@ def _canonical_edges(edges, n: int) -> np.ndarray:
     # Codes i*n + j sort like the pairs, so sorting them sorts the pairs.
     codes = _sorted_unique(pairs[:, 0] * n + pairs[:, 1])
     return np.column_stack((codes // n, codes % n))
+
+
+def _is_int64_pair(p) -> bool:
+    try:
+        np.array(p, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return np.ndim(p) == 1 and len(p) == 2
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .forking import in_two_halves
 
 ENSEMBLE_FORMAT = "botfuse-trees"
 ENSEMBLE_FORMAT_VERSION = 1
@@ -256,64 +255,11 @@ def check_n_trees(n_trees: int) -> None:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
 
 
-def _two_cpus() -> bool:
-    """Whether this process may fork and run on at least two CPUs. The
-    affinity mask, not ``os.cpu_count()``, which counts the host's CPUs."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
-
-
-def _grow_forked(grow, n_trees: int) -> list[dict]:
-    """Trees ``0..n_trees`` from ``grow``: this process grows the first half
-    while one forked child grows the rest and sends each tree back through a
-    pipe as its own pickle, read once the first half is done.
-
-    The child grows its whole half before writing, so a full pipe never
-    stalls its growing. It inherits the training matrix copy-on-write, makes
-    no BLAS call (fork copies no BLAS threads) and leaves only through
-    ``os._exit``, flushing none of the parent's buffers. A child that fails
-    or a stream that ends early raises RuntimeError. The child is reaped on
-    every path, and killed first if this process fails."""
-    half = n_trees // 2
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as out:
-                for tree in grow(range(half, n_trees)):
-                    pickle.dump(tree, out, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as stream:
-            trees = grow(range(half))
-            try:
-                for _ in range(half, n_trees):
-                    tree = pickle.load(stream)
-                    # Unpickled arrays are views over pickle buffers with
-                    # private dtype copies: three times the small-object
-                    # memory of a grown tree. Copies hold what a tree grown
-                    # here holds.
-                    trees.append({key: tree[key].astype(dtype)
-                                  for key, dtype in _TREE_DTYPES.items()})
-            except (EOFError, pickle.UnpicklingError):
-                pass  # the child's exit status says why
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0 or len(trees) != n_trees:
-        raise RuntimeError(
-            f"tree worker exited with code {code} after sending "
-            f"{len(trees) - half} of its {n_trees - half} trees"
-        )
-    return trees
+def _own_tree(tree: dict) -> dict:
+    """A tree received from the worker, as a tree grown here holds it.
+    Unpickled arrays are views over pickle buffers with private dtype copies:
+    three times the small-object memory of a grown tree."""
+    return {key: tree[key].astype(dtype) for key, dtype in _TREE_DTYPES.items()}
 
 
 def fit(
@@ -370,10 +316,7 @@ def fit(
             for i in tree_ids
         ]
 
-    if n_trees >= 2 and _two_cpus():
-        trees = _grow_forked(grow, n_trees)
-    else:
-        trees = grow(range(n_trees))
+    trees = in_two_halves(grow, n_trees, "tree", adopt=_own_tree)
 
     return TreeEnsemble(
         n_features=d,

@@ -16,6 +16,7 @@ from .comm_graph import build_graph, propagation_matrix
 from .extra_trees import DEFAULT_NORM_MODE, DEFAULT_THRESHOLD, NORM_MODES, TreeEnsemble
 from .flow_features import FEATURE_DIM, extract_node_features
 from .flow_ingest import Label, WindowSlice
+from .forking import in_two_halves
 from .gcn_core import GcnModel, forward
 from .pretrain import ARCH_C2, ARCHITECTURES
 
@@ -235,6 +236,9 @@ def detect(
     """Per-window verdicts with stage timings; no cross-window aggregation.
 
     Embeddings are normalized with the mode the ensemble was trained on.
+    Windows are scored independently, so where two CPUs are available the
+    second half is scored in one forked worker (`forking.in_two_halves`);
+    the verdicts have the same bytes either way.
     """
     config = config or PipelineConfig()
     if not windows:
@@ -249,9 +253,7 @@ def detect(
             f"model emits {model.hidden_dim}"
         )
 
-    t_run = time.perf_counter()
-    reports = []
-    for window in windows:
+    def score(window: WindowSlice) -> WindowReport:
         emb = embed_window(window, model)
         t0 = time.perf_counter()
         norm = normalize_embedding(emb.vectors, ensemble.norm_mode)
@@ -259,16 +261,18 @@ def detect(
         probs = extra_trees.predict_proba(ensemble, norm)
         flags = probs >= config.threshold
         t2 = time.perf_counter()
-
-        reports.append(
-            WindowReport(
-                window_start=window.window_start,
-                nodes=emb.nodes,
-                probabilities=probs,
-                flags=flags,
-                timings={**emb.timings, "normalize": t1 - t0, "classify": t2 - t1},
-            )
+        return WindowReport(
+            window_start=window.window_start,
+            nodes=emb.nodes,
+            probabilities=probs,
+            flags=flags,
+            timings={**emb.timings, "normalize": t1 - t0, "classify": t2 - t1},
         )
+
+    t_run = time.perf_counter()
+    reports = in_two_halves(
+        lambda ids: [score(windows[i]) for i in ids], len(windows), "window"
+    )
     return DetectionReport(
         architecture=config.architecture,
         threshold=config.threshold,

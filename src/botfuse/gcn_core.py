@@ -69,6 +69,12 @@ class GcnGradients:
         return [*self.weights, self.head_weight, self.head_bias]
 
 
+def check_depth(depth: int) -> None:
+    """Refuse a network of fewer than one layer."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+
+
 def init_gcn(
     depth: int,
     input_dim: int = FEATURE_DIM,
@@ -76,8 +82,7 @@ def init_gcn(
     seed: int = 0,
 ) -> GcnModel:
     """Seeded uniform Glorot-style initialization of a depth-layer model."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    check_depth(depth)
 
     rng = np.random.default_rng(seed)
     comp = 1.0 / np.sqrt(_MERGED_SUM_GAIN)

@@ -2,11 +2,12 @@
 
 import json
 import os
+import re
 import sys
 
 import pytest
 
-from botfuse import extra_trees
+from botfuse import extra_trees, fusion_pipeline
 from botfuse.cli import build_parser, main
 from botfuse.comm_graph import save_graph
 from botfuse.flow_ingest import (
@@ -643,10 +644,53 @@ class TestErrors:
         rc = main(["train", "--flows", str(art["flows"]), "--model", str(art["model"]),
                    "--n-trees", "4", "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: tree worker exited with code 1")
+        assert capsys.readouterr().err == (
+            "error: tree worker exited with code 1 after sending 0 of its 2 trees: "
+            "MemoryError: the worker ran out of memory\n")
         assert not out.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_detect_whose_window_worker_fails(self, art, tmp_path, capsys, monkeypatch):
+        parent, embed = os.getpid(), fusion_pipeline.embed_window
+
+        def embed_in_parent_only(*args):
+            if os.getpid() != parent:
+                raise MemoryError("the worker ran out of memory")
+            return embed(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(fusion_pipeline, "embed_window", embed_in_parent_only)
+        out = tmp_path / "verdicts.jsonl"
+        rc = main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                   "--ensemble", str(art["ens"]), "--out", str(out)])
+        assert rc == 1
+        assert re.fullmatch(
+            r"error: window worker exited with code 1 after sending 0 of its \d+ windows: "
+            r"MemoryError: the worker ran out of memory\n", capsys.readouterr().err)
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("argv, depth", [
+        (["pretrain", "--depth", "0", "--data", "missing_dir"], 0),
+        (["sweep", "--depths", "0", "--flows", "missing.csv", "--data", "g"], 0),
+        (["sweep", "--depths", "3,-1", "--flows", "missing.csv", "--data", "synth"], -1),
+    ])
+    def test_depth_is_checked_before_any_input(self, tmp_path, capsys, monkeypatch,
+                                               argv, depth):
+        self._forbid_parsing(monkeypatch)
+
+        def read(*args, **kwargs):
+            raise AssertionError("an input was read before the depth was checked")
+
+        monkeypatch.setattr("botfuse.pretrain.load_graph_dataset", read)
+        monkeypatch.setattr("botfuse.pretrain.default_pretrain_dataset", read)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: depth must be >= 1, got {depth}\n"
+        assert not out.exists()
 
     def test_p2p_flows_need_more_bots_than_the_mesh_degree(self, tmp_path, capsys):
         out = tmp_path / "flows.csv"

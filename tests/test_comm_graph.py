@@ -364,6 +364,7 @@ class TestInterchangeFormat:
             ([[]], "bad edge []"),
             ([[0, 1], 7], "bad edge 7"),
             ([[0, 1], [1, -1], [0, 3]], "edge [1, -1] out of range"),
+            ([[0, 1], [0, 10**30]], f"bad edge [0, {10**30}]"),
             ([[0, 1], [0.5, 1]], "bad edge [0.5, 1]"),
             ([[1.9, 0]], "bad edge [1.9, 0]"),
             ([[1.0, 0]], "bad edge [1.0, 0]"),

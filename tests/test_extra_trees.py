@@ -23,6 +23,7 @@ from botfuse.extra_trees import (
     save_ensemble,
     serialize_ensemble,
 )
+from fork_checks import assert_no_child_left, counted_forks, in_process_only
 
 _LEAF = -1
 
@@ -458,33 +459,6 @@ class TestFastSplitSearch:
             fit(X, np.array([0, 1, 0, 1]))
 
 
-def _in_process_only(mp: pytest.MonkeyPatch) -> None:
-    """One CPU in the affinity mask, and a fork that fails the test."""
-    def fork():
-        raise AssertionError("the one-CPU fit forked")
-
-    mp.setattr(os, "sched_getaffinity", lambda pid: {0})
-    mp.setattr(os, "fork", fork)
-
-
-def _counted_forks(mp: pytest.MonkeyPatch) -> list:
-    """Two CPUs in the affinity mask; each fork is appended to the list."""
-    forks, real_fork = [], os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    mp.setattr(os, "fork", fork)
-    return forks
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _golden_matrix():
     """The training matrix that ``FIT_GOLDEN`` in test_golden_digests.py pins."""
     rng = np.random.default_rng(20261018)
@@ -501,12 +475,12 @@ class TestForkedFit:
     @staticmethod
     def _both_ways(X, y, **kwargs):
         with pytest.MonkeyPatch.context() as mp:
-            forks = _counted_forks(mp)
+            forks = counted_forks(mp)
             forked = serialize_ensemble(fit(X, y, **kwargs))
         with pytest.MonkeyPatch.context() as mp:
-            _in_process_only(mp)
+            in_process_only(mp)
             in_process = serialize_ensemble(fit(X, y, **kwargs))
-        _assert_no_child_left()
+        assert_no_child_left()
         return forked, in_process, len(forks)
 
     @pytest.mark.parametrize("n_trees", [1, 2, 3, 7])
@@ -536,13 +510,14 @@ class TestForkedFit:
 
         X, y = _separable(np.random.default_rng(30))
         with pytest.MonkeyPatch.context() as mp:
-            forks = _counted_forks(mp)
+            forks = counted_forks(mp)
             mp.setattr(extra_trees, "_build_tree", build_in_parent_only)
             with pytest.raises(RuntimeError, match="tree worker exited with code 1 "
-                                                   "after sending 0 of its 3 trees"):
+                                                   "after sending 0 of its 3 trees: "
+                                                   "MemoryError: the worker ran out of memory$"):
                 fit(X, y, n_trees=5)
         assert forks == [parent]
-        _assert_no_child_left()
+        assert_no_child_left()
 
     def test_a_failing_parent_half_propagates_and_the_worker_is_reaped(self):
         parent, build = os.getpid(), extra_trees._build_tree
@@ -558,13 +533,13 @@ class TestForkedFit:
 
         X, y = _separable(np.random.default_rng(31))
         with pytest.MonkeyPatch.context() as mp:
-            _counted_forks(mp)
+            counted_forks(mp)
             mp.setattr(extra_trees, "_build_tree", build_slowly_in_worker)
             start = time.monotonic()
             with pytest.raises(KeyError, match="second tree"):
                 fit(X, y, n_trees=4)
         assert time.monotonic() - start < 15
-        _assert_no_child_left()
+        assert_no_child_left()
 
 
 class TestPredict:

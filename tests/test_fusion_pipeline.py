@@ -1,16 +1,20 @@
 """Pipeline orchestration: normalization, embedding, pooling, train, detect."""
 
 import json
+import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botfuse import extra_trees
+from botfuse import extra_trees, fusion_pipeline
 from botfuse.comm_graph import build_graph, propagation_matrix
 from botfuse.flow_features import extract_node_features
-from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice
+from botfuse.flow_ingest import (
+    FlowRecord, Label, Proto, WindowSlice, derive_node_labels, slice_windows,
+)
 from botfuse.gcn_core import init_gcn, forward
 from botfuse.fusion_pipeline import (
     DetectionReport,
@@ -26,6 +30,8 @@ from botfuse.fusion_pipeline import (
     pool_labeled_rows,
     train_detector,
 )
+from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
+from fork_checks import assert_no_child_left, counted_forks, in_process_only
 
 
 def _flow(src, dst, ts=0.0, dur=1.0, sb=100, db=50, label=Label.UNKNOWN):
@@ -335,7 +341,9 @@ class TestDetect:
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
         cfg = PipelineConfig(architecture="c2")
-        report = detect(windows, model, ens, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            in_process_only(mp)
+            report = detect(windows, model, ens, cfg)
         staged = 0.0
         for w in report.windows:
             assert set(w.timings) == {"features", "graph", "embed", "normalize", "classify"}
@@ -343,6 +351,13 @@ class TestDetect:
             staged += sum(w.timings.values())
         assert report.total_seconds > 0.0
         assert staged <= report.total_seconds
+        # Forked, the two halves run side by side: each fits in the run.
+        with pytest.MonkeyPatch.context() as mp:
+            counted_forks(mp)
+            report = detect(windows, model, ens, cfg)
+        for half in (report.windows[:1], report.windows[1:]):
+            assert sum(sum(w.timings.values()) for w in half) <= report.total_seconds
+        assert_no_child_left()
 
     def test_json_lines_deterministic_without_timings(self):
         windows = _training_windows()
@@ -358,6 +373,78 @@ class TestDetect:
             "window_start", "architecture", "threshold", "n_nodes", "n_flagged", "nodes",
         }
         assert "timings" in json.loads(next(detect(windows, model, ens, cfg).json_lines()))
+
+
+@pytest.fixture(scope="module")
+def trace():
+    """Seven windows of a synthetic trace, a frozen model and a forest whose
+    impure leaves give fractional probabilities."""
+    records = generate_flow_benchmark(FlowBenchSpec(
+        n_background=40, n_bots=6, n_scanners=2, duration=80.0,
+        n_background_flows=200, scan_flows_per_host=20, seed=5,
+    ))
+    windows = slice_windows(records)[:7]
+    assert len(windows) == 7
+    model = _frozen(depth=3, hidden=8, seed=2)
+    X, y = pool_labeled_rows(windows, model, derive_node_labels(records))
+    ensemble = extra_trees.fit(X, y, n_trees=12, min_samples_split=60, seed=1)
+    return windows, model, ensemble
+
+
+class TestForkedDetect:
+    """With two CPUs, detect scores the second half of the windows in one
+    forked worker."""
+
+    CONFIG = PipelineConfig(architecture="c2", threshold=0.3)
+
+    @pytest.mark.parametrize("n_windows", [1, 2, 3, 7])
+    def test_report_bytes_equal_the_in_process_path(self, trace, n_windows):
+        windows, model, ensemble = trace
+        windows = windows[:n_windows]
+        with pytest.MonkeyPatch.context() as mp:
+            forks = counted_forks(mp)
+            forked = detect(windows, model, ensemble, self.CONFIG)
+        with pytest.MonkeyPatch.context() as mp:
+            in_process_only(mp)
+            in_process = detect(windows, model, ensemble, self.CONFIG)
+        assert len(forks) == (1 if n_windows >= 2 else 0)
+        assert (list(forked.json_lines(include_timings=False))
+                == list(in_process.json_lines(include_timings=False)))
+        assert len(forked.windows) == n_windows
+        for a, b in zip(forked.windows, in_process.windows):
+            assert (a.window_start, a.nodes) == (b.window_start, b.nodes)
+            for x, y in ((a.probabilities, b.probabilities), (a.flags, b.flags)):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        assert_no_child_left()
+
+    def test_the_workers_windows_carry_every_stage_timing(self, trace):
+        windows, model, ensemble = trace
+        with pytest.MonkeyPatch.context() as mp:
+            counted_forks(mp)
+            report = detect(windows, model, ensemble, self.CONFIG)
+        for w in report.windows[3:]:
+            assert set(w.timings) == {"features", "graph", "embed", "normalize", "classify"}
+            assert all(t >= 0.0 for t in w.timings.values())
+        assert_no_child_left()
+
+    def test_a_failing_parent_half_propagates_and_the_worker_is_reaped(self, trace):
+        windows, model, ensemble = trace
+        parent, embed = os.getpid(), fusion_pipeline.embed_window
+
+        def embed_slowly_in_worker(*args):
+            if os.getpid() != parent:
+                time.sleep(30)  # outlives the test unless the parent stops it
+                return embed(*args)
+            raise KeyError("first window")
+
+        with pytest.MonkeyPatch.context() as mp:
+            counted_forks(mp)
+            mp.setattr(fusion_pipeline, "embed_window", embed_slowly_in_worker)
+            start = time.monotonic()
+            with pytest.raises(KeyError, match="first window"):
+                detect(windows, model, ensemble, self.CONFIG)
+        assert time.monotonic() - start < 15
+        assert_no_child_left()
 
 
 def _reference_line(report, w, include_timings):
