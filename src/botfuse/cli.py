@@ -403,6 +403,8 @@ def main(argv=None) -> int:
             extra_trees.check_n_trees(args.n_trees)
         if "k" in vars(args):
             metrics_mod.check_k(args.k)
+        if "stride" in vars(args):
+            flow_ingest.check_windowing(args.window_len, args.stride)
         if getattr(args, "depth", None) is not None:
             check_depth(args.depth)
         if "depths" in vars(args):

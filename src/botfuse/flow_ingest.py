@@ -387,6 +387,16 @@ def filter_tcp_udp(records: Iterable[FlowRecord]) -> list[FlowRecord]:
     return [r for r in records if r.proto in (Proto.TCP, Proto.UDP)]
 
 
+def check_windowing(window_len: float, stride: float) -> None:
+    """Refuse a window length or stride that is not finite and positive, and
+    a stride longer than the window, which would skip flows."""
+    for name, value in (("window_len", window_len), ("stride", stride)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if stride > window_len:
+        raise ValueError(f"stride {stride} exceeds window length {window_len}")
+
+
 def slice_windows(
     records: Sequence[FlowRecord],
     window_len: float = DEFAULT_WINDOW_LEN,
@@ -400,11 +410,7 @@ def slice_windows(
     contain no flows are omitted. The flows are encoded once, in time order,
     and each window's table is a view of its rows.
     """
-    for name, value in (("window_len", window_len), ("stride", stride)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
-    if stride > window_len:
-        raise ValueError(f"stride {stride} exceeds window length {window_len}")
+    check_windowing(window_len, stride)
     if not records:
         return []
 

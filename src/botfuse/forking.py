@@ -4,8 +4,10 @@
 returns, a list of n items. Where the process may run on two CPUs it forks
 once: this process makes the first half while the child makes the rest and
 sends each item back through a pipe as its own pickle. ``extra_trees.fit``
-grows its trees this way and ``fusion_pipeline.detect`` scores its windows;
-this module holds the package's one ``os.fork()``.
+grows its trees this way, ``fusion_pipeline.detect`` scores its windows and
+``metrics.kfold_cv`` scores its folds; ``_forked`` is the package's one call
+to fork. A call made inside either half of another runs in-process, so a
+forest grown inside a fold never forks a second time.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ import pickle
 import signal
 from collections.abc import Callable
 from dataclasses import dataclass
+
+# True while this process, or the child forked from it, makes one half. A
+# nested call, such as the fit of a forest inside a cross-validation fold,
+# cannot tell from its arguments that it already shares the CPUs.
+_inside_half = False
 
 
 def _two_cpus() -> bool:
@@ -38,7 +45,8 @@ def in_two_halves(
     adopt: Callable = lambda item: item,
 ) -> list:
     """``produce(range(n))``, with items ``n // 2..n`` made in a forked child
-    when there are at least two items and two CPUs.
+    when there are at least two items and two CPUs, and this call is not made
+    inside either half of another.
 
     ``produce`` must make items ``ids`` in order, each independent of the
     others, and return them as a list. The child makes its whole half before
@@ -54,8 +62,17 @@ def in_two_halves(
     The child is reaped on every path, and killed first if this process
     fails.
     """
-    if n < 2 or not _two_cpus():
+    global _inside_half
+    if n < 2 or _inside_half or not _two_cpus():
         return produce(range(n))
+    _inside_half = True
+    try:
+        return _forked(produce, n, what, adopt)
+    finally:
+        _inside_half = False
+
+
+def _forked(produce: Callable[[range], list], n: int, what: str, adopt: Callable) -> list:
     half = n // 2
     read_fd, write_fd = os.pipe()
     pid = os.fork()

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import extra_trees
 from .extra_trees import DEFAULT_THRESHOLD
+from .forking import in_two_halves
 from .fusion_pipeline import check_threshold
 
 METRIC_FIELDS = ("accuracy", "precision", "recall", "fpr", "f1", "roc_auc")
@@ -158,7 +159,12 @@ def kfold_cv(
 
     Returns per-fold metrics and their unweighted mean/stddev. Supports
     leave-one-out (k = n); every training split must still contain both
-    classes.
+    classes, which is checked before any fold is fitted.
+
+    With two CPUs the caller scores the first half of the first ``k - k % 2``
+    folds and one forked worker the second (``forking.in_two_halves``); the
+    forests inside a half grow in-process. The last fold of an odd k is
+    scored afterwards, its forest grown on both CPUs.
     """
     check_threshold(threshold)
     X = np.asarray(X, dtype=np.float64)
@@ -166,18 +172,24 @@ def kfold_cv(
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"X and y disagree on sample count: {X.shape[0]} vs {y.shape[0]}")
     folds = stratified_folds(y, k, seed)
-
-    fold_metrics = []
     for i, test_idx in enumerate(folds):
-        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        if np.unique(y[train_idx]).size < 2:
+        if np.unique(np.delete(y, test_idx)).size < 2:
             raise ValueError(f"training split for fold {i} is single-class; lower k")
-        ensemble = extra_trees.fit(
-            X[train_idx], y[train_idx], n_trees=n_trees, seed=seed + i
-        )
-        probs = extra_trees.predict_proba(ensemble, X[test_idx])
-        fold_metrics.append(compute_metrics(y[test_idx], probs, threshold))
 
+    def score(fold_ids: range) -> list[MetricSet]:
+        scored = []
+        for i in fold_ids:
+            test_idx = folds[i]
+            train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
+            ensemble = extra_trees.fit(
+                X[train_idx], y[train_idx], n_trees=n_trees, seed=seed + i
+            )
+            probs = extra_trees.predict_proba(ensemble, X[test_idx])
+            scored.append(compute_metrics(y[test_idx], probs, threshold))
+        return scored
+
+    paired = k - k % 2
+    fold_metrics = in_two_halves(score, paired, "fold") + score(range(paired, k))
     return fold_metrics, summarize_folds(fold_metrics)
 
 

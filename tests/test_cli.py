@@ -21,6 +21,7 @@ from botfuse.fusion_pipeline import embed_window, normalize_embedding, train_det
 from botfuse.gcn_core import load_model
 from botfuse.pretrain import default_pretrain_dataset, load_graph_dataset
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
+from fork_checks import assert_no_child_left, counted_forks, in_process_only
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +293,28 @@ class TestEval:
         payload = json.loads(out.read_text())
         assert payload["k"] == 3
         assert len(payload["folds"]) == 3
+
+    @pytest.mark.parametrize("k", ["2", "3", "5", "10", "loo"])
+    def test_out_bytes_equal_the_in_process_path(self, art, tmp_path, k):
+        flows = art["flows"]
+        if k == "loo":
+            # The first 79 flows make one window of 41 nodes, 6 of them bots.
+            flows = tmp_path / "short.csv"
+            flows.write_text("".join(art["flows"].read_text().splitlines(True)[:80]))
+            k = "41"
+        argv = ["eval", "--flows", str(flows), "--model", str(art["model"]),
+                "--k", k, "--n-trees", "6", "--threshold", "0.3", "--seed", "2"]
+        with pytest.MonkeyPatch.context() as mp:
+            forks = counted_forks(mp)
+            assert main([*argv, "--out", str(tmp_path / "forked.json")]) == 0
+        with pytest.MonkeyPatch.context() as mp:
+            in_process_only(mp)
+            assert main([*argv, "--out", str(tmp_path / "in_process.json")]) == 0
+        forked = (tmp_path / "forked.json").read_bytes()
+        assert forked == (tmp_path / "in_process.json").read_bytes()
+        assert len(json.loads(forked)["folds"]) == int(k)
+        assert forks == [os.getpid()] * (1 + int(k) % 2)
+        assert_no_child_left()
 
 
 class TestSweep:
@@ -671,6 +694,54 @@ class TestErrors:
         assert not out.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_eval_whose_fold_worker_fails(self, art, tmp_path, capsys, monkeypatch):
+        parent, fit = os.getpid(), extra_trees.fit
+
+        def fit_in_parent_only(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError("the worker ran out of memory")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(extra_trees, "fit", fit_in_parent_only)
+        out = tmp_path / "eval.json"
+        rc = main(["eval", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                   "--k", "4", "--n-trees", "4", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: fold worker exited with code 1 after sending 0 of its 2 folds: "
+            "MemoryError: the worker ran out of memory\n")
+        assert not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["features", "train", "detect", "eval", "sweep"])
+    @pytest.mark.parametrize("options, message", [
+        (["--stride", "-1"], "stride must be finite and > 0, got -1.0"),
+        (["--window-len", "0"], "window_len must be finite and > 0, got 0.0"),
+        (["--window-len", "nan"], "window_len must be finite and > 0, got nan"),
+        (["--window-len", "5", "--stride", "6"], "stride 6.0 exceeds window length 5.0"),
+    ])
+    def test_windowing_is_checked_before_any_input(self, art, tmp_path, capsys,
+                                                   monkeypatch, command, options, message):
+        self._forbid_parsing(monkeypatch)
+
+        def read(*args, **kwargs):
+            raise AssertionError("an input was read before the windowing was checked")
+
+        monkeypatch.setattr("botfuse.cli.load_model", read)
+        monkeypatch.setattr("botfuse.pretrain.default_pretrain_dataset", read)
+        out = tmp_path / "out.json"
+        argv = self._flow_command(art, command, out) if command != "sweep" else [
+            "sweep", "--flows", str(art["flows"]), "--out", str(out)]
+        assert main([*argv, *options]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_windowing_is_checked_before_the_flow_file(self, tmp_path, capsys):
+        rc = main(["features", "--flows", str(tmp_path / "missing.csv"), "--stride", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: stride must be finite and > 0, got -1.0\n"
 
     @pytest.mark.parametrize("argv, depth", [
         (["pretrain", "--depth", "0", "--data", "missing_dir"], 0),

@@ -1,4 +1,5 @@
-"""The forked worker's error messages when it sends no exception of its own."""
+"""The forked worker's error messages when it sends no exception of its own,
+and calls made inside a half."""
 
 import os
 import re
@@ -36,3 +37,15 @@ def test_a_short_stream_is_refused():
         return list(ids) if os.getpid() == parent else list(ids)[:-1]
 
     _refused(produce, "number worker exited with code 0 after sending 2 of its 3 numbers")
+
+
+def test_a_call_inside_either_half_runs_in_process():
+    def inner(ids):
+        return [(i, in_two_halves(list, 4, "digit")) for i in ids]
+
+    with pytest.MonkeyPatch.context() as mp:
+        forks = counted_forks(mp)
+        nested = in_two_halves(inner, 5, "number")
+    assert forks == [os.getpid()]
+    assert nested == [(i, [0, 1, 2, 3]) for i in range(5)]
+    assert_no_child_left()

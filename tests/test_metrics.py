@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import botfuse
+from botfuse import extra_trees
 from botfuse.metrics import (
     MetricSet,
     average_ranks,
@@ -20,6 +22,7 @@ from botfuse.metrics import (
     stratified_folds,
     summarize_folds,
 )
+from fork_checks import assert_no_child_left, counted_forks, in_process_only
 
 
 def _pairs_auc(y, p):
@@ -213,39 +216,109 @@ class TestSummarize:
         assert summary2["mean"]["roc_auc"] == pytest.approx(0.9)
 
 
-class TestKfoldCv:
-    def _blobs(self, n=40, seed=0, margin=2.5):
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, 2)) * 0.3
-        y = np.arange(n) % 2
-        X[:, 0] += np.where(y == 1, margin, -margin)
-        return X, y
+def _blobs(n=40, seed=0, margin=2.5):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 2)) * 0.3
+    y = np.arange(n) % 2
+    X[:, 0] += np.where(y == 1, margin, -margin)
+    return X, y
 
+
+class TestKfoldCv:
     def test_separable_leave_one_out_is_perfect(self):
-        X, y = self._blobs(n=20)
+        X, y = _blobs(n=20)
         fold_metrics, summary = kfold_cv(X, y, k=20, seed=0, n_trees=20)
         assert len(fold_metrics) == 20
         assert summary["mean"]["accuracy"] == 1.0
 
     def test_ten_fold_summary_shape(self):
-        X, y = self._blobs(n=50)
+        X, y = _blobs(n=50)
         fold_metrics, summary = kfold_cv(X, y, k=10, seed=0, n_trees=10)
         assert len(fold_metrics) == 10
         assert set(summary) == {"mean", "std"}
         assert summary["mean"]["recall"] >= 0.9
 
     def test_determinism(self):
-        X, y = self._blobs(n=30, margin=0.5)
+        X, y = _blobs(n=30, margin=0.5)
         a, _ = kfold_cv(X, y, k=5, seed=3, n_trees=10)
         b, _ = kfold_cv(X, y, k=5, seed=3, n_trees=10)
         assert [m.to_dict() for m in a] == [m.to_dict() for m in b]
 
     def test_errors(self):
-        X, y = self._blobs(n=10)
+        X, y = _blobs(n=10)
         with pytest.raises(ValueError, match="disagree"):
             kfold_cv(X, y[:-1], k=2)
         with pytest.raises(ValueError, match="single-class"):
             kfold_cv(np.zeros((4, 2)), np.array([0, 0, 0, 1]), k=2)
+
+
+class TestForkedKfold:
+    """With two CPUs, kfold_cv scores the second half of its folds in one
+    forked worker, and the forests inside either half grow in-process."""
+
+    @pytest.mark.parametrize("n, k", [(40, 2), (40, 3), (40, 5), (40, 10), (21, 21)])
+    def test_fold_metrics_equal_the_in_process_path(self, n, k):
+        X, y = _blobs(n, margin=0.2)
+        with pytest.MonkeyPatch.context() as mp:
+            forks = counted_forks(mp)
+            forked = kfold_cv(X, y, k=k, seed=4, n_trees=6, threshold=0.4)
+        with pytest.MonkeyPatch.context() as mp:
+            in_process_only(mp)
+            in_process = kfold_cv(X, y, k=k, seed=4, n_trees=6, threshold=0.4)
+        assert [m.to_dict() for m in forked[0]] == [m.to_dict() for m in in_process[0]]
+        assert forked[1] == in_process[1]
+        # An odd k grows its last fold's forest on both CPUs after the halves.
+        assert forks == [os.getpid()] * (1 + k % 2)
+        assert_no_child_left()
+
+    def test_a_single_class_split_is_refused_before_any_fork(self):
+        # The one positive lands in the last fold, after two folds that fit.
+        y = np.array([0, 0, 0, 0, 0, 1])
+        assert [5 in f for f in stratified_folds(y, 3)] == [False, False, True]
+        X = np.random.default_rng(0).standard_normal((6, 2))
+        with pytest.MonkeyPatch.context() as mp:
+            forks = counted_forks(mp)
+            with pytest.raises(ValueError, match="training split for fold 2 is single-class"):
+                kfold_cv(X, y, k=3)
+        assert forks == []
+
+    def test_a_failing_worker_raises_and_is_reaped(self):
+        parent, fit = os.getpid(), extra_trees.fit
+
+        def fit_in_parent_only(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError("the worker ran out of memory")
+            return fit(*args, **kwargs)
+
+        X, y = _blobs(40)
+        with pytest.MonkeyPatch.context() as mp:
+            forks = counted_forks(mp)
+            mp.setattr(extra_trees, "fit", fit_in_parent_only)
+            with pytest.raises(RuntimeError, match="fold worker exited with code 1 "
+                                                   "after sending 0 of its 5 folds: "
+                                                   "MemoryError: the worker ran out of memory$"):
+                kfold_cv(X, y, k=10, n_trees=4)
+        assert forks == [parent]
+        assert_no_child_left()
+
+    def test_a_failing_parent_half_propagates_and_the_worker_is_reaped(self):
+        parent, fit = os.getpid(), extra_trees.fit
+
+        def fit_slowly_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(30)  # outlives the test unless the parent stops it
+                return fit(*args, **kwargs)
+            raise KeyError("first fold")
+
+        X, y = _blobs(40)
+        with pytest.MonkeyPatch.context() as mp:
+            counted_forks(mp)
+            mp.setattr(extra_trees, "fit", fit_slowly_in_worker)
+            start = time.monotonic()
+            with pytest.raises(KeyError, match="first fold"):
+                kfold_cv(X, y, k=4, n_trees=4)
+        assert time.monotonic() - start < 15
+        assert_no_child_left()
 
 
 class TestFormatting:
