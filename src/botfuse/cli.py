@@ -22,13 +22,7 @@ from . import metrics as metrics_mod, pretrain as pretrain_mod
 from .comm_graph import save_graph
 from .flow_ingest import filter_tcp_udp, parse_flow_file, slice_windows, write_flows_csv
 from .flow_features import FEATURE_NAMES, extract_node_features
-from .fusion_pipeline import (
-    PipelineConfig,
-    check_threshold,
-    detect,
-    pool_labeled_rows,
-    train_detector,
-)
+from .fusion_pipeline import PipelineConfig, detect, pool_labeled_rows, train_detector
 from .gcn_core import check_depth, load_model, save_model
 from .pretrain import ARCH_C2, ARCH_DEPTH, ARCHITECTURES, DEFAULT_N_GRAPHS, TrainConfig
 
@@ -92,6 +86,32 @@ def _check_output_path(path: str) -> None:
         raise FileNotFoundError(
             errno.ENOENT, "output directory does not exist", str(p.parent)
         )
+
+
+# Options that name a file the command reads; --data does unless it is "synth".
+_INPUT_OPTIONS = ("flows", "model", "ensemble", "config", "data")
+
+
+def _check_outputs(args) -> None:
+    """Refuse --out and --report paths that cannot be written, that name the
+    same file, or that name one of the command's input files, so the command
+    fails before it reads, trains or scores anything and overwrites nothing."""
+    outputs = {f"--{name}": getattr(args, name) for name in ("out", "report")
+               if getattr(args, name, None) is not None}
+    if args.command in _FILE_OUTPUT_COMMANDS:
+        for path in outputs.values():
+            _check_output_path(path)
+        if len({Path(path).resolve() for path in outputs.values()}) < len(outputs):
+            raise ValueError("--out and --report name the same file")
+    inputs = {}
+    for name in _INPUT_OPTIONS:
+        path = getattr(args, name, None)
+        if path is not None and not (name == "data" and path == "synth"):
+            inputs[Path(path).resolve()] = f"--{name}"
+    for option, path in outputs.items():
+        source = inputs.get(Path(path).resolve())
+        if source is not None:
+            raise ValueError(f"{option} names the {source} input file: {path}")
 
 
 def _load_windows(args) -> tuple[list, list]:
@@ -391,14 +411,9 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(registry[args.command], args.config)
             args = parser.parse_args(argv)
-        if args.command in _FILE_OUTPUT_COMMANDS:
-            outputs = [p for p in (args.out, getattr(args, "report", None)) if p is not None]
-            for path in outputs:
-                _check_output_path(path)
-            if len({Path(path).resolve() for path in outputs}) < len(outputs):
-                raise ValueError("--out and --report name the same file")
+        _check_outputs(args)
         if "threshold" in vars(args):
-            check_threshold(args.threshold)
+            extra_trees.check_threshold(args.threshold)
         if "n_trees" in vars(args):
             extra_trees.check_n_trees(args.n_trees)
         if "k" in vars(args):

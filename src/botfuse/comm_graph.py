@@ -257,24 +257,3 @@ def load_graph(path: str | Path) -> CommGraph:
         raise ValueError(f"graph schema violation: {path} is not valid JSON ({exc})") from None
     return graph_from_json(payload)
 
-
-def estimate_spectral_radius(matrix: sp.spmatrix, n_iter: int = 200, seed: int = 0) -> float:
-    """Power-iteration estimate of the largest absolute eigenvalue."""
-    n = matrix.shape[0]
-    if n == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(n)
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        return 0.0
-    vec /= norm
-    estimate = 0.0
-    for _ in range(n_iter):
-        nxt = matrix @ vec
-        norm = np.linalg.norm(nxt)
-        if norm == 0:
-            return 0.0
-        estimate = norm
-        vec = nxt / norm
-    return float(estimate)

@@ -249,6 +249,12 @@ def _build_tree(Xt, y, k, min_split, rng) -> dict:
     }
 
 
+def check_threshold(threshold: float) -> None:
+    """Refuse a bot-probability threshold outside [0, 1], nan included."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+
+
 def check_n_trees(n_trees: int) -> None:
     """Refuse a forest of fewer than one tree."""
     if n_trees < 1:
@@ -307,14 +313,11 @@ def fit(
     Xt = np.ascontiguousarray(X.T)
     y = y == 1
 
-    def grow(tree_ids: range) -> list[dict]:
+    def grow(i: int) -> dict:
         # Derived per-tree stream: tree i gets the same draws whichever
         # process grows it and in whatever order.
-        return [
-            _build_tree(Xt, y, k, min_samples_split,
-                        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))))
-            for i in tree_ids
-        ]
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        return _build_tree(Xt, y, k, min_samples_split, rng)
 
     trees = in_two_halves(grow, n_trees, "tree", adopt=_own_tree)
 
@@ -379,12 +382,6 @@ def predict_proba(ensemble: TreeEnsemble, X: np.ndarray) -> np.ndarray:
             total += value
         return np.array([total]) / ensemble.n_trees
     return np.add.reduce(leaf_values, axis=0) / ensemble.n_trees
-
-
-def predict(
-    ensemble: TreeEnsemble, X: np.ndarray, threshold: float = DEFAULT_THRESHOLD
-) -> np.ndarray:
-    return (predict_proba(ensemble, X) >= threshold).astype(np.int64)
 
 
 # The per-tree arrays of the file format and their in-memory dtypes.

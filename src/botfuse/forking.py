@@ -1,10 +1,10 @@
 """Independent items made on two CPUs by one forked worker.
 
-``in_two_halves(produce, n, what)`` returns what ``produce(range(n))``
-returns, a list of n items. Where the process may run on two CPUs it forks
-once: this process makes the first half while the child makes the rest and
-sends each item back through a pipe as its own pickle. ``extra_trees.fit``
-grows its trees this way, ``fusion_pipeline.detect`` scores its windows and
+``in_two_halves(make, n, what)`` returns ``[make(i) for i in range(n)]``.
+Where the process may run on two CPUs it forks once: this process makes
+items ``[0, n // 2)`` while the child makes the rest and sends each item
+back through a pipe as its own pickle. ``extra_trees.fit`` grows its trees
+this way, ``fusion_pipeline.detect`` scores its windows and
 ``metrics.kfold_cv`` scores its folds; ``_forked`` is the package's one call
 to fork. A call made inside either half of another runs in-process, so a
 forest grown inside a fold never forks a second time.
@@ -39,19 +39,19 @@ class _Failure:
 
 
 def in_two_halves(
-    produce: Callable[[range], list],
+    make: Callable[[int], object],
     n: int,
     what: str,
     adopt: Callable = lambda item: item,
 ) -> list:
-    """``produce(range(n))``, with items ``n // 2..n`` made in a forked child
-    when there are at least two items and two CPUs, and this call is not made
-    inside either half of another.
+    """``[make(i) for i in range(n)]``, with items ``n // 2..n`` made in a
+    forked child when there are at least two items and two CPUs, and this
+    call is not made inside either half of another.
 
-    ``produce`` must make items ``ids`` in order, each independent of the
-    others, and return them as a list. The child makes its whole half before
-    writing, so a full pipe never stalls its work, and this process reads the
-    child's items, passing each through ``adopt``, once its own half is done.
+    ``make(i)`` makes item i, independent of the others. The child makes its
+    whole half before writing, so a full pipe never stalls its work, and this
+    process reads the child's items, passing each through ``adopt``, once its
+    own half is done.
     The child inherits the parent's memory copy-on-write and leaves only
     through ``os._exit``, flushing none of the parent's buffers.
     Where BLAS runs threads of its own, both processes' pools share the two
@@ -64,15 +64,15 @@ def in_two_halves(
     """
     global _inside_half
     if n < 2 or _inside_half or not _two_cpus():
-        return produce(range(n))
+        return [make(i) for i in range(n)]
     _inside_half = True
     try:
-        return _forked(produce, n, what, adopt)
+        return _forked(make, n, what, adopt)
     finally:
         _inside_half = False
 
 
-def _forked(produce: Callable[[range], list], n: int, what: str, adopt: Callable) -> list:
+def _forked(make: Callable[[int], object], n: int, what: str, adopt: Callable) -> list:
     half = n // 2
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -82,7 +82,7 @@ def _forked(produce: Callable[[range], list], n: int, what: str, adopt: Callable
             os.close(read_fd)
             with open(write_fd, "wb") as out:
                 try:
-                    for item in produce(range(half, n)):
+                    for item in [make(i) for i in range(half, n)]:
                         pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
                     status = 0
                 except BaseException as exc:
@@ -94,7 +94,7 @@ def _forked(produce: Callable[[range], list], n: int, what: str, adopt: Callable
     failure = None
     try:
         with open(read_fd, "rb") as stream:
-            items = produce(range(half))
+            items = [make(i) for i in range(half)]
             try:
                 for _ in range(half, n):
                     item = pickle.load(stream)

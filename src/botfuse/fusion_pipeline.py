@@ -26,12 +26,6 @@ VARIANT_FLOW = "flow_only"
 VARIANTS = (VARIANT_FUSED, VARIANT_TOPOLOGY, VARIANT_FLOW)
 
 
-def check_threshold(threshold: float) -> None:
-    """Refuse a bot-probability threshold outside [0, 1], nan included."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-
-
 @dataclass
 class PipelineConfig:
     architecture: str = ARCH_C2
@@ -40,7 +34,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
-        check_threshold(self.threshold)
+        extra_trees.check_threshold(self.threshold)
 
 
 @dataclass
@@ -112,15 +106,6 @@ class DetectionReport:
                 for p, node, flag in zip(probs, w.nodes, w.flags.tolist())
             )
             yield f'{head[:-1]},"nodes":[{nodes}],{_JSON.encode(tail)[1:]}'
-
-
-def normalize_fused(v: np.ndarray) -> np.ndarray:
-    """Min-max rescale of one feature vector onto [0, 100]: the one-row case
-    of `normalize_embedding`."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("empty feature vector")
-    return normalize_embedding(v.reshape(1, -1)).reshape(v.shape)
 
 
 def normalize_embedding(M: np.ndarray, mode: str = DEFAULT_NORM_MODE) -> np.ndarray:
@@ -253,7 +238,8 @@ def detect(
             f"model emits {model.hidden_dim}"
         )
 
-    def score(window: WindowSlice) -> WindowReport:
+    def score(i: int) -> WindowReport:
+        window = windows[i]
         emb = embed_window(window, model)
         t0 = time.perf_counter()
         norm = normalize_embedding(emb.vectors, ensemble.norm_mode)
@@ -270,9 +256,7 @@ def detect(
         )
 
     t_run = time.perf_counter()
-    reports = in_two_halves(
-        lambda ids: [score(windows[i]) for i in ids], len(windows), "window"
-    )
+    reports = in_two_halves(score, len(windows), "window")
     return DetectionReport(
         architecture=config.architecture,
         threshold=config.threshold,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +26,7 @@ N_CLASSES = 2
 # The name of the one layer wiring. It survives only as the
 # `GcnModel.residual_mode` field and the `residual_mode` parameter of
 # `gcn_layer_forward`, which the benchmark's layer replay still passes;
-# ROADMAP item 1 removes both.
+# the `src/` follow-up of ROADMAP item 3 (the benchmark PR) removes both.
 RESIDUAL_Z_PLUS_RELU = "z_plus_relu"
 
 # Z + relu(Z) doubles positive activations; for zero-mean pre-activations the
@@ -365,14 +366,10 @@ def deserialize_model(data: bytes) -> GcnModel:
 
 
 def save_model(model: GcnModel, path) -> None:
-    from pathlib import Path
-
     Path(path).write_bytes(serialize_model(model))
 
 
 def load_model(path) -> GcnModel:
-    from pathlib import Path
-
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"model file not found: {path}")

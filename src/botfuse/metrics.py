@@ -7,9 +7,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import extra_trees
-from .extra_trees import DEFAULT_THRESHOLD
+from .extra_trees import DEFAULT_THRESHOLD, check_threshold
 from .forking import in_two_halves
-from .fusion_pipeline import check_threshold
 
 METRIC_FIELDS = ("accuracy", "precision", "recall", "fpr", "f1", "roc_auc")
 
@@ -176,20 +175,15 @@ def kfold_cv(
         if np.unique(np.delete(y, test_idx)).size < 2:
             raise ValueError(f"training split for fold {i} is single-class; lower k")
 
-    def score(fold_ids: range) -> list[MetricSet]:
-        scored = []
-        for i in fold_ids:
-            test_idx = folds[i]
-            train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-            ensemble = extra_trees.fit(
-                X[train_idx], y[train_idx], n_trees=n_trees, seed=seed + i
-            )
-            probs = extra_trees.predict_proba(ensemble, X[test_idx])
-            scored.append(compute_metrics(y[test_idx], probs, threshold))
-        return scored
+    def score(i: int) -> MetricSet:
+        test_idx = folds[i]
+        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
+        ensemble = extra_trees.fit(X[train_idx], y[train_idx], n_trees=n_trees, seed=seed + i)
+        probs = extra_trees.predict_proba(ensemble, X[test_idx])
+        return compute_metrics(y[test_idx], probs, threshold)
 
     paired = k - k % 2
-    fold_metrics = in_two_halves(score, paired, "fold") + score(range(paired, k))
+    fold_metrics = in_two_halves(score, paired, "fold") + [score(i) for i in range(paired, k)]
     return fold_metrics, summarize_folds(fold_metrics)
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import sys
 
 import pytest
@@ -582,6 +583,60 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err == "error: --out and --report name the same file\n"
         assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("command, output, source", [
+        ("synth", "--out", "--config"),
+        ("pretrain", "--out", "--data"),
+        ("pretrain", "--report", "--config"),
+        ("features", "--out", "--flows"),
+        ("train", "--out", "--model"),
+        ("detect", "--out", "--ensemble"),
+        ("eval", "--out", "--flows"),
+        ("sweep", "--out", "--config"),
+    ])
+    def test_output_that_names_an_input_file(self, art, tmp_path, capsys, command, output,
+                                             source):
+        inputs = {
+            "--flows": art["flows"],
+            "--model": art["model"],
+            "--ensemble": art["ens"],
+            "--data": art["graphs"] / "graph_c2_000.json",
+        }
+        files = {option: tmp_path / path.name for option, path in inputs.items()}
+        for option, path in inputs.items():
+            files[option].write_bytes(path.read_bytes())
+        files["--config"] = tmp_path / "config.json"
+        files["--config"].write_text("{}")
+        before = {option: path.read_bytes() for option, path in files.items()}
+        reads = {
+            "synth": [],
+            "pretrain": ["--data"],
+            "features": ["--flows"],
+            "train": ["--flows", "--model"],
+            "detect": ["--flows", "--model", "--ensemble"],
+            "eval": ["--flows", "--model"],
+            "sweep": ["--flows", "--data"],
+        }[command]
+        argv = [command, "--config", str(files["--config"])]
+        for option in reads:
+            argv += [option, str(files[option])]
+        if "--data" in reads and source != "--data":
+            # A lone graph is too few to pretrain on; a directory of them is not.
+            shutil.copytree(art["graphs"], tmp_path / "graphs")
+            argv[argv.index("--data") + 1] = str(tmp_path / "graphs")
+        argv += {
+            "pretrain": ["--max-epochs", "1", "--depth", "2"],
+            "sweep": ["--max-epochs", "1", "--depths", "2", "--k", "2", "--n-trees", "2"],
+        }.get(command, [])
+        if output == "--report":
+            argv += ["--out", str(tmp_path / "model.out")]
+        (tmp_path / "sub").mkdir()
+        target = str(tmp_path / "sub" / ".." / files[source].name)
+        assert main([*argv, output, target]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {output} names the {source} input file: {target}\n")
+        assert {option: path.read_bytes() for option, path in files.items()} == before
+        assert not (tmp_path / "model.out").exists()
 
     def test_detect_refuses_cyclic_ensemble(self, art, tmp_path, capsys):
         payload = json.loads(art["ens"].read_text())

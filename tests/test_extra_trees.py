@@ -18,7 +18,6 @@ from botfuse.extra_trees import (
     deserialize_ensemble,
     fit,
     load_ensemble,
-    predict,
     predict_proba,
     save_ensemble,
     serialize_ensemble,
@@ -294,7 +293,7 @@ class TestFit:
         rng = np.random.default_rng(0)
         X, y = _separable(rng, n=200)
         ens = fit(X, y, n_trees=50, seed=0)
-        assert np.array_equal(predict(ens, X), y)
+        assert np.array_equal(predict_proba(ens, X) >= 0.5, y == 1)
 
     def test_constant_features_give_single_leaves(self):
         X = np.full((30, 3), 7.0)
@@ -305,7 +304,7 @@ class TestFit:
             assert tree["feature"][0] == _LEAF
             assert tree["counts"][0].tolist() == [20, 10]
         # Majority class everywhere.
-        assert np.array_equal(predict(ens, X), np.zeros(30, dtype=np.int64))
+        assert not (predict_proba(ens, X) >= 0.5).any()
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(2)
@@ -575,15 +574,13 @@ class TestPredict:
         assert p[0] == 1.0
         assert p[1] == 0.0
 
-    def test_proba_bounds_and_threshold_consistency(self):
+    def test_proba_bounds(self):
         rng = np.random.default_rng(11)
         X, y = _separable(rng, n=120, margin=0.4)
         ens = fit(X, y, n_trees=15, seed=11)
         Q = rng.standard_normal((60, 2)) * 2
         p = predict_proba(ens, Q)
         assert ((0.0 <= p) & (p <= 1.0)).all()
-        assert np.array_equal(predict(ens, Q), (p >= 0.5).astype(np.int64))
-        assert np.array_equal(predict(ens, Q, threshold=0.9), (p >= 0.9).astype(np.int64))
 
     def test_non_finite_input_rejected(self):
         ens = deserialize_ensemble(_hand_written())
@@ -608,8 +605,8 @@ class TestPredict:
         y = (rng.random(70) < 0.5).astype(np.int64)
         y[:2] = [0, 1]
         ens = fit(X, y, n_trees=7, seed=13)
-        assert np.array_equal(predict(ens, X), y)
         p = predict_proba(ens, X)
+        assert np.array_equal(p >= 0.5, y == 1)
         assert np.array_equal(p, y.astype(np.float64))
 
 
@@ -763,8 +760,8 @@ class TestMonotoneRescaling:
             tr, te = np.arange(80), np.arange(80, 120)
             a = fit(X[tr], y[tr], n_trees=25, seed=seed)
             b = fit(Xm[tr], y[tr], n_trees=25, seed=seed)
-            accs_raw.append(float((predict(a, X[te]) == y[te]).mean()))
-            accs_mono.append(float((predict(b, Xm[te]) == y[te]).mean()))
+            accs_raw.append(float(((predict_proba(a, X[te]) >= 0.5) == y[te]).mean()))
+            accs_mono.append(float(((predict_proba(b, Xm[te]) >= 0.5) == y[te]).mean()))
         assert np.mean(accs_raw) >= 0.97
         assert np.mean(accs_mono) >= 0.97
         assert abs(np.mean(accs_raw) - np.mean(accs_mono)) < 0.02

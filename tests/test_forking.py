@@ -11,37 +11,49 @@ from botfuse.forking import in_two_halves
 from fork_checks import assert_no_child_left, counted_forks
 
 
-def _refused(produce, message):
+def _refused(make, message):
     with pytest.MonkeyPatch.context() as mp:
         counted_forks(mp)
         with pytest.raises(RuntimeError, match=re.escape(message) + "$"):
-            in_two_halves(produce, 5, "number")
+            in_two_halves(make, 5, "number")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+def test_items_come_back_in_order(n):
+    with pytest.MonkeyPatch.context() as mp:
+        forks = counted_forks(mp)
+        squares = in_two_halves(lambda i: i * i, n, "square")
+    assert squares == [i * i for i in range(n)]
+    assert len(forks) == (n >= 2)
     assert_no_child_left()
 
 
 def test_a_killed_worker_keeps_the_exit_code_message():
     parent = os.getpid()
 
-    def produce(ids):
+    def make(i):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return list(ids)
+        return i
 
-    _refused(produce, "number worker exited with code -9 after sending 0 of its 3 numbers")
+    _refused(make, "number worker exited with code -9 after sending 0 of its 3 numbers")
 
 
 def test_a_short_stream_is_refused():
     parent = os.getpid()
 
-    def produce(ids):
-        return list(ids) if os.getpid() == parent else list(ids)[:-1]
+    def make(i):
+        if os.getpid() != parent and i == 4:
+            os._exit(0)  # before the worker sends anything
+        return i
 
-    _refused(produce, "number worker exited with code 0 after sending 2 of its 3 numbers")
+    _refused(make, "number worker exited with code 0 after sending 0 of its 3 numbers")
 
 
 def test_a_call_inside_either_half_runs_in_process():
-    def inner(ids):
-        return [(i, in_two_halves(list, 4, "digit")) for i in ids]
+    def inner(i):
+        return i, in_two_halves(lambda j: j, 4, "digit")
 
     with pytest.MonkeyPatch.context() as mp:
         forks = counted_forks(mp)

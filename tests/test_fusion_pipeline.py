@@ -26,7 +26,6 @@ from botfuse.fusion_pipeline import (
     detect,
     embed_window,
     normalize_embedding,
-    normalize_fused,
     pool_labeled_rows,
     train_detector,
 )
@@ -73,47 +72,45 @@ class TestPipelineConfig:
             PipelineConfig(threshold=1.5)
 
 
-class TestNormalizeFused:
+class TestNormalizeOneRow:
     def test_three_point_example(self):
-        assert np.array_equal(normalize_fused([1.0, 2.0, 3.0]), [0.0, 50.0, 100.0])
+        assert np.array_equal(normalize_embedding([[1.0, 2.0, 3.0]]), [[0.0, 50.0, 100.0]])
 
     def test_output_range_and_extremes(self):
         rng = np.random.default_rng(0)
-        v = rng.standard_normal(50) * 40
-        out = normalize_fused(v)
+        v = rng.standard_normal((1, 50)) * 40
+        out = normalize_embedding(v)
         assert out.min() == 0.0
         assert out.max() == 100.0
         assert ((0.0 <= out) & (out <= 100.0)).all()
 
     def test_constant_vector_maps_to_zeros(self):
-        assert np.array_equal(normalize_fused([7.0, 7.0, 7.0]), np.zeros(3))
+        assert np.array_equal(normalize_embedding([[7.0, 7.0, 7.0]]), np.zeros((1, 3)))
 
     def test_power_of_two_scaling_is_exactly_invariant(self):
         rng = np.random.default_rng(1)
-        v = rng.standard_normal(30)
-        assert np.array_equal(normalize_fused(4.0 * v), normalize_fused(v))
+        v = rng.standard_normal((1, 30))
+        assert np.array_equal(normalize_embedding(4.0 * v), normalize_embedding(v))
 
     def test_general_scaling_is_invariant_to_rounding(self):
         rng = np.random.default_rng(2)
-        v = rng.standard_normal(30)
+        v = rng.standard_normal((1, 30))
         np.testing.assert_allclose(
-            normalize_fused(3.0 * v), normalize_fused(v), rtol=1e-12, atol=1e-9
+            normalize_embedding(3.0 * v), normalize_embedding(v), rtol=1e-12, atol=1e-9
         )
 
-    def test_rejects_empty_and_non_finite(self):
-        with pytest.raises(ValueError, match="empty"):
-            normalize_fused([])
+    def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            normalize_fused([1.0, np.nan])
+            normalize_embedding([[1.0, np.nan]])
         with pytest.raises(ValueError, match="non-finite"):
-            normalize_fused([1.0, np.inf])
+            normalize_embedding([[1.0, np.inf]])
 
 
 class TestNormalizeEmbedding:
     def test_per_vector_matches_row_wise_rescale(self):
         M = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0], [0.0, 10.0, 5.0]])
         out = normalize_embedding(M, "per_vector")
-        expect = np.vstack([normalize_fused(row) for row in M])
+        expect = np.vstack([normalize_embedding(row[None]) for row in M])
         assert np.array_equal(out, expect)
         assert np.array_equal(out[1], np.zeros(3))
 
