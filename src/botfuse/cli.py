@@ -22,7 +22,7 @@ from . import metrics as metrics_mod, pretrain as pretrain_mod
 from .comm_graph import save_graph
 from .flow_ingest import filter_tcp_udp, parse_flow_file, slice_windows, write_flows_csv
 from .flow_features import FEATURE_NAMES, extract_node_features
-from .fusion_pipeline import PipelineConfig, detect, pool_labeled_rows, train_detector
+from .fusion_pipeline import detect, pool_labeled_rows, train_detector
 from .gcn_core import check_depth, load_model, save_model
 from .pretrain import ARCH_C2, ARCH_DEPTH, ARCHITECTURES, DEFAULT_N_GRAPHS, TrainConfig
 
@@ -88,14 +88,15 @@ def _check_output_path(path: str) -> None:
         )
 
 
-# Options that name a file the command reads; --data does unless it is "synth".
-_INPUT_OPTIONS = ("flows", "model", "ensemble", "config", "data")
+# Options that name a file the command reads, besides --data.
+_INPUT_OPTIONS = ("flows", "model", "ensemble", "config")
 
 
 def _check_outputs(args) -> None:
     """Refuse --out and --report paths that cannot be written, that name the
-    same file, or that name one of the command's input files, so the command
-    fails before it reads, trains or scores anything and overwrites nothing."""
+    same file, or that name one of the command's input files (a graph that
+    --data holds among them), so the command fails before it reads, trains
+    or scores anything and overwrites nothing."""
     outputs = {f"--{name}": getattr(args, name) for name in ("out", "report")
                if getattr(args, name, None) is not None}
     if args.command in _FILE_OUTPUT_COMMANDS:
@@ -103,11 +104,11 @@ def _check_outputs(args) -> None:
             _check_output_path(path)
         if len({Path(path).resolve() for path in outputs.values()}) < len(outputs):
             raise ValueError("--out and --report name the same file")
-    inputs = {}
-    for name in _INPUT_OPTIONS:
-        path = getattr(args, name, None)
-        if path is not None and not (name == "data" and path == "synth"):
-            inputs[Path(path).resolve()] = f"--{name}"
+    inputs = {Path(getattr(args, name)).resolve(): f"--{name}" for name in _INPUT_OPTIONS
+              if getattr(args, name, None) is not None}
+    data = getattr(args, "data", "synth")
+    if data != "synth" and Path(data).exists():
+        inputs.update((path.resolve(), "--data") for path in pretrain_mod.graph_files(data))
     for option, path in outputs.items():
         source = inputs.get(Path(path).resolve())
         if source is not None:
@@ -225,8 +226,7 @@ def cmd_detect(args) -> int:
     _, windows = _load_windows(args)
     model = load_model(args.model)
     ensemble = extra_trees.load_ensemble(args.ensemble)
-    config = PipelineConfig(architecture=args.arch, threshold=args.threshold)
-    report = detect(windows, model, ensemble, config)
+    report = detect(windows, model, ensemble, args.arch, args.threshold)
     with _text_output(args.out) as out:
         for line in report.json_lines(include_timings=not args.no_timings):
             out.write(line + "\n")

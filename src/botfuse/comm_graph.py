@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from botfuse.flow_features import FEATURE_DIM, NodeFeatures
+from botfuse.flow_features import FEATURE_DIM
 from botfuse.flow_ingest import WindowSlice
 
 # Per-node label codes used in CommGraph.labels arrays.
@@ -26,52 +26,30 @@ GRAPH_FORMAT_VERSION = 1
 
 @dataclass
 class CommGraph:
-    """Nodes in lexicographic id order, directed edges as a lexicographically
-    sorted, duplicate-free (m, 2) int64 array of index pairs (any collection
-    of (i, j) pairs is accepted and canonicalized here), and a row-aligned
-    per-node feature matrix."""
+    """Nodes in lexicographic id order and directed edges as a
+    lexicographically sorted, duplicate-free (m, 2) int64 array of index
+    pairs; any collection of in-range (i, j) pairs is accepted and
+    canonicalized here. A graph read from a file may carry a row-aligned
+    per-node feature matrix; a window's graph carries none."""
 
     nodes: list[str]
     edges: np.ndarray
-    features: np.ndarray
+    features: np.ndarray | None = None
     labels: np.ndarray | None = None
     dropped_self_loops: int = 0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.edges = _canonical_edges(self.edges, self.n)
+        raw = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
+        pairs = np.array(raw, dtype=np.int64).reshape(-1, 2)
+        n = self.n
+        # Codes i*n + j sort like the pairs, so sorting them sorts the pairs.
+        codes = _sorted_unique(pairs[:, 0] * n + pairs[:, 1])
+        self.edges = np.column_stack((codes // n, codes % n))
 
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-
-def _canonical_edges(edges, n: int) -> np.ndarray:
-    """Sorted, duplicate-free (m, 2) int64 copy of the (i, j) pairs. The
-    ValueError for bad input names the first pair at fault."""
-    raw = edges if isinstance(edges, np.ndarray) else list(edges)
-    try:
-        pairs = np.array(raw, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        pairs = None
-    if pairs is None or not (pairs.shape == (0,) or pairs.ndim == 2 and pairs.shape[1] == 2):
-        bad = next((p for p in raw if not _is_int64_pair(p)), raw)
-        raise ValueError(f"bad edge {bad!r}")
-    pairs = pairs.reshape(-1, 2)
-    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
-    if outside.any():
-        raise ValueError(f"edge {raw[int(np.argmax(outside))]!r} out of range")
-    # Codes i*n + j sort like the pairs, so sorting them sorts the pairs.
-    codes = _sorted_unique(pairs[:, 0] * n + pairs[:, 1])
-    return np.column_stack((codes // n, codes % n))
-
-
-def _is_int64_pair(p) -> bool:
-    try:
-        np.array(p, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return np.ndim(p) == 1 and len(p) == 2
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
@@ -84,22 +62,16 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
-def build_graph(window: WindowSlice, features: NodeFeatures) -> CommGraph:
+def build_graph(window: WindowSlice) -> CommGraph:
     """Build the directed unweighted communication graph of one window.
 
     A flow adds src -> dst when the source sent bytes and dst -> src when the
     destination sent bytes. Duplicate edges collapse; self-addressed flows
-    are dropped and counted. ``features`` must be the window's own, so its
-    rows are the graph's nodes.
+    are dropped and counted. The nodes are in the order of the rows of
+    `extract_node_features` for the same window.
     """
     table = window.table
     nodes, local = table.node_index()
-    if nodes != features.nodes:
-        missing = sorted(set(nodes).difference(features.nodes))
-        if missing:
-            raise ValueError(f"missing features for endpoint {missing[0]!r}")
-        raise ValueError("feature rows do not match the window's endpoints")
-
     keep = local[:, 0] != local[:, 1]
     edges = np.concatenate((
         local[(table.src_bytes != 0) & keep],
@@ -109,7 +81,6 @@ def build_graph(window: WindowSlice, features: NodeFeatures) -> CommGraph:
     return CommGraph(
         nodes=nodes,
         edges=edges,
-        features=features.matrix,
         dropped_self_loops=len(table) - int(keep.sum()),
     )
 
@@ -185,6 +156,8 @@ def graph_from_json(payload: dict) -> CommGraph:
     for edge in edges:
         if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
             raise ValueError(f"graph schema violation: bad edge {edge!r}")
+        if not (0 <= edge[0] < n and 0 <= edge[1] < n):
+            raise ValueError(f"graph schema violation: edge {edge!r} out of range")
 
     labels = None
     raw_labels = payload.get("labels")
@@ -199,6 +172,7 @@ def graph_from_json(payload: dict) -> CommGraph:
             bad = next(name for name in raw_labels if name not in _CODE_TO_NAME.values())
             raise ValueError(f"graph schema violation: unknown label {bad!r}") from None
 
+    features = None
     raw_features = payload.get("features")
     if raw_features is not None:
         if not isinstance(raw_features, list) or not all(
@@ -214,23 +188,18 @@ def graph_from_json(payload: dict) -> CommGraph:
                 f"graph schema violation: feature matrix shape {features.shape}, "
                 f"expected {(n, FEATURE_DIM)}"
             )
-    else:
-        features = np.zeros((n, FEATURE_DIM), dtype=np.float64)
 
     meta = payload.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("graph schema violation: meta must be an object or null")
 
-    try:
-        return CommGraph(
-            nodes=list(nodes),
-            edges=edges,
-            features=features,
-            labels=labels,
-            meta=dict(meta or {}),
-        )
-    except ValueError as exc:
-        raise ValueError(f"graph schema violation: {exc}") from None
+    return CommGraph(
+        nodes=list(nodes),
+        edges=edges,
+        features=features,
+        labels=labels,
+        meta=dict(meta or {}),
+    )
 
 
 def _is_int(value) -> bool:

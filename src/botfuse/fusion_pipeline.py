@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +24,6 @@ VARIANT_FUSED = "fused"
 VARIANT_TOPOLOGY = "topology_only"
 VARIANT_FLOW = "flow_only"
 VARIANTS = (VARIANT_FUSED, VARIANT_TOPOLOGY, VARIANT_FLOW)
-
-
-@dataclass
-class PipelineConfig:
-    architecture: str = ARCH_C2
-    threshold: float = DEFAULT_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"architecture must be one of {ARCHITECTURES}")
-        extra_trees.check_threshold(self.threshold)
 
 
 @dataclass
@@ -56,7 +45,7 @@ class WindowReport:
     nodes: list[str]
     probabilities: np.ndarray
     flags: np.ndarray
-    timings: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float]
 
     @property
     def n_nodes(self) -> int:
@@ -78,7 +67,6 @@ class DetectionReport:
     architecture: str
     threshold: float
     windows: list[WindowReport]
-    total_seconds: float = 0.0
 
     def json_lines(self, include_timings: bool = True) -> Iterator[str]:
         """One JSON line (without its newline) per window, made as it is asked for.
@@ -138,27 +126,31 @@ def embed_window(
     Variants select what the vectors are: `fused` runs flow features
     through the frozen network, `topology_only` runs all-ones features
     through it instead, and `flow_only` skips the network and returns the
-    raw window features.
+    raw window features. The network must take FEATURE_DIM inputs.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown feature variant {variant!r}")
-    if variant != VARIANT_FLOW and not model.frozen:
-        raise ValueError("embedding requires a frozen model")
+    if variant != VARIANT_FLOW:
+        if not model.frozen:
+            raise ValueError("embedding requires a frozen model")
+        if model.input_dim != FEATURE_DIM:
+            raise ValueError(
+                f"model expects {model.input_dim}-dim input, pipeline produces {FEATURE_DIM}"
+            )
     t0 = time.perf_counter()
     feats = extract_node_features(window)
     t1 = time.perf_counter()
-    graph = build_graph(window, feats)
     if variant == VARIANT_FLOW:
-        t2 = time.perf_counter()
-        vectors = graph.features
+        t2 = t1
+        vectors = feats.matrix
     else:
-        P = propagation_matrix(graph)
+        P = propagation_matrix(build_graph(window))
         t2 = time.perf_counter()
-        X0 = graph.features if variant == VARIANT_FUSED else np.ones_like(graph.features)
+        X0 = feats.matrix if variant == VARIANT_FUSED else np.ones_like(feats.matrix)
         vectors = forward(model, P, X0, with_head=False)
     t3 = time.perf_counter()
     timings = {"features": t1 - t0, "graph": t2 - t1, "embed": t3 - t2}
-    return NodeEmbedding(nodes=graph.nodes, vectors=vectors, timings=timings)
+    return NodeEmbedding(nodes=feats.nodes, vectors=vectors, timings=timings)
 
 
 def pool_labeled_rows(
@@ -216,7 +208,8 @@ def detect(
     windows: list[WindowSlice],
     model: GcnModel,
     ensemble: TreeEnsemble,
-    config: PipelineConfig | None = None,
+    architecture: str = ARCH_C2,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> DetectionReport:
     """Per-window verdicts with stage timings; no cross-window aggregation.
 
@@ -225,13 +218,11 @@ def detect(
     second half is scored in one forked worker (`forking.in_two_halves`);
     the verdicts have the same bytes either way.
     """
-    config = config or PipelineConfig()
+    if architecture not in ARCHITECTURES:
+        raise ValueError(f"architecture must be one of {ARCHITECTURES}")
+    extra_trees.check_threshold(threshold)
     if not windows:
         raise ValueError("no windows to detect on")
-    if model.input_dim != FEATURE_DIM:
-        raise ValueError(
-            f"model expects {model.input_dim}-dim input, pipeline produces {FEATURE_DIM}"
-        )
     if ensemble.n_features != model.hidden_dim:
         raise ValueError(
             f"ensemble expects {ensemble.n_features} features, "
@@ -245,7 +236,7 @@ def detect(
         norm = normalize_embedding(emb.vectors, ensemble.norm_mode)
         t1 = time.perf_counter()
         probs = extra_trees.predict_proba(ensemble, norm)
-        flags = probs >= config.threshold
+        flags = probs >= threshold
         t2 = time.perf_counter()
         return WindowReport(
             window_start=window.window_start,
@@ -255,11 +246,8 @@ def detect(
             timings={**emb.timings, "normalize": t1 - t0, "classify": t2 - t1},
         )
 
-    t_run = time.perf_counter()
-    reports = in_two_halves(score, len(windows), "window")
     return DetectionReport(
-        architecture=config.architecture,
-        threshold=config.threshold,
-        windows=reports,
-        total_seconds=time.perf_counter() - t_run,
+        architecture=architecture,
+        threshold=threshold,
+        windows=in_two_halves(score, len(windows), "window"),
     )

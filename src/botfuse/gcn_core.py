@@ -60,20 +60,13 @@ class GcnModel:
         return [*self.weights, self.head_weight, self.head_bias]
 
 
-@dataclass
-class GcnGradients:
-    weights: list[np.ndarray]
-    head_weight: np.ndarray
-    head_bias: np.ndarray
-
-    def parameters(self) -> list[np.ndarray]:
-        return [*self.weights, self.head_weight, self.head_bias]
-
-
 def check_depth(depth: int) -> None:
-    """Refuse a network of fewer than one layer."""
+    """Refuse a network of fewer than one layer, or of more than the model
+    format can record."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"depth must be <= {_MAX_DEPTH}, the model format's limit, got {depth}")
 
 
 def init_gcn(
@@ -238,8 +231,9 @@ def backward(
     labels: np.ndarray,
     mask: np.ndarray,
     work: list[np.ndarray] | None = None,
-) -> tuple[float, GcnGradients]:
-    """Loss and exact gradients of mean masked cross-entropy over the logits.
+) -> tuple[float, list[np.ndarray]]:
+    """Loss and exact gradients of mean masked cross-entropy over the logits,
+    one array per parameter in `GcnModel.parameters` order.
 
     P must be symmetric (as produced by the propagation-matrix construction).
     ``work`` is an optional `make_workspace` workspace for graphs of N >= n
@@ -275,12 +269,14 @@ def backward(
         d_weights[k] = acts[k].T @ S
         dX = S @ model.weights[k].T
 
-    return loss, GcnGradients(weights=d_weights, head_weight=d_head_w, head_bias=d_head_b)
+    return loss, [*d_weights, d_head_w, d_head_b]
 
 
 _MAGIC = b"BFGC"
 _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHHHHBBBB")
+# The header stores depth as an unsigned 16-bit field.
+_MAX_DEPTH = 2**16 - 1
 _RESIDUAL_CODES = {RESIDUAL_Z_PLUS_RELU: 0}
 _RESIDUAL_NAMES = {v: k for k, v in _RESIDUAL_CODES.items()}
 

@@ -165,21 +165,26 @@ def default_pretrain_dataset(
     ]
 
 
+def graph_files(path) -> list[Path]:
+    """The graph files a dataset path holds: the ``*.json`` files of a
+    directory in name order, or the path itself when it is a file."""
+    path = Path(path)
+    if path.is_dir():
+        return sorted(path.glob("*.json"))
+    if path.is_file():
+        return [path]
+    raise FileNotFoundError(f"dataset path not found: {path}")
+
+
 def load_graph_dataset(path) -> list[CommGraph]:
     """Load labeled interchange-format graphs from a file or directory.
 
     Pretraining reads only their topology and labels: every graph gets
     all-ones inputs whatever features it stores.
     """
-    path = Path(path)
-    if path.is_dir():
-        files = sorted(path.glob("*.json"))
-        if not files:
-            raise ValueError(f"no graph files in {path}")
-    elif path.is_file():
-        files = [path]
-    else:
-        raise FileNotFoundError(f"dataset path not found: {path}")
+    files = graph_files(path)
+    if not files:
+        raise ValueError(f"no graph files in {path}")
 
     graphs = []
     for f in files:
@@ -289,7 +294,7 @@ def pretrain_gcn(
                 raise RuntimeError(
                     f"pretraining diverged at epoch {epoch}: loss={loss!r}"
                 )
-            adam.step(params, grads.parameters())
+            adam.step(params, grads)
             epoch_loss += loss
         epoch_loss /= len(train_set)
 
@@ -314,8 +319,7 @@ def pretrain_gcn(
             if since_best > config.patience:
                 break
 
-    model.weights = best_params[: model.depth]
-    model.head_weight = best_params[model.depth]
-    model.head_bias = best_params[model.depth + 1]
+    for p, best in zip(params, best_params):
+        np.copyto(p, best)
     model.frozen = True
     return model

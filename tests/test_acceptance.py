@@ -34,7 +34,6 @@ from botfuse.gcn_core import (
     serialize_model,
 )
 from botfuse.fusion_pipeline import (
-    PipelineConfig,
     detect,
     normalize_embedding,
     pool_labeled_rows,
@@ -149,7 +148,7 @@ def _gradcheck_worst(depth, seed):
     _, grads = backward(model, P, X, y, mask)
     eps = 1e-5
     worst = 0.0
-    for param, grad in zip(model.parameters(), grads.parameters()):
+    for param, grad in zip(model.parameters(), grads):
         it = np.nditer(param, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index
@@ -426,9 +425,8 @@ def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
     flows = generate_flow_benchmark(spec)
     windows = slice_windows(flows, 60.0, 10.0)
     detector = train_detector(windows, m1, derive_node_labels(flows), n_trees=20, seed=4)
-    cfg = PipelineConfig(architecture="c2")
-    r1 = list(detect(windows, m1, detector, cfg).json_lines(include_timings=False))
-    r2 = list(detect(windows, m1, detector, cfg).json_lines(include_timings=False))
+    r1 = list(detect(windows, m1, detector, "c2").json_lines(include_timings=False))
+    r2 = list(detect(windows, m1, detector, "c2").json_lines(include_timings=False))
     reports_identical = r1 == r2
 
     g = default_pretrain_dataset("c2", n_graphs=1, seed=5, n_background=20, n_bots=4)[0]

@@ -19,7 +19,7 @@ from botfuse.flow_ingest import (
     write_flows_csv,
 )
 from botfuse.fusion_pipeline import embed_window, normalize_embedding, train_detector
-from botfuse.gcn_core import load_model
+from botfuse.gcn_core import init_gcn, load_model, save_model
 from botfuse.pretrain import default_pretrain_dataset, load_graph_dataset
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
 from fork_checks import assert_no_child_left, counted_forks, in_process_only
@@ -816,6 +816,65 @@ class TestErrors:
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: depth must be >= 1, got {depth}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pretrain", "--depth", "65536"],
+        ["sweep", "--depths", "2,65536", "--flows", "flows.csv"],
+    ])
+    def test_depth_beyond_the_model_format_is_refused_before_pretraining(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # The model header stores depth in 16 bits.
+        def pretrain(*args, **kwargs):
+            raise AssertionError("pretrained before the depth was checked")
+
+        monkeypatch.setattr("botfuse.pretrain.pretrain_gcn", pretrain)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: depth must be <= 65535, the model format's limit, got 65536\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, output", [
+        ("pretrain", "--out"), ("pretrain", "--report"), ("sweep", "--out"),
+    ])
+    def test_output_that_names_a_graph_in_the_data_directory(
+            self, art, tmp_path, capsys, monkeypatch, command, output):
+        def read(*args, **kwargs):
+            raise AssertionError("an input was read before the outputs were checked")
+
+        monkeypatch.setattr("botfuse.pretrain.load_graph_dataset", read)
+        monkeypatch.setattr("botfuse.cli.parse_flow_file", read)
+        data = tmp_path / "graphs"
+        shutil.copytree(art["graphs"], data)
+        target = data / "graph_c2_000.json"
+        before = target.read_bytes()
+        argv = [command, "--data", str(data), "--depth" if command == "pretrain" else "--depths",
+                "2"]
+        if command == "sweep":
+            argv += ["--flows", str(art["flows"])]
+        if output == "--report":
+            argv += ["--out", str(tmp_path / "model.bin")]
+        assert main([*argv, output, str(target)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {output} names the --data input file: {target}\n")
+        assert target.read_bytes() == before
+        assert not (tmp_path / "model.bin").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "detect"])
+    def test_model_of_the_wrong_input_width_is_refused(self, art, tmp_path, capsys, command):
+        narrow = init_gcn(2, input_dim=3, seed=0)
+        narrow.frozen = True
+        model = tmp_path / "narrow.bin"
+        save_model(narrow, model)
+        out = tmp_path / "out.json"
+        argv = [command, "--flows", str(art["flows"]), "--model", str(model), "--out", str(out)]
+        if command == "detect":
+            argv += ["--ensemble", str(art["ens"])]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: model expects 3-dim input, pipeline produces 5\n")
         assert not out.exists()
 
     def test_p2p_flows_need_more_bots_than_the_mesh_degree(self, tmp_path, capsys):

@@ -18,7 +18,6 @@ from botfuse.flow_ingest import (
 from botfuse.gcn_core import init_gcn, forward
 from botfuse.fusion_pipeline import (
     DetectionReport,
-    PipelineConfig,
     VARIANT_FLOW,
     VARIANT_FUSED,
     VARIANT_TOPOLOGY,
@@ -62,14 +61,6 @@ def _training_windows():
 # unknown.
 TRAINING_LABELS = {"10.0.0.9": Label.BOT, "10.0.0.1": Label.LEGIT,
                    "10.0.0.2": Label.UNKNOWN, "10.0.0.3": Label.UNKNOWN}
-
-
-class TestPipelineConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="architecture"):
-            PipelineConfig(architecture="hybrid")
-        with pytest.raises(ValueError, match="threshold"):
-            PipelineConfig(threshold=1.5)
 
 
 class TestNormalizeOneRow:
@@ -166,8 +157,8 @@ class TestEmbedWindow:
         )
         emb = embed_window(window, model)
         feats = extract_node_features(window)
-        graph = build_graph(window, feats)
-        expect = forward(model, propagation_matrix(graph), graph.features, with_head=False)
+        graph = build_graph(window)
+        expect = forward(model, propagation_matrix(graph), feats.matrix, with_head=False)
         assert np.array_equal(emb.vectors, expect)
         assert emb.nodes == graph.nodes
         assert emb.vectors.shape == (4, 6)
@@ -194,11 +185,12 @@ class TestPoolVariants:
         """Rows one node at a time: a bot or legit node's row, labeled 1 = bot."""
         X_rows, y_rows = [], []
         for w in windows:
-            graph = build_graph(w, extract_node_features(w))
+            graph = build_graph(w)
+            features = extract_node_features(w).matrix
             if variant == VARIANT_FLOW:
-                vec = graph.features
+                vec = features
             else:
-                X0 = graph.features if variant == VARIANT_FUSED else np.ones_like(graph.features)
+                X0 = features if variant == VARIANT_FUSED else np.ones_like(features)
                 vec = forward(model, propagation_matrix(graph), X0, with_head=False)
             for node, row in zip(graph.nodes, normalize_embedding(vec, mode)):
                 if labels.get(node) in (Label.BOT, Label.LEGIT):
@@ -274,18 +266,21 @@ class TestDetect:
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        cfg = PipelineConfig(architecture="c2")
+        with pytest.raises(ValueError, match="architecture must be one of"):
+            detect(windows, model, ens, architecture="hybrid")
+        with pytest.raises(ValueError, match="threshold"):
+            detect(windows, model, ens, threshold=1.5)
         with pytest.raises(ValueError, match="no windows"):
-            detect([], model, ens, cfg)
+            detect([], model, ens)
         narrow = _frozen(depth=2, hidden=4, input_dim=3)
-        with pytest.raises(ValueError, match="-dim input"):
-            detect(windows, narrow, ens, cfg)
+        with pytest.raises(ValueError, match="model expects 3-dim input, pipeline produces 5"):
+            detect(windows, narrow, ens)
         rng = np.random.default_rng(0)
         wide = extra_trees.fit(
             rng.standard_normal((10, 7)), np.array([0, 1] * 5), n_trees=3
         )
         with pytest.raises(ValueError, match="ensemble expects"):
-            detect(windows, model, wide, cfg)
+            detect(windows, model, wide)
 
     @pytest.mark.parametrize("mode", ["per_vector", "per_dimension"])
     def test_probabilities_match_stage_by_stage_replay(self, mode):
@@ -294,8 +289,7 @@ class TestDetect:
         ens = train_detector(windows, model, TRAINING_LABELS, norm_mode=mode, n_trees=10,
                              seed=0)
         assert ens.norm_mode == mode
-        cfg = PipelineConfig(architecture="c2")
-        report = detect(windows, model, ens, cfg)
+        report = detect(windows, model, ens)
         for window, w in zip(windows, report.windows):
             expect = extra_trees.predict_proba(
                 ens, normalize_embedding(embed_window(window, model).vectors, mode)
@@ -308,14 +302,13 @@ class TestDetect:
         ens = self._fitted(model, windows)
         model.frozen = False
         with pytest.raises(ValueError, match="frozen"):
-            detect(windows, model, ens, PipelineConfig(architecture="c2"))
+            detect(windows, model, ens)
 
     def test_report_structure_and_verdict_consistency(self):
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        cfg = PipelineConfig(architecture="c2", threshold=0.4)
-        report = detect(windows, model, ens, cfg)
+        report = detect(windows, model, ens, "c2", 0.4)
         assert report.architecture == "c2"
         assert report.threshold == 0.4
         assert [w.window_start for w in report.windows] == [0.0, 10.0]
@@ -329,47 +322,47 @@ class TestDetect:
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        cfg = PipelineConfig(architecture="c2", threshold=0.0)
-        report = detect(windows, model, ens, cfg)
+        report = detect(windows, model, ens, threshold=0.0)
         assert all(w.n_flagged == w.n_nodes for w in report.windows)
 
     def test_stage_timings_account_for_the_run(self):
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        cfg = PipelineConfig(architecture="c2")
         with pytest.MonkeyPatch.context() as mp:
             in_process_only(mp)
-            report = detect(windows, model, ens, cfg)
+            t0 = time.perf_counter()
+            report = detect(windows, model, ens)
+            run = time.perf_counter() - t0
         staged = 0.0
         for w in report.windows:
             assert set(w.timings) == {"features", "graph", "embed", "normalize", "classify"}
             assert all(t >= 0.0 for t in w.timings.values())
             staged += sum(w.timings.values())
-        assert report.total_seconds > 0.0
-        assert staged <= report.total_seconds
+        assert staged <= run
         # Forked, the two halves run side by side: each fits in the run.
         with pytest.MonkeyPatch.context() as mp:
             counted_forks(mp)
-            report = detect(windows, model, ens, cfg)
+            t0 = time.perf_counter()
+            report = detect(windows, model, ens)
+            run = time.perf_counter() - t0
         for half in (report.windows[:1], report.windows[1:]):
-            assert sum(sum(w.timings.values()) for w in half) <= report.total_seconds
+            assert sum(sum(w.timings.values()) for w in half) <= run
         assert_no_child_left()
 
     def test_json_lines_deterministic_without_timings(self):
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        cfg = PipelineConfig(architecture="c2")
-        a = list(detect(windows, model, ens, cfg).json_lines(include_timings=False))
-        b = list(detect(windows, model, ens, cfg).json_lines(include_timings=False))
+        a = list(detect(windows, model, ens).json_lines(include_timings=False))
+        b = list(detect(windows, model, ens).json_lines(include_timings=False))
         assert a == b
         assert len(a) == 2 and not any("\n" in line for line in a)
         obj = json.loads(a[0])
         assert set(obj) == {
             "window_start", "architecture", "threshold", "n_nodes", "n_flagged", "nodes",
         }
-        assert "timings" in json.loads(next(detect(windows, model, ens, cfg).json_lines()))
+        assert "timings" in json.loads(next(detect(windows, model, ens).json_lines()))
 
 
 @pytest.fixture(scope="module")
@@ -392,7 +385,7 @@ class TestForkedDetect:
     """With two CPUs, detect scores the second half of the windows in one
     forked worker."""
 
-    CONFIG = PipelineConfig(architecture="c2", threshold=0.3)
+    THRESHOLD = 0.3
 
     @pytest.mark.parametrize("n_windows", [1, 2, 3, 7])
     def test_report_bytes_equal_the_in_process_path(self, trace, n_windows):
@@ -400,10 +393,10 @@ class TestForkedDetect:
         windows = windows[:n_windows]
         with pytest.MonkeyPatch.context() as mp:
             forks = counted_forks(mp)
-            forked = detect(windows, model, ensemble, self.CONFIG)
+            forked = detect(windows, model, ensemble, threshold=self.THRESHOLD)
         with pytest.MonkeyPatch.context() as mp:
             in_process_only(mp)
-            in_process = detect(windows, model, ensemble, self.CONFIG)
+            in_process = detect(windows, model, ensemble, threshold=self.THRESHOLD)
         assert len(forks) == (1 if n_windows >= 2 else 0)
         assert (list(forked.json_lines(include_timings=False))
                 == list(in_process.json_lines(include_timings=False)))
@@ -418,7 +411,7 @@ class TestForkedDetect:
         windows, model, ensemble = trace
         with pytest.MonkeyPatch.context() as mp:
             counted_forks(mp)
-            report = detect(windows, model, ensemble, self.CONFIG)
+            report = detect(windows, model, ensemble, threshold=self.THRESHOLD)
         for w in report.windows[3:]:
             assert set(w.timings) == {"features", "graph", "embed", "normalize", "classify"}
             assert all(t >= 0.0 for t in w.timings.values())
@@ -439,7 +432,7 @@ class TestForkedDetect:
             mp.setattr(fusion_pipeline, "embed_window", embed_slowly_in_worker)
             start = time.monotonic()
             with pytest.raises(KeyError, match="first window"):
-                detect(windows, model, ensemble, self.CONFIG)
+                detect(windows, model, ensemble, threshold=self.THRESHOLD)
         assert time.monotonic() - start < 15
         assert_no_child_left()
 
@@ -506,10 +499,10 @@ class TestReportLines:
         assert lines == [_reference_line(report, w, include_timings) for w in report.windows]
 
     def test_lines_are_made_one_at_a_time(self):
-        w = WindowReport(0.0, ["a"], np.array([0.5]), np.array([True]))
+        w = WindowReport(0.0, ["a"], np.array([0.5]), np.array([True]), {})
         report = DetectionReport("c2", 0.5, [w, w])
         lines = report.json_lines()
         first = next(lines)
-        report.windows[1] = WindowReport(10.0, ["b"], np.array([0.25]), np.array([False]))
+        report.windows[1] = WindowReport(10.0, ["b"], np.array([0.25]), np.array([False]), {})
         assert json.loads(first)["nodes"][0]["node_id"] == "a"
         assert json.loads(next(lines))["nodes"][0]["node_id"] == "b"

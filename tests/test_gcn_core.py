@@ -47,7 +47,7 @@ def _gradcheck(model, P, X0, labels, mask, eps=1e-5, floor=1e-6):
     """Elementwise relative error between analytic and central differences."""
     _, grads = backward(model, P, X0, labels, mask)
     worst = 0.0
-    for param, grad in zip(model.parameters(), grads.parameters()):
+    for param, grad in zip(model.parameters(), grads):
         it = np.nditer(param, flags=["multi_index"])
         for _ in it:
             ix = it.multi_index
@@ -72,6 +72,11 @@ class TestInit:
             assert w.shape == (DEFAULT_HIDDEN_DIM, DEFAULT_HIDDEN_DIM)
         assert m.head_weight.shape == (DEFAULT_HIDDEN_DIM, 2)
         assert m.head_bias.shape == (2,)
+
+    def test_depth_beyond_the_model_format_is_refused(self):
+        # The model header stores depth in 16 bits.
+        with pytest.raises(ValueError, match="depth must be <= 65535, the model format's limit"):
+            init_gcn(65536)
 
     def test_seed_determinism(self):
         a, b = init_gcn(3, seed=9), init_gcn(3, seed=9)
@@ -248,7 +253,7 @@ class TestBackward:
         loss_a, g_a = backward(m, P, X, labels, mask)
         loss_b, g_b = backward(m, P, X, flipped, mask)
         assert loss_a == loss_b
-        for a, b in zip(g_a.parameters(), g_b.parameters()):
+        for a, b in zip(g_a, g_b):
             assert np.array_equal(a, b)
 
     def test_stationary_at_saturated_separation(self):
@@ -260,7 +265,7 @@ class TestBackward:
         P = _random_p(rng, 6)
         X = rng.standard_normal((6, 5))
         loss, grads = backward(m, P, X, np.zeros(6, dtype=int), np.ones(6, dtype=bool))
-        total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.parameters()))
+        total = np.sqrt(sum(float((g ** 2).sum()) for g in grads))
         assert total < 1e-6
 
     def test_frozen_model_rejects_backward(self):
@@ -305,7 +310,7 @@ class TestWorkspace:
             loss, grads = backward(m, P, X, labels, mask)
             loss_w, grads_w = backward(m, P, X, labels, mask, work=work)
             assert np.float64(loss_w).tobytes() == np.float64(loss).tobytes()
-            for a, b in zip(grads.parameters(), grads_w.parameters()):
+            for a, b in zip(grads, grads_w):
                 assert a.tobytes() == b.tobytes()
             for with_head in (False, True):
                 plain = forward(m, P, X, with_head=with_head)
@@ -336,7 +341,7 @@ class TestWorkspace:
             dX = S @ m.weights[k].T
         got_loss, grads = backward(m, P, X, labels, mask, work=make_workspace(m, 20))
         assert got_loss == loss
-        for a, b in zip(grads.weights, expect):
+        for a, b in zip(grads[: m.depth], expect):
             assert a.tobytes() == b.tobytes()
 
     def test_rejects_a_workspace_that_does_not_fit(self):

@@ -41,7 +41,6 @@ def test_graph_hooks_count_edges_and_nnz(monkeypatch):
     import numpy as np
 
     from botfuse.comm_graph import build_graph, propagation_matrix
-    from botfuse.flow_features import extract_node_features
     from botfuse.flow_ingest import FlowRecord, Proto, WindowSlice
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -51,7 +50,7 @@ def test_graph_hooks_count_edges_and_nnz(monkeypatch):
         FlowRecord(0.0, 1.0, Proto.TCP, src, 1, dst, 2, up, down)
         for src, dst, up, down in flows
     ])
-    graph = build_graph(window, extract_node_features(window))
+    graph = build_graph(window)
     P = propagation_matrix(graph)
     counts = tracing._graph(None, (window,), {}, graph)
     assert counts == {"comm_graph.edges": 3, "comm_graph.dropped_self_loops": 1}

@@ -121,12 +121,11 @@ class TestGenerate:
         # The detector relies on fragmented per-window graphs; guard the
         # generator against densification regressions.
         from botfuse.comm_graph import build_graph
-        from botfuse.flow_features import extract_node_features
 
         records = generate_flow_benchmark(_spec())
         windows = slice_windows(records, 60.0, 10.0)
         ratios = []
         for w in windows:
-            g = build_graph(w, extract_node_features(w))
+            g = build_graph(w)
             ratios.append(len(g.edges) / (g.n * (g.n - 1)))
         assert float(np.mean(ratios)) < 0.10
