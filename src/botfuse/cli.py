@@ -107,6 +107,7 @@ def _check_outputs(args) -> None:
     inputs = {Path(getattr(args, name)).resolve(): f"--{name}" for name in _INPUT_OPTIONS
               if getattr(args, name, None) is not None}
     data = getattr(args, "data", "synth")
+    # A missing --data is reported where it is read, after the option checks.
     if data != "synth" and Path(data).exists():
         inputs.update((path.resolve(), "--data") for path in pretrain_mod.graph_files(data))
     for option, path in outputs.items():
