@@ -94,8 +94,8 @@ _INPUT_OPTIONS = ("flows", "model", "ensemble", "config")
 
 def _check_outputs(args) -> None:
     """Refuse --out and --report paths that cannot be written, that name the
-    same file, or that name one of the command's input files (a graph that
-    --data holds among them), so the command fails before it reads, trains
+    same file or an input file, or that lie in a --data directory, whose next
+    run would read them as graphs: the command fails before it reads, trains
     or scores anything and overwrites nothing."""
     outputs = {f"--{name}": getattr(args, name) for name in ("out", "report")
                if getattr(args, name, None) is not None}
@@ -114,6 +114,8 @@ def _check_outputs(args) -> None:
         source = inputs.get(Path(path).resolve())
         if source is not None:
             raise ValueError(f"{option} names the {source} input file: {path}")
+        if data != "synth" and Path(data).resolve() in Path(path).resolve().parents:
+            raise ValueError(f"{option} lies inside the --data directory {data}: {path}")
 
 
 def _load_windows(args) -> tuple[list, list]:
@@ -261,7 +263,10 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_depths(args) -> list[int]:
-    depths = [int(d) for d in args.depths.split(",") if d.strip()]
+    try:
+        depths = [int(d) for d in args.depths.split(",") if d.strip()]
+    except ValueError:
+        raise ValueError(f"--depths takes comma-separated integers, got {args.depths!r}") from None
     if not depths:
         raise ValueError("no depths requested")
     return depths

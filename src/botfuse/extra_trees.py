@@ -1,11 +1,14 @@
 """Extremely randomized trees for binary node classification.
 
-Every tree is grown on the full training sample (no bootstrap). At each node
-a subset of attributes is drawn without replacement among the attributes that
-are non-constant in the node, one uniform random cut-point is drawn per
-attribute strictly inside the node's value range, and the cut with the best
-information gain wins. Splitting stops at purity, at min_samples_split, or
-when no attribute admits a cut.
+Every tree is grown on the full training sample (no bootstrap), positive
+rows first; a split keeps that order on both sides, so a node's first c1 rows
+are its positives. At each node a subset of attributes is drawn without
+replacement among those non-constant in the node, and one gather takes them
+for the node's rows from the feature-major training matrix. Per attribute,
+the first of a uniform random cut-point, the midpoint and the float after the
+low end that lies strictly inside the node's value range is the cut, and the
+cut with the best information gain wins. Splitting stops at purity, at
+min_samples_split, or when no attribute admits a cut.
 
 Trees are independent, so where two CPUs are available ``fit`` grows the
 second half of the forest in one forked worker while the calling process
@@ -147,66 +150,60 @@ def _entropy(c0: int, c1: int) -> float:
 _PROBE_ROWS = 8
 
 
-def _choose_split(Xt, y, idx, k, min_split, rng, c0, c1):
+def _cut_inside(lo: float, hi: float, u: float) -> float | None:
+    """The first of the drawn cut, the midpoint (inf where lo + hi overflows)
+    and the float after lo that lies strictly inside (lo, hi), or None."""
+    for cut in (lo + (hi - lo) * u, 0.5 * (lo + hi), math.nextafter(lo, hi)):
+        if lo < cut < hi:  # routing is < left, >= right
+            return cut
+    return None
+
+
+def _choose_split(Xt, idx, k, min_split, rng, c0, c1):
     """Best of k random cuts at the node holding rows ``idx``, or None.
 
-    ``Xt`` is the feature-major training matrix and ``y`` the boolean labels.
-    Returns (feature, threshold, left rows, right rows, left class counts).
-    The generator is drawn once for the attribute subset and then once per
-    drawn attribute, in the order of the subset."""
+    Returns (feature, threshold, left rows, right rows, left class counts);
+    ``idx`` and both row lists hold their positives first. ``Xt`` is the
+    feature-major training matrix. Draws the attribute subset, then its k cuts."""
     n = idx.size
     if n < min_split or c0 == 0 or c1 == 0:
         return None
+
+    def gather(rows):
+        return Xt.take(rows[:, None] * Xt.shape[1] + idx)
+
     probe = Xt.take(idx[:_PROBE_ROWS], axis=1)
-    varies = probe.min(axis=1) < probe.max(axis=1)
-    if n > _PROBE_ROWS:
-        flat = (~varies).nonzero()[0]
-        if flat.size:
-            rest = Xt.take(flat, axis=0).take(idx, axis=1)
-            varies[flat] = (rest != probe[flat, :1]).any(axis=1)
+    varies = (probe != probe[:, :1]).any(axis=1)
+    flat = (~varies).nonzero()[0]
+    if n > _PROBE_ROWS and flat.size:
+        varies[flat] = (gather(flat) != probe[flat, :1]).any(axis=1)
     candidates = varies.nonzero()[0]
     if candidates.size == 0:
         return None
     chosen = rng.choice(candidates, size=min(k, candidates.size), replace=False)
-    if n <= _PROBE_ROWS:
-        cols = probe[chosen]
-    else:
-        cols = Xt.take(chosen, axis=0).take(idx, axis=1)
-    lo = cols.min(axis=1)
-    hi = cols.max(axis=1)
-    # Bit-equal to one rng.uniform(lo, hi) call per attribute, in order.
-    cut = lo + (hi - lo) * rng.random(chosen.size)
-    # Threshold must fall strictly inside (lo, hi); routing is < left, >= right.
-    inside = (lo < cut) & (cut < hi)
-    if not inside.all():
-        with np.errstate(over="ignore"):  # lo + hi may overflow, as floats do
-            cut = np.where(inside, cut, 0.5 * (lo + hi))
-        inside = (lo < cut) & (cut < hi)
-        if not inside.all():
-            cut = np.where(inside, cut, np.nextafter(lo, hi))
-            inside = (lo < cut) & (cut < hi)
-    goes_left = cols < cut[:, None]
+    cols = gather(chosen)
+    draws = zip(cols.min(axis=1).tolist(), cols.max(axis=1).tolist(),
+                rng.random(chosen.size).tolist())
+    cut = [_cut_inside(lo, hi, u) for lo, hi, u in draws]
+    # An attribute without a cut compares against nan and sends no row left.
+    goes_left = cols < np.array(cut, dtype=np.float64)[:, None]
     n_left = goes_left.sum(axis=1).tolist()
-    pos_left = (goes_left & y[idx]).sum(axis=1).tolist()
+    pos_left = goes_left[:, :c1].sum(axis=1).tolist()
 
     parent_h = _entropy(c0, c1)
     best = None
-    for j in inside.nonzero()[0].tolist():
-        nl, l1 = n_left[j], pos_left[j]
-        nr, l0 = n - nl, nl - l1
-        gain = (
-            parent_h
-            - (nl / n) * _entropy(l0, l1)
-            - (nr / n) * _entropy(c0 - l0, c1 - l1)
-        )
+    for j, (t, nl, l1) in enumerate(zip(cut, n_left, pos_left)):
+        if t is None:
+            continue
+        l0 = nl - l1
+        gain = parent_h - nl / n * _entropy(l0, l1) - (n - nl) / n * _entropy(c0 - l0, c1 - l1)
         if best is None or gain > best[0]:
             best = (gain, j)
     if best is None:
         return None
     j = best[1]
-    mask = goes_left[j]
-    l1 = pos_left[j]
-    return int(chosen[j]), float(cut[j]), idx[mask], idx[~mask], (n_left[j] - l1, l1)
+    mask, l1 = goes_left[j], pos_left[j]
+    return int(chosen[j]), cut[j], idx[mask], idx[~mask], (n_left[j] - l1, l1)
 
 
 def _build_tree(Xt, y, k, min_split, rng) -> dict:
@@ -218,16 +215,17 @@ def _build_tree(Xt, y, k, min_split, rng) -> dict:
 
     # Explicit stack, left child processed first: node ids follow a fixed
     # pre-order so identical draws give identical arrays. Each entry carries
-    # its rows' class counts, which the parent's split already knows.
+    # its rows' class counts, which the parent's split already knows; rows
+    # are listed positives first, so no node reads the labels.
     c1 = int(np.count_nonzero(y))
-    stack = [(np.arange(y.size), _LEAF, False, y.size - c1, c1)]
+    stack = [(np.argsort(~y, kind="stable"), _LEAF, False, y.size - c1, c1)]
     while stack:
         idx, parent, is_left, c0, c1 = stack.pop()
         node_id = len(feature)
         if parent != _LEAF:
             (left if is_left else right)[parent] = node_id
         counts.append([c0, c1])
-        split = _choose_split(Xt, y, idx, k, min_split, rng, c0, c1)
+        split = _choose_split(Xt, idx, k, min_split, rng, c0, c1)
         left.append(_LEAF)
         right.append(_LEAF)
         if split is None:

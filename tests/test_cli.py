@@ -349,6 +349,20 @@ class TestSweep:
         assert capsys.readouterr().err == "error: no depths requested\n"
         assert not out.exists()
 
+    def test_non_integer_depth_names_the_option(self, art, tmp_path, capsys, monkeypatch):
+        def read(*args, **kwargs):
+            raise AssertionError("an input was read before --depths was checked")
+
+        monkeypatch.setattr("botfuse.pretrain.load_graph_dataset", read)
+        monkeypatch.setattr("botfuse.cli.parse_flow_file", read)
+        out = tmp_path / "sweep.json"
+        rc = main(["sweep", "--flows", str(art["flows"]), "--data", str(art["graphs"]),
+                   "--depths", "2,x", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --depths takes comma-separated integers, got '2,x'\n")
+        assert not out.exists()
+
 
 # What each subcommand parses from its required flags alone: every default
 # the CLI reads from the library, written out. features and detect draw no
@@ -860,6 +874,33 @@ class TestErrors:
         assert capsys.readouterr().err == (
             f"error: {output} names the --data input file: {target}\n")
         assert target.read_bytes() == before
+        assert not (tmp_path / "model.bin").exists()
+
+    @pytest.mark.parametrize("command, output", [
+        ("pretrain", "--out"), ("pretrain", "--report"), ("sweep", "--out"),
+    ])
+    def test_output_inside_the_data_directory(self, art, tmp_path, capsys, monkeypatch,
+                                              command, output):
+        # A new *.json there would be read as a graph by the next run.
+        def read(*args, **kwargs):
+            raise AssertionError("an input was read before the outputs were checked")
+
+        monkeypatch.setattr("botfuse.pretrain.load_graph_dataset", read)
+        monkeypatch.setattr("botfuse.cli.parse_flow_file", read)
+        data = tmp_path / "graphs"
+        shutil.copytree(art["graphs"], data)
+        before = {path.name: path.read_bytes() for path in data.iterdir()}
+        target = data / "epochs.json"
+        argv = [command, "--data", str(data), "--depth" if command == "pretrain" else "--depths",
+                "2"]
+        if command == "sweep":
+            argv += ["--flows", str(art["flows"])]
+        if output == "--report":
+            argv += ["--out", str(tmp_path / "model.bin")]
+        assert main([*argv, output, str(target)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {output} lies inside the --data directory {data}: {target}\n")
+        assert {path.name: path.read_bytes() for path in data.iterdir()} == before
         assert not (tmp_path / "model.bin").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "detect"])

@@ -5,7 +5,7 @@ import pytest
 
 from botfuse import pretrain as pretrain_mod
 from botfuse.comm_graph import LABEL_BOT, LABEL_LEGIT, LABEL_UNKNOWN, CommGraph, save_graph
-from botfuse.gcn_core import FrozenModelError, backward, serialize_model
+from botfuse.gcn_core import FrozenModelError, backward, init_gcn, serialize_model
 from botfuse.pretrain import (
     ARCH_DEPTH,
     TrainConfig,
@@ -303,6 +303,18 @@ class TestPretrain:
         y = (g.labels == LABEL_BOT).astype(np.int64)
         with pytest.raises(FrozenModelError):
             backward(model, P, X, y, np.ones(g.n, dtype=bool))
+
+    def test_first_layer_moves_every_feature_row_alike(self):
+        """Pretraining feeds all-ones inputs, so the first layer's gradient
+        X0.T @ G has five equal rows, and Adam, which is elementwise, moves all
+        five rows of W0 by one shared vector. Each flow feature therefore
+        enters the fused network along its seeded random row plus that offset:
+        pretraining cannot learn how the features differ."""
+        dataset = default_pretrain_dataset("c2", n_graphs=3, seed=0, n_background=60, n_bots=10)
+        model = pretrain_gcn(dataset, 3, TrainConfig(seed=0, patience=3, max_epochs=8))
+        moved = model.weights[0] - init_gcn(3, seed=0).weights[0]
+        assert np.abs(moved - moved[0]).max() <= 1e-12
+        assert np.abs(moved).max() > 1e-4
 
     def test_determinism(self):
         cfg = TrainConfig(seed=3, patience=5, max_epochs=30, hidden_dim=4)
