@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from botfuse.flow_features import FEATURE_DIM
 from botfuse.flow_ingest import WindowSlice
 
 # Per-node label codes used in CommGraph.labels arrays.
@@ -29,12 +28,12 @@ class CommGraph:
     """Nodes in lexicographic id order and directed edges as a
     lexicographically sorted, duplicate-free (m, 2) int64 array of index
     pairs; any collection of in-range (i, j) pairs is accepted and
-    canonicalized here. A graph read from a file may carry a row-aligned
-    per-node feature matrix; a window's graph carries none."""
+    canonicalized here. A graph holds topology and, when read from a file
+    or made by the synthetic generator, per-node labels; node features are
+    computed per window, never stored here."""
 
     nodes: list[str]
     edges: np.ndarray
-    features: np.ndarray | None = None
     labels: np.ndarray | None = None
     dropped_self_loops: int = 0
     meta: dict = field(default_factory=dict)
@@ -120,18 +119,16 @@ def graph_to_json(graph: CommGraph) -> dict:
         "nodes": list(graph.nodes),
         "edges": graph.edges.tolist(),
         "labels": None,
-        "features": None,
         "meta": dict(graph.meta),
     }
     if graph.labels is not None:
         payload["labels"] = [_CODE_TO_NAME[int(c)] for c in graph.labels]
-    if graph.features is not None and graph.features.size:
-        payload["features"] = graph.features.tolist()
     return payload
 
 
 def graph_from_json(payload: dict) -> CommGraph:
-    """Parse the interchange representation, validating its schema."""
+    """Parse the interchange representation, validating its schema; keys it
+    does not define, such as an older file's ``features``, are ignored."""
     if not isinstance(payload, dict):
         raise ValueError("graph schema violation: top-level object expected")
     if payload.get("format") != GRAPH_FORMAT:
@@ -172,23 +169,6 @@ def graph_from_json(payload: dict) -> CommGraph:
             bad = next(name for name in raw_labels if name not in _CODE_TO_NAME.values())
             raise ValueError(f"graph schema violation: unknown label {bad!r}") from None
 
-    features = None
-    raw_features = payload.get("features")
-    if raw_features is not None:
-        if not isinstance(raw_features, list) or not all(
-            isinstance(row, list) and all(map(_is_number, row)) for row in raw_features
-        ):
-            raise ValueError("graph schema violation: features must be numbers")
-        try:
-            features = np.asarray(raw_features, dtype=np.float64)
-        except (ValueError, OverflowError):
-            raise ValueError("graph schema violation: features must be numbers") from None
-        if features.shape != (n, FEATURE_DIM):
-            raise ValueError(
-                f"graph schema violation: feature matrix shape {features.shape}, "
-                f"expected {(n, FEATURE_DIM)}"
-            )
-
     meta = payload.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("graph schema violation: meta must be an object or null")
@@ -196,7 +176,6 @@ def graph_from_json(payload: dict) -> CommGraph:
     return CommGraph(
         nodes=list(nodes),
         edges=edges,
-        features=features,
         labels=labels,
         meta=dict(meta or {}),
     )
@@ -205,11 +184,6 @@ def graph_from_json(payload: dict) -> CommGraph:
 def _is_int(value) -> bool:
     """A JSON integer: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A JSON number: an int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def save_graph(graph: CommGraph, path: str | Path) -> None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from botfuse.flow_ingest import FlowRecord, WindowSlice
+from botfuse.flow_ingest import WindowSlice
 
 FEATURE_NAMES = ("conn", "fail_conn", "dur", "src_bytes_avg", "dst_bytes_avg")
 FEATURE_DIM = len(FEATURE_NAMES)
@@ -17,10 +17,11 @@ class NodeFeatures:
     """The five features of every node of one window, one matrix row per
     node, with columns in ``FEATURE_NAMES`` order and nodes in sorted order.
 
-    ``conn``/``fail_conn`` count flows where the node is either endpoint;
-    ``dur`` averages duration over the node's successful flows only;
-    ``src_bytes_avg``/``dst_bytes_avg`` average the bytes the node sent and
-    received over all of its flows, successful or not.
+    A flow succeeds when payload moved in both directions. ``conn`` and
+    ``fail_conn`` count the successful and the failed flows where the node
+    is either endpoint; ``dur`` averages duration over the node's successful
+    flows only; ``src_bytes_avg``/``dst_bytes_avg`` average the bytes the
+    node sent and received over all of its flows, successful or not.
     """
 
     nodes: list[str]
@@ -28,11 +29,6 @@ class NodeFeatures:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-def classify_flow_success(record: FlowRecord) -> bool:
-    """A flow counts as successful when payload moved in both directions."""
-    return record.src_bytes > 0 and record.dst_bytes > 0
 
 
 def extract_node_features(window: WindowSlice) -> NodeFeatures:

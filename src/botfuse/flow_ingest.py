@@ -115,24 +115,12 @@ def encode_flows(records: Sequence[FlowRecord]) -> FlowTable:
 
 @dataclass
 class WindowSlice:
-    """All flows whose start time falls inside one sliding-window interval.
-
-    ``table`` holds the same flows as columns; when it is not given, the
-    records are encoded into a table of their own.
-    """
+    """All flows whose start time falls inside one sliding-window interval,
+    as records and as the row-aligned column ``table`` the stages read."""
 
     window_start: float
-    window_len: float
     records: list[FlowRecord]
-    table: FlowTable | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.table is None:
-            self.table = encode_flows(self.records)
-        elif len(self.table) != len(self.records):
-            raise ValueError(
-                f"flow table has {len(self.table)} rows for {len(self.records)} records"
-            )
+    table: FlowTable = field(repr=False, compare=False)
 
 
 @dataclass
@@ -434,7 +422,7 @@ def slice_windows(
     windows: list[WindowSlice] = []
     for start, lo, hi in zip(starts.tolist(), los, his):
         if hi > lo:
-            windows.append(WindowSlice(start, window_len, ordered[lo:hi], table[lo:hi]))
+            windows.append(WindowSlice(start, ordered[lo:hi], table[lo:hi]))
     return windows
 
 

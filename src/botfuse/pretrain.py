@@ -83,7 +83,7 @@ def generate_synthetic_graph(
     n_bots: int = DEFAULT_N_BOTS,
     seed: int = 0,
 ) -> CommGraph:
-    """Labeled graph with all-ones features: background plus bot overlay.
+    """Labeled topology-only graph: background plus bot overlay.
 
     The c2 overlay wires every bot to one controller; the p2p overlay wires
     the bots into a random MESH_DEGREE-regular mesh, so it needs more bots
@@ -137,7 +137,6 @@ def generate_synthetic_graph(
     return CommGraph(
         nodes=nodes,
         edges=np.concatenate((links, links[:, ::-1])),
-        features=np.ones((len(nodes), FEATURE_DIM), dtype=np.float64),
         labels=labels,
         meta={
             "architecture": arch,
@@ -179,8 +178,8 @@ def graph_files(path) -> list[Path]:
 def load_graph_dataset(path) -> list[CommGraph]:
     """Load labeled interchange-format graphs from a file or directory.
 
-    Pretraining reads only their topology and labels: every graph gets
-    all-ones inputs whatever features it stores.
+    A graph file holds topology and labels; pretraining gives every graph
+    all-ones inputs, and a ``features`` key in an older file is ignored.
     """
     files = graph_files(path)
     if not files:
@@ -227,10 +226,10 @@ def _balanced_mask(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return mask
 
 
-def _graph_tensors(graphs, config):
+def _graph_tensors(graphs, seed: int):
     prepared = []
     for gi, g in enumerate(graphs):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(gi,)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(gi,)))
         P = propagation_matrix(g)
         X = np.ones((g.n, FEATURE_DIM), dtype=np.float64)
         y = (g.labels == LABEL_BOT).astype(np.int64)
@@ -269,8 +268,8 @@ def pretrain_gcn(
     val_graphs = [dataset[i] for i in order[:n_val]]
     train_graphs = [dataset[i] for i in order[n_val:]]
 
-    train_set = _graph_tensors(train_graphs, config)
-    val_set = _graph_tensors(val_graphs, config)
+    train_set = _graph_tensors(train_graphs, config.seed)
+    val_set = _graph_tensors(val_graphs, config.seed)
 
     model = init_gcn(depth, FEATURE_DIM, config.hidden_dim, seed=config.seed)
     params = model.parameters()

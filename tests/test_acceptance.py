@@ -17,12 +17,13 @@ from botfuse.comm_graph import (
     propagation_matrix,
     save_graph,
 )
-from botfuse.flow_features import classify_flow_success, extract_node_features
+from botfuse.flow_features import extract_node_features
 from botfuse.flow_ingest import (
     FlowRecord,
     Proto,
     WindowSlice,
     derive_node_labels,
+    encode_flows,
     slice_windows,
 )
 from botfuse.gcn_core import (
@@ -92,7 +93,7 @@ def _random_comm_graph(rng, n):
         i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
         if i != j:
             edges.add((i, j))
-    return CommGraph(nodes=nodes, edges=edges, features=np.ones((n, 5)))
+    return CommGraph(nodes=nodes, edges=edges)
 
 
 def _dense_propagation(graph):
@@ -217,7 +218,7 @@ def _brute_force_features(window):
     """Left-to-right reference aggregator with the same accumulation order."""
     sums = {}
     for r in window.records:
-        success = classify_flow_success(r)
+        success = r.src_bytes > 0 and r.dst_bytes > 0
         for node, sent, recv in ((r.src_ip, r.src_bytes, r.dst_bytes),
                                  (r.dst_ip, r.dst_bytes, r.src_bytes)):
             s = sums.setdefault(node, [0, 0, 0.0, 0.0, 0.0, 0])
@@ -258,7 +259,7 @@ def test_criterion_04_flow_feature_oracle(capsys):
                 dst_bytes=int(rng.integers(0, 5000)),
             )
         )
-    window = WindowSlice(window_start=0.0, window_len=60.0, records=records)
+    window = WindowSlice(window_start=0.0, records=records, table=encode_flows(records))
     feats = extract_node_features(window)
     got = dict(zip(feats.nodes, map(tuple, feats.matrix.tolist())))
     want = _brute_force_features(window)
@@ -436,7 +437,7 @@ def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
         g2.nodes == g.nodes
         and np.array_equal(g2.edges, g.edges)
         and np.array_equal(g2.labels, g.labels)
-        and np.array_equal(g2.features, g.features)
+        and g2.meta == g.meta
     )
 
     elapsed = time.perf_counter() - t0

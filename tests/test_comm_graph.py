@@ -20,7 +20,7 @@ from botfuse.comm_graph import (
     save_graph,
 )
 from botfuse.flow_features import extract_node_features
-from botfuse.flow_ingest import FlowRecord, Proto, WindowSlice
+from botfuse.flow_ingest import FlowRecord, Proto, WindowSlice, encode_flows
 
 
 def _flow(src, dst, up=100, down=50):
@@ -31,7 +31,7 @@ def _flow(src, dst, up=100, down=50):
 
 
 def _window(records):
-    return WindowSlice(window_start=0.0, window_len=60.0, records=records)
+    return WindowSlice(window_start=0.0, records=records, table=encode_flows(records))
 
 
 def _graph_from_flows(records):
@@ -48,11 +48,7 @@ def _random_graph(rng, n=None, p=0.1):
         i, j = rng.integers(0, n, size=2)
         if i != j:
             edges.add((int(i), int(j)))
-    return CommGraph(
-        nodes=[f"n{i:04d}" for i in range(n)],
-        edges=edges,
-        features=np.zeros((n, 5)),
-    )
+    return CommGraph(nodes=[f"n{i:04d}" for i in range(n)], edges=edges)
 
 
 def _dense_oracle(graph):
@@ -130,7 +126,7 @@ class TestBuildGraph:
     def test_window_graphs_carry_no_labels_or_features(self):
         g = _graph_from_flows([_flow("A", "B")])
         assert g.labels is None
-        assert g.features is None
+        assert "features" not in graph_to_json(g)
 
 
 class TestEdgeCanonicalization:
@@ -138,13 +134,13 @@ class TestEdgeCanonicalization:
         expect = [[0, 1], [0, 2], [2, 0]]
         for edges in ({(2, 0), (0, 2), (0, 1)}, [(2, 0), (0, 1), (2, 0), (0, 2)],
                       np.array([[2, 0], [0, 2], [0, 1], [0, 1]], dtype=np.int32)):
-            g = CommGraph(nodes=["a", "b", "c"], edges=edges, features=np.zeros((3, 5)))
+            g = CommGraph(nodes=["a", "b", "c"], edges=edges)
             assert g.edges.dtype == np.int64
             assert g.edges.tolist() == expect
 
     def test_no_edges_is_an_empty_pair_array(self):
         for edges in (set(), [], np.empty((0, 2))):
-            g = CommGraph(nodes=["a"], edges=edges, features=np.zeros((1, 5)))
+            g = CommGraph(nodes=["a"], edges=edges)
             assert g.edges.shape == (0, 2)
             assert g.edges.dtype == np.int64
 
@@ -182,7 +178,7 @@ class TestPropagationMatrix:
                 # Self-pairs count once towards a node's degree.
                 loops = rng.integers(0, g.n, size=3)
                 g = CommGraph(nodes=g.nodes, edges=np.concatenate(
-                    (g.edges, np.column_stack((loops, loops)))), features=g.features)
+                    (g.edges, np.column_stack((loops, loops)))))
             P = propagation_matrix(g)
             assert P.has_canonical_format
             assert np.array_equal(P.toarray(), _dense_oracle(g))
@@ -205,13 +201,12 @@ class TestPropagationMatrix:
         # Ring: every node has degree 2, so the all-ones vector is fixed.
         n = 12
         edges = {(i, (i + 1) % n) for i in range(n)}
-        g = CommGraph(nodes=[f"n{i:02d}" for i in range(n)], edges=edges,
-                      features=np.zeros((n, 5)))
+        g = CommGraph(nodes=[f"n{i:02d}" for i in range(n)], edges=edges)
         P = propagation_matrix(g)
         np.testing.assert_allclose(P @ np.ones(n), np.ones(n), atol=1e-12)
 
     def test_isolated_nodes_zero_rows(self):
-        g = CommGraph(nodes=["a", "b", "c"], edges={(0, 1)}, features=np.zeros((3, 5)))
+        g = CommGraph(nodes=["a", "b", "c"], edges={(0, 1)})
         P = propagation_matrix(g).toarray()
         assert P[2].tolist() == [0.0, 0.0, 0.0]
         assert P[:, 2].tolist() == [0.0, 0.0, 0.0]
@@ -227,7 +222,6 @@ class TestPropagationMatrix:
         g2 = CommGraph(
             nodes=sorted(renamed),
             edges={(new_index[i], new_index[j]) for i, j in g.edges},
-            features=np.zeros((30, 5)),
         )
         P2 = propagation_matrix(g2).toarray()
         for i in range(30):
@@ -246,15 +240,13 @@ class TestSpectralRadius:
         assert _spectral_radius(P) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_matrix(self):
-        g = CommGraph(nodes=["a", "b"], edges=set(), features=np.zeros((2, 5)))
+        g = CommGraph(nodes=["a", "b"], edges=set())
         assert _spectral_radius(propagation_matrix(g)) == 0.0
 
 
 class TestInterchangeFormat:
     def _sample(self):
-        w = _window([_flow("A", "B"), _flow("C", "B", up=10, down=0)])
-        g = build_graph(w)
-        g.features = extract_node_features(w).matrix
+        g = _graph_from_flows([_flow("A", "B"), _flow("C", "B", up=10, down=0)])
         g.labels = np.array([LABEL_BOT, LABEL_LEGIT, LABEL_UNKNOWN], dtype=np.int8)
         g.meta["architecture"] = "c2"
         return g
@@ -265,7 +257,6 @@ class TestInterchangeFormat:
         assert g2.nodes == g.nodes
         assert np.array_equal(g2.edges, g.edges)
         assert g2.labels.tolist() == g.labels.tolist()
-        assert g2.features.tolist() == g.features.tolist()
         assert g2.meta == g.meta
 
     def test_file_round_trip(self, tmp_path):
@@ -279,12 +270,12 @@ class TestInterchangeFormat:
     def test_window_graph_round_trips(self):
         g = _graph_from_flows([_flow("A", "B"), _flow("C", "B", up=10, down=0)])
         payload = graph_to_json(g)
-        assert payload["features"] is None and payload["labels"] is None
+        assert "features" not in payload and payload["labels"] is None
         g2 = graph_from_json(json.loads(json.dumps(payload)))
         assert g2.nodes == g.nodes
         assert g2.edges.dtype == np.int64
         assert np.array_equal(g2.edges, g.edges)
-        assert g2.features is None and g2.labels is None
+        assert g2.labels is None
         assert graph_to_json(g2) == payload
 
     def test_schema_violations(self):
@@ -327,21 +318,10 @@ class TestInterchangeFormat:
             ("meta", 5, "meta must be an object or null"),
             ("meta", [], "meta must be an object or null"),
             ("labels", [[1], "bot", "legit"], "unknown label [1]"),
-            ("features", [[{}] * 5] * 3, "features must be numbers"),
-            ("features", [["x"] * 5] * 3, "features must be numbers"),
-            ("features", [["1.0"] * 5] * 3, "features must be numbers"),
-            ("features", [[True] * 5] * 3, "features must be numbers"),
-            ("features", [[0.0] * 4 + [False]] * 3, "features must be numbers"),
-            ("features", [[1e308, 2, 3, 4, 10**400]] * 3, "features must be numbers"),
         ):
             bad = dict(good); bad[field] = value
             with pytest.raises(ValueError, match=re.escape(f"graph schema violation: {message}")):
                 graph_from_json(bad)
-
-        bad = dict(good)
-        bad["features"] = [[1.0, 2.0]] * bad["n"]
-        with pytest.raises(ValueError, match="feature matrix shape"):
-            graph_from_json(bad)
 
         with pytest.raises(ValueError, match="top-level"):
             graph_from_json([1, 2, 3])

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice
+from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice, encode_flows
 from botfuse.flow_features import (
     FEATURE_DIM,
     FEATURE_NAMES,
-    classify_flow_success,
     extract_node_features,
 )
 
@@ -28,7 +27,7 @@ def _flow(src, dst, dur=1.0, up=100, down=50, ts=0.0):
 
 
 def _window(records):
-    return WindowSlice(window_start=0.0, window_len=60.0, records=records)
+    return WindowSlice(window_start=0.0, records=records, table=encode_flows(records))
 
 
 def _rows(feats):
@@ -71,17 +70,6 @@ def _brute_force(records):
     return out
 
 
-class TestClassifySuccess:
-    def test_bidirectional_payload(self):
-        assert classify_flow_success(_flow("a", "b", up=500, down=300)) is True
-
-    def test_unanswered_probe(self):
-        assert classify_flow_success(_flow("a", "b", up=40, down=0)) is False
-
-    def test_no_payload_at_all(self):
-        assert classify_flow_success(_flow("a", "b", up=0, down=0)) is False
-
-
 class TestExtractNodeFeatures:
     def test_feature_name_constants(self):
         assert FEATURE_DIM == 5
@@ -91,6 +79,11 @@ class TestExtractNodeFeatures:
         feats = _rows(extract_node_features(_window([_flow("A", "B", dur=2.0, up=100, down=50)])))
         assert feats["A"] == (1, 0, 2.0, 100.0, 50.0)
         assert feats["B"] == (1, 0, 2.0, 50.0, 100.0)
+        # Payload both ways is a success; an unanswered probe and a flow
+        # that moved no payload are failures.
+        for up, down, conn in ((500, 300, 1), (40, 0, 0), (0, 0, 0)):
+            a = _rows(extract_node_features(_window([_flow("A", "B", up=up, down=down)])))["A"]
+            assert a[:2] == (conn, 1 - conn)
 
     def test_scanner_all_failed(self):
         records = [_flow("A", f"t{i}", dur=1.0, up=40, down=0) for i in range(10)]

@@ -13,7 +13,7 @@ from botfuse import extra_trees, fusion_pipeline
 from botfuse.comm_graph import build_graph, propagation_matrix
 from botfuse.flow_features import extract_node_features
 from botfuse.flow_ingest import (
-    FlowRecord, Label, Proto, WindowSlice, derive_node_labels, slice_windows,
+    FlowRecord, Label, Proto, WindowSlice, derive_node_labels, encode_flows, slice_windows,
 )
 from botfuse.gcn_core import init_gcn, forward
 from botfuse.fusion_pipeline import (
@@ -37,7 +37,7 @@ def _flow(src, dst, ts=0.0, dur=1.0, sb=100, db=50, label=Label.UNKNOWN):
 
 
 def _window(records, start=0.0):
-    return WindowSlice(window_start=start, window_len=60.0, records=records)
+    return WindowSlice(window_start=start, records=records, table=encode_flows(records))
 
 
 def _frozen(depth=2, hidden=4, seed=0, input_dim=5):

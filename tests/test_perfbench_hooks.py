@@ -41,15 +41,16 @@ def test_graph_hooks_count_edges_and_nnz(monkeypatch):
     import numpy as np
 
     from botfuse.comm_graph import build_graph, propagation_matrix
-    from botfuse.flow_ingest import FlowRecord, Proto, WindowSlice
+    from botfuse.flow_ingest import FlowRecord, Proto, WindowSlice, encode_flows
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     flows = [("a", "b", 10, 5), ("a", "c", 10, 0), ("c", "d", 0, 0), ("e", "e", 3, 3)]
-    window = WindowSlice(0.0, 60.0, [
+    records = [
         FlowRecord(0.0, 1.0, Proto.TCP, src, 1, dst, 2, up, down)
         for src, dst, up, down in flows
-    ])
+    ]
+    window = WindowSlice(0.0, records, encode_flows(records))
     graph = build_graph(window)
     P = propagation_matrix(graph)
     counts = tracing._graph(None, (window,), {}, graph)

@@ -1,10 +1,14 @@
 """Synthetic graph generation, early stopping, and topology-only training."""
 
+import json
+
 import numpy as np
 import pytest
 
 from botfuse import pretrain as pretrain_mod
-from botfuse.comm_graph import LABEL_BOT, LABEL_LEGIT, LABEL_UNKNOWN, CommGraph, save_graph
+from botfuse.comm_graph import (
+    LABEL_BOT, LABEL_LEGIT, LABEL_UNKNOWN, CommGraph, graph_to_json, save_graph,
+)
 from botfuse.gcn_core import FrozenModelError, backward, init_gcn, serialize_model
 from botfuse.pretrain import (
     ARCH_DEPTH,
@@ -33,7 +37,6 @@ def _tiny_graph(labels):
     return CommGraph(
         nodes=nodes,
         edges=edges,
-        features=np.ones((len(nodes), 5)),
         labels=np.asarray(labels, dtype=np.int8),
     )
 
@@ -86,11 +89,6 @@ class TestGenerate:
         for a, b in pairs:
             assert a != b
             assert (b, a) in pairs
-
-    def test_all_ones_features(self):
-        g = generate_synthetic_graph("c2", n_background=12, n_bots=3, seed=4)
-        assert g.features.shape == (g.n, 5)
-        assert (g.features == 1.0).all()
 
     def test_seed_determinism(self):
         a = generate_synthetic_graph("p2p", n_background=20, n_bots=6, seed=7)
@@ -155,18 +153,28 @@ class TestLoadDataset:
         assert len(load_graph_dataset(tmp_path / "one.json")) == 1
 
     def test_stored_features_do_not_change_pretraining(self, tmp_path):
+        # Older graph files store a feature matrix; the reader ignores it,
+        # whatever it holds, and pretraining gets the same bytes.
         graphs = default_pretrain_dataset("c2", n_graphs=4, seed=1, n_background=40, n_bots=8)
         cfg = TrainConfig(seed=3, patience=3, max_epochs=12, hidden_dim=4)
-        blobs = []
-        for name, fill in (("ones", 1.0), ("zeros", 0.0), ("random", None)):
-            (tmp_path / name).mkdir()
+        blobs = {serialize_model(pretrain_gcn(graphs, depth=2, config=cfg))}
+        for kind in ("absent", "ones", "zeros", "random", "wrong_shape", "not_numbers"):
+            (tmp_path / kind).mkdir()
             for i, g in enumerate(graphs):
-                g.features = (np.full((g.n, 5), fill) if fill is not None
-                              else np.random.default_rng(i).random((g.n, 5)))
-                save_graph(g, tmp_path / name / f"g{i}.json")
-            loaded = load_graph_dataset(tmp_path / name)
-            blobs.append(serialize_model(pretrain_gcn(loaded, depth=2, config=cfg)))
-        assert blobs[0] == blobs[1] == blobs[2]
+                payload = graph_to_json(g)
+                stored = {
+                    "ones": [[1.0] * 5] * g.n,
+                    "zeros": [[0.0] * 5] * g.n,
+                    "random": np.random.default_rng(i).random((g.n, 5)).tolist(),
+                    "wrong_shape": [[1.0, 2.0]] * g.n,
+                    "not_numbers": [["x"] * 5] * g.n,
+                }
+                if kind in stored:
+                    payload["features"] = stored[kind]
+                (tmp_path / kind / f"g{i}.json").write_text(json.dumps(payload))
+            loaded = load_graph_dataset(tmp_path / kind)
+            blobs.add(serialize_model(pretrain_gcn(loaded, depth=2, config=cfg)))
+        assert len(blobs) == 1
 
     def test_unlabeled_graphs_rejected(self, tmp_path):
         g = _tiny_graph([LABEL_UNKNOWN, LABEL_UNKNOWN, LABEL_UNKNOWN])

@@ -14,13 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "botfuse"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
-# Public names kept although nothing in src/ or perfbench/ refers to them.
-ALLOWED = {
-    # The per-flow success rule, which the brute-force feature oracle of
-    # acceptance criterion 4 reuses instead of restating it.
-    ("flow_features", "classify_flow_success"),
-}
-
 
 def _defined(statement: ast.stmt) -> list[str]:
     """The public names a top-level statement defines."""
@@ -58,8 +51,7 @@ def unused_public_names(sources=SOURCES, package=PACKAGE) -> list[str]:
                 definitions += [(path.stem, name, statement) for name in _defined(statement)]
     return [
         f"{module}.{name}" for module, name, own in definitions
-        if (module, name) not in ALLOWED
-        and not any(name in names for names, statement in references if statement is not own)
+        if not any(name in names for names, statement in references if statement is not own)
     ]
 
 
