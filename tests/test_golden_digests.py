@@ -91,8 +91,8 @@ def test_forest_fit_is_byte_identical():
 # backgrounds, a star or a random regular mesh on top). They pin the random
 # graph generators.
 GRAPH_GOLDEN = {
-    "c2": "1cd6fa9b4349d2c1485a6b136c9c0911ba31c5e1b930cfb18e5f0c436ac385c2",
-    "p2p": "4ead625142485cdb273a1b9983072d1b662a57fb6763858ffc02e04e5807a0ac",
+    "c2": "1469f207c9934c7a0acc5762a9e929947b441a524447f677b28cd104325d7578",
+    "p2p": "7317fac2b7a26cc8c41e8c393237f533d8744d22fb53f46c1db90fcdcc94f9ae",
 }
 
 
