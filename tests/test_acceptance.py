@@ -255,8 +255,10 @@ def test_criterion_04_flow_feature_oracle(capsys):
                 src_port=int(rng.integers(1024, 65536)),
                 dst_ip=f"10.0.1.{int(rng.integers(0, 40))}",
                 dst_port=int(rng.integers(1, 1024)),
-                src_bytes=int(rng.integers(0, 5000)),
-                dst_bytes=int(rng.integers(0, 5000)),
+                # A third of each side's counts are zero, so about half
+                # the flows fail and the oracle's success rule is exercised.
+                src_bytes=int(rng.integers(0, 3)) * int(rng.integers(0, 5000)),
+                dst_bytes=int(rng.integers(0, 3)) * int(rng.integers(0, 5000)),
             )
         )
     window = WindowSlice(window_start=0.0, records=records, table=encode_flows(records))
