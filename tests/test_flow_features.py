@@ -70,6 +70,25 @@ def _brute_force(records):
     return out
 
 
+def _conn_counts(up, down):
+    """(conn, fail_conn) of both endpoints of one flow."""
+    feats = _rows(extract_node_features(_window([_flow("a", "b", up=up, down=down)])))
+    return feats["a"][:2], feats["b"][:2]
+
+
+class TestClassifySuccess:
+    """A flow succeeds when payload moved in both directions."""
+
+    def test_bidirectional_payload(self):
+        assert _conn_counts(500, 300) == ((1, 0), (1, 0))
+
+    def test_unanswered_probe(self):
+        assert _conn_counts(40, 0) == ((0, 1), (0, 1))
+
+    def test_no_payload_at_all(self):
+        assert _conn_counts(0, 0) == ((0, 1), (0, 1))
+
+
 class TestExtractNodeFeatures:
     def test_feature_name_constants(self):
         assert FEATURE_DIM == 5
@@ -79,11 +98,6 @@ class TestExtractNodeFeatures:
         feats = _rows(extract_node_features(_window([_flow("A", "B", dur=2.0, up=100, down=50)])))
         assert feats["A"] == (1, 0, 2.0, 100.0, 50.0)
         assert feats["B"] == (1, 0, 2.0, 50.0, 100.0)
-        # Payload both ways is a success; an unanswered probe and a flow
-        # that moved no payload are failures.
-        for up, down, conn in ((500, 300, 1), (40, 0, 0), (0, 0, 0)):
-            a = _rows(extract_node_features(_window([_flow("A", "B", up=up, down=down)])))["A"]
-            assert a[:2] == (conn, 1 - conn)
 
     def test_scanner_all_failed(self):
         records = [_flow("A", f"t{i}", dur=1.0, up=40, down=0) for i in range(10)]

@@ -514,6 +514,27 @@ class TestSliceWindows:
             assert np.array_equal(g.edges, h.edges)
             assert g.dropped_self_loops == h.dropped_self_loops
 
+    def test_table_must_match_records(self):
+        # A window is given its table; nothing re-checks it, so the slicer
+        # alone keeps each table row the flow of the same record, also for
+        # shuffled input whose flows share start times and lie on window
+        # edges.
+        rng = np.random.default_rng(14)
+        records = [
+            _record(ts=float(t), src=f"h{i % 7}", dst=f"h{i % 5}", up=i, down=2 * i)
+            for i, t in enumerate(rng.choice([0.0, 10.0, 20.0, 60.0, 65.0], size=60))
+        ]
+        windows = slice_windows(records, 60.0, 10.0)
+        assert any(len(set(r.ts_start for r in w.records)) < len(w.records) for w in windows)
+        for w in windows:
+            t = w.table
+            assert [(r.src_ip, r.dst_ip, r.src_bytes, r.dst_bytes) for r in w.records] == list(
+                zip(t.endpoints[t.src].tolist(), t.endpoints[t.dst].tolist(),
+                    t.src_bytes.tolist(), t.dst_bytes.tolist())
+            )
+        with pytest.raises(TypeError, match="table"):
+            WindowSlice(0.0, records)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             slice_windows([_record()], 0.0, 10.0)

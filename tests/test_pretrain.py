@@ -90,6 +90,28 @@ class TestGenerate:
             assert a != b
             assert (b, a) in pairs
 
+    def test_all_ones_features(self, monkeypatch):
+        # A synthetic graph stores no features: pretraining feeds every pass
+        # an all-ones (n, 5) input.
+        graphs = [generate_synthetic_graph("c2", n_background=12 + i, n_bots=3, seed=4 + i)
+                  for i in range(3)]
+        assert all("features" not in graph_to_json(g) for g in graphs)
+        inputs = []
+
+        def recorded(fn):
+            def wrapper(model, P, X, *args, **kwargs):
+                inputs.append(X)
+                return fn(model, P, X, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(pretrain_mod, "backward", recorded(backward))
+        monkeypatch.setattr(pretrain_mod, "forward", recorded(pretrain_mod.forward))
+        pretrain_gcn(graphs, depth=2, config=TrainConfig(seed=0, patience=1, max_epochs=2))
+        assert inputs
+        assert {X.shape for X in inputs} <= {(g.n, 5) for g in graphs}
+        assert all((X == 1.0).all() for X in inputs)
+
     def test_seed_determinism(self):
         a = generate_synthetic_graph("p2p", n_background=20, n_bots=6, seed=7)
         b = generate_synthetic_graph("p2p", n_background=20, n_bots=6, seed=7)
