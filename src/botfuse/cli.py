@@ -22,7 +22,7 @@ from . import metrics as metrics_mod, pretrain as pretrain_mod
 from .comm_graph import save_graph
 from .flow_ingest import filter_tcp_udp, parse_flow_file, slice_windows, write_flows_csv
 from .flow_features import FEATURE_NAMES, extract_node_features
-from .fusion_pipeline import detect, pool_labeled_rows, train_detector
+from .fusion_pipeline import check_model, detect, pool_labeled_rows, train_detector
 from .gcn_core import check_depth, load_model, save_model
 from .pretrain import ARCH_C2, ARCH_DEPTH, ARCHITECTURES, DEFAULT_N_GRAPHS, TrainConfig
 
@@ -118,11 +118,11 @@ def _check_outputs(args) -> None:
             raise ValueError(f"{option} lies inside the --data directory {data}: {path}")
 
 
-def _load_windows(args) -> tuple[list, list]:
+def _load_windows(args, window_len: float, stride: float) -> tuple[list, list]:
     """The TCP/UDP flows of --flows and the windows sliced from them."""
     result = parse_flow_file(args.flows, format_descriptor=args.format)
     records = filter_tcp_udp(result.records)
-    windows = slice_windows(records, window_len=args.window_len, stride=args.stride)
+    windows = slice_windows(records, window_len=window_len, stride=stride)
     if not windows:
         raise ValueError("no windows produced from the input flows")
     return records, windows
@@ -194,7 +194,7 @@ def _text_output(path: str | None):
 
 
 def cmd_features(args) -> int:
-    _, windows = _load_windows(args)
+    _, windows = _load_windows(args, args.window_len, args.stride)
     with _text_output(args.out) as out:
         for w in windows:
             feats = extract_node_features(w)
@@ -210,8 +210,9 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    records, windows = _load_windows(args)
     model = load_model(args.model)
+    check_model(model)  # before the trace is read
+    records, windows = _load_windows(args, args.window_len, args.stride)
     ensemble = train_detector(
         windows,
         model,
@@ -220,18 +221,20 @@ def cmd_train(args) -> int:
         n_trees=args.n_trees,
         seed=args.seed,
     )
+    ensemble.window_len, ensemble.stride = args.window_len, args.stride
     extra_trees.save_ensemble(ensemble, args.out)
     print(f"trained {ensemble.n_trees}-tree ensemble on {len(windows)} windows -> {args.out}")
     return 0
 
 
 def cmd_detect(args) -> int:
-    _, windows = _load_windows(args)
     model = load_model(args.model)
+    check_model(model)  # before the trace is read
     ensemble = extra_trees.load_ensemble(args.ensemble)
-    report = detect(windows, model, ensemble, args.arch, args.threshold)
+    _, windows = _load_windows(args, ensemble.window_len, ensemble.stride)
+    report = detect(windows, model, ensemble, args.threshold)
     with _text_output(args.out) as out:
-        for line in report.json_lines(include_timings=not args.no_timings):
+        for line in report.json_lines(args.arch, include_timings=not args.no_timings):
             out.write(line + "\n")
     flagged = sum(w.n_flagged for w in report.windows)
     total = sum(w.n_nodes for w in report.windows)
@@ -242,7 +245,8 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    records, windows = _load_windows(args)
+    check_model(model)  # before the trace is read
+    records, windows = _load_windows(args, args.window_len, args.stride)
     X, y = pool_labeled_rows(
         windows, model, flow_ingest.derive_node_labels(records), args.norm_mode
     )
@@ -278,7 +282,7 @@ def cmd_sweep(args) -> int:
         max_epochs=args.max_epochs, patience=args.patience, seed=args.seed
     )
     dataset = _pretrain_dataset(args)
-    records, windows = _load_windows(args)
+    records, windows = _load_windows(args, args.window_len, args.stride)
     node_labels = flow_ingest.derive_node_labels(records)
     rows = []
     for depth in depths:
@@ -345,12 +349,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_pretrain)
 
-    def add_flow_args(s: argparse.ArgumentParser) -> None:
+    def add_flow_args(s: argparse.ArgumentParser, windowing: bool = True) -> None:
         s.add_argument("--flows", required=True)
         s.add_argument("--format", default=flow_ingest.DEFAULT_FORMAT,
                        help="canonical or binetflow")
-        s.add_argument("--window-len", type=float, default=flow_ingest.DEFAULT_WINDOW_LEN)
-        s.add_argument("--stride", type=float, default=flow_ingest.DEFAULT_STRIDE)
+        if windowing:
+            s.add_argument("--window-len", type=float, default=flow_ingest.DEFAULT_WINDOW_LEN)
+            s.add_argument("--stride", type=float, default=flow_ingest.DEFAULT_STRIDE)
 
     s = sub("features", seeded=False,
             help="emit per-window per-node flow features as JSON lines")
@@ -369,9 +374,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     s = sub("detect", seeded=False,
             help="classify nodes per window with a frozen model and ensemble")
-    add_flow_args(s)
+    add_flow_args(s, windowing=False)
     s.add_argument("--model", required=True)
-    s.add_argument("--ensemble", required=True)
+    s.add_argument("--ensemble", required=True, help="also sets the window length and stride")
     s.add_argument("--arch", choices=ARCHITECTURES, default=ARCH_C2,
                    help="only sets the report's \"architecture\" field; "
                         "not checked against the model")

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .flow_ingest import DEFAULT_STRIDE, DEFAULT_WINDOW_LEN, check_windowing
 from .forking import in_two_halves
 
 ENSEMBLE_FORMAT = "botfuse-trees"
@@ -110,8 +111,8 @@ def _pack(trees: list[dict]) -> PackedForest:
 
 @dataclass
 class TreeEnsemble:
-    """Fitted forest: flat node arrays per tree, the fit parameters, and the
-    normalization mode of its training rows, which detection must reuse.
+    """Fitted forest: flat node arrays per tree, the fit parameters, and the normalization
+    mode, window length and stride of its training rows, which detection must reuse.
     Construction checks every tree and packs them into ``packed``."""
 
     n_features: int
@@ -121,6 +122,8 @@ class TreeEnsemble:
     seed: int
     trees: list[dict] = field(default_factory=list)
     norm_mode: str = DEFAULT_NORM_MODE
+    window_len: float = DEFAULT_WINDOW_LEN
+    stride: float = DEFAULT_STRIDE
     packed: PackedForest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -393,7 +396,8 @@ _TREE_DTYPES = {
 
 
 def serialize_ensemble(ensemble: TreeEnsemble) -> bytes:
-    """Canonical JSON encoding (sorted keys, no whitespace) for stable bytes."""
+    """Canonical JSON encoding (sorted keys, no whitespace) for stable bytes. norm_mode,
+    window_len and stride are left out at their defaults, so older files keep their bytes."""
     payload = {
         "format": ENSEMBLE_FORMAT,
         "version": ENSEMBLE_FORMAT_VERSION,
@@ -404,9 +408,10 @@ def serialize_ensemble(ensemble: TreeEnsemble) -> bytes:
         "seed": ensemble.seed,
         "trees": [{key: t[key].tolist() for key in _TREE_DTYPES} for t in ensemble.trees],
     }
-    # Implicit when default, so ensembles written before the field keep their bytes.
-    if ensemble.norm_mode != DEFAULT_NORM_MODE:
-        payload["norm_mode"] = ensemble.norm_mode
+    for key, default in (("norm_mode", DEFAULT_NORM_MODE), ("window_len", DEFAULT_WINDOW_LEN),
+                         ("stride", DEFAULT_STRIDE)):
+        if getattr(ensemble, key) != default:
+            payload[key] = getattr(ensemble, key)
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -425,6 +430,7 @@ def _tree_from_json(i: int, t) -> dict:
 
 
 def deserialize_ensemble(data: bytes) -> TreeEnsemble:
+    """Refuse what detection cannot use. Absent norm_mode, window_len and stride take defaults."""
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -446,11 +452,19 @@ def deserialize_ensemble(data: bytes) -> TreeEnsemble:
         raise ValueError(
             f"ensemble field 'norm_mode' must be one of {NORM_MODES}, got {norm_mode!r}"
         )
+    windowing = {}
+    for key, default in (("window_len", DEFAULT_WINDOW_LEN), ("stride", DEFAULT_STRIDE)):
+        value = payload.get(key, default)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"ensemble field {key!r} must be a number, got {value!r}")
+        # Through its text, an integer past float range becomes inf, refused below.
+        windowing[key] = float(str(value))
+    check_windowing(**windowing)
     if not isinstance(payload["trees"], list):
         raise ValueError("ensemble field 'trees' must be a list")
     trees = [_tree_from_json(i, t) for i, t in enumerate(payload["trees"])]
     return TreeEnsemble(
-        **{key: payload[key] for key in integers}, trees=trees, norm_mode=norm_mode
+        **{key: payload[key] for key in integers}, trees=trees, norm_mode=norm_mode, **windowing
     )
 
 

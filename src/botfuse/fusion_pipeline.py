@@ -18,7 +18,6 @@ from .flow_features import FEATURE_DIM, extract_node_features
 from .flow_ingest import Label, WindowSlice
 from .forking import in_two_halves
 from .gcn_core import GcnModel, forward
-from .pretrain import ARCH_C2, ARCHITECTURES
 
 VARIANT_FUSED = "fused"
 VARIANT_TOPOLOGY = "topology_only"
@@ -64,24 +63,21 @@ _JSON_BOOL = ("false", "true")
 
 @dataclass
 class DetectionReport:
-    architecture: str
     threshold: float
     windows: list[WindowReport]
 
-    def json_lines(self, include_timings: bool = True) -> Iterator[str]:
+    def json_lines(self, architecture: str, include_timings: bool = True) -> Iterator[str]:
         """One JSON line (without its newline) per window, made as it is asked for.
 
-        The object of a window has the keys architecture, n_flagged, n_nodes,
-        nodes, threshold, [timings,] window_start; a node is an object with
-        bot_probability, node_id and verdict. The node entries are written
-        straight from the arrays, between the encoded keys that sort before
-        "nodes" and those that sort after it.
+        The object of a window has the keys architecture (the label passed in),
+        n_flagged, n_nodes, nodes, threshold, [timings,] window_start; a node
+        is an object with bot_probability, node_id and verdict. The node
+        entries are written straight from the arrays, between the encoded keys
+        that sort before "nodes" and those that sort after it.
         """
         for w in self.windows:
-            head = _JSON.encode(
-                {"architecture": self.architecture, "n_flagged": w.n_flagged,
-                 "n_nodes": w.n_nodes}
-            )
+            head = _JSON.encode({"architecture": architecture, "n_flagged": w.n_flagged,
+                                 "n_nodes": w.n_nodes})
             tail = {"threshold": self.threshold, "window_start": w.window_start}
             if include_timings:
                 tail["timings"] = w.timings
@@ -118,6 +114,16 @@ def normalize_embedding(M: np.ndarray, mode: str = DEFAULT_NORM_MODE) -> np.ndar
     return (M - lo) / np.where(span == 0, 1.0, span) * 100.0
 
 
+def check_model(model: GcnModel) -> None:
+    """Refuse a network that is not frozen or does not take FEATURE_DIM inputs."""
+    if not model.frozen:
+        raise ValueError("embedding requires a frozen model")
+    if model.input_dim != FEATURE_DIM:
+        raise ValueError(
+            f"model expects {model.input_dim}-dim input, pipeline produces {FEATURE_DIM}"
+        )
+
+
 def embed_window(
     window: WindowSlice, model: GcnModel, variant: str = VARIANT_FUSED
 ) -> NodeEmbedding:
@@ -126,17 +132,12 @@ def embed_window(
     Variants select what the vectors are: `fused` runs flow features
     through the frozen network, `topology_only` runs all-ones features
     through it instead, and `flow_only` skips the network and returns the
-    raw window features. The network must take FEATURE_DIM inputs.
+    raw window features. The network must pass `check_model`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown feature variant {variant!r}")
     if variant != VARIANT_FLOW:
-        if not model.frozen:
-            raise ValueError("embedding requires a frozen model")
-        if model.input_dim != FEATURE_DIM:
-            raise ValueError(
-                f"model expects {model.input_dim}-dim input, pipeline produces {FEATURE_DIM}"
-            )
+        check_model(model)
     t0 = time.perf_counter()
     feats = extract_node_features(window)
     t1 = time.perf_counter()
@@ -192,7 +193,7 @@ def train_detector(
 ) -> TreeEnsemble:
     """Fit the tree ensemble on pooled normalized embeddings of labeled nodes.
 
-    The ensemble records `norm_mode`, so `detect` normalizes the same way.
+    The ensemble records `norm_mode`; its `window_len` and `stride` stay at the defaults.
     """
     if not windows:
         raise ValueError("no training windows")
@@ -208,18 +209,16 @@ def detect(
     windows: list[WindowSlice],
     model: GcnModel,
     ensemble: TreeEnsemble,
-    architecture: str = ARCH_C2,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> DetectionReport:
     """Per-window verdicts with stage timings; no cross-window aggregation.
 
-    Embeddings are normalized with the mode the ensemble was trained on.
+    Embeddings are normalized with the mode the ensemble was trained on; the
+    windows should be sliced with its ``window_len`` and ``stride``.
     Windows are scored independently, so where two CPUs are available the
     second half is scored in one forked worker (`forking.in_two_halves`);
     the verdicts have the same bytes either way.
     """
-    if architecture not in ARCHITECTURES:
-        raise ValueError(f"architecture must be one of {ARCHITECTURES}")
     extra_trees.check_threshold(threshold)
     if not windows:
         raise ValueError("no windows to detect on")
@@ -246,8 +245,4 @@ def detect(
             timings={**emb.timings, "normalize": t1 - t0, "classify": t2 - t1},
         )
 
-    return DetectionReport(
-        architecture=architecture,
-        threshold=threshold,
-        windows=in_two_halves(score, len(windows), "window"),
-    )
+    return DetectionReport(threshold, in_two_halves(score, len(windows), "window"))

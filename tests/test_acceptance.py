@@ -428,8 +428,8 @@ def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
     flows = generate_flow_benchmark(spec)
     windows = slice_windows(flows, 60.0, 10.0)
     detector = train_detector(windows, m1, derive_node_labels(flows), n_trees=20, seed=4)
-    r1 = list(detect(windows, m1, detector, "c2").json_lines(include_timings=False))
-    r2 = list(detect(windows, m1, detector, "c2").json_lines(include_timings=False))
+    r1 = list(detect(windows, m1, detector).json_lines("c2", include_timings=False))
+    r2 = list(detect(windows, m1, detector).json_lines("c2", include_timings=False))
     reports_identical = r1 == r2
 
     g = default_pretrain_dataset("c2", n_graphs=1, seed=5, n_background=20, n_bots=4)[0]

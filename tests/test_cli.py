@@ -266,6 +266,51 @@ class TestTrainDetect:
         assert a.read_bytes() == b.read_bytes()
         assert "timings" not in json.loads(a.read_text().splitlines()[0])
 
+    def test_default_training_records_no_windowing_and_detect_slices_60_10(self, art, tmp_path):
+        payload = json.loads(art["ens"].read_text())
+        assert "window_len" not in payload and "stride" not in payload
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                     "--ensemble", str(art["ens"]), "--no-timings", "--out", str(out)]) == 0
+        records = filter_tcp_udp(parse_flow_file(art["flows"]).records)
+        report = fusion_pipeline.detect(slice_windows(records, 60.0, 10.0),
+                                        load_model(art["model"]),
+                                        extra_trees.load_ensemble(art["ens"]))
+        lines = list(report.json_lines("c2", include_timings=False))
+        assert out.read_text() == "".join(line + "\n" for line in lines)
+
+    def test_detect_slices_with_the_windowing_the_ensemble_records(self, art, tmp_path, capsys):
+        ens_path = tmp_path / "trees_30_5.json"
+        assert main(["train", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                     "--window-len", "30", "--stride", "5", "--n-trees", "10",
+                     "--out", str(ens_path)]) == 0
+        blob = ens_path.read_bytes()
+        assert b'"stride":5.0' in blob and b'"window_len":30.0' in blob
+        ens = extra_trees.load_ensemble(ens_path)
+        assert (ens.window_len, ens.stride) == (30.0, 5.0)
+        assert extra_trees.serialize_ensemble(ens) == blob
+        out = tmp_path / "verdicts.jsonl"
+        capsys.readouterr()
+        assert main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                     "--ensemble", str(ens_path), "--no-timings", "--out", str(out)]) == 0
+        records = filter_tcp_udp(parse_flow_file(art["flows"]).records)
+        windows = slice_windows(records, 30.0, 5.0)
+        assert len(windows) > len(slice_windows(records, 60.0, 10.0))
+        report = fusion_pipeline.detect(windows, load_model(art["model"]), ens)
+        lines = list(report.json_lines("c2", include_timings=False))
+        assert out.read_text() == "".join(line + "\n" for line in lines)
+        assert f"across {len(windows)} windows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--window-len", "--stride"])
+    def test_detect_takes_no_windowing_option(self, art, tmp_path, capsys, option):
+        out = tmp_path / "verdicts.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                  "--ensemble", str(art["ens"]), "--out", str(out), option, "30"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 30" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ts", ["-1e300", "-1e18", "1e300"])
     def test_detect_ignores_a_far_off_start_time(self, art, tmp_path, ts):
         flows = tmp_path / "flows.csv"
@@ -384,9 +429,8 @@ _PARSED_DEFAULTS = {
         "model": "m", "norm_mode": "per_vector", "n_trees": 100, "out": "o",
     }),
     "detect": (["--flows", "f", "--model", "m", "--ensemble", "e"], {
-        "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0,
-        "model": "m", "ensemble": "e", "arch": "c2", "threshold": 0.5,
-        "no_timings": False, "out": None,
+        "flows": "f", "format": "canonical", "model": "m", "ensemble": "e", "arch": "c2",
+        "threshold": 0.5, "no_timings": False, "out": None,
     }),
     "eval": (["--flows", "f", "--model", "m"], {
         "seed": 0, "flows": "f", "format": "canonical", "window_len": 60.0, "stride": 10.0,
@@ -495,6 +539,17 @@ class TestConfigFile:
         ])
         assert rc == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["window_len", "stride"])
+    def test_detect_config_may_not_set_the_windowing(self, art, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 30}))
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                     "--ensemble", str(art["ens"]), "--out", str(out),
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+        assert not out.exists()
 
     def test_config_value_outside_choices_fails(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -784,7 +839,7 @@ class TestErrors:
         assert not out.exists()
         assert_no_child_left()
 
-    @pytest.mark.parametrize("command", ["features", "train", "detect", "eval", "sweep"])
+    @pytest.mark.parametrize("command", ["features", "train", "eval", "sweep"])
     @pytest.mark.parametrize("options, message", [
         (["--stride", "-1"], "stride must be finite and > 0, got -1.0"),
         (["--window-len", "0"], "window_len must be finite and > 0, got 0.0"),
@@ -910,12 +965,36 @@ class TestErrors:
         model = tmp_path / "narrow.bin"
         save_model(narrow, model)
         out = tmp_path / "out.json"
-        argv = [command, "--flows", str(art["flows"]), "--model", str(model), "--out", str(out)]
+        # A missing trace pins the order: the model is refused before --flows is read.
+        argv = [command, "--flows", str(tmp_path / "missing.csv"), "--model", str(model),
+                "--out", str(out)]
         if command == "detect":
             argv += ["--ensemble", str(art["ens"])]
         assert main(argv) == 1
         assert capsys.readouterr().err == (
             "error: model expects 3-dim input, pipeline produces 5\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"window_len": 0}, "window_len must be finite and > 0, got 0.0"),
+        ({"window_len": float("nan")}, "window_len must be finite and > 0, got nan"),
+        ({"stride": float("inf")}, "stride must be finite and > 0, got inf"),
+        ({"window_len": "30"}, "ensemble field 'window_len' must be a number, got '30'"),
+        ({"stride": True}, "ensemble field 'stride' must be a number, got True"),
+        ({"window_len": 30.0, "stride": 50.0}, "stride 50.0 exceeds window length 30.0"),
+    ])
+    def test_recorded_windowing_is_refused_before_the_trace_is_read(
+            self, art, tmp_path, capsys, monkeypatch, fields, message):
+        self._forbid_parsing(monkeypatch)
+        payload = json.loads(art["ens"].read_text())
+        payload.update(fields)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "v.jsonl"
+        rc = main(["detect", "--flows", str(tmp_path / "missing.csv"), "--model",
+                   str(art["model"]), "--ensemble", str(bad), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_p2p_flows_need_more_bots_than_the_mesh_degree(self, tmp_path, capsys):

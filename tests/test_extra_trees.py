@@ -711,6 +711,21 @@ class TestTreeValidation:
         payload["norm_mode"] = "per_dimension"
         assert deserialize_ensemble(json.dumps(payload).encode()).norm_mode == "per_dimension"
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"window_len": None}, "field 'window_len' must be a number, got None"),
+        ({"stride": False}, "field 'stride' must be a number, got False"),
+        ({"stride": [5.0]}, r"field 'stride' must be a number, got \[5.0\]"),
+        ({"window_len": -1}, "window_len must be finite and > 0, got -1.0"),
+        ({"stride": -math.inf}, "stride must be finite and > 0, got -inf"),
+        ({"window_len": 10 ** 400}, "window_len must be finite and > 0, got inf"),
+        ({"stride": 70.0}, "stride 70.0 exceeds window length 60.0"),
+    ])
+    def test_windowing_must_be_usable(self, fields, message):
+        payload = copy.deepcopy(_HAND_WRITTEN)
+        payload.update(fields)
+        with pytest.raises(ValueError, match=f"^(ensemble )?{message}$"):
+            deserialize_ensemble(json.dumps(payload).encode())
+
     def test_trees_must_be_a_non_empty_list(self):
         payload = copy.deepcopy(_HAND_WRITTEN)
         payload["trees"] = {"0": payload["trees"][0]}
@@ -792,6 +807,24 @@ class TestSerialization:
         blob = serialize_ensemble(ens)
         assert json.loads(blob)["norm_mode"] == "per_dimension"
         assert deserialize_ensemble(blob).norm_mode == "per_dimension"
+
+    def test_windowing_round_trips_and_default_stays_implicit(self):
+        rng = np.random.default_rng(19)
+        X, y = _separable(rng)
+        ens = fit(X, y, n_trees=2, seed=19)
+        assert (ens.window_len, ens.stride) == (60.0, 10.0)
+        payload = json.loads(serialize_ensemble(ens))
+        assert "window_len" not in payload and "stride" not in payload
+        ens.window_len, ens.stride = 30.0, 5.0
+        blob = serialize_ensemble(ens)
+        assert b'"stride":5.0' in blob and b'"window_len":30.0' in blob
+        back = deserialize_ensemble(blob)
+        assert (back.window_len, back.stride) == (30.0, 5.0)
+        assert serialize_ensemble(back) == blob
+        # A JSON integer is a number too.
+        payload.update(window_len=30, stride=5)
+        back = deserialize_ensemble(json.dumps(payload).encode())
+        assert (back.window_len, back.stride) == (30.0, 5.0)
 
     def test_corrupt_payloads_rejected(self):
         rng = np.random.default_rng(17)

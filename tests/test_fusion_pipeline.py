@@ -266,8 +266,6 @@ class TestDetect:
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        with pytest.raises(ValueError, match="architecture must be one of"):
-            detect(windows, model, ens, architecture="hybrid")
         with pytest.raises(ValueError, match="threshold"):
             detect(windows, model, ens, threshold=1.5)
         with pytest.raises(ValueError, match="no windows"):
@@ -308,8 +306,7 @@ class TestDetect:
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        report = detect(windows, model, ens, "c2", 0.4)
-        assert report.architecture == "c2"
+        report = detect(windows, model, ens, 0.4)
         assert report.threshold == 0.4
         assert [w.window_start for w in report.windows] == [0.0, 10.0]
         for w in report.windows:
@@ -354,15 +351,16 @@ class TestDetect:
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model, windows)
-        a = list(detect(windows, model, ens).json_lines(include_timings=False))
-        b = list(detect(windows, model, ens).json_lines(include_timings=False))
+        a = list(detect(windows, model, ens).json_lines("p2p", include_timings=False))
+        b = list(detect(windows, model, ens).json_lines("p2p", include_timings=False))
         assert a == b
         assert len(a) == 2 and not any("\n" in line for line in a)
         obj = json.loads(a[0])
         assert set(obj) == {
             "window_start", "architecture", "threshold", "n_nodes", "n_flagged", "nodes",
         }
-        assert "timings" in json.loads(next(detect(windows, model, ens).json_lines()))
+        assert obj["architecture"] == "p2p"
+        assert "timings" in json.loads(next(detect(windows, model, ens).json_lines("c2")))
 
 
 @pytest.fixture(scope="module")
@@ -398,8 +396,8 @@ class TestForkedDetect:
             in_process_only(mp)
             in_process = detect(windows, model, ensemble, threshold=self.THRESHOLD)
         assert len(forks) == (1 if n_windows >= 2 else 0)
-        assert (list(forked.json_lines(include_timings=False))
-                == list(in_process.json_lines(include_timings=False)))
+        assert (list(forked.json_lines("c2", include_timings=False))
+                == list(in_process.json_lines("c2", include_timings=False)))
         assert len(forked.windows) == n_windows
         for a, b in zip(forked.windows, in_process.windows):
             assert (a.window_start, a.nodes) == (b.window_start, b.nodes)
@@ -437,11 +435,11 @@ class TestForkedDetect:
         assert_no_child_left()
 
 
-def _reference_line(report, w, include_timings):
+def _reference_line(report, architecture, w, include_timings):
     """The report line as one json.dumps of the window's whole object."""
     obj = {
         "window_start": w.window_start,
-        "architecture": report.architecture,
+        "architecture": architecture,
         "threshold": report.threshold,
         "n_nodes": len(w.nodes),
         "n_flagged": sum(w.flags.tolist()),
@@ -482,7 +480,6 @@ class TestReportLines:
     )
     def test_lines_equal_json_dumps(self, architecture, threshold, windows, include_timings):
         report = DetectionReport(
-            architecture=architecture,
             threshold=threshold,
             windows=[
                 WindowReport(
@@ -495,13 +492,14 @@ class TestReportLines:
                 for start, entries, timings in windows
             ],
         )
-        lines = list(report.json_lines(include_timings=include_timings))
-        assert lines == [_reference_line(report, w, include_timings) for w in report.windows]
+        lines = list(report.json_lines(architecture, include_timings=include_timings))
+        assert lines == [_reference_line(report, architecture, w, include_timings)
+                         for w in report.windows]
 
     def test_lines_are_made_one_at_a_time(self):
         w = WindowReport(0.0, ["a"], np.array([0.5]), np.array([True]), {})
-        report = DetectionReport("c2", 0.5, [w, w])
-        lines = report.json_lines()
+        report = DetectionReport(0.5, [w, w])
+        lines = report.json_lines("c2")
         first = next(lines)
         report.windows[1] = WindowReport(10.0, ["b"], np.array([0.25]), np.array([False]), {})
         assert json.loads(first)["nodes"][0]["node_id"] == "a"
