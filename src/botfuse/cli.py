@@ -20,9 +20,9 @@ from pathlib import Path
 from . import extra_trees, flow_ingest, synth_flows
 from . import metrics as metrics_mod, pretrain as pretrain_mod
 from .comm_graph import save_graph
-from .flow_ingest import filter_tcp_udp, parse_flow_file, slice_windows, write_flows_csv
+from .flow_ingest import parse_flow_file, write_flows_csv
 from .flow_features import FEATURE_NAMES, extract_node_features
-from .fusion_pipeline import check_model, detect, pool_labeled_rows, train_detector
+from .fusion_pipeline import check_model, detect, pool_labeled_rows, trace_windows, train_detector
 from .gcn_core import check_depth, load_model, save_model
 from .pretrain import ARCH_C2, ARCH_DEPTH, ARCHITECTURES, DEFAULT_N_GRAPHS, TrainConfig
 
@@ -38,10 +38,13 @@ def _load_config_file(path: str) -> dict:
             raise ValueError(
                 "TOML config requires Python 3.11+; use a JSON config instead"
             ) from exc
-        with open(p, "rb") as fh:
-            return tomllib.load(fh)
-    with open(p, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        kind, loads = "TOML", tomllib.loads
+    else:
+        kind, loads = "JSON", json.loads
+    try:
+        cfg = loads(p.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # a decode error of either format, or of UTF-8
+        raise ValueError(f"config file {p} is not valid {kind}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a single object of key/value pairs")
     return cfg
@@ -118,14 +121,8 @@ def _check_outputs(args) -> None:
             raise ValueError(f"{option} lies inside the --data directory {data}: {path}")
 
 
-def _load_windows(args, window_len: float, stride: float) -> tuple[list, list]:
-    """The TCP/UDP flows of --flows and the windows sliced from them."""
-    result = parse_flow_file(args.flows, format_descriptor=args.format)
-    records = filter_tcp_udp(result.records)
-    windows = slice_windows(records, window_len=window_len, stride=stride)
-    if not windows:
-        raise ValueError("no windows produced from the input flows")
-    return records, windows
+def _read_flows(args) -> list:
+    return parse_flow_file(args.flows, format_descriptor=args.format).records
 
 
 def cmd_synth(args) -> int:
@@ -194,7 +191,7 @@ def _text_output(path: str | None):
 
 
 def cmd_features(args) -> int:
-    _, windows = _load_windows(args, args.window_len, args.stride)
+    _, windows = trace_windows(_read_flows(args), args.window_len, args.stride)
     with _text_output(args.out) as out:
         for w in windows:
             feats = extract_node_features(w)
@@ -212,27 +209,19 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     model = load_model(args.model)
     check_model(model)  # before the trace is read
-    records, windows = _load_windows(args, args.window_len, args.stride)
-    ensemble = train_detector(
-        windows,
-        model,
-        flow_ingest.derive_node_labels(records),
-        norm_mode=args.norm_mode,
-        n_trees=args.n_trees,
-        seed=args.seed,
-    )
-    ensemble.window_len, ensemble.stride = args.window_len, args.stride
+    ensemble = train_detector(_read_flows(args), model, args.window_len, args.stride,
+                              args.norm_mode, args.n_trees, args.seed)
     extra_trees.save_ensemble(ensemble, args.out)
-    print(f"trained {ensemble.n_trees}-tree ensemble on {len(windows)} windows -> {args.out}")
+    print(f"trained {ensemble.n_trees}-tree ensemble on "
+          f"{ensemble.window_len:g}/{ensemble.stride:g} s windows -> {args.out}")
     return 0
 
 
 def cmd_detect(args) -> int:
     model = load_model(args.model)
-    check_model(model)  # before the trace is read
     ensemble = extra_trees.load_ensemble(args.ensemble)
-    _, windows = _load_windows(args, ensemble.window_len, ensemble.stride)
-    report = detect(windows, model, ensemble, args.threshold)
+    check_model(model, ensemble)  # before the trace is read
+    report = detect(_read_flows(args), model, ensemble, args.threshold)
     with _text_output(args.out) as out:
         for line in report.json_lines(args.arch, include_timings=not args.no_timings):
             out.write(line + "\n")
@@ -246,10 +235,8 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     check_model(model)  # before the trace is read
-    records, windows = _load_windows(args, args.window_len, args.stride)
-    X, y = pool_labeled_rows(
-        windows, model, flow_ingest.derive_node_labels(records), args.norm_mode
-    )
+    X, y = pool_labeled_rows(_read_flows(args), model, args.window_len, args.stride,
+                             args.norm_mode)
     folds, summary = metrics_mod.kfold_cv(
         X, y, k=args.k, seed=args.seed, n_trees=args.n_trees, threshold=args.threshold
     )
@@ -282,12 +269,12 @@ def cmd_sweep(args) -> int:
         max_epochs=args.max_epochs, patience=args.patience, seed=args.seed
     )
     dataset = _pretrain_dataset(args)
-    records, windows = _load_windows(args, args.window_len, args.stride)
-    node_labels = flow_ingest.derive_node_labels(records)
+    records = _read_flows(args)
+    trace_windows(records, args.window_len, args.stride)  # an empty trace fails before pretraining
     rows = []
     for depth in depths:
         model = pretrain_mod.pretrain_gcn(dataset, depth, config)
-        X, y = pool_labeled_rows(windows, model, node_labels, args.norm_mode)
+        X, y = pool_labeled_rows(records, model, args.window_len, args.stride, args.norm_mode)
         folds, summary = metrics_mod.kfold_cv(X, y, k=args.k, seed=args.seed, n_trees=args.n_trees)
         rows.append({
             "arch": args.arch,
@@ -427,6 +414,8 @@ def main(argv=None) -> int:
             extra_trees.check_threshold(args.threshold)
         if "n_trees" in vars(args):
             extra_trees.check_n_trees(args.n_trees)
+        if "seed" in vars(args) and args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         if "k" in vars(args):
             metrics_mod.check_k(args.k)
         if "stride" in vars(args):

@@ -196,7 +196,7 @@ def load_graph(path: str | Path) -> CommGraph:
         raise FileNotFoundError(f"graph file not found: {path}")
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"graph schema violation: {path} is not valid JSON ({exc})") from None
     return graph_from_json(payload)
 

@@ -1,6 +1,6 @@
-"""End-to-end orchestration: window to features to graph to frozen-network
-embedding to normalization to tree classifier, for both training and
-detection."""
+"""End-to-end orchestration: parsed flows to TCP/UDP windows to features to
+graph to frozen-network embedding to normalization to tree classifier, for
+both training and detection."""
 
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from . import extra_trees
 from .comm_graph import build_graph, propagation_matrix
 from .extra_trees import DEFAULT_NORM_MODE, DEFAULT_THRESHOLD, NORM_MODES, TreeEnsemble
 from .flow_features import FEATURE_DIM, extract_node_features
-from .flow_ingest import Label, WindowSlice
+from .flow_ingest import (DEFAULT_STRIDE, DEFAULT_WINDOW_LEN, FlowRecord, Label, WindowSlice,
+                          derive_node_labels, filter_tcp_udp, slice_windows)
 from .forking import in_two_halves
 from .gcn_core import GcnModel, forward
 
@@ -114,14 +115,30 @@ def normalize_embedding(M: np.ndarray, mode: str = DEFAULT_NORM_MODE) -> np.ndar
     return (M - lo) / np.where(span == 0, 1.0, span) * 100.0
 
 
-def check_model(model: GcnModel) -> None:
-    """Refuse a network that is not frozen or does not take FEATURE_DIM inputs."""
+def check_model(model: GcnModel, ensemble: TreeEnsemble | None = None) -> None:
+    """Refuse a network that is not frozen or does not take FEATURE_DIM inputs,
+    and an ensemble that does not take the network's embedding width."""
     if not model.frozen:
         raise ValueError("embedding requires a frozen model")
     if model.input_dim != FEATURE_DIM:
         raise ValueError(
             f"model expects {model.input_dim}-dim input, pipeline produces {FEATURE_DIM}"
         )
+    if ensemble is not None and ensemble.n_features != model.hidden_dim:
+        raise ValueError(
+            f"ensemble expects {ensemble.n_features} features, "
+            f"model emits {model.hidden_dim}"
+        )
+
+
+def trace_windows(records: list[FlowRecord], window_len: float = DEFAULT_WINDOW_LEN,
+                  stride: float = DEFAULT_STRIDE) -> tuple[list[FlowRecord], list[WindowSlice]]:
+    """The TCP/UDP flows of a parsed trace and the windows sliced from them."""
+    flows = filter_tcp_udp(records)
+    windows = slice_windows(flows, window_len, stride)
+    if not windows:
+        raise ValueError("no windows produced from the input flows")
+    return flows, windows
 
 
 def embed_window(
@@ -155,19 +172,21 @@ def embed_window(
 
 
 def pool_labeled_rows(
-    windows: list[WindowSlice],
+    records: list[FlowRecord],
     model: GcnModel,
-    node_labels: dict[str, Label],
+    window_len: float = DEFAULT_WINDOW_LEN,
+    stride: float = DEFAULT_STRIDE,
     norm_mode: str = DEFAULT_NORM_MODE,
     variant: str = VARIANT_FUSED,
 ):
-    """Normalized per-node rows pooled across windows, labeled 1 = bot.
+    """Normalized per-node rows pooled across a trace's windows, labeled 1 = bot.
 
-    ``node_labels`` is the trace's labels, as `derive_node_labels` gives
-    them; nodes it marks unknown or does not name are left out of the pool.
+    The parsed flows are windowed by `trace_windows` and their nodes labeled
+    by `derive_node_labels`; nodes it marks unknown are left out of the pool.
     """
+    flows, windows = trace_windows(records, window_len, stride)
     classes = {node: int(label is Label.BOT)
-               for node, label in node_labels.items() if label is not Label.UNKNOWN}
+               for node, label in derive_node_labels(flows).items() if label is not Label.UNKNOWN}
     X_parts = []
     y_parts = []
     for window in windows:
@@ -184,49 +203,45 @@ def pool_labeled_rows(
 
 
 def train_detector(
-    windows: list[WindowSlice],
+    records: list[FlowRecord],
     model: GcnModel,
-    node_labels: dict[str, Label],
+    window_len: float = DEFAULT_WINDOW_LEN,
+    stride: float = DEFAULT_STRIDE,
     norm_mode: str = DEFAULT_NORM_MODE,
     n_trees: int = extra_trees.DEFAULT_N_TREES,
     seed: int = 0,
 ) -> TreeEnsemble:
-    """Fit the tree ensemble on pooled normalized embeddings of labeled nodes.
+    """Fit the tree ensemble on the pooled rows of a parsed trace's labeled nodes.
 
-    The ensemble records `norm_mode`; its `window_len` and `stride` stay at the defaults.
+    The ensemble records `norm_mode`, `window_len` and `stride`, so `detect`
+    windows and normalizes as training did.
     """
-    if not windows:
-        raise ValueError("no training windows")
-    X, y = pool_labeled_rows(windows, model, node_labels, norm_mode)
+    X, y = pool_labeled_rows(records, model, window_len, stride, norm_mode)
     if np.unique(y).size < 2:
         raise ValueError("training data contains a single class")
     ensemble = extra_trees.fit(X, y, n_trees=n_trees, seed=seed)
-    ensemble.norm_mode = norm_mode
+    ensemble.norm_mode, ensemble.window_len, ensemble.stride = norm_mode, window_len, stride
     return ensemble
 
 
 def detect(
-    windows: list[WindowSlice],
+    records: list[FlowRecord],
     model: GcnModel,
     ensemble: TreeEnsemble,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> DetectionReport:
     """Per-window verdicts with stage timings; no cross-window aggregation.
 
-    Embeddings are normalized with the mode the ensemble was trained on; the
-    windows should be sliced with its ``window_len`` and ``stride``.
-    Windows are scored independently, so where two CPUs are available the
-    second half is scored in one forked worker (`forking.in_two_halves`);
-    the verdicts have the same bytes either way.
+    The parsed flows are windowed by `trace_windows` with the ensemble's
+    ``window_len`` and ``stride``, and embeddings are normalized with the
+    mode it was trained on; a pair that fails `check_model` is refused
+    before the flows are read. Windows are scored independently, so where
+    two CPUs are available the second half is scored in one forked worker
+    (`forking.in_two_halves`); the verdicts have the same bytes either way.
     """
     extra_trees.check_threshold(threshold)
-    if not windows:
-        raise ValueError("no windows to detect on")
-    if ensemble.n_features != model.hidden_dim:
-        raise ValueError(
-            f"ensemble expects {ensemble.n_features} features, "
-            f"model emits {model.hidden_dim}"
-        )
+    check_model(model, ensemble)
+    _, windows = trace_windows(records, ensemble.window_len, ensemble.stride)
 
     def score(i: int) -> WindowReport:
         window = windows[i]

@@ -22,9 +22,7 @@ from botfuse.flow_ingest import (
     FlowRecord,
     Proto,
     WindowSlice,
-    derive_node_labels,
     encode_flows,
-    slice_windows,
 )
 from botfuse.gcn_core import (
     backward,
@@ -73,10 +71,8 @@ def _pretrained(arch):
 
 def _benchmark(arch, seed):
     if (arch, seed) not in _BENCH:
-        flows = generate_flow_benchmark(FlowBenchSpec(architecture=arch, seed=seed))
-        windows = slice_windows(flows, window_len=60.0, stride=10.0)
-        labels = derive_node_labels(flows)
-        _BENCH[(arch, seed)] = (windows, labels)
+        spec = FlowBenchSpec(architecture=arch, seed=seed)
+        _BENCH[(arch, seed)] = generate_flow_benchmark(spec)
     return _BENCH[(arch, seed)]
 
 
@@ -297,8 +293,7 @@ def test_criterion_06_end_to_end_cross_validation(capsys):
     ok = True
     for arch in ("c2", "p2p"):
         model = _pretrained(arch)[0]
-        windows, labels = _benchmark(arch, 0)
-        X, y = pool_labeled_rows(windows, model, labels)
+        X, y = pool_labeled_rows(_benchmark(arch, 0), model, 60.0, 10.0)
         _, summary = kfold_cv(X, y, k=10, seed=0)
         recall = summary["mean"]["recall"]
         fpr = summary["mean"]["fpr"]
@@ -315,10 +310,10 @@ def test_criterion_07_ablation_direction(capsys):
     recall = {"fused": [], "flow_only": []}
     seeds = range(5)
     for seed in seeds:
-        windows, labels = _benchmark("c2", seed)
+        flows = _benchmark("c2", seed)
         for variant in ("fused", "topology_only", "flow_only"):
             X, y = pool_labeled_rows(
-                windows, model, labels, norm_mode="per_dimension", variant=variant
+                flows, model, 60.0, 10.0, norm_mode="per_dimension", variant=variant
             )
             _, summary = kfold_cv(X, y, k=5, seed=seed)
             if variant in f1:
@@ -426,10 +421,9 @@ def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
         n_background_flows=150, scan_flows_per_host=30, seed=9,
     )
     flows = generate_flow_benchmark(spec)
-    windows = slice_windows(flows, 60.0, 10.0)
-    detector = train_detector(windows, m1, derive_node_labels(flows), n_trees=20, seed=4)
-    r1 = list(detect(windows, m1, detector).json_lines("c2", include_timings=False))
-    r2 = list(detect(windows, m1, detector).json_lines("c2", include_timings=False))
+    detector = train_detector(flows, m1, 60.0, 10.0, n_trees=20, seed=4)
+    r1 = list(detect(flows, m1, detector).json_lines("c2", include_timings=False))
+    r2 = list(detect(flows, m1, detector).json_lines("c2", include_timings=False))
     reports_identical = r1 == r2
 
     g = default_pretrain_dataset("c2", n_graphs=1, seed=5, n_background=20, n_bots=4)[0]

@@ -12,7 +12,6 @@ from botfuse import extra_trees, fusion_pipeline
 from botfuse.cli import build_parser, main
 from botfuse.comm_graph import save_graph
 from botfuse.flow_ingest import (
-    derive_node_labels,
     filter_tcp_udp,
     parse_flow_file,
     slice_windows,
@@ -149,6 +148,19 @@ class TestPretrain:
         assert capsys.readouterr().err.startswith("error: graph schema violation: bad edge [0.5")
         assert not (tmp_path / "m.bin").exists()
 
+    def test_graph_file_that_is_not_utf8_names_the_file(self, art, tmp_path, capsys):
+        data = tmp_path / "graphs"
+        shutil.copytree(art["graphs"], data)
+        bad = data / "graph_c2_999.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        rc = main(["pretrain", "--data", str(data), "--depth", "2", "--max-epochs", "1",
+                   "--out", str(tmp_path / "m.bin")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: graph schema violation: {bad} is not valid JSON ('utf-8' codec can't "
+            "decode byte 0xff in position 0: invalid start byte)\n")
+        assert not (tmp_path / "m.bin").exists()
+
 
 class TestFeatures:
     def test_json_lines_to_file(self, art, tmp_path):
@@ -188,12 +200,33 @@ class TestTrainDetect:
         assert ens.n_features == 32
 
     def test_train_labels_come_from_the_parsed_flows(self, art):
-        records = filter_tcp_udp(parse_flow_file(art["flows"]).records)
-        windows = slice_windows(records, 60.0, 10.0)
-        expect = train_detector(
-            windows, load_model(art["model"]), derive_node_labels(records), n_trees=10
-        )
+        expect = train_detector(parse_flow_file(art["flows"]).records, load_model(art["model"]),
+                                n_trees=10)
         assert art["ens"].read_bytes() == extra_trees.serialize_ensemble(expect)
+
+    def test_library_filters_the_trace_as_the_cli_does(self, art, tmp_path, capsys):
+        # Non-TCP/UDP copies of every seventh row, one of them from a source
+        # no TCP/UDP flow names: the library must drop them as the CLI does.
+        rows = art["flows"].read_text().splitlines(keepends=True)
+        copies = [row.replace(",tcp,", ",icmp,").replace(",udp,", ",icmp,")
+                  for row in rows[1::7]]
+        copies.append("31.0,0.5,icmp,10.99.0.1,1,10.0.0.2,80,100,100,bot\n")
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text("".join(rows + copies))
+        records = parse_flow_file(mixed).records
+        assert sum(r.proto.value == "other" for r in records) == len(copies)
+        ens_path, out = tmp_path / "trees.json", tmp_path / "verdicts.jsonl"
+        assert main(["train", "--flows", str(mixed), "--model", str(art["model"]),
+                     "--n-trees", "10", "--out", str(ens_path)]) == 0
+        assert main(["detect", "--flows", str(mixed), "--model", str(art["model"]),
+                     "--ensemble", str(ens_path), "--no-timings", "--out", str(out)]) == 0
+        model = load_model(art["model"])
+        ens = train_detector(records, model, n_trees=10)
+        assert extra_trees.serialize_ensemble(ens) == ens_path.read_bytes()
+        lines = fusion_pipeline.detect(records, model, ens).json_lines("c2", include_timings=False)
+        assert out.read_text() == "".join(line + "\n" for line in lines)
+        # The same bytes as on the trace without the copies.
+        assert ens_path.read_bytes() == art["ens"].read_bytes()
 
     def test_detect_writes_verdict_lines(self, art, tmp_path, capsys):
         out = tmp_path / "verdicts.jsonl"
@@ -272,10 +305,11 @@ class TestTrainDetect:
         out = tmp_path / "verdicts.jsonl"
         assert main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
                      "--ensemble", str(art["ens"]), "--no-timings", "--out", str(out)]) == 0
-        records = filter_tcp_udp(parse_flow_file(art["flows"]).records)
-        report = fusion_pipeline.detect(slice_windows(records, 60.0, 10.0),
-                                        load_model(art["model"]),
+        records = parse_flow_file(art["flows"]).records
+        report = fusion_pipeline.detect(records, load_model(art["model"]),
                                         extra_trees.load_ensemble(art["ens"]))
+        assert ([w.window_start for w in report.windows]
+                == [w.window_start for w in slice_windows(filter_tcp_udp(records), 60.0, 10.0)])
         lines = list(report.json_lines("c2", include_timings=False))
         assert out.read_text() == "".join(line + "\n" for line in lines)
 
@@ -293,13 +327,19 @@ class TestTrainDetect:
         capsys.readouterr()
         assert main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
                      "--ensemble", str(ens_path), "--no-timings", "--out", str(out)]) == 0
-        records = filter_tcp_udp(parse_flow_file(art["flows"]).records)
-        windows = slice_windows(records, 30.0, 5.0)
-        assert len(windows) > len(slice_windows(records, 60.0, 10.0))
-        report = fusion_pipeline.detect(windows, load_model(art["model"]), ens)
+        records = parse_flow_file(art["flows"]).records
+        windows = slice_windows(filter_tcp_udp(records), 30.0, 5.0)
+        assert len(windows) > len(slice_windows(filter_tcp_udp(records), 60.0, 10.0))
+        report = fusion_pipeline.detect(records, load_model(art["model"]), ens)
+        assert [w.window_start for w in report.windows] == [w.window_start for w in windows]
         lines = list(report.json_lines("c2", include_timings=False))
         assert out.read_text() == "".join(line + "\n" for line in lines)
         assert f"across {len(windows)} windows" in capsys.readouterr().err
+        # The library's training records the windowing it sliced with.
+        blob = extra_trees.serialize_ensemble(
+            train_detector(records, load_model(art["model"]), 30.0, 5.0, n_trees=10))
+        assert b'"stride":5.0' in blob and b'"window_len":30.0' in blob
+        assert blob == ens_path.read_bytes()
 
     @pytest.mark.parametrize("option", ["--window-len", "--stride"])
     def test_detect_takes_no_windowing_option(self, art, tmp_path, capsys, option):
@@ -380,6 +420,21 @@ class TestSweep:
             assert row["arch"] == "c2"
             assert len(row["folds"]) == 3
             assert set(row["mean"]) == {"accuracy", "precision", "recall", "fpr", "f1", "roc_auc"}
+
+    def test_trace_without_windows_is_refused_before_pretraining(self, art, tmp_path, capsys,
+                                                                  monkeypatch):
+        def pretrain(*args, **kwargs):
+            raise AssertionError("pretrained before the trace was sliced")
+
+        monkeypatch.setattr("botfuse.pretrain.pretrain_gcn", pretrain)
+        flows = tmp_path / "icmp.csv"
+        flows.write_text(art["flows"].read_text().replace(",tcp,", ",icmp,")
+                         .replace(",udp,", ",icmp,"))
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--flows", str(flows), "--data", str(art["graphs"]),
+                     "--depths", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no windows produced from the input flows\n"
+        assert not out.exists()
 
     def test_no_depths_is_refused_before_any_input(self, art, tmp_path, capsys, monkeypatch):
         def read(*args, **kwargs):
@@ -571,6 +626,25 @@ class TestConfigFile:
         rc = main(["features", "--flows", str(art["flows"]), "--config", str(bad)])
         assert rc == 1
         assert "single object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, content, kind, detail", [
+        ("cfg.json", b'{"seed": 1,}', "JSON", "Expecting property name enclosed in double quotes"),
+        ("cfg.toml", b"seed = \n", "TOML", "Invalid value"),
+        ("cfg.json", b"\xff\xfe{}", "JSON", "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_config_that_does_not_decode_names_the_file(self, art, tmp_path, capsys, name,
+                                                         content, kind, detail):
+        if kind == "TOML" and sys.version_info < (3, 11):
+            pytest.skip("TOML configs need Python 3.11+")
+        cfg = tmp_path / name
+        cfg.write_bytes(content)
+        out = tmp_path / "trees.json"
+        rc = main(["train", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg} is not valid {kind}: {detail}")
+        assert not out.exists()
 
     def test_toml_config_depends_on_interpreter(self, art, tmp_path, capsys):
         cfg = tmp_path / "cfg.toml"
@@ -767,6 +841,27 @@ class TestErrors:
             argv += ["--model", str(art["model"])]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("argv", [
+        ["synth"],
+        ["pretrain", "--data", "missing_dir"],
+        ["train", "--flows", "missing.csv", "--model", "missing.bin"],
+        ["eval", "--flows", "missing.csv", "--model", "missing.bin"],
+        ["sweep", "--flows", "missing.csv", "--data", "missing_dir"],
+    ])
+    def test_negative_seed_is_refused_before_any_input(self, tmp_path, capsys, monkeypatch,
+                                                       argv, via):
+        monkeypatch.chdir(tmp_path)
+        if via == "flag":
+            argv = [*argv, "--seed", "-1"]
+        else:
+            (tmp_path / "cfg.json").write_text('{"seed": -1}')
+            argv = [*argv, "--config", "cfg.json"]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_n_trees_is_checked_before_the_flow_file(self, art, tmp_path, capsys):
@@ -973,6 +1068,19 @@ class TestErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err == (
             "error: model expects 3-dim input, pipeline produces 5\n")
+        assert not out.exists()
+
+    def test_model_and_ensemble_of_different_widths_are_refused_before_the_trace(
+            self, art, tmp_path, capsys):
+        narrow = init_gcn(2, hidden_dim=16, seed=0)
+        narrow.frozen = True
+        model = tmp_path / "hidden16.bin"
+        save_model(narrow, model)
+        out = tmp_path / "v.jsonl"
+        rc = main(["detect", "--flows", str(tmp_path / "missing.csv"), "--model", str(model),
+                   "--ensemble", str(art["ens"]), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: ensemble expects 32 features, model emits 16\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("fields, message", [

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from botfuse import extra_trees, fusion_pipeline
 from botfuse.comm_graph import build_graph, propagation_matrix
 from botfuse.flow_features import extract_node_features
-from botfuse.flow_ingest import (
-    FlowRecord, Label, Proto, WindowSlice, derive_node_labels, encode_flows, slice_windows,
-)
+from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice, encode_flows
 from botfuse.gcn_core import init_gcn, forward
 from botfuse.fusion_pipeline import (
     DetectionReport,
@@ -46,17 +44,27 @@ def _frozen(depth=2, hidden=4, seed=0, input_dim=5):
     return model
 
 
-def _training_windows():
-    """Two windows whose flows pin down one bot source and one legit source."""
-    mk = lambda start: [
+def _training_flows(start):
+    """Flows that pin down one bot source and one legit source."""
+    return [
         _flow("10.0.0.9", "10.0.0.2", ts=start + 1, label=Label.BOT),
         _flow("10.0.0.1", "10.0.0.2", ts=start + 2, label=Label.LEGIT),
         _flow("10.0.0.1", "10.0.0.3", ts=start + 3, sb=20, db=900, label=Label.LEGIT),
     ]
-    return [_window(mk(0.0), start=0.0), _window(mk(10.0), start=10.0)]
 
 
-# What derive_node_labels gives the training windows' nodes: the two sources
+# A trace that 10 s windows at a 10 s stride slice into the two windows of
+# _training_windows.
+TRAINING_TRACE = _training_flows(0.0) + _training_flows(10.0)
+TRAINING_WINDOWING = (10.0, 10.0)
+
+
+def _training_windows():
+    """The windows of TRAINING_TRACE, built by hand."""
+    return [_window(_training_flows(0.0), start=0.0), _window(_training_flows(10.0), start=10.0)]
+
+
+# What derive_node_labels gives the training trace's nodes: the two sources
 # take their flows' labels; the two destinations only receive, so they stay
 # unknown.
 TRAINING_LABELS = {"10.0.0.9": Label.BOT, "10.0.0.1": Label.LEGIT,
@@ -204,7 +212,7 @@ class TestPoolVariants:
     def test_variant_rows_match_oracle(self, variant, width):
         model = _frozen(depth=2, hidden=4, seed=3)
         windows = _training_windows()
-        X, y = pool_labeled_rows(windows, model, TRAINING_LABELS, variant=variant)
+        X, y = pool_labeled_rows(TRAINING_TRACE, model, *TRAINING_WINDOWING, variant=variant)
         ox, oy = self._oracle(windows, model, TRAINING_LABELS, variant)
         assert X.shape == (4, width)
         assert np.array_equal(X, ox)
@@ -212,82 +220,102 @@ class TestPoolVariants:
         assert set(y.tolist()) == {0, 1}
 
     def test_unlabeled_nodes_are_excluded(self):
-        model = _frozen()
-        windows = _training_windows()
-        X, y = pool_labeled_rows(windows, model, TRAINING_LABELS)
+        X, y = pool_labeled_rows(TRAINING_TRACE, _frozen(), *TRAINING_WINDOWING)
         # Each window has 4 endpoints but only 2 are bot or legit.
         assert X.shape[0] == 4
         assert y.tolist() == [1, 0] * 2 or y.tolist() == [0, 1] * 2
 
     def test_label_codes(self):
-        # Bot is 1 and legit 0; unknown nodes and nodes the labels do not name
-        # are left out.
-        window = _window([_flow("A", "B"), _flow("C", "B"), _flow("D", "B", sb=7)])
-        labels = {"A": Label.BOT, "B": Label.LEGIT, "C": Label.UNKNOWN}
-        X, y = pool_labeled_rows([window], _frozen(), labels, variant=VARIANT_FLOW)
+        # Bot is 1 and legit 0; a node that sends only unlabeled flows, and one
+        # that only receives, are left out.
+        flows = [_flow("A", "B", label=Label.BOT), _flow("B", "C", label=Label.LEGIT),
+                 _flow("C", "D", sb=7)]
+        X, y = pool_labeled_rows(flows, _frozen(), variant=VARIANT_FLOW)
         assert y.dtype == np.int64
         assert y.tolist() == [1, 0]
-        rows = normalize_embedding(extract_node_features(window).matrix)
-        assert np.array_equal(X, rows[:2])
+        feats = extract_node_features(_window(flows))
+        assert feats.nodes == ["A", "B", "C", "D"]
+        assert np.array_equal(X, normalize_embedding(feats.matrix)[:2])
+
+    def test_flows_other_than_tcp_and_udp_are_neither_windowed_nor_labeled(self):
+        model = _frozen()
+        other = [FlowRecord(ts, 1.0, Proto.OTHER, src, 0, "10.0.0.2", 0, 10, 10, Label.BOT)
+                 for ts, src in ((4.0, "10.0.0.1"), (5.0, "10.0.0.7"), (35.0, "10.0.0.7"))]
+        X, y = pool_labeled_rows(TRAINING_TRACE + other, model, *TRAINING_WINDOWING)
+        ox, oy = pool_labeled_rows(TRAINING_TRACE, model, *TRAINING_WINDOWING)
+        assert np.array_equal(X, ox) and np.array_equal(y, oy)
+        with pytest.raises(ValueError, match="no windows produced from the input flows"):
+            pool_labeled_rows(other, model)
 
     def test_unknown_variant_rejected(self):
         model = _frozen()
         with pytest.raises(ValueError, match="variant"):
-            pool_labeled_rows(_training_windows(), model, TRAINING_LABELS, variant="hybrid")
+            pool_labeled_rows(TRAINING_TRACE, model, variant="hybrid")
 
     def test_no_labeled_nodes_rejected(self):
         model = _frozen()
         with pytest.raises(ValueError, match="no labeled nodes"):
-            pool_labeled_rows(_training_windows(), model, {})
+            pool_labeled_rows([_flow("a", "b"), _flow("b", "c")], model)
 
     def test_flow_variant_ignores_model_state(self):
         unfrozen = init_gcn(2, 5, 4, seed=0)
-        X, _ = pool_labeled_rows(
-            _training_windows(), unfrozen, TRAINING_LABELS, variant=VARIANT_FLOW
-        )
+        X, _ = pool_labeled_rows(TRAINING_TRACE, unfrozen, *TRAINING_WINDOWING,
+                                 variant=VARIANT_FLOW)
         assert X.shape == (4, 5)
 
 
 class TestTrainDetector:
     def test_requires_windows_and_two_classes(self):
         model = _frozen()
-        with pytest.raises(ValueError, match="no training windows"):
-            train_detector([], model, TRAINING_LABELS)
-        legit_only = [_window([_flow("a", "b", label=Label.LEGIT)])]
+        with pytest.raises(ValueError, match="no windows produced from the input flows"):
+            train_detector([], model)
         with pytest.raises(ValueError, match="single class"):
-            train_detector(legit_only, model, {"a": Label.LEGIT})
+            train_detector([_flow("a", "b", label=Label.LEGIT)], model)
+
+    def test_records_the_windowing_and_scaling_it_trained_with(self):
+        ens = train_detector(TRAINING_TRACE, _frozen(), 30.0, 5.0, "per_dimension", n_trees=3)
+        assert (ens.window_len, ens.stride, ens.norm_mode) == (30.0, 5.0, "per_dimension")
 
 
 class TestDetect:
-    def _fitted(self, model, windows):
-        return train_detector(windows, model, TRAINING_LABELS, n_trees=10, seed=0)
+    def _fitted(self, model):
+        return train_detector(TRAINING_TRACE, model, *TRAINING_WINDOWING, n_trees=10, seed=0)
 
     def test_input_contract_errors(self):
-        windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
-        ens = self._fitted(model, windows)
+        ens = self._fitted(model)
         with pytest.raises(ValueError, match="threshold"):
-            detect(windows, model, ens, threshold=1.5)
-        with pytest.raises(ValueError, match="no windows"):
+            detect(TRAINING_TRACE, model, ens, threshold=1.5)
+        with pytest.raises(ValueError, match="no windows produced from the input flows"):
             detect([], model, ens)
         narrow = _frozen(depth=2, hidden=4, input_dim=3)
         with pytest.raises(ValueError, match="model expects 3-dim input, pipeline produces 5"):
-            detect(windows, narrow, ens)
+            detect(TRAINING_TRACE, narrow, ens)
         rng = np.random.default_rng(0)
         wide = extra_trees.fit(
             rng.standard_normal((10, 7)), np.array([0, 1] * 5), n_trees=3
         )
         with pytest.raises(ValueError, match="ensemble expects"):
-            detect(windows, model, wide)
+            detect(TRAINING_TRACE, model, wide)
+
+    def test_a_mismatched_pair_is_refused_before_the_flows_are_sliced(self, monkeypatch):
+        def slice_windows(*args, **kwargs):
+            raise AssertionError("the flows were sliced before the pair was checked")
+
+        monkeypatch.setattr(fusion_pipeline, "slice_windows", slice_windows)
+        wide = extra_trees.fit(np.eye(8)[:, :7], np.array([0, 1] * 4), n_trees=3)
+        with pytest.raises(ValueError, match="^ensemble expects 7 features, model emits 4$"):
+            detect(TRAINING_TRACE, _frozen(depth=2, hidden=4), wide)
 
     @pytest.mark.parametrize("mode", ["per_vector", "per_dimension"])
     def test_probabilities_match_stage_by_stage_replay(self, mode):
         windows = _training_windows()
         model = _frozen(depth=2, hidden=4, seed=6)
-        ens = train_detector(windows, model, TRAINING_LABELS, norm_mode=mode, n_trees=10,
-                             seed=0)
+        ens = train_detector(TRAINING_TRACE, model, *TRAINING_WINDOWING, norm_mode=mode,
+                             n_trees=10, seed=0)
         assert ens.norm_mode == mode
-        report = detect(windows, model, ens)
+        report = detect(TRAINING_TRACE, model, ens)
+        assert [w.window_start for w in report.windows] == [w.window_start for w in windows]
         for window, w in zip(windows, report.windows):
             expect = extra_trees.predict_proba(
                 ens, normalize_embedding(embed_window(window, model).vectors, mode)
@@ -295,18 +323,16 @@ class TestDetect:
             assert w.probabilities.tolist() == expect.tolist()
 
     def test_refuses_unfrozen_model(self):
-        windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
-        ens = self._fitted(model, windows)
+        ens = self._fitted(model)
         model.frozen = False
         with pytest.raises(ValueError, match="frozen"):
-            detect(windows, model, ens)
+            detect(TRAINING_TRACE, model, ens)
 
     def test_report_structure_and_verdict_consistency(self):
-        windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
-        ens = self._fitted(model, windows)
-        report = detect(windows, model, ens, 0.4)
+        ens = self._fitted(model)
+        report = detect(TRAINING_TRACE, model, ens, 0.4)
         assert report.threshold == 0.4
         assert [w.window_start for w in report.windows] == [0.0, 10.0]
         for w in report.windows:
@@ -316,20 +342,18 @@ class TestDetect:
             assert w.n_flagged == int(w.flags.sum())
 
     def test_threshold_zero_flags_everything(self):
-        windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
-        ens = self._fitted(model, windows)
-        report = detect(windows, model, ens, threshold=0.0)
+        ens = self._fitted(model)
+        report = detect(TRAINING_TRACE, model, ens, threshold=0.0)
         assert all(w.n_flagged == w.n_nodes for w in report.windows)
 
     def test_stage_timings_account_for_the_run(self):
-        windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
-        ens = self._fitted(model, windows)
+        ens = self._fitted(model)
         with pytest.MonkeyPatch.context() as mp:
             in_process_only(mp)
             t0 = time.perf_counter()
-            report = detect(windows, model, ens)
+            report = detect(TRAINING_TRACE, model, ens)
             run = time.perf_counter() - t0
         staged = 0.0
         for w in report.windows:
@@ -341,18 +365,17 @@ class TestDetect:
         with pytest.MonkeyPatch.context() as mp:
             counted_forks(mp)
             t0 = time.perf_counter()
-            report = detect(windows, model, ens)
+            report = detect(TRAINING_TRACE, model, ens)
             run = time.perf_counter() - t0
         for half in (report.windows[:1], report.windows[1:]):
             assert sum(sum(w.timings.values()) for w in half) <= run
         assert_no_child_left()
 
     def test_json_lines_deterministic_without_timings(self):
-        windows = _training_windows()
         model = _frozen(depth=2, hidden=4)
-        ens = self._fitted(model, windows)
-        a = list(detect(windows, model, ens).json_lines("p2p", include_timings=False))
-        b = list(detect(windows, model, ens).json_lines("p2p", include_timings=False))
+        ens = self._fitted(model)
+        a = list(detect(TRAINING_TRACE, model, ens).json_lines("p2p", include_timings=False))
+        b = list(detect(TRAINING_TRACE, model, ens).json_lines("p2p", include_timings=False))
         assert a == b
         assert len(a) == 2 and not any("\n" in line for line in a)
         obj = json.loads(a[0])
@@ -360,23 +383,29 @@ class TestDetect:
             "window_start", "architecture", "threshold", "n_nodes", "n_flagged", "nodes",
         }
         assert obj["architecture"] == "p2p"
-        assert "timings" in json.loads(next(detect(windows, model, ens).json_lines("c2")))
+        assert "timings" in json.loads(next(detect(TRAINING_TRACE, model, ens).json_lines("c2")))
+
+
+def _first_strides(records, n):
+    """The flows of a trace's first ``n`` 10 s strides, which the default
+    60 s windows at a 10 s stride slice into ``n`` windows when each stride
+    holds a flow."""
+    end = min(r.ts_start for r in records) // 10.0 * 10.0 + 10.0 * n
+    return [r for r in records if r.ts_start < end]
 
 
 @pytest.fixture(scope="module")
 def trace():
-    """Seven windows of a synthetic trace, a frozen model and a forest whose
+    """Seven strides of a synthetic trace, a frozen model and a forest whose
     impure leaves give fractional probabilities."""
-    records = generate_flow_benchmark(FlowBenchSpec(
+    records = _first_strides(generate_flow_benchmark(FlowBenchSpec(
         n_background=40, n_bots=6, n_scanners=2, duration=80.0,
         n_background_flows=200, scan_flows_per_host=20, seed=5,
-    ))
-    windows = slice_windows(records)[:7]
-    assert len(windows) == 7
+    )), 7)
     model = _frozen(depth=3, hidden=8, seed=2)
-    X, y = pool_labeled_rows(windows, model, derive_node_labels(records))
+    X, y = pool_labeled_rows(records, model)
     ensemble = extra_trees.fit(X, y, n_trees=12, min_samples_split=60, seed=1)
-    return windows, model, ensemble
+    return records, model, ensemble
 
 
 class TestForkedDetect:
@@ -387,14 +416,14 @@ class TestForkedDetect:
 
     @pytest.mark.parametrize("n_windows", [1, 2, 3, 7])
     def test_report_bytes_equal_the_in_process_path(self, trace, n_windows):
-        windows, model, ensemble = trace
-        windows = windows[:n_windows]
+        records, model, ensemble = trace
+        records = _first_strides(records, n_windows)
         with pytest.MonkeyPatch.context() as mp:
             forks = counted_forks(mp)
-            forked = detect(windows, model, ensemble, threshold=self.THRESHOLD)
+            forked = detect(records, model, ensemble, threshold=self.THRESHOLD)
         with pytest.MonkeyPatch.context() as mp:
             in_process_only(mp)
-            in_process = detect(windows, model, ensemble, threshold=self.THRESHOLD)
+            in_process = detect(records, model, ensemble, threshold=self.THRESHOLD)
         assert len(forks) == (1 if n_windows >= 2 else 0)
         assert (list(forked.json_lines("c2", include_timings=False))
                 == list(in_process.json_lines("c2", include_timings=False)))
@@ -406,17 +435,17 @@ class TestForkedDetect:
         assert_no_child_left()
 
     def test_the_workers_windows_carry_every_stage_timing(self, trace):
-        windows, model, ensemble = trace
+        records, model, ensemble = trace
         with pytest.MonkeyPatch.context() as mp:
             counted_forks(mp)
-            report = detect(windows, model, ensemble, threshold=self.THRESHOLD)
+            report = detect(records, model, ensemble, threshold=self.THRESHOLD)
         for w in report.windows[3:]:
             assert set(w.timings) == {"features", "graph", "embed", "normalize", "classify"}
             assert all(t >= 0.0 for t in w.timings.values())
         assert_no_child_left()
 
     def test_a_failing_parent_half_propagates_and_the_worker_is_reaped(self, trace):
-        windows, model, ensemble = trace
+        records, model, ensemble = trace
         parent, embed = os.getpid(), fusion_pipeline.embed_window
 
         def embed_slowly_in_worker(*args):
@@ -430,7 +459,7 @@ class TestForkedDetect:
             mp.setattr(fusion_pipeline, "embed_window", embed_slowly_in_worker)
             start = time.monotonic()
             with pytest.raises(KeyError, match="first window"):
-                detect(windows, model, ensemble, threshold=self.THRESHOLD)
+                detect(records, model, ensemble, threshold=self.THRESHOLD)
         assert time.monotonic() - start < 15
         assert_no_child_left()
 
