@@ -204,7 +204,7 @@ class TestTrainDetect:
                                 n_trees=10)
         assert art["ens"].read_bytes() == extra_trees.serialize_ensemble(expect)
 
-    def test_library_filters_the_trace_as_the_cli_does(self, art, tmp_path, capsys):
+    def test_library_filters_the_trace_as_the_cli_does(self, art, tmp_path):
         # Non-TCP/UDP copies of every seventh row, one of them from a source
         # no TCP/UDP flow names: the library must drop them as the CLI does.
         rows = art["flows"].read_text().splitlines(keepends=True)
