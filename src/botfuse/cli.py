@@ -363,7 +363,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
             help="classify nodes per window with a frozen model and ensemble")
     add_flow_args(s, windowing=False)
     s.add_argument("--model", required=True)
-    s.add_argument("--ensemble", required=True, help="also sets the window length and stride")
+    s.add_argument("--ensemble", required=True,
+                   help="also sets the window length, stride and normalization mode")
     s.add_argument("--arch", choices=ARCHITECTURES, default=ARCH_C2,
                    help="only sets the report's \"architecture\" field; "
                         "not checked against the model")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -293,8 +292,10 @@ def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -
     Two column mappings are supported: ``canonical`` (CSV columns
     ts_start,duration,proto,src_ip,src_port,dst_ip,dst_port,src_bytes,
     dst_bytes[,label], header optional) and ``binetflow`` (CTU-13 flow
-    export layout). Malformed lines are skipped and counted in the result;
-    a file whose every line fails to parse is an error.
+    export layout). The first non-blank row is skipped, not counted, when it
+    fails to parse and looks like a header. Malformed lines are skipped and
+    counted in the result; a file whose every line fails to parse is an
+    error.
     """
     try:
         parse_row = _ROW_PARSERS[format_descriptor]
@@ -310,15 +311,16 @@ def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -
 
     records: list[FlowRecord] = []
     malformed = 0
+    seen = 0  # non-blank rows before this chunk; the first may be a header
     with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
         for rows, refused in _read_rows(handle):
             malformed += refused
             start_times = (
-                binetflow_start_times([row[0] for _, row in rows])
+                binetflow_start_times([row[0] for row in rows])
                 if parse_row is _parse_binetflow_row
                 else [None] * len(rows)
             )
-            for (lineno, row), ts_start in zip(rows, start_times):
+            for i, (row, ts_start) in enumerate(zip(rows, start_times), seen):
                 try:
                     # A byte that is not UTF-8 decodes to a lone surrogate,
                     # which does not encode back.
@@ -327,9 +329,10 @@ def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -
                         parse_row(row) if ts_start is None else parse_row(row, ts_start)
                     )
                 except (ValueError, IndexError):
-                    if lineno == 0 and _looks_like_header(row):
+                    if i == 0 and _looks_like_header(row):
                         continue
                     malformed += 1
+            seen += len(rows)
     if not records:
         raise ValueError(f"no parseable flow records in {path} ({malformed} malformed lines)")
     return ParseResult(records=records, malformed=malformed)
@@ -338,15 +341,14 @@ def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -
 _CHUNK_ROWS = 1024
 
 
-def _read_rows(handle) -> Iterator[tuple[list[tuple[int, list[str]]], int]]:
-    """The non-blank CSV rows with their row numbers, in chunks of at most
-    ``_CHUNK_ROWS``, each with the number of rows the reader refused (a
-    field over the size limit, say). The reader goes on at the next line
-    after a refusal."""
+def _read_rows(handle) -> Iterator[tuple[list[list[str]], int]]:
+    """The non-blank CSV rows in chunks of at most ``_CHUNK_ROWS``, each
+    with the number of rows the reader refused (a field over the size limit,
+    say). The reader goes on at the next line after a refusal."""
     rows = []
     refused = 0
     reader = csv.reader(handle)
-    for lineno in itertools.count():
+    while True:
         try:
             row = next(reader)
         except StopIteration:
@@ -355,7 +357,7 @@ def _read_rows(handle) -> Iterator[tuple[list[tuple[int, list[str]]], int]]:
             refused += 1
             continue
         if row and any(cell.strip() for cell in row):
-            rows.append((lineno, row))
+            rows.append(row)
             if len(rows) == _CHUNK_ROWS:
                 yield rows, refused
                 rows, refused = [], 0

@@ -27,16 +27,6 @@ VARIANTS = (VARIANT_FUSED, VARIANT_TOPOLOGY, VARIANT_FLOW)
 
 
 @dataclass
-class NodeEmbedding:
-    """Final-hidden-layer activations for one window's nodes, with the
-    seconds spent in the features, graph and embed stages."""
-
-    nodes: list[str]
-    vectors: np.ndarray
-    timings: dict[str, float]
-
-
-@dataclass
 class WindowReport:
     """One window's verdicts: node ``nodes[i]`` has bot probability
     ``probabilities[i]`` and is flagged when ``flags[i]``."""
@@ -143,18 +133,18 @@ def trace_windows(records: list[FlowRecord], window_len: float = DEFAULT_WINDOW_
 
 def embed_window(
     window: WindowSlice, model: GcnModel, variant: str = VARIANT_FUSED
-) -> NodeEmbedding:
+) -> tuple[list[str], np.ndarray, dict[str, float]]:
     """Window flows through graph construction and the frozen network.
 
-    Variants select what the vectors are: `fused` runs flow features
-    through the frozen network, `topology_only` runs all-ones features
-    through it instead, and `flow_only` skips the network and returns the
-    raw window features. The network must pass `check_model`.
+    Returns the window's nodes, one final-hidden-layer vector per node, and
+    the seconds spent in the features, graph and embed stages. Variants
+    select what the vectors are: `fused` runs flow features through the
+    frozen network, `topology_only` runs all-ones features through it
+    instead, and `flow_only` skips the network and returns the raw window
+    features. The network must pass `check_model`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown feature variant {variant!r}")
-    if variant != VARIANT_FLOW:
-        check_model(model)
     t0 = time.perf_counter()
     feats = extract_node_features(window)
     t1 = time.perf_counter()
@@ -167,8 +157,7 @@ def embed_window(
         X0 = feats.matrix if variant == VARIANT_FUSED else np.ones_like(feats.matrix)
         vectors = forward(model, P, X0, with_head=False)
     t3 = time.perf_counter()
-    timings = {"features": t1 - t0, "graph": t2 - t1, "embed": t3 - t2}
-    return NodeEmbedding(nodes=feats.nodes, vectors=vectors, timings=timings)
+    return feats.nodes, vectors, {"features": t1 - t0, "graph": t2 - t1, "embed": t3 - t2}
 
 
 def pool_labeled_rows(
@@ -183,16 +172,20 @@ def pool_labeled_rows(
 
     The parsed flows are windowed by `trace_windows` and their nodes labeled
     by `derive_node_labels`; nodes it marks unknown are left out of the pool.
+    A model that fails `check_model` is refused before the flows are read,
+    except by `flow_only`, which reads no model.
     """
+    if variant != VARIANT_FLOW:
+        check_model(model)
     flows, windows = trace_windows(records, window_len, stride)
     classes = {node: int(label is Label.BOT)
                for node, label in derive_node_labels(flows).items() if label is not Label.UNKNOWN}
     X_parts = []
     y_parts = []
     for window in windows:
-        emb = embed_window(window, model, variant)
-        norm = normalize_embedding(emb.vectors, norm_mode)
-        y = np.array([classes.get(node, -1) for node in emb.nodes], dtype=np.int64)
+        nodes, vectors, _ = embed_window(window, model, variant)
+        norm = normalize_embedding(vectors, norm_mode)
+        y = np.array([classes.get(node, -1) for node in nodes], dtype=np.int64)
         keep = y >= 0
         if keep.any():
             X_parts.append(norm[keep])
@@ -245,19 +238,19 @@ def detect(
 
     def score(i: int) -> WindowReport:
         window = windows[i]
-        emb = embed_window(window, model)
+        nodes, vectors, timings = embed_window(window, model)
         t0 = time.perf_counter()
-        norm = normalize_embedding(emb.vectors, ensemble.norm_mode)
+        norm = normalize_embedding(vectors, ensemble.norm_mode)
         t1 = time.perf_counter()
         probs = extra_trees.predict_proba(ensemble, norm)
         flags = probs >= threshold
         t2 = time.perf_counter()
         return WindowReport(
             window_start=window.window_start,
-            nodes=emb.nodes,
+            nodes=nodes,
             probabilities=probs,
             flags=flags,
-            timings={**emb.timings, "normalize": t1 - t0, "classify": t2 - t1},
+            timings={**timings, "normalize": t1 - t0, "classify": t2 - t1},
         )
 
     return DetectionReport(threshold, in_two_halves(score, len(windows), "window"))

@@ -23,7 +23,8 @@ from .flow_features import FEATURE_DIM
 DEFAULT_HIDDEN_DIM = 32
 N_CLASSES = 2
 
-# The name of the one layer wiring. It survives only as the
+# The name of the one layer wiring. A model file records no name: its
+# residual code is always 0. The name survives only as the
 # `GcnModel.residual_mode` field and the `residual_mode` parameter of
 # `gcn_layer_forward`, which the benchmark's layer replay still passes;
 # the `src/` follow-up of ROADMAP item 3 (the benchmark PR) removes both.
@@ -277,8 +278,6 @@ _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHHHHBBBB")
 # The header stores depth as an unsigned 16-bit field.
 _MAX_DEPTH = 2**16 - 1
-_RESIDUAL_CODES = {RESIDUAL_Z_PLUS_RELU: 0}
-_RESIDUAL_NAMES = {v: k for k, v in _RESIDUAL_CODES.items()}
 
 
 def _weight_shapes(depth: int, input_dim: int, hidden_dim: int) -> list[tuple[int, int]]:
@@ -292,7 +291,8 @@ def _weight_shapes(depth: int, input_dim: int, hidden_dim: int) -> list[tuple[in
 def serialize_model(model: GcnModel) -> bytes:
     """Versioned little-endian binary encoding with a trailing checksum.
 
-    The header's last two bytes are reserved and written as zero.
+    The header's residual code is 0, the one wiring; its last two bytes are
+    reserved and also written as zero.
     """
     header = _HEADER.pack(
         _MAGIC,
@@ -302,7 +302,7 @@ def serialize_model(model: GcnModel) -> bytes:
         model.hidden_dim,
         N_CLASSES,
         1 if model.frozen else 0,
-        _RESIDUAL_CODES[model.residual_mode],
+        0,
         0,
         0,
     )
@@ -329,7 +329,7 @@ def deserialize_model(data: bytes) -> GcnModel:
         raise ModelFormatError(f"unsupported model format version {version}")
     if n_classes != N_CLASSES or 0 in (depth, input_dim, hidden_dim):
         raise ModelFormatError("corrupt payload: invalid header fields")
-    if res_code not in _RESIDUAL_NAMES:
+    if res_code != 0:
         raise ModelFormatError(f"unsupported residual code {res_code}")
 
     shapes = _weight_shapes(depth, input_dim, hidden_dim)
@@ -357,7 +357,6 @@ def deserialize_model(data: bytes) -> GcnModel:
         head_weight=arrays[depth],
         head_bias=arrays[depth + 1],
         frozen=bool(frozen),
-        residual_mode=_RESIDUAL_NAMES[res_code],
     )
 
 

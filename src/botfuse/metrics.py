@@ -160,10 +160,9 @@ def kfold_cv(
     leave-one-out (k = n); every training split must still contain both
     classes, which is checked before any fold is fitted.
 
-    With two CPUs the caller scores the first half of the first ``k - k % 2``
-    folds and one forked worker the second (``forking.in_two_halves``); the
-    forests inside a half grow in-process. The last fold of an odd k is
-    scored afterwards, its forest grown on both CPUs.
+    With two CPUs the caller scores the first ``k // 2`` folds and one
+    forked worker the rest (``forking.in_two_halves``); the forests inside a
+    half grow in-process.
     """
     check_threshold(threshold)
     X = np.asarray(X, dtype=np.float64)
@@ -182,8 +181,7 @@ def kfold_cv(
         probs = extra_trees.predict_proba(ensemble, X[test_idx])
         return compute_metrics(y[test_idx], probs, threshold)
 
-    paired = k - k % 2
-    fold_metrics = in_two_halves(score, paired, "fold") + [score(i) for i in range(paired, k)]
+    fold_metrics = in_two_halves(score, k, "fold")
     return fold_metrics, summarize_folds(fold_metrics)
 
 

@@ -635,9 +635,16 @@ class TestPackedRouting:
     def test_zero_and_one_row_inputs(self):
         ens, rng = self._impure_forest(seed=21)
         assert predict_proba(ens, np.zeros((0, 5))).shape == (0,)
-        for _ in range(20):
-            q = rng.standard_normal((1, 5))
-            assert np.array_equal(predict_proba(ens, q), _oracle_proba(ens, q))
+        Q = rng.standard_normal((20, 5))
+        lone = np.concatenate([predict_proba(ens, q[None]) for q in Q])
+        assert lone.tobytes() == _oracle_proba(ens, Q).tobytes()
+        assert lone.tobytes() == predict_proba(ens, Q).tobytes()
+        # The check is sharp: one reduce down a lone row's contiguous
+        # (n_trees, 1) column of leaf values sums pairwise, with other bits
+        # for some rows.
+        values = np.stack([_leaf_values(t, Q) for t in ens.trees], axis=1)
+        pairwise = np.concatenate([np.add.reduce(v[:, None], axis=0) for v in values])
+        assert not np.array_equal(pairwise / ens.n_trees, lone)
 
     def test_trees_of_different_depths(self):
         ens, rng = self._impure_forest(seed=22, n_trees=6)

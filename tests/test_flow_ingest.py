@@ -305,6 +305,34 @@ class TestParseBinetflow:
         assert len(whole.records) == len(rows) - 2 > 2 * chunk
 
 
+_HEADER_AND_ROW = {
+    "canonical": ("ts_start,duration,proto,src_ip,src_port,dst_ip,dst_port,src_bytes,dst_bytes",
+                  "1.0,0.5,tcp,a,1,b,2,10,5"),
+    "binetflow": ("StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,State,sTos,dTos,TotPkts",
+                  TestParseBinetflow.LINE.strip()),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 1024])
+@pytest.mark.parametrize("fmt", ["canonical", "binetflow"])
+def test_the_first_non_blank_row_may_be_a_header(tmp_path, monkeypatch, fmt, chunk_rows):
+    monkeypatch.setattr(flow_ingest, "_CHUNK_ROWS", chunk_rows)
+    header, row = _HEADER_AND_ROW[fmt]
+    p = tmp_path / f"flows.{fmt}"
+
+    def parsed(*lines):
+        p.write_text("\n".join(lines) + "\n")
+        result = parse_flow_file(p, format_descriptor=fmt)
+        return len(result.records), result.malformed
+
+    assert parsed(header, row) == (1, 0)
+    assert parsed("", header, row) == (1, 0)
+    assert parsed("", " , ", "", header, row, "", row) == (2, 0)
+    # A header-like row anywhere else is malformed.
+    assert parsed(row, header, row) == (2, 1)
+    assert parsed("", row, "", header) == (1, 1)
+
+
 def _strptime_seconds(text: str) -> float | None:
     try:
         started = datetime.strptime(text.strip(), "%Y/%m/%d %H:%M:%S.%f")

@@ -153,28 +153,23 @@ class TestNormalizeEmbedding:
 
 
 class TestEmbedWindow:
-    def test_requires_frozen_model(self):
-        model = init_gcn(2, 5, 4, seed=0)
-        with pytest.raises(ValueError, match="frozen"):
-            embed_window(_window([_flow("a", "b")]), model)
-
     def test_matches_stage_by_stage_replay(self):
         model = _frozen(depth=3, hidden=6, seed=1)
         window = _window(
             [_flow("a", "b"), _flow("b", "c", sb=300, db=0), _flow("d", "a", dur=4.0)]
         )
-        emb = embed_window(window, model)
+        nodes, vectors, _ = embed_window(window, model)
         feats = extract_node_features(window)
         graph = build_graph(window)
         expect = forward(model, propagation_matrix(graph), feats.matrix, with_head=False)
-        assert np.array_equal(emb.vectors, expect)
-        assert emb.nodes == graph.nodes
-        assert emb.vectors.shape == (4, 6)
+        assert np.array_equal(vectors, expect)
+        assert nodes == graph.nodes
+        assert vectors.shape == (4, 6)
 
     def test_stage_timings(self):
-        emb = embed_window(_window([_flow("a", "b")]), _frozen())
-        assert set(emb.timings) == {"features", "graph", "embed"}
-        assert all(t >= 0.0 for t in emb.timings.values())
+        _, _, timings = embed_window(_window([_flow("a", "b")]), _frozen())
+        assert set(timings) == {"features", "graph", "embed"}
+        assert all(t >= 0.0 for t in timings.values())
 
     def test_disjoint_components_embed_independently(self):
         # Adding an unrelated component elsewhere in the window must not
@@ -182,10 +177,10 @@ class TestEmbedWindow:
         model = _frozen(depth=4, hidden=8, seed=2)
         ab = [_flow("a", "b", dur=2.0, sb=120, db=80)]
         cd = [_flow("c", "d", dur=9.0, sb=7000, db=1)]
-        alone = embed_window(_window(ab), model)
-        joint = embed_window(_window(ab + cd), model)
-        assert joint.nodes == ["a", "b", "c", "d"]
-        assert np.array_equal(joint.vectors[:2], alone.vectors)
+        _, alone, _ = embed_window(_window(ab), model)
+        nodes, joint, _ = embed_window(_window(ab + cd), model)
+        assert nodes == ["a", "b", "c", "d"]
+        assert np.array_equal(joint[:2], alone)
 
 
 class TestPoolVariants:
@@ -246,6 +241,32 @@ class TestPoolVariants:
         assert np.array_equal(X, ox) and np.array_equal(y, oy)
         with pytest.raises(ValueError, match="no windows produced from the input flows"):
             pool_labeled_rows(other, model)
+
+    @pytest.mark.parametrize("variant", [VARIANT_FUSED, VARIANT_TOPOLOGY])
+    def test_requires_frozen_model_before_slicing(self, variant, monkeypatch):
+        def no_slicing(*args):
+            raise AssertionError("the trace was sliced")
+
+        monkeypatch.setattr(fusion_pipeline, "trace_windows", no_slicing)
+        model = init_gcn(2, 5, 4, seed=0)
+        with pytest.raises(ValueError, match="frozen"):
+            pool_labeled_rows(TRAINING_TRACE, model, *TRAINING_WINDOWING, variant=variant)
+
+    def test_the_model_is_checked_once_per_call_not_per_window(self, monkeypatch):
+        model = _frozen()
+        ens = train_detector(TRAINING_TRACE, model, *TRAINING_WINDOWING, n_trees=4, seed=0)
+        checked, check = [], fusion_pipeline.check_model
+
+        def counted_check(*args):
+            checked.append(len(args))
+            check(*args)
+
+        monkeypatch.setattr(fusion_pipeline, "check_model", counted_check)
+        in_process_only(monkeypatch)
+        pool_labeled_rows(TRAINING_TRACE, model, *TRAINING_WINDOWING)
+        assert len(detect(TRAINING_TRACE, model, ens).windows) == 2
+        # pool checks the model alone, detect the pair.
+        assert checked == [1, 2]
 
     def test_unknown_variant_rejected(self):
         model = _frozen()
@@ -317,9 +338,8 @@ class TestDetect:
         report = detect(TRAINING_TRACE, model, ens)
         assert [w.window_start for w in report.windows] == [w.window_start for w in windows]
         for window, w in zip(windows, report.windows):
-            expect = extra_trees.predict_proba(
-                ens, normalize_embedding(embed_window(window, model).vectors, mode)
-            )
+            _, vectors, _ = embed_window(window, model)
+            expect = extra_trees.predict_proba(ens, normalize_embedding(vectors, mode))
             assert w.probabilities.tolist() == expect.tolist()
 
     def test_refuses_unfrozen_model(self):
