@@ -20,7 +20,7 @@ from pathlib import Path
 from . import extra_trees, flow_ingest, synth_flows
 from . import metrics as metrics_mod, pretrain as pretrain_mod
 from .comm_graph import save_graph
-from .flow_ingest import parse_flow_file, write_flows_csv
+from .flow_ingest import FlowTable, parse_flow_file, write_flows_csv
 from .flow_features import FEATURE_NAMES, extract_node_features
 from .fusion_pipeline import check_model, detect, pool_labeled_rows, trace_windows, train_detector
 from .gcn_core import check_depth, load_model, save_model
@@ -121,8 +121,8 @@ def _check_outputs(args) -> None:
             raise ValueError(f"{option} lies inside the --data directory {data}: {path}")
 
 
-def _read_flows(args) -> list:
-    return parse_flow_file(args.flows, format_descriptor=args.format).records
+def _read_flows(args) -> FlowTable:
+    return parse_flow_file(args.flows, format_descriptor=args.format).table
 
 
 def cmd_synth(args) -> int:
@@ -235,8 +235,8 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     check_model(model)  # before the trace is read
-    X, y = pool_labeled_rows(_read_flows(args), model, args.window_len, args.stride,
-                             args.norm_mode)
+    X, y, _ = pool_labeled_rows(_read_flows(args), model, args.window_len, args.stride,
+                                args.norm_mode)
     folds, summary = metrics_mod.kfold_cv(
         X, y, k=args.k, seed=args.seed, n_trees=args.n_trees, threshold=args.threshold
     )
@@ -269,12 +269,12 @@ def cmd_sweep(args) -> int:
         max_epochs=args.max_epochs, patience=args.patience, seed=args.seed
     )
     dataset = _pretrain_dataset(args)
-    records = _read_flows(args)
-    trace_windows(records, args.window_len, args.stride)  # an empty trace fails before pretraining
+    flows = _read_flows(args)
+    trace_windows(flows, args.window_len, args.stride)  # an empty trace fails before pretraining
     rows = []
     for depth in depths:
         model = pretrain_mod.pretrain_gcn(dataset, depth, config)
-        X, y = pool_labeled_rows(records, model, args.window_len, args.stride, args.norm_mode)
+        X, y, _ = pool_labeled_rows(flows, model, args.window_len, args.stride, args.norm_mode)
         folds, summary = metrics_mod.kfold_cv(X, y, k=args.k, seed=args.seed, n_trees=args.n_trees)
         rows.append({
             "arch": args.arch,

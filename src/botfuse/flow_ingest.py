@@ -6,8 +6,9 @@ import csv
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -43,6 +44,12 @@ class Label(enum.Enum):
     UNKNOWN = "unknown"
 
 
+# A table's proto and label columns hold each member's index in its enum.
+_PROTOS = tuple(Proto)
+_LABELS = tuple(Label)
+_CODE = {member: i for members in (_PROTOS, _LABELS) for i, member in enumerate(members)}
+
+
 @dataclass(frozen=True)
 class FlowRecord:
     """One five-tuple communication flow with byte counts and timing."""
@@ -59,35 +66,53 @@ class FlowRecord:
     label: Label = Label.UNKNOWN
 
 
+# The row-aligned columns of a FlowTable and their types.
+_COLUMNS = {
+    "ts": np.float64,
+    "duration": np.float64,
+    "proto": np.int8,
+    "src_port": np.int32,
+    "dst_port": np.int32,
+    "src_bytes": np.float64,
+    "dst_bytes": np.float64,
+    "label": np.int8,
+}
+
+
 @dataclass(frozen=True, eq=False)
 class FlowTable:
-    """Flows as numpy columns, row-aligned with a record sequence.
+    """Flows as numpy columns, one row per flow.
 
     ``src``/``dst`` are int64 ids into ``endpoints``, an object array of the
-    sorted endpoint ids, so id order is node order. Byte counts are float64,
-    the type the feature sums accumulate in. Slicing rows gives views that
-    share ``endpoints``.
+    sorted endpoint ids, so id order is node order. ``ts`` is the start
+    time, ``proto`` and ``label`` hold each member's index in ``Proto`` and
+    ``Label``. Byte counts are float64, the type the feature sums accumulate
+    in. Indexing rows by a slice gives views, by a mask or an index array
+    copies; either way the rows share ``endpoints``. Two tables are equal
+    when they hold the same flows in the same order.
     """
 
     endpoints: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    ts: np.ndarray
     duration: np.ndarray
+    proto: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
     src_bytes: np.ndarray
     dst_bytes: np.ndarray
+    label: np.ndarray
 
     def __len__(self) -> int:
         return self.src.size
 
-    def __getitem__(self, rows: slice) -> FlowTable:
-        return FlowTable(
-            self.endpoints,
-            self.src[rows],
-            self.dst[rows],
-            self.duration[rows],
-            self.src_bytes[rows],
-            self.dst_bytes[rows],
-        )
+    def __getitem__(self, rows) -> FlowTable:
+        return FlowTable(self.endpoints, self.src[rows], self.dst[rows],
+                         **{name: getattr(self, name)[rows] for name in _COLUMNS})
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FlowTable) and self.records() == other.records()
 
     def node_index(self) -> tuple[list[str], np.ndarray]:
         """The endpoints these rows touch, in node order, and the (m, 2)
@@ -95,39 +120,69 @@ class FlowTable:
         ids, local = np.unique(np.column_stack((self.src, self.dst)), return_inverse=True)
         return self.endpoints[ids].tolist(), local.reshape(-1, 2)
 
+    def records(self) -> list[FlowRecord]:
+        """The rows as FlowRecords, built on request. A byte count is the
+        int of its float64, so a count above 2**53 comes back rounded."""
+        columns = (self.ts, self.duration, self.proto, self.endpoints[self.src], self.src_port,
+                   self.endpoints[self.dst], self.dst_port, self.src_bytes, self.dst_bytes,
+                   self.label)
+        return [
+            FlowRecord(ts, duration, _PROTOS[proto], src_ip, src_port, dst_ip, dst_port,
+                       int(src_bytes), int(dst_bytes), _LABELS[label])
+            for ts, duration, proto, src_ip, src_port, dst_ip, dst_port, src_bytes, dst_bytes,
+            label in zip(*(column.tolist() for column in columns))
+        ]
 
-def encode_flows(records: Sequence[FlowRecord]) -> FlowTable:
-    """Column table of the records, in their order, from one pass over them."""
-    columns = [(r.src_ip, r.dst_ip, r.duration, r.src_bytes, r.dst_bytes) for r in records]
-    src_ip, dst_ip, duration, src_bytes, dst_bytes = zip(*columns) if columns else [()] * 5
+
+def _table(src_ip: Sequence[str], dst_ip: Sequence[str], **columns) -> FlowTable:
+    """The table of row-aligned endpoint ids and ``_COLUMNS`` arrays."""
     endpoints = sorted(set(src_ip).union(dst_ip))
     index = {endpoint: i for i, endpoint in enumerate(endpoints)}
     return FlowTable(
         endpoints=np.array(endpoints, dtype=object),
-        src=np.fromiter(map(index.__getitem__, src_ip), np.int64, len(columns)),
-        dst=np.fromiter(map(index.__getitem__, dst_ip), np.int64, len(columns)),
-        duration=np.array(duration, dtype=np.float64),
-        src_bytes=np.array(src_bytes, dtype=np.float64),
-        dst_bytes=np.array(dst_bytes, dtype=np.float64),
+        src=np.fromiter(map(index.__getitem__, src_ip), np.int64, len(src_ip)),
+        dst=np.fromiter(map(index.__getitem__, dst_ip), np.int64, len(dst_ip)),
+        **columns,
     )
+
+
+def encode_flows(records: Sequence[FlowRecord]) -> FlowTable:
+    """Column table of the records, in their order, from one pass over them."""
+    rows = [(r.src_ip, r.dst_ip, r.ts_start, r.duration, _CODE[r.proto], r.src_port,
+             r.dst_port, r.src_bytes, r.dst_bytes, _CODE[r.label]) for r in records]
+    src_ip, dst_ip, *columns = zip(*rows) if rows else [()] * (2 + len(_COLUMNS))
+    return _table(src_ip, dst_ip, **{
+        name: np.array(values, dtype=dtype)
+        for (name, dtype), values in zip(_COLUMNS.items(), columns)
+    })
 
 
 @dataclass
 class WindowSlice:
     """All flows whose start time falls inside one sliding-window interval,
-    as records and as the row-aligned column ``table`` the stages read."""
+    as the column ``table`` the stages read."""
 
     window_start: float
-    records: list[FlowRecord]
-    table: FlowTable = field(repr=False, compare=False)
+    table: FlowTable
+
+    @property
+    def records(self) -> list[FlowRecord]:
+        """The window's flows as FlowRecords, built on request."""
+        return self.table.records()
 
 
 @dataclass
 class ParseResult:
-    """Records recovered from a flow file plus a count of skipped lines."""
+    """The flows recovered from a flow file, in file order, plus a count of
+    skipped lines."""
 
-    records: list[FlowRecord]
+    table: FlowTable
     malformed: int = 0
+
+    @property
+    def records(self) -> list[FlowRecord]:
+        """The flows as FlowRecords, built on request."""
+        return self.table.records()
 
 
 def _parse_proto(text: str) -> Proto:
@@ -218,29 +273,35 @@ def _binetflow_label(text: str) -> Label:
 # fields and non-ASCII digits; such strings go to strptime. numpy takes year
 # 0000, which strptime refuses, but that lies outside float64's exact range.
 _BINETFLOW_TIME = re.compile(r"[0-9]{4}/[0-9]{2}/[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{6}")
+_BINETFLOW_TIME_LINES = re.compile(rf"{_BINETFLOW_TIME.pattern}(?:\n{_BINETFLOW_TIME.pattern})*")
 
 
-def binetflow_start_times(texts: Sequence[str]) -> list[float | None]:
+def binetflow_start_times(texts: Sequence[str]) -> np.ndarray:
     """UTC epoch seconds of binetflow StartTime strings, cast as one vector.
 
     Gives strptime's float for each string of the shape
     ``YYYY/MM/DD HH:MM:SS.ffffff`` that numpy accepts and whose microsecond
-    count a float64 holds exactly, and None for every other string, which
+    count a float64 holds exactly, and NaN for every other string, which
     then goes through strptime.
     """
-    texts = [t.strip() for t in texts]
-    fast = [i for i, t in enumerate(texts) if _BINETFLOW_TIME.fullmatch(t)]
-    iso = [texts[i].replace("/", "-").replace(" ", "T") for i in fast]
+    texts = list(map(str.strip, texts))
+    joined = "\n".join(texts)
+    if _BINETFLOW_TIME_LINES.fullmatch(joined):  # the usual chunk: no line differs
+        fast = np.arange(len(texts))
+        iso = joined.replace("/", "-").replace(" ", "T").split("\n")
+    else:
+        fast = np.array([i for i, t in enumerate(texts) if _BINETFLOW_TIME.fullmatch(t)], np.int64)
+        iso = [texts[i].replace("/", "-").replace(" ", "T") for i in fast.tolist()]
     try:
-        micros = np.array(iso, dtype="datetime64[us]").astype(np.int64).tolist()
+        micros = np.array(iso, dtype="datetime64[us]").astype(np.int64)
     except ValueError:
         # A field out of range, such as 02/30 or 24:00, refuses the whole
-        # cast; cast one at a time and leave the refused ones to strptime.
-        micros = [_datetime64_us(t) for t in iso]
-    times: list[float | None] = [None] * len(texts)
-    for i, us in zip(fast, micros):
-        if us is not None and abs(us) < 2**53:
-            times[i] = us / 1e6
+        # cast; cast one at a time and leave the refused ones (NaN) to
+        # strptime. A count of 2**53 or more stays at least 2**53 as a float.
+        micros = np.array([_datetime64_us(t) for t in iso], dtype=np.float64)
+    exact = np.abs(micros) < 2**53
+    times = np.full(len(texts), np.nan)
+    times[fast[exact]] = micros[exact] / 1e6
     return times
 
 
@@ -251,14 +312,12 @@ def _datetime64_us(text: str) -> int | None:
         return None
 
 
-def _parse_binetflow_row(row: Sequence[str], ts_start: float | None = None) -> FlowRecord:
+def _parse_binetflow_row(row: Sequence[str]) -> FlowRecord:
     # StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,State,sTos,dTos,
     # TotPkts,TotBytes,SrcBytes,Label
     if len(row) < 14:
         raise ValueError(f"expected >= 14 columns, got {len(row)}")
-    if ts_start is None:
-        started = datetime.strptime(row[0].strip(), "%Y/%m/%d %H:%M:%S.%f")
-        ts_start = started.replace(tzinfo=timezone.utc).timestamp()
+    started = datetime.strptime(row[0].strip(), "%Y/%m/%d %H:%M:%S.%f")
     tot_bytes = int(row[12])
     src_bytes = int(row[13])
     if src_bytes > tot_bytes:
@@ -266,7 +325,7 @@ def _parse_binetflow_row(row: Sequence[str], ts_start: float | None = None) -> F
     label = _binetflow_label(row[14]) if len(row) > 14 else Label.UNKNOWN
     return _validated(
         FlowRecord(
-            ts_start=ts_start,
+            ts_start=started.replace(tzinfo=timezone.utc).timestamp(),
             duration=float(row[1]),
             proto=_parse_proto(row[2]),
             src_ip=row[3].strip(),
@@ -280,62 +339,212 @@ def _parse_binetflow_row(row: Sequence[str], ts_start: float | None = None) -> F
     )
 
 
-_ROW_PARSERS = {
-    "canonical": _parse_canonical_row,
-    "binetflow": _parse_binetflow_row,
+# Column parsing. Each parser reads a chunk of rows column by column with the
+# row parsers' own conversions, and it and `_check` mark in ``bad`` every row
+# they do not take: a row of another width, a text its conversion refuses, a
+# value the checks refuse. parse_flow_file sends each such row, on its own,
+# through the row parser, so the row parsers alone define a valid row. The
+# column path may refuse more than they do, never less: int() does not strip
+# the \x1c-\x1f separators that a port's str.strip() removes, and an integer
+# beyond int64 is left to the row parser.
+
+
+def _columns(rows: list[list[str]], width: int, fewest: int, most: float,
+             bad: np.ndarray) -> list[tuple[str, ...]]:
+    """The first ``width`` columns of rows of ``fewest`` to ``most`` cells,
+    missing trailing cells read as empty; rows of other widths are bad."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    if not (lengths == width).all():
+        bad |= (lengths < fewest) | (lengths > most)
+        rows = [row[:width] + [""] * (width - len(row)) for row in rows]
+    return list(zip(*rows))
+
+
+def _mapped(convert, texts: Sequence[str], bad: np.ndarray) -> list:
+    """convert(text) for each text; a text it refuses reads 0 and is bad."""
+    try:
+        return list(map(convert, texts))
+    except ValueError:
+        pass
+    values = []
+    for i, text in enumerate(texts):
+        try:
+            values.append(convert(text))
+        except ValueError:
+            values.append(0)
+            bad[i] = True
+    return values
+
+
+def _floats(texts: Sequence[str], bad: np.ndarray) -> np.ndarray:
+    return np.array(_mapped(float, texts, bad), dtype=np.float64)
+
+
+def _ints(texts: Sequence[str], bad: np.ndarray) -> np.ndarray:
+    """int(text) of each text as int64; one beyond int64 reads 0 and is bad."""
+    values = _mapped(int, texts, bad)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        wide = np.array([not -2**63 <= v < 2**63 for v in values])
+        bad |= wide
+        return np.array([0 if w else v for v, w in zip(values, wide.tolist())], dtype=np.int64)
+
+
+def _codes(decode, texts: Sequence[str], bad: np.ndarray) -> np.ndarray:
+    """The column code of decode(text), decoded once per distinct text; a
+    text it refuses is bad."""
+    codes = {}
+    for text in set(texts):
+        try:
+            codes[text] = _CODE[decode(text)]
+        except ValueError:
+            codes[text] = -1
+    column = np.fromiter(map(codes.__getitem__, texts), np.int8, len(texts))
+    bad |= column < 0
+    return column
+
+
+def _canonical_columns(rows: list[list[str]], bad: np.ndarray) -> dict:
+    cols = _columns(rows, 10, 9, 10, bad)
+    return dict(
+        ts=_floats(cols[0], bad),
+        duration=_floats(cols[1], bad),
+        proto=_codes(_parse_proto, cols[2], bad),
+        src_ip=list(map(str.strip, cols[3])),
+        src_port=_ints(cols[4], bad),
+        dst_ip=list(map(str.strip, cols[5])),
+        dst_port=_ints(cols[6], bad),
+        src_bytes=_ints(cols[7], bad).astype(np.float64),
+        dst_bytes=_ints(cols[8], bad).astype(np.float64),
+        label=_codes(_parse_label, cols[9], bad),
+    )
+
+
+def _binetflow_columns(rows: list[list[str]], bad: np.ndarray) -> dict:
+    cols = _columns(rows, 15, 14, math.inf, bad)
+    tot_bytes = _ints(cols[12], bad)
+    src_bytes = _ints(cols[13], bad)
+    bad |= src_bytes > tot_bytes
+    return dict(
+        # A time the vector cast leaves to strptime reads NaN, which the
+        # range check refuses.
+        ts=binetflow_start_times(cols[0]),
+        duration=_floats(cols[1], bad),
+        proto=_codes(_parse_proto, cols[2], bad),
+        src_ip=list(map(str.strip, cols[3])),
+        src_port=_ints(cols[4], bad),
+        dst_ip=list(map(str.strip, cols[6])),
+        dst_port=_ints(cols[7], bad),
+        src_bytes=src_bytes.astype(np.float64),
+        dst_bytes=(tot_bytes - src_bytes).astype(np.float64),
+        label=_codes(_binetflow_label, cols[14], bad),
+    )
+
+
+def _check(rows: list[list[str]], c: dict, bad: np.ndarray) -> None:
+    """Mark bad the rows that fail `_validated`'s checks or hold bytes that
+    are not UTF-8."""
+    ok = (
+        (_FIRST_START <= c["ts"]) & (c["ts"] <= _LAST_START)
+        & np.isfinite(c["duration"]) & (c["duration"] >= 0)
+        & (c["src_port"] >= 0) & (c["src_port"] <= 65535)
+        & (c["dst_port"] >= 0) & (c["dst_port"] <= 65535)
+        & (c["src_bytes"] >= 0) & (c["dst_bytes"] >= 0)
+        & np.fromiter(map(bool, c["src_ip"]), bool, len(rows))
+        & np.fromiter(map(bool, c["dst_ip"]), bool, len(rows))
+    )
+    try:
+        "".join(chain.from_iterable(rows)).encode()
+    except UnicodeEncodeError:
+        ok &= np.array([_is_utf8(row) for row in rows], dtype=bool)
+    bad |= ~ok
+
+
+def _is_utf8(row: Sequence[str]) -> bool:
+    # A byte that is not UTF-8 decodes to a lone surrogate, which does not
+    # encode back.
+    try:
+        "".join(row).encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+_FORMATS = {
+    "canonical": (_canonical_columns, _parse_canonical_row),
+    "binetflow": (_binetflow_columns, _parse_binetflow_row),
 }
 
 
 def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -> ParseResult:
-    """Parse a flow-record file into FlowRecords.
+    """Parse a flow-record file into a FlowTable.
 
     Two column mappings are supported: ``canonical`` (CSV columns
     ts_start,duration,proto,src_ip,src_port,dst_ip,dst_port,src_bytes,
     dst_bytes[,label], header optional) and ``binetflow`` (CTU-13 flow
-    export layout). The first non-blank row is skipped, not counted, when it
-    fails to parse and looks like a header. Malformed lines are skipped and
+    export layout). Rows are read in chunks and converted column by column;
+    a row the columns do not take goes through its format's row parser on
+    its own. The first non-blank row is skipped, not counted, when it fails
+    to parse and looks like a header. Malformed lines are skipped and
     counted in the result; a file whose every line fails to parse is an
     error.
     """
     try:
-        parse_row = _ROW_PARSERS[format_descriptor]
+        parse_columns, parse_row = _FORMATS[format_descriptor]
     except KeyError:
         raise ValueError(
             f"unknown format descriptor {format_descriptor!r}; "
-            f"expected one of {sorted(_ROW_PARSERS)}"
+            f"expected one of {sorted(_FORMATS)}"
         ) from None
 
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"flow file not found: {path}")
 
-    records: list[FlowRecord] = []
+    parts: dict[str, list] = {name: [] for name in ("src_ip", "dst_ip", *_COLUMNS)}
     malformed = 0
     seen = 0  # non-blank rows before this chunk; the first may be a header
     with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
         for rows, refused in _read_rows(handle):
             malformed += refused
-            start_times = (
-                binetflow_start_times([row[0] for row in rows])
-                if parse_row is _parse_binetflow_row
-                else [None] * len(rows)
-            )
-            for i, (row, ts_start) in enumerate(zip(rows, start_times), seen):
+            if not rows:
+                continue
+            bad = np.zeros(len(rows), dtype=bool)
+            columns = parse_columns(rows, bad)
+            _check(rows, columns, bad)
+            for i in np.flatnonzero(bad).tolist():
                 try:
-                    # A byte that is not UTF-8 decodes to a lone surrogate,
-                    # which does not encode back.
-                    "".join(row).encode()
-                    records.append(
-                        parse_row(row) if ts_start is None else parse_row(row, ts_start)
-                    )
+                    record = parse_row(rows[i]) if _is_utf8(rows[i]) else None
                 except (ValueError, IndexError):
-                    if i == 0 and _looks_like_header(row):
-                        continue
+                    record = None
+                if record is not None:
+                    _put(columns, i, record)
+                    bad[i] = False
+                elif not (seen + i == 0 and _looks_like_header(rows[i])):
                     malformed += 1
+            keep = ~bad
+            for name, values in columns.items():
+                parts[name].append(values[keep] if isinstance(values, np.ndarray)
+                                   else list(compress(values, keep)))
             seen += len(rows)
-    if not records:
+    src_ip, dst_ip = (list(chain.from_iterable(parts.pop(name))) for name in ("src_ip", "dst_ip"))
+    if not src_ip:
         raise ValueError(f"no parseable flow records in {path} ({malformed} malformed lines)")
-    return ParseResult(records=records, malformed=malformed)
+    return ParseResult(
+        _table(src_ip, dst_ip, **{name: np.concatenate(parts[name]).astype(dtype, copy=False)
+                                  for name, dtype in _COLUMNS.items()}),
+        malformed,
+    )
+
+
+def _put(columns: dict, i: int, r: FlowRecord) -> None:
+    """Write a record into row i of a chunk's columns."""
+    for name, value in (("ts", r.ts_start), ("duration", r.duration), ("proto", _CODE[r.proto]),
+                        ("src_ip", r.src_ip), ("src_port", r.src_port), ("dst_ip", r.dst_ip),
+                        ("dst_port", r.dst_port), ("src_bytes", float(r.src_bytes)),
+                        ("dst_bytes", float(r.dst_bytes)), ("label", _CODE[r.label])):
+        columns[name][i] = value
 
 
 _CHUNK_ROWS = 1024
@@ -350,17 +559,15 @@ def _read_rows(handle) -> Iterator[tuple[list[list[str]], int]]:
     reader = csv.reader(handle)
     while True:
         try:
-            row = next(reader)
-        except StopIteration:
+            for row in reader:
+                if any(map(str.strip, row)):
+                    rows.append(row)
+                    if len(rows) == _CHUNK_ROWS:
+                        yield rows, refused
+                        rows, refused = [], 0
             break
         except csv.Error:
             refused += 1
-            continue
-        if row and any(cell.strip() for cell in row):
-            rows.append(row)
-            if len(rows) == _CHUNK_ROWS:
-                yield rows, refused
-                rows, refused = [], 0
     yield rows, refused
 
 
@@ -372,9 +579,9 @@ def _looks_like_header(row: Sequence[str]) -> bool:
     return False
 
 
-def filter_tcp_udp(records: Iterable[FlowRecord]) -> list[FlowRecord]:
-    """Keep only TCP and UDP flows, preserving input order."""
-    return [r for r in records if r.proto in (Proto.TCP, Proto.UDP)]
+def filter_tcp_udp(table: FlowTable) -> FlowTable:
+    """Keep only TCP and UDP flows, preserving row order."""
+    return table[table.proto != _CODE[Proto.OTHER]]
 
 
 def check_windowing(window_len: float, stride: float) -> None:
@@ -388,7 +595,7 @@ def check_windowing(window_len: float, stride: float) -> None:
 
 
 def slice_windows(
-    records: Sequence[FlowRecord],
+    table: FlowTable,
     window_len: float = DEFAULT_WINDOW_LEN,
     stride: float = DEFAULT_STRIDE,
 ) -> list[WindowSlice]:
@@ -397,16 +604,16 @@ def slice_windows(
     Window starts are aligned to stride boundaries at or before the earliest
     flow; a flow belongs to every window whose half-open interval
     [start, start + window_len) contains its start time. Windows that would
-    contain no flows are omitted. The flows are encoded once, in time order,
-    and each window's table is a view of its rows.
+    contain no flows are omitted. The rows are sorted once by start time,
+    ties kept in input order, and each window's table is a view of a row
+    range of the sorted table.
     """
     check_windowing(window_len, stride)
-    if not records:
+    if not len(table):
         return []
 
-    ordered = sorted(records, key=lambda r: r.ts_start)
-    table = encode_flows(ordered)
-    times = np.array([r.ts_start for r in ordered], dtype=np.float64)
+    table = table[np.argsort(table.ts, kind="stable")]
+    times = table.ts
     first = math.floor(times[0] / stride) * stride
     n_starts = int(math.floor((times[-1] - first) / stride)) + 1
     # A flow in stride slot c can only lie in windows c - reach .. c + 1 (one
@@ -420,40 +627,27 @@ def slice_windows(
     starts = first + ks * stride
     los = np.searchsorted(times, starts).tolist()
     his = np.searchsorted(times, starts + window_len).tolist()
-
-    windows: list[WindowSlice] = []
-    for start, lo, hi in zip(starts.tolist(), los, his):
-        if hi > lo:
-            windows.append(WindowSlice(start, ordered[lo:hi], table[lo:hi]))
-    return windows
+    return [WindowSlice(start, table[lo:hi])
+            for start, lo, hi in zip(starts.tolist(), los, his) if hi > lo]
 
 
-def derive_node_labels(records: Iterable[FlowRecord]) -> dict[str, Label]:
-    """Assign per-node labels from per-flow labels.
+def node_labels(table: FlowTable) -> dict[str, Label]:
+    """Per-node labels of the nodes the flows touch, from per-flow labels.
 
     A node is BOT when it originates at least one bot-labeled flow, LEGIT
     when it originates legitimate flows only, and UNKNOWN otherwise (flows
     received from a bot do not taint the receiving node).
     """
-    bot_sources: set[str] = set()
-    legit_sources: set[str] = set()
-    nodes: set[str] = set()
-    for r in records:
-        nodes.add(r.src_ip)
-        nodes.add(r.dst_ip)
-        if r.label is Label.BOT:
-            bot_sources.add(r.src_ip)
-        elif r.label is Label.LEGIT:
-            legit_sources.add(r.src_ip)
-    labels: dict[str, Label] = {}
-    for node in nodes:
-        if node in bot_sources:
-            labels[node] = Label.BOT
-        elif node in legit_sources:
-            labels[node] = Label.LEGIT
-        else:
-            labels[node] = Label.UNKNOWN
-    return labels
+    codes = np.full(table.endpoints.size, _CODE[Label.UNKNOWN], dtype=np.int8)
+    for label in (Label.LEGIT, Label.BOT):  # bot is written last, so it wins
+        codes[table.src[table.label == _CODE[label]]] = _CODE[label]
+    ids = np.unique(np.concatenate((table.src, table.dst)))
+    return dict(zip(table.endpoints[ids].tolist(), map(_LABELS.__getitem__, codes[ids].tolist())))
+
+
+def derive_node_labels(records: Sequence[FlowRecord]) -> dict[str, Label]:
+    """`node_labels` of the records' flows."""
+    return node_labels(encode_flows(records))
 
 
 def write_flows_csv(records: Iterable[FlowRecord], path: str | Path) -> None:

@@ -15,8 +15,8 @@ from . import extra_trees
 from .comm_graph import build_graph, propagation_matrix
 from .extra_trees import DEFAULT_NORM_MODE, DEFAULT_THRESHOLD, NORM_MODES, TreeEnsemble
 from .flow_features import FEATURE_DIM, extract_node_features
-from .flow_ingest import (DEFAULT_STRIDE, DEFAULT_WINDOW_LEN, FlowRecord, Label, WindowSlice,
-                          derive_node_labels, filter_tcp_udp, slice_windows)
+from .flow_ingest import (DEFAULT_STRIDE, DEFAULT_WINDOW_LEN, FlowTable, Label, WindowSlice,
+                          filter_tcp_udp, node_labels, slice_windows)
 from .forking import in_two_halves
 from .gcn_core import GcnModel, forward
 
@@ -121,10 +121,10 @@ def check_model(model: GcnModel, ensemble: TreeEnsemble | None = None) -> None:
         )
 
 
-def trace_windows(records: list[FlowRecord], window_len: float = DEFAULT_WINDOW_LEN,
-                  stride: float = DEFAULT_STRIDE) -> tuple[list[FlowRecord], list[WindowSlice]]:
+def trace_windows(table: FlowTable, window_len: float = DEFAULT_WINDOW_LEN,
+                  stride: float = DEFAULT_STRIDE) -> tuple[FlowTable, list[WindowSlice]]:
     """The TCP/UDP flows of a parsed trace and the windows sliced from them."""
-    flows = filter_tcp_udp(records)
+    flows = filter_tcp_udp(table)
     windows = slice_windows(flows, window_len, stride)
     if not windows:
         raise ValueError("no windows produced from the input flows")
@@ -161,27 +161,29 @@ def embed_window(
 
 
 def pool_labeled_rows(
-    records: list[FlowRecord],
+    table: FlowTable,
     model: GcnModel,
     window_len: float = DEFAULT_WINDOW_LEN,
     stride: float = DEFAULT_STRIDE,
     norm_mode: str = DEFAULT_NORM_MODE,
     variant: str = VARIANT_FUSED,
 ):
-    """Normalized per-node rows pooled across a trace's windows, labeled 1 = bot.
+    """Normalized per-node rows pooled across a trace's windows, labeled 1 = bot,
+    and the node (host) of each row.
 
     The parsed flows are windowed by `trace_windows` and their nodes labeled
-    by `derive_node_labels`; nodes it marks unknown are left out of the pool.
-    A model that fails `check_model` is refused before the flows are read,
+    by `node_labels`; nodes it marks unknown are left out of the pool. A
+    model that fails `check_model` is refused before the flows are read,
     except by `flow_only`, which reads no model.
     """
     if variant != VARIANT_FLOW:
         check_model(model)
-    flows, windows = trace_windows(records, window_len, stride)
+    flows, windows = trace_windows(table, window_len, stride)
     classes = {node: int(label is Label.BOT)
-               for node, label in derive_node_labels(flows).items() if label is not Label.UNKNOWN}
+               for node, label in node_labels(flows).items() if label is not Label.UNKNOWN}
     X_parts = []
     y_parts = []
+    host_parts = []
     for window in windows:
         nodes, vectors, _ = embed_window(window, model, variant)
         norm = normalize_embedding(vectors, norm_mode)
@@ -190,13 +192,14 @@ def pool_labeled_rows(
         if keep.any():
             X_parts.append(norm[keep])
             y_parts.append(y[keep])
+            host_parts.append(np.array(nodes, dtype=object)[keep])
     if not X_parts:
         raise ValueError("no labeled nodes in the training windows")
-    return np.vstack(X_parts), np.concatenate(y_parts)
+    return np.vstack(X_parts), np.concatenate(y_parts), np.concatenate(host_parts)
 
 
 def train_detector(
-    records: list[FlowRecord],
+    table: FlowTable,
     model: GcnModel,
     window_len: float = DEFAULT_WINDOW_LEN,
     stride: float = DEFAULT_STRIDE,
@@ -209,7 +212,7 @@ def train_detector(
     The ensemble records `norm_mode`, `window_len` and `stride`, so `detect`
     windows and normalizes as training did.
     """
-    X, y = pool_labeled_rows(records, model, window_len, stride, norm_mode)
+    X, y, _ = pool_labeled_rows(table, model, window_len, stride, norm_mode)
     if np.unique(y).size < 2:
         raise ValueError("training data contains a single class")
     ensemble = extra_trees.fit(X, y, n_trees=n_trees, seed=seed)
@@ -218,7 +221,7 @@ def train_detector(
 
 
 def detect(
-    records: list[FlowRecord],
+    table: FlowTable,
     model: GcnModel,
     ensemble: TreeEnsemble,
     threshold: float = DEFAULT_THRESHOLD,
@@ -234,7 +237,7 @@ def detect(
     """
     extra_trees.check_threshold(threshold)
     check_model(model, ensemble)
-    _, windows = trace_windows(records, ensemble.window_len, ensemble.stride)
+    _, windows = trace_windows(table, ensemble.window_len, ensemble.stride)
 
     def score(i: int) -> WindowReport:
         window = windows[i]

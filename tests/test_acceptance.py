@@ -72,7 +72,7 @@ def _pretrained(arch):
 def _benchmark(arch, seed):
     if (arch, seed) not in _BENCH:
         spec = FlowBenchSpec(architecture=arch, seed=seed)
-        _BENCH[(arch, seed)] = generate_flow_benchmark(spec)
+        _BENCH[(arch, seed)] = encode_flows(generate_flow_benchmark(spec))
     return _BENCH[(arch, seed)]
 
 
@@ -210,10 +210,10 @@ def test_criterion_03_normalization_properties(capsys):
     )
 
 
-def _brute_force_features(window):
+def _brute_force_features(records):
     """Left-to-right reference aggregator with the same accumulation order."""
     sums = {}
-    for r in window.records:
+    for r in records:
         success = r.src_bytes > 0 and r.dst_bytes > 0
         for node, sent, recv in ((r.src_ip, r.src_bytes, r.dst_bytes),
                                  (r.dst_ip, r.dst_bytes, r.src_bytes)):
@@ -257,10 +257,9 @@ def test_criterion_04_flow_feature_oracle(capsys):
                 dst_bytes=int(rng.integers(0, 3)) * int(rng.integers(0, 5000)),
             )
         )
-    window = WindowSlice(window_start=0.0, records=records, table=encode_flows(records))
-    feats = extract_node_features(window)
+    feats = extract_node_features(WindowSlice(0.0, encode_flows(records)))
     got = dict(zip(feats.nodes, map(tuple, feats.matrix.tolist())))
-    want = _brute_force_features(window)
+    want = _brute_force_features(records)
     exact = set(got) == set(want) and all(row == want[node] for node, row in got.items())
     endpoint_events = int(feats.matrix[:, :2].sum())
     identity = endpoint_events == 2 * len(records)
@@ -293,7 +292,7 @@ def test_criterion_06_end_to_end_cross_validation(capsys):
     ok = True
     for arch in ("c2", "p2p"):
         model = _pretrained(arch)[0]
-        X, y = pool_labeled_rows(_benchmark(arch, 0), model, 60.0, 10.0)
+        X, y, _ = pool_labeled_rows(_benchmark(arch, 0), model, 60.0, 10.0)
         _, summary = kfold_cv(X, y, k=10, seed=0)
         recall = summary["mean"]["recall"]
         fpr = summary["mean"]["fpr"]
@@ -312,7 +311,7 @@ def test_criterion_07_ablation_direction(capsys):
     for seed in seeds:
         flows = _benchmark("c2", seed)
         for variant in ("fused", "topology_only", "flow_only"):
-            X, y = pool_labeled_rows(
+            X, y, _ = pool_labeled_rows(
                 flows, model, 60.0, 10.0, norm_mode="per_dimension", variant=variant
             )
             _, summary = kfold_cv(X, y, k=5, seed=seed)
@@ -420,7 +419,7 @@ def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
         architecture="c2", n_background=60, n_bots=8, n_scanners=2,
         n_background_flows=150, scan_flows_per_host=30, seed=9,
     )
-    flows = generate_flow_benchmark(spec)
+    flows = encode_flows(generate_flow_benchmark(spec))
     detector = train_detector(flows, m1, 60.0, 10.0, n_trees=20, seed=4)
     r1 = list(detect(flows, m1, detector).json_lines("c2", include_timings=False))
     r2 = list(detect(flows, m1, detector).json_lines("c2", include_timings=False))

@@ -12,6 +12,7 @@ from botfuse import extra_trees, fusion_pipeline
 from botfuse.cli import build_parser, main
 from botfuse.comm_graph import save_graph
 from botfuse.flow_ingest import (
+    FlowRecord,
     filter_tcp_udp,
     parse_flow_file,
     slice_windows,
@@ -200,7 +201,7 @@ class TestTrainDetect:
         assert ens.n_features == 32
 
     def test_train_labels_come_from_the_parsed_flows(self, art):
-        expect = train_detector(parse_flow_file(art["flows"]).records, load_model(art["model"]),
+        expect = train_detector(parse_flow_file(art["flows"]).table, load_model(art["model"]),
                                 n_trees=10)
         assert art["ens"].read_bytes() == extra_trees.serialize_ensemble(expect)
 
@@ -213,17 +214,17 @@ class TestTrainDetect:
         copies.append("31.0,0.5,icmp,10.99.0.1,1,10.0.0.2,80,100,100,bot\n")
         mixed = tmp_path / "mixed.csv"
         mixed.write_text("".join(rows + copies))
-        records = parse_flow_file(mixed).records
-        assert sum(r.proto.value == "other" for r in records) == len(copies)
+        flows = parse_flow_file(mixed).table
+        assert sum(r.proto.value == "other" for r in flows.records()) == len(copies)
         ens_path, out = tmp_path / "trees.json", tmp_path / "verdicts.jsonl"
         assert main(["train", "--flows", str(mixed), "--model", str(art["model"]),
                      "--n-trees", "10", "--out", str(ens_path)]) == 0
         assert main(["detect", "--flows", str(mixed), "--model", str(art["model"]),
                      "--ensemble", str(ens_path), "--no-timings", "--out", str(out)]) == 0
         model = load_model(art["model"])
-        ens = train_detector(records, model, n_trees=10)
+        ens = train_detector(flows, model, n_trees=10)
         assert extra_trees.serialize_ensemble(ens) == ens_path.read_bytes()
-        lines = fusion_pipeline.detect(records, model, ens).json_lines("c2", include_timings=False)
+        lines = fusion_pipeline.detect(flows, model, ens).json_lines("c2", include_timings=False)
         assert out.read_text() == "".join(line + "\n" for line in lines)
         # The same bytes as on the trace without the copies.
         assert ens_path.read_bytes() == art["ens"].read_bytes()
@@ -278,8 +279,7 @@ class TestTrainDetect:
         ]) == 0
         ens = extra_trees.load_ensemble(ens_path)
         model = load_model(art["model"])
-        windows = slice_windows(filter_tcp_udp(parse_flow_file(art["flows"]).records),
-                                60.0, 10.0)
+        windows = slice_windows(filter_tcp_udp(parse_flow_file(art["flows"]).table), 60.0, 10.0)
         lines = out.read_text().splitlines()
         assert len(lines) == len(windows)
         for window, line in zip(windows, lines):
@@ -306,11 +306,11 @@ class TestTrainDetect:
         out = tmp_path / "verdicts.jsonl"
         assert main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
                      "--ensemble", str(art["ens"]), "--no-timings", "--out", str(out)]) == 0
-        records = parse_flow_file(art["flows"]).records
-        report = fusion_pipeline.detect(records, load_model(art["model"]),
+        flows = parse_flow_file(art["flows"]).table
+        report = fusion_pipeline.detect(flows, load_model(art["model"]),
                                         extra_trees.load_ensemble(art["ens"]))
         assert ([w.window_start for w in report.windows]
-                == [w.window_start for w in slice_windows(filter_tcp_udp(records), 60.0, 10.0)])
+                == [w.window_start for w in slice_windows(filter_tcp_udp(flows), 60.0, 10.0)])
         lines = list(report.json_lines("c2", include_timings=False))
         assert out.read_text() == "".join(line + "\n" for line in lines)
 
@@ -328,19 +328,35 @@ class TestTrainDetect:
         capsys.readouterr()
         assert main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
                      "--ensemble", str(ens_path), "--no-timings", "--out", str(out)]) == 0
-        records = parse_flow_file(art["flows"]).records
-        windows = slice_windows(filter_tcp_udp(records), 30.0, 5.0)
-        assert len(windows) > len(slice_windows(filter_tcp_udp(records), 60.0, 10.0))
-        report = fusion_pipeline.detect(records, load_model(art["model"]), ens)
+        flows = parse_flow_file(art["flows"]).table
+        windows = slice_windows(filter_tcp_udp(flows), 30.0, 5.0)
+        assert len(windows) > len(slice_windows(filter_tcp_udp(flows), 60.0, 10.0))
+        report = fusion_pipeline.detect(flows, load_model(art["model"]), ens)
         assert [w.window_start for w in report.windows] == [w.window_start for w in windows]
         lines = list(report.json_lines("c2", include_timings=False))
         assert out.read_text() == "".join(line + "\n" for line in lines)
         assert f"across {len(windows)} windows" in capsys.readouterr().err
         # The library's training records the windowing it sliced with.
         blob = extra_trees.serialize_ensemble(
-            train_detector(records, load_model(art["model"]), 30.0, 5.0, n_trees=10))
+            train_detector(flows, load_model(art["model"]), 30.0, 5.0, n_trees=10))
         assert b'"stride":5.0' in blob and b'"window_len":30.0' in blob
         assert blob == ens_path.read_bytes()
+
+    def test_train_and_detect_build_no_flow_record(self, art, tmp_path, monkeypatch):
+        # The CLI parses into columns and slices the table; a FlowRecord per
+        # row would be built only by a row the columns refuse, such as the
+        # header, which fails before it gets that far.
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a FlowRecord was built")
+
+        monkeypatch.setattr(FlowRecord, "__init__", refuse)
+        ens, out = tmp_path / "trees.json", tmp_path / "verdicts.jsonl"
+        assert main(["train", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                     "--n-trees", "10", "--out", str(ens)]) == 0
+        assert ens.read_bytes() == art["ens"].read_bytes()
+        assert main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                     "--ensemble", str(ens), "--no-timings", "--out", str(out)]) == 0
+        assert out.read_text().count("\n") > 1
 
     @pytest.mark.parametrize("option", ["--window-len", "--stride"])
     def test_detect_takes_no_windowing_option(self, art, tmp_path, capsys, option):

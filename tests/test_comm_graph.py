@@ -31,7 +31,7 @@ def _flow(src, dst, up=100, down=50):
 
 
 def _window(records):
-    return WindowSlice(window_start=0.0, records=records, table=encode_flows(records))
+    return WindowSlice(0.0, encode_flows(records))
 
 
 def _graph_from_flows(records):

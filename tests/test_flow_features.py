@@ -27,7 +27,7 @@ def _flow(src, dst, dur=1.0, up=100, down=50, ts=0.0):
 
 
 def _window(records):
-    return WindowSlice(window_start=0.0, records=records, table=encode_flows(records))
+    return WindowSlice(0.0, encode_flows(records))
 
 
 def _rows(feats):

@@ -1,5 +1,7 @@
 """Parsing, protocol filtering, and sliding-window slicing."""
 
+import dataclasses
+import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -116,7 +118,7 @@ class TestParseCanonical:
         result = parse_flow_file(p)
         assert [r.ts_start for r in result.records] == [2.0]
         assert result.malformed == 1
-        assert len(slice_windows(result.records)) == 1
+        assert len(slice_windows(result.table)) == 1
 
     def test_byte_count_beyond_int64_is_kept(self, tmp_path):
         # Byte counts are float64 columns, so only a count that no float
@@ -125,7 +127,7 @@ class TestParseCanonical:
         p.write_text(f"1.0,0.5,tcp,a,1,b,2,{2**63},5\n2.0,0.5,tcp,a,1,b,2,1{'0' * 300},5\n")
         result = parse_flow_file(p)
         assert result.malformed == 0
-        (window,) = slice_windows(result.records)
+        (window,) = slice_windows(result.table)
         assert window.table.src_bytes.tolist() == [float(2**63), float(10**300)]
         features = extract_node_features(window)
         assert features.matrix[features.nodes.index("a"), 3] == (0.0 + 2**63 + 10**300) / 2
@@ -148,7 +150,7 @@ class TestParseCanonical:
         dirty.write_text(rows + f"{ts},0.5,tcp,10.0.0.1,1,10.0.0.2,80,100,100,\n")
         expect, result = parse_flow_file(clean), parse_flow_file(dirty)
         assert result.malformed == expect.malformed + 1
-        assert slice_windows(result.records) == slice_windows(expect.records)
+        assert slice_windows(result.table) == slice_windows(expect.table)
 
     def test_start_times_of_years_1_and_9999_are_kept(self, tmp_path):
         p = tmp_path / "flows.csv"
@@ -378,10 +380,10 @@ _off_shape = st.one_of(
 @given(st.lists(st.one_of(_exact_shape, _off_shape), max_size=8))
 def test_vector_start_times_are_strptime_bits_or_refused(texts):
     fast = binetflow_start_times(texts)
-    assert len(fast) == len(texts)
-    for text, value in zip(texts, fast):
+    assert fast.shape == (len(texts),)
+    for text, value in zip(texts, fast.tolist()):
         reference = _strptime_seconds(text)
-        if value is not None:
+        if not math.isnan(value):
             assert reference is not None and value.hex() == reference.hex()
         elif reference is not None:
             # Only a time off the exact shape, or one a float64 cannot hold to
@@ -391,6 +393,151 @@ def test_vector_start_times_are_strptime_bits_or_refused(texts):
             assert not exact_shape or abs((started - _EPOCH) // _MICROSECOND) >= 2**53
 
 
+def _parse_row_by_row(path, fmt):
+    """The per-row reference parse: every non-blank row through its format's
+    row parser, with the header and malformed-count rules of
+    parse_flow_file."""
+    parse_row = {"canonical": flow_ingest._parse_canonical_row,
+                 "binetflow": flow_ingest._parse_binetflow_row}[fmt]
+    records, malformed, seen = [], 0, 0
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        for rows, refused in flow_ingest._read_rows(handle):
+            malformed += refused
+            for row in rows:
+                try:
+                    "".join(row).encode()
+                    records.append(parse_row(row))
+                except (ValueError, IndexError):
+                    if not (seen == 0 and flow_ingest._looks_like_header(row)):
+                        malformed += 1
+                seen += 1
+    return records, malformed
+
+
+# Good field texts, and texts that each row parser refuses or reads in its own
+# way. A row is good but for at most two tricky fields, so a refusal that the
+# column path missed would show.
+_GOOD = {
+    "time": st.floats(0.0, 1e6).map(repr),
+    "start": st.builds("2011/08/10 09:{:02d}:{:02d}.{:06d}".format, st.integers(0, 59),
+                       st.integers(0, 59), st.integers(0, 999_999)),
+    "duration": st.floats(0.0, 1e4).map(repr),
+    "proto": st.sampled_from(["tcp", "udp", "icmp"]),
+    "host": st.sampled_from(["10.0.0.1", "10.0.0.2", "b"]),
+    "port": st.integers(0, 65535).map(str),
+    "bytes": st.integers(0, 10**6).map(str),
+    "label": st.sampled_from(["", "bot", "legit", "unknown"]),
+    "flow": st.sampled_from(["flow=From-Botnet-V42", "flow=Normal-V42", "flow=Background"]),
+}
+_TRICKY = {name: st.sampled_from(texts) for name, texts in {
+    "time": ["nan", "inf", "-inf", "-1e300", "1e300", " 5.5 ", "1_000.5", "-62135596800.001",
+             "-62135596800", "253402300800", "253402300800.001", "x", ""],
+    "start": ["2011/8/10 9:46:53.5", " 2011/08/10 09:46:53.047277 ", "0000/01/01 00:00:00.000000",
+              "0001/01/01 00:00:00.000001", "9999/12/31 23:59:59.999999",
+              "0500/07/04 01:02:03.456789", "1500/01/01 00:00:00.000001",
+              "2011/02/30 00:00:00.000000", "2011/08/10 24:00:00.000000",
+              "2011-08-10 09:46:53.047277", "2011/08/10 09:46:53.0472771", "StartTime", ""],
+    "duration": ["-0.5", "-0.0", "nan", "inf", "1e-300", " 2 ", "1_0", ""],
+    "proto": ["TCP", " udp ", "arp", ""],
+    "host": [" a ", "", "  ", "\x1c"],
+    "port": ["0x50", "0X1f", " 0x10 ", "", " ", "65535", "65536", "-1", "-0", "8_0", "+80",
+             "\x1c80", "abc", "1.5", "٨٠", str(2**70)],
+    "bytes": ["-5", "-0", "1_000", "+7", " 12 ", "1.5", "", "٥", str(2**53 + 1), str(2**63),
+              str(-2**63), str(2**64 + 3), "1" + "0" * 300, "1" + "0" * 400],
+    "label": [" BOT ", "weird", "unknown "],
+    "flow": ["", "From-Botnet", "normal"],
+}.items()}
+_LAYOUTS = {
+    "canonical": ["time", "duration", "proto", "host", "port", "host", "port", "bytes", "bytes",
+                  "label"],
+    "binetflow": ["start", "duration", "proto", "host", "port", "->", "host", "port", "CON", "0",
+                  "0", "3", "bytes", "bytes", "flow"],
+}
+
+
+@st.composite
+def _flow_line(draw, fmt):
+    layout = _LAYOUTS[fmt]
+    cells = [draw(_GOOD[name]) if name in _GOOD else name for name in layout]
+    if fmt == "binetflow":  # SrcBytes <= TotBytes, unless the draw swaps them
+        tot, src = sorted((int(cells[12]), int(cells[13])), reverse=True)
+        cells[12:14] = [str(tot), str(src)] if draw(st.integers(0, 9)) else [str(src), str(tot)]
+    tricky = [i for i, name in enumerate(layout) if name in _TRICKY]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        i = draw(st.sampled_from(tricky))
+        cells[i] = draw(_TRICKY[layout[i]])
+    # Short rows, a row without its optional last column, and extra columns.
+    cells = cells[:len(cells) - draw(st.sampled_from([0] * 7 + [1, 2, 5]))]
+    cells += ["extra"] * draw(st.sampled_from([0] * 8 + [1, 3]))
+    cells = [cell.encode() for cell in cells]
+    if draw(st.integers(0, 9)) == 0:  # a byte that is not UTF-8
+        i = draw(st.integers(0, len(cells) - 1))
+        cells[i] += b"\xff"
+    return b",".join(cells)
+
+
+def _line(fmt):
+    return st.one_of(
+        *[_flow_line(fmt)] * 8,
+        st.sampled_from([b"", b" , ", _HEADER_AND_ROW[fmt][0].encode(), b"x" * 200_000]),
+    )
+
+
+_GOOD_LINES = {fmt: row.encode() for fmt, (_, row) in _HEADER_AND_ROW.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["canonical", "binetflow"]).flatmap(
+    lambda fmt: st.tuples(st.just(fmt), st.lists(_line(fmt), min_size=20, max_size=60),
+                          st.sampled_from([1, 3, 1024]))))
+def test_column_parse_equals_the_row_by_row_parse(tmp_path_factory, case):
+    # The column path gives the per-row parser's flows, in the same order,
+    # and the same malformed count, whatever mix of refusals a file holds.
+    fmt, lines, chunk_rows = case
+    path = tmp_path_factory.mktemp("oracle") / f"flows.{fmt}"
+    path.write_bytes(b"\n".join([*lines, _GOOD_LINES[fmt]]) + b"\n")
+    records, malformed = _parse_row_by_row(path, fmt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow_ingest, "_CHUNK_ROWS", chunk_rows)
+        result = parse_flow_file(path, fmt)
+    assert result.malformed == malformed
+    expect = encode_flows(records)
+    got = result.table
+    assert got.endpoints.tolist() == expect.endpoints.tolist()
+    for name in ("src", "dst", "ts", "duration", "proto", "src_port", "dst_port", "src_bytes",
+                 "dst_bytes", "label"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+    # Records come back from the float64 byte columns.
+    assert result.records == [
+        dataclasses.replace(r, src_bytes=int(float(r.src_bytes)),
+                            dst_bytes=int(float(r.dst_bytes)))
+        for r in records
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["canonical", "binetflow"])
+def test_one_hex_port_sends_only_its_row_to_the_row_parser(tmp_path, monkeypatch, fmt):
+    parse_columns, parse_row = flow_ingest._FORMATS[fmt]
+    calls = []
+
+    def counted(row):
+        calls.append(row)
+        return parse_row(row)
+
+    monkeypatch.setattr(flow_ingest, "_FORMATS", {fmt: (parse_columns, counted)})
+    row = _HEADER_AND_ROW[fmt][1]
+    port = row.split(",")[4]
+    rows = [row] * 300
+    rows[150] = row.replace(f",{port},", ",0x50,", 1)
+    p = tmp_path / f"flows.{fmt}"
+    p.write_text("\n".join(rows) + "\n")
+    result = parse_flow_file(p, fmt)
+    assert calls == [rows[150].split(",")]
+    assert result.malformed == 0
+    assert [r.src_port for r in result.records] == [int(port)] * 150 + [80] + [int(port)] * 149
+
+
 class TestFilterTcpUdp:
     def test_mixed_protocols(self):
         records = [
@@ -398,21 +545,32 @@ class TestFilterTcpUdp:
             _record(proto=Proto.OTHER),
             _record(proto=Proto.UDP),
         ]
-        kept = filter_tcp_udp(records)
-        assert [r.proto for r in kept] == [Proto.TCP, Proto.UDP]
+        kept = filter_tcp_udp(encode_flows(records))
+        assert [r.proto for r in kept.records()] == [Proto.TCP, Proto.UDP]
 
     def test_all_other_gives_empty(self):
-        assert filter_tcp_udp([_record(proto=Proto.OTHER)] * 3) == []
+        assert len(filter_tcp_udp(encode_flows([_record(proto=Proto.OTHER)] * 3))) == 0
 
     def test_all_tcp_is_identity(self):
         records = [_record(ts=float(i)) for i in range(4)]
-        assert filter_tcp_udp(records) == records
+        assert filter_tcp_udp(encode_flows(records)).records() == records
+
+
+def _windows(records, window_len=DEFAULT_WINDOW_LEN, stride=DEFAULT_STRIDE):
+    return slice_windows(encode_flows(records), window_len, stride)
+
+
+def _expected_window_records(records, start, window_len):
+    """The input records whose start time lies in [start, start + window_len),
+    in start-time order, ties in input order."""
+    ordered = sorted(records, key=lambda r: r.ts_start)
+    return [r for r in ordered if start <= r.ts_start < start + window_len]
 
 
 class TestSliceWindows:
     def test_interval_membership_example(self):
         records = [_record(ts=5.0), _record(ts=59.0)]
-        windows = slice_windows(records, 60.0, 10.0)
+        windows = _windows(records, 60.0, 10.0)
         starts = [w.window_start for w in windows]
         assert starts == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
         late = [w.window_start for w in windows if any(r.ts_start == 59.0 for r in w.records)]
@@ -421,7 +579,7 @@ class TestSliceWindows:
         assert early == [0.0]
 
     def test_single_record_non_overlapping(self):
-        windows = slice_windows([_record(ts=42.0)], 60.0, 60.0)
+        windows = _windows([_record(ts=42.0)], 60.0, 60.0)
         assert len(windows) == 1
         assert windows[0].window_start == 0.0
 
@@ -429,7 +587,7 @@ class TestSliceWindows:
         rng = np.random.default_rng(7)
         records = [_record(ts=float(t)) for t in rng.uniform(0.0, 200.0, size=500)]
         window_len, stride = DEFAULT_WINDOW_LEN, DEFAULT_STRIDE
-        windows = slice_windows(records, window_len, stride)
+        windows = _windows(records, window_len, stride)
 
         times = sorted(r.ts_start for r in records)
         first = np.floor(times[0] / stride) * stride
@@ -450,18 +608,18 @@ class TestSliceWindows:
     def test_equal_stride_partitions(self):
         rng = np.random.default_rng(3)
         records = [_record(ts=float(t)) for t in rng.uniform(0.0, 300.0, size=200)]
-        windows = slice_windows(records, 60.0, 60.0)
+        windows = _windows(records, 60.0, 60.0)
         seen = [r.ts_start for w in windows for r in w.records]
         assert sorted(seen) == sorted(r.ts_start for r in records)
         assert len(seen) == len(records)
 
     def test_start_alignment_to_stride(self):
-        windows = slice_windows([_record(ts=37.0)], 60.0, 10.0)
+        windows = _windows([_record(ts=37.0)], 60.0, 10.0)
         assert all(w.window_start % 10.0 == 0.0 for w in windows)
         assert windows[0].window_start == 30.0
 
     def test_empty_input(self):
-        assert slice_windows([], 60.0, 10.0) == []
+        assert _windows([], 60.0, 10.0) == []
 
     def test_gapped_traces_match_every_window_start(self):
         # Oracle: try every stride-aligned start between the first and last
@@ -480,16 +638,16 @@ class TestSliceWindows:
                 members = sorted(t for t in times if start <= t < start + window_len)
                 if members:
                     expected.append((start, members))
-            windows = slice_windows(records, window_len, stride)
+            windows = _windows(records, window_len, stride)
             got = [(w.window_start, [r.ts_start for r in w.records]) for w in windows]
             assert got == expected
 
     def test_epoch_stamped_row_costs_no_window_per_stride(self):
         # 1.6e8 empty stride slots lie between the two groups of flows.
         records = [_record(ts=0.0), _record(ts=1.6e9), _record(ts=1.6e9 + 35.0)]
-        windows = slice_windows(records, 60.0, 10.0)
+        windows = _windows(records, 60.0, 10.0)
         assert [w.window_start for w in windows] == [0.0] + [1.6e9 + 10.0 * k for k in range(-5, 4)]
-        assert [len(w.records) for w in windows] == [1, 1, 1, 1, 2, 2, 2, 1, 1, 1]
+        assert [len(w.table) for w in windows] == [1, 1, 1, 1, 2, 2, 2, 1, 1, 1]
 
     def test_windows_are_views_of_one_table(self):
         rng = np.random.default_rng(11)
@@ -498,24 +656,30 @@ class TestSliceWindows:
                     up=int(rng.integers(0, 3)), down=int(rng.integers(0, 3)))
             for t in rng.uniform(0.0, 120.0, size=80)
         ]
-        windows = slice_windows(records, 60.0, 10.0)
+        windows = _windows(records, 60.0, 10.0)
         base = windows[0].table
         for w in windows:
             t = w.table
+            expected = _expected_window_records(records, w.window_start, 60.0)
             assert t.endpoints is base.endpoints
-            assert t.src.base is not None and t.src.base is base.src.base
-            assert len(t) == len(w.records)
-            assert t.endpoints[t.src].tolist() == [r.src_ip for r in w.records]
-            assert t.endpoints[t.dst].tolist() == [r.dst_ip for r in w.records]
-            assert t.duration.tolist() == [r.duration for r in w.records]
-            assert t.src_bytes.tolist() == [r.src_bytes for r in w.records]
-            assert t.dst_bytes.tolist() == [r.dst_bytes for r in w.records]
+            for column in (t.src, t.dst, t.ts, t.duration, t.proto, t.src_port, t.dst_port,
+                           t.src_bytes, t.dst_bytes, t.label):
+                assert column.base is not None
+            assert t.src.base is base.src.base
+            assert len(t) == len(expected)
+            assert t.endpoints[t.src].tolist() == [r.src_ip for r in expected]
+            assert t.endpoints[t.dst].tolist() == [r.dst_ip for r in expected]
+            assert t.ts.tolist() == [r.ts_start for r in expected]
+            assert t.duration.tolist() == [r.duration for r in expected]
+            assert t.src_bytes.tolist() == [r.src_bytes for r in expected]
+            assert t.dst_bytes.tolist() == [r.dst_bytes for r in expected]
         assert base.endpoints.tolist() == sorted({r.src_ip for r in records} | {r.dst_ip for r in records})
 
     def test_table_views_match_hand_built_windows(self):
-        # Hand-built windows encode their own records; the slicer's windows
-        # are views of one table over the whole trace. Both must give the
-        # same nodes, feature bits, edges and dropped self-loops.
+        # Hand-built windows encode the input records of their interval; the
+        # slicer's windows are views of one table over the whole trace. Both
+        # must give the same nodes, feature bits, edges and dropped
+        # self-loops.
         rng = np.random.default_rng(12)
         records = []
         for t in rng.uniform(0.0, 150.0, size=600):
@@ -530,10 +694,11 @@ class TestSliceWindows:
             ))
         assert any(r.src_ip == r.dst_ip for r in records)
         assert any(r.src_bytes == 0 and r.dst_bytes == 0 for r in records)
-        windows = slice_windows(records, 60.0, 10.0)
+        windows = _windows(records, 60.0, 10.0)
         assert len(windows) > 10
         for w in windows:
-            hand = WindowSlice(w.window_start, w.records, encode_flows(w.records))
+            hand = WindowSlice(w.window_start, encode_flows(
+                _expected_window_records(records, w.window_start, 60.0)))
             assert hand.table.endpoints.size < w.table.endpoints.size
             got, want = extract_node_features(w), extract_node_features(hand)
             assert got.nodes == want.nodes
@@ -543,33 +708,29 @@ class TestSliceWindows:
             assert g.dropped_self_loops == h.dropped_self_loops
 
     def test_table_must_match_records(self):
-        # A window is given its table; nothing re-checks it, so the slicer
-        # alone keeps each table row the flow of the same record, also for
-        # shuffled input whose flows share start times and lie on window
-        # edges.
+        # Nothing re-checks a window's table, so the slicer alone keeps each
+        # row the flow of the same input record, also for shuffled input
+        # whose flows share start times and lie on window edges: the sort is
+        # stable, so tied rows keep their input order.
         rng = np.random.default_rng(14)
         records = [
-            _record(ts=float(t), src=f"h{i % 7}", dst=f"h{i % 5}", up=i, down=2 * i)
+            _record(ts=float(t), src=f"h{i % 7}", dst=f"h{i % 5}", up=i, down=2 * i,
+                    proto=Proto.UDP if i % 3 else Proto.TCP,
+                    label=(Label.BOT, Label.LEGIT, Label.UNKNOWN)[i % 4 % 3])
             for i, t in enumerate(rng.choice([0.0, 10.0, 20.0, 60.0, 65.0], size=60))
         ]
-        windows = slice_windows(records, 60.0, 10.0)
-        assert any(len(set(r.ts_start for r in w.records)) < len(w.records) for w in windows)
+        windows = _windows(records, 60.0, 10.0)
+        assert any(len(set(w.table.ts.tolist())) < len(w.table) for w in windows)
         for w in windows:
-            t = w.table
-            assert [(r.src_ip, r.dst_ip, r.src_bytes, r.dst_bytes) for r in w.records] == list(
-                zip(t.endpoints[t.src].tolist(), t.endpoints[t.dst].tolist(),
-                    t.src_bytes.tolist(), t.dst_bytes.tolist())
-            )
-        with pytest.raises(TypeError, match="table"):
-            WindowSlice(0.0, records)
+            assert w.records == _expected_window_records(records, w.window_start, 60.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            slice_windows([_record()], 0.0, 10.0)
+            _windows([_record()], 0.0, 10.0)
         with pytest.raises(ValueError):
-            slice_windows([_record()], 60.0, -1.0)
+            _windows([_record()], 60.0, -1.0)
         with pytest.raises(ValueError, match="exceeds"):
-            slice_windows([_record()], 10.0, 60.0)
+            _windows([_record()], 10.0, 60.0)
 
 
 class TestDeriveNodeLabels:

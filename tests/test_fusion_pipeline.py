@@ -35,7 +35,7 @@ def _flow(src, dst, ts=0.0, dur=1.0, sb=100, db=50, label=Label.UNKNOWN):
 
 
 def _window(records, start=0.0):
-    return WindowSlice(window_start=start, records=records, table=encode_flows(records))
+    return WindowSlice(start, encode_flows(records))
 
 
 def _frozen(depth=2, hidden=4, seed=0, input_dim=5):
@@ -55,7 +55,8 @@ def _training_flows(start):
 
 # A trace that 10 s windows at a 10 s stride slice into the two windows of
 # _training_windows.
-TRAINING_TRACE = _training_flows(0.0) + _training_flows(10.0)
+TRAINING_FLOWS = _training_flows(0.0) + _training_flows(10.0)
+TRAINING_TRACE = encode_flows(TRAINING_FLOWS)
 TRAINING_WINDOWING = (10.0, 10.0)
 
 
@@ -64,7 +65,7 @@ def _training_windows():
     return [_window(_training_flows(0.0), start=0.0), _window(_training_flows(10.0), start=10.0)]
 
 
-# What derive_node_labels gives the training trace's nodes: the two sources
+# What node_labels gives the training trace's nodes: the two sources
 # take their flows' labels; the two destinations only receive, so they stay
 # unknown.
 TRAINING_LABELS = {"10.0.0.9": Label.BOT, "10.0.0.1": Label.LEGIT,
@@ -207,15 +208,34 @@ class TestPoolVariants:
     def test_variant_rows_match_oracle(self, variant, width):
         model = _frozen(depth=2, hidden=4, seed=3)
         windows = _training_windows()
-        X, y = pool_labeled_rows(TRAINING_TRACE, model, *TRAINING_WINDOWING, variant=variant)
+        X, y, _ = pool_labeled_rows(TRAINING_TRACE, model, *TRAINING_WINDOWING, variant=variant)
         ox, oy = self._oracle(windows, model, TRAINING_LABELS, variant)
         assert X.shape == (4, width)
         assert np.array_equal(X, ox)
         assert np.array_equal(y, oy)
         assert set(y.tolist()) == {0, 1}
 
+    def test_hosts_line_up_with_the_embedded_nodes(self):
+        # Each pooled row is the vector of the node named beside it; the two
+        # destinations, whose label is unknown, are embedded but dropped
+        # from the rows and the hosts alike.
+        model = _frozen(depth=2, hidden=4, seed=3)
+        X, y, hosts = pool_labeled_rows(TRAINING_TRACE, model, *TRAINING_WINDOWING)
+        want_rows, want_hosts, embedded = [], [], set()
+        for window in _training_windows():
+            nodes, vectors, _ = embed_window(window, model)
+            embedded.update(nodes)
+            for node, row in zip(nodes, normalize_embedding(vectors)):
+                if TRAINING_LABELS[node] is not Label.UNKNOWN:
+                    want_rows.append(row)
+                    want_hosts.append(node)
+        assert embedded - set(want_hosts) == {"10.0.0.2", "10.0.0.3"}
+        assert hosts.tolist() == want_hosts
+        assert np.array_equal(X, np.array(want_rows))
+        assert y.tolist() == [int(TRAINING_LABELS[h] is Label.BOT) for h in want_hosts]
+
     def test_unlabeled_nodes_are_excluded(self):
-        X, y = pool_labeled_rows(TRAINING_TRACE, _frozen(), *TRAINING_WINDOWING)
+        X, y, _ = pool_labeled_rows(TRAINING_TRACE, _frozen(), *TRAINING_WINDOWING)
         # Each window has 4 endpoints but only 2 are bot or legit.
         assert X.shape[0] == 4
         assert y.tolist() == [1, 0] * 2 or y.tolist() == [0, 1] * 2
@@ -225,7 +245,7 @@ class TestPoolVariants:
         # that only receives, are left out.
         flows = [_flow("A", "B", label=Label.BOT), _flow("B", "C", label=Label.LEGIT),
                  _flow("C", "D", sb=7)]
-        X, y = pool_labeled_rows(flows, _frozen(), variant=VARIANT_FLOW)
+        X, y, _ = pool_labeled_rows(encode_flows(flows), _frozen(), variant=VARIANT_FLOW)
         assert y.dtype == np.int64
         assert y.tolist() == [1, 0]
         feats = extract_node_features(_window(flows))
@@ -236,11 +256,12 @@ class TestPoolVariants:
         model = _frozen()
         other = [FlowRecord(ts, 1.0, Proto.OTHER, src, 0, "10.0.0.2", 0, 10, 10, Label.BOT)
                  for ts, src in ((4.0, "10.0.0.1"), (5.0, "10.0.0.7"), (35.0, "10.0.0.7"))]
-        X, y = pool_labeled_rows(TRAINING_TRACE + other, model, *TRAINING_WINDOWING)
-        ox, oy = pool_labeled_rows(TRAINING_TRACE, model, *TRAINING_WINDOWING)
+        X, y, _ = pool_labeled_rows(encode_flows(TRAINING_FLOWS + other), model,
+                                    *TRAINING_WINDOWING)
+        ox, oy, _ = pool_labeled_rows(TRAINING_TRACE, model, *TRAINING_WINDOWING)
         assert np.array_equal(X, ox) and np.array_equal(y, oy)
         with pytest.raises(ValueError, match="no windows produced from the input flows"):
-            pool_labeled_rows(other, model)
+            pool_labeled_rows(encode_flows(other), model)
 
     @pytest.mark.parametrize("variant", [VARIANT_FUSED, VARIANT_TOPOLOGY])
     def test_requires_frozen_model_before_slicing(self, variant, monkeypatch):
@@ -276,12 +297,12 @@ class TestPoolVariants:
     def test_no_labeled_nodes_rejected(self):
         model = _frozen()
         with pytest.raises(ValueError, match="no labeled nodes"):
-            pool_labeled_rows([_flow("a", "b"), _flow("b", "c")], model)
+            pool_labeled_rows(encode_flows([_flow("a", "b"), _flow("b", "c")]), model)
 
     def test_flow_variant_ignores_model_state(self):
         unfrozen = init_gcn(2, 5, 4, seed=0)
-        X, _ = pool_labeled_rows(TRAINING_TRACE, unfrozen, *TRAINING_WINDOWING,
-                                 variant=VARIANT_FLOW)
+        X, _, _ = pool_labeled_rows(TRAINING_TRACE, unfrozen, *TRAINING_WINDOWING,
+                                    variant=VARIANT_FLOW)
         assert X.shape == (4, 5)
 
 
@@ -289,9 +310,9 @@ class TestTrainDetector:
     def test_requires_windows_and_two_classes(self):
         model = _frozen()
         with pytest.raises(ValueError, match="no windows produced from the input flows"):
-            train_detector([], model)
+            train_detector(encode_flows([]), model)
         with pytest.raises(ValueError, match="single class"):
-            train_detector([_flow("a", "b", label=Label.LEGIT)], model)
+            train_detector(encode_flows([_flow("a", "b", label=Label.LEGIT)]), model)
 
     def test_records_the_windowing_and_scaling_it_trained_with(self):
         ens = train_detector(TRAINING_TRACE, _frozen(), 30.0, 5.0, "per_dimension", n_trees=3)
@@ -308,7 +329,7 @@ class TestDetect:
         with pytest.raises(ValueError, match="threshold"):
             detect(TRAINING_TRACE, model, ens, threshold=1.5)
         with pytest.raises(ValueError, match="no windows produced from the input flows"):
-            detect([], model, ens)
+            detect(encode_flows([]), model, ens)
         narrow = _frozen(depth=2, hidden=4, input_dim=3)
         with pytest.raises(ValueError, match="model expects 3-dim input, pipeline produces 5"):
             detect(TRAINING_TRACE, narrow, ens)
@@ -406,26 +427,26 @@ class TestDetect:
         assert "timings" in json.loads(next(detect(TRAINING_TRACE, model, ens).json_lines("c2")))
 
 
-def _first_strides(records, n):
+def _first_strides(flows, n):
     """The flows of a trace's first ``n`` 10 s strides, which the default
     60 s windows at a 10 s stride slice into ``n`` windows when each stride
     holds a flow."""
-    end = min(r.ts_start for r in records) // 10.0 * 10.0 + 10.0 * n
-    return [r for r in records if r.ts_start < end]
+    end = flows.ts.min() // 10.0 * 10.0 + 10.0 * n
+    return flows[flows.ts < end]
 
 
 @pytest.fixture(scope="module")
 def trace():
     """Seven strides of a synthetic trace, a frozen model and a forest whose
     impure leaves give fractional probabilities."""
-    records = _first_strides(generate_flow_benchmark(FlowBenchSpec(
+    flows = _first_strides(encode_flows(generate_flow_benchmark(FlowBenchSpec(
         n_background=40, n_bots=6, n_scanners=2, duration=80.0,
         n_background_flows=200, scan_flows_per_host=20, seed=5,
-    )), 7)
+    ))), 7)
     model = _frozen(depth=3, hidden=8, seed=2)
-    X, y = pool_labeled_rows(records, model)
+    X, y, _ = pool_labeled_rows(flows, model)
     ensemble = extra_trees.fit(X, y, n_trees=12, min_samples_split=60, seed=1)
-    return records, model, ensemble
+    return flows, model, ensemble
 
 
 class TestForkedDetect:
@@ -436,14 +457,14 @@ class TestForkedDetect:
 
     @pytest.mark.parametrize("n_windows", [1, 2, 3, 7])
     def test_report_bytes_equal_the_in_process_path(self, trace, n_windows):
-        records, model, ensemble = trace
-        records = _first_strides(records, n_windows)
+        flows, model, ensemble = trace
+        flows = _first_strides(flows, n_windows)
         with pytest.MonkeyPatch.context() as mp:
             forks = counted_forks(mp)
-            forked = detect(records, model, ensemble, threshold=self.THRESHOLD)
+            forked = detect(flows, model, ensemble, threshold=self.THRESHOLD)
         with pytest.MonkeyPatch.context() as mp:
             in_process_only(mp)
-            in_process = detect(records, model, ensemble, threshold=self.THRESHOLD)
+            in_process = detect(flows, model, ensemble, threshold=self.THRESHOLD)
         assert len(forks) == (1 if n_windows >= 2 else 0)
         assert (list(forked.json_lines("c2", include_timings=False))
                 == list(in_process.json_lines("c2", include_timings=False)))
@@ -455,17 +476,17 @@ class TestForkedDetect:
         assert_no_child_left()
 
     def test_the_workers_windows_carry_every_stage_timing(self, trace):
-        records, model, ensemble = trace
+        flows, model, ensemble = trace
         with pytest.MonkeyPatch.context() as mp:
             counted_forks(mp)
-            report = detect(records, model, ensemble, threshold=self.THRESHOLD)
+            report = detect(flows, model, ensemble, threshold=self.THRESHOLD)
         for w in report.windows[3:]:
             assert set(w.timings) == {"features", "graph", "embed", "normalize", "classify"}
             assert all(t >= 0.0 for t in w.timings.values())
         assert_no_child_left()
 
     def test_a_failing_parent_half_propagates_and_the_worker_is_reaped(self, trace):
-        records, model, ensemble = trace
+        flows, model, ensemble = trace
         parent, embed = os.getpid(), fusion_pipeline.embed_window
 
         def embed_slowly_in_worker(*args):
@@ -479,7 +500,7 @@ class TestForkedDetect:
             mp.setattr(fusion_pipeline, "embed_window", embed_slowly_in_worker)
             start = time.monotonic()
             with pytest.raises(KeyError, match="first window"):
-                detect(records, model, ensemble, threshold=self.THRESHOLD)
+                detect(flows, model, ensemble, threshold=self.THRESHOLD)
         assert time.monotonic() - start < 15
         assert_no_child_left()
 

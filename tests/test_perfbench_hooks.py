@@ -50,7 +50,7 @@ def test_graph_hooks_count_edges_and_nnz(monkeypatch):
         FlowRecord(0.0, 1.0, Proto.TCP, src, 1, dst, 2, up, down)
         for src, dst, up, down in flows
     ]
-    window = WindowSlice(0.0, records, encode_flows(records))
+    window = WindowSlice(0.0, encode_flows(records))
     graph = build_graph(window)
     P = propagation_matrix(graph)
     counts = tracing._graph(None, (window,), {}, graph)
@@ -71,7 +71,7 @@ def test_gcn_model_keeps_residual_mode():
 
 def test_window_and_feature_hooks_count_on_a_real_trace(monkeypatch):
     from botfuse.flow_features import extract_node_features
-    from botfuse.flow_ingest import FlowRecord, Proto, slice_windows
+    from botfuse.flow_ingest import FlowRecord, Proto, encode_flows, slice_windows
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
@@ -81,8 +81,9 @@ def test_window_and_feature_hooks_count_on_a_real_trace(monkeypatch):
         FlowRecord(5.0, 1.0, Proto.TCP, "a", 1, "b", 2, 10, 5),
         FlowRecord(25.0, 1.0, Proto.UDP, "b", 1, "c", 2, 0, 7),
     ]
-    windows = slice_windows(records, window_len=30.0, stride=10.0)
-    counts = tracing._slice(None, (records,), {}, windows)
+    table = encode_flows(records)
+    windows = slice_windows(table, window_len=30.0, stride=10.0)
+    counts = tracing._slice(None, (table,), {}, windows)
     assert counts == {"flow_ingest.windows": 3, "_sliced_flows": 2, "_window_records": 4}
     feats = extract_node_features(windows[0])
     assert len(feats) == len(feats.nodes) == 3

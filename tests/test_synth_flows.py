@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from botfuse.flow_ingest import Label, derive_node_labels, slice_windows
+from botfuse.flow_ingest import Label, derive_node_labels, encode_flows, slice_windows
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
 
 
@@ -110,7 +110,7 @@ class TestGenerate:
 
     def test_windows_cover_the_trace(self):
         records = generate_flow_benchmark(_spec())
-        windows = slice_windows(records, 60.0, 10.0)
+        windows = slice_windows(encode_flows(records), 60.0, 10.0)
         assert len(windows) >= 7
         bot_windows = sum(
             1 for w in windows if any(r.label is Label.BOT for r in w.records)
@@ -123,7 +123,7 @@ class TestGenerate:
         from botfuse.comm_graph import build_graph
 
         records = generate_flow_benchmark(_spec())
-        windows = slice_windows(records, 60.0, 10.0)
+        windows = slice_windows(encode_flows(records), 60.0, 10.0)
         ratios = []
         for w in windows:
             g = build_graph(w)
