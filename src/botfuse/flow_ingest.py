@@ -134,16 +134,21 @@ class FlowTable:
         ]
 
 
-def _table(src_ip: Sequence[str], dst_ip: Sequence[str], **columns) -> FlowTable:
-    """The table of row-aligned endpoint ids and ``_COLUMNS`` arrays."""
-    endpoints = sorted(set(src_ip).union(dst_ip))
-    index = {endpoint: i for i, endpoint in enumerate(endpoints)}
-    return FlowTable(
-        endpoints=np.array(endpoints, dtype=object),
-        src=np.fromiter(map(index.__getitem__, src_ip), np.int64, len(src_ip)),
-        dst=np.fromiter(map(index.__getitem__, dst_ip), np.int64, len(dst_ip)),
-        **columns,
-    )
+def _endpoint_ids(endpoints: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """Provisional ids of the endpoints; one not in ``index`` yet is added
+    under the next free id."""
+    for endpoint in set(endpoints).difference(index):
+        index[endpoint] = len(index)
+    return np.fromiter(map(index.__getitem__, endpoints), np.int64, len(endpoints))
+
+
+def _table(index: dict[str, int], src: np.ndarray, dst: np.ndarray, **columns) -> FlowTable:
+    """The table of the ``_COLUMNS`` arrays and the rows' provisional
+    endpoint ids, renumbered in sorted endpoint order."""
+    endpoints = sorted(index)
+    rank = np.empty(len(index), dtype=np.int64)
+    rank[[index[endpoint] for endpoint in endpoints]] = np.arange(len(index))
+    return FlowTable(np.array(endpoints, dtype=object), rank[src], rank[dst], **columns)
 
 
 def encode_flows(records: Sequence[FlowRecord]) -> FlowTable:
@@ -151,7 +156,8 @@ def encode_flows(records: Sequence[FlowRecord]) -> FlowTable:
     rows = [(r.src_ip, r.dst_ip, r.ts_start, r.duration, _CODE[r.proto], r.src_port,
              r.dst_port, r.src_bytes, r.dst_bytes, _CODE[r.label]) for r in records]
     src_ip, dst_ip, *columns = zip(*rows) if rows else [()] * (2 + len(_COLUMNS))
-    return _table(src_ip, dst_ip, **{
+    index: dict[str, int] = {}
+    return _table(index, _endpoint_ids(src_ip, index), _endpoint_ids(dst_ip, index), **{
         name: np.array(values, dtype=dtype)
         for (name, dtype), values in zip(_COLUMNS.items(), columns)
     })
@@ -503,6 +509,7 @@ def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -
         raise FileNotFoundError(f"flow file not found: {path}")
 
     parts: dict[str, list] = {name: [] for name in ("src_ip", "dst_ip", *_COLUMNS)}
+    index: dict[str, int] = {}  # the endpoints seen so far and their provisional ids
     malformed = 0
     seen = 0  # non-blank rows before this chunk; the first may be a header
     with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
@@ -525,15 +532,15 @@ def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -
                     malformed += 1
             keep = ~bad
             for name, values in columns.items():
-                parts[name].append(values[keep] if isinstance(values, np.ndarray)
-                                   else list(compress(values, keep)))
+                parts[name].append(_endpoint_ids(list(compress(values, keep)), index)
+                                   if name in ("src_ip", "dst_ip") else values[keep])
             seen += len(rows)
-    src_ip, dst_ip = (list(chain.from_iterable(parts.pop(name))) for name in ("src_ip", "dst_ip"))
-    if not src_ip:
+    if not index:
         raise ValueError(f"no parseable flow records in {path} ({malformed} malformed lines)")
+    src, dst = (np.concatenate(parts.pop(name)) for name in ("src_ip", "dst_ip"))
     return ParseResult(
-        _table(src_ip, dst_ip, **{name: np.concatenate(parts[name]).astype(dtype, copy=False)
-                                  for name, dtype in _COLUMNS.items()}),
+        _table(index, src, dst, **{name: np.concatenate(parts[name]).astype(dtype, copy=False)
+                                   for name, dtype in _COLUMNS.items()}),
         malformed,
     )
 
