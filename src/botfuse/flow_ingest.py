@@ -292,7 +292,9 @@ def binetflow_start_times(texts: Sequence[str]) -> np.ndarray:
     """
     texts = list(map(str.strip, texts))
     joined = "\n".join(texts)
-    if _BINETFLOW_TIME_LINES.fullmatch(joined):  # the usual chunk: no line differs
+    # The usual chunk: every string has the shape. The count refuses a string
+    # that itself holds a newline between two times (a quoted CSV cell).
+    if _BINETFLOW_TIME_LINES.fullmatch(joined) and joined.count("\n") == len(texts) - 1:
         fast = np.arange(len(texts))
         iso = joined.replace("/", "-").replace(" ", "T").split("\n")
     else:

@@ -267,6 +267,16 @@ class TestParseBinetflow:
         assert [r.ts_start.hex() for r in result.records] == [v.hex() for v in expected]
         assert result.malformed == len(starts) - len(expected)
 
+    def test_start_time_cell_holding_a_newline_is_one_malformed_row(self, tmp_path):
+        # A quoted cell may hold a newline; two times joined by one are no
+        # start time, whatever the other rows of the chunk hold.
+        p = tmp_path / "flows.binetflow"
+        stamp = self.LINE[:26]
+        p.write_text(self.LINE + f'"{stamp}\n{stamp}"' + self.LINE[26:])
+        result = parse_flow_file(p, format_descriptor="binetflow")
+        assert [r.ts_start for r in result.records] == [1312969613.047277]
+        assert result.malformed == 1
+
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
     def test_chunked_reading_gives_the_same_result(self, tmp_path, monkeypatch, chunk_rows):
         p = tmp_path / "flows.binetflow"
@@ -372,6 +382,7 @@ _off_shape = st.one_of(
     _exact_shape.map(lambda t: f" {t}\t"),
     _exact_shape.map(lambda t: t.replace("1", "\u0661")),
     _exact_shape.map(lambda t: t.replace(" ", "T")),
+    st.tuples(_exact_shape, _exact_shape).map("\n".join),
     st.text(max_size=30),
 )
 
