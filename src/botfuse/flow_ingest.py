@@ -211,12 +211,19 @@ def _parse_label(text: str) -> Label:
     raise ValueError(f"unrecognized label {text!r}")
 
 
+# `_parse_port`, `_validated` and the row parsers' own checks define a valid
+# row; the column parsers and `_check` apply the same rules to whole columns.
+# A rule added to or changed in one side belongs in the other too, or the
+# column path accepts rows the row parsers refuse.
+_MAX_PORT = 65535
+
+
 def _parse_port(text: str) -> int:
     text = text.strip()
     if not text:
         return 0
     port = int(text, 16) if text.lower().startswith("0x") else int(text)
-    if not 0 <= port <= 65535:
+    if not 0 <= port <= _MAX_PORT:
         raise ValueError(f"port {port} out of range")
     return port
 
@@ -279,7 +286,6 @@ def _binetflow_label(text: str) -> Label:
 # fields and non-ASCII digits; such strings go to strptime. numpy takes year
 # 0000, which strptime refuses, but that lies outside float64's exact range.
 _BINETFLOW_TIME = re.compile(r"[0-9]{4}/[0-9]{2}/[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{6}")
-_BINETFLOW_TIME_LINES = re.compile(rf"{_BINETFLOW_TIME.pattern}(?:\n{_BINETFLOW_TIME.pattern})*")
 
 
 def binetflow_start_times(texts: Sequence[str]) -> np.ndarray:
@@ -291,15 +297,8 @@ def binetflow_start_times(texts: Sequence[str]) -> np.ndarray:
     then goes through strptime.
     """
     texts = list(map(str.strip, texts))
-    joined = "\n".join(texts)
-    # The usual chunk: every string has the shape. The count refuses a string
-    # that itself holds a newline between two times (a quoted CSV cell).
-    if _BINETFLOW_TIME_LINES.fullmatch(joined) and joined.count("\n") == len(texts) - 1:
-        fast = np.arange(len(texts))
-        iso = joined.replace("/", "-").replace(" ", "T").split("\n")
-    else:
-        fast = np.array([i for i, t in enumerate(texts) if _BINETFLOW_TIME.fullmatch(t)], np.int64)
-        iso = [texts[i].replace("/", "-").replace(" ", "T") for i in fast.tolist()]
+    fast = np.array([i for i, t in enumerate(texts) if _BINETFLOW_TIME.fullmatch(t)], np.int64)
+    iso = [texts[i].replace("/", "-").replace(" ", "T") for i in fast.tolist()]
     try:
         micros = np.array(iso, dtype="datetime64[us]").astype(np.int64)
     except ValueError:
@@ -451,13 +450,14 @@ def _binetflow_columns(rows: list[list[str]], bad: np.ndarray) -> dict:
 
 
 def _check(rows: list[list[str]], c: dict, bad: np.ndarray) -> None:
-    """Mark bad the rows that fail `_validated`'s checks or hold bytes that
-    are not UTF-8."""
+    """Mark bad the rows that fail `_parse_port`'s or `_validated`'s checks
+    or hold bytes that are not UTF-8. Keep it in step with those two: a row
+    it passes is accepted without them."""
     ok = (
         (_FIRST_START <= c["ts"]) & (c["ts"] <= _LAST_START)
         & np.isfinite(c["duration"]) & (c["duration"] >= 0)
-        & (c["src_port"] >= 0) & (c["src_port"] <= 65535)
-        & (c["dst_port"] >= 0) & (c["dst_port"] <= 65535)
+        & (c["src_port"] >= 0) & (c["src_port"] <= _MAX_PORT)
+        & (c["dst_port"] >= 0) & (c["dst_port"] <= _MAX_PORT)
         & (c["src_bytes"] >= 0) & (c["dst_bytes"] >= 0)
         & np.fromiter(map(bool, c["src_ip"]), bool, len(rows))
         & np.fromiter(map(bool, c["dst_ip"]), bool, len(rows))
