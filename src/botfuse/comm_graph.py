@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from botfuse.flow_ingest import WindowSlice
 
@@ -84,14 +86,81 @@ def build_graph(window: WindowSlice) -> CommGraph:
     )
 
 
-def propagation_matrix(graph: CommGraph) -> sp.csr_matrix:
+def _load_csr_kernel():
+    """scipy's compiled sparse routines, ``scipy.sparse._sparsetools``.
+
+    Loaded from the installed scipy's ``sparse/`` directory without running
+    ``scipy/sparse/__init__.py``, which also imports scipy's array-API layer
+    and more than doubles the modules a fresh ``import botfuse.cli`` loads.
+    When ``scipy.sparse`` is already loaded, its copy is taken.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        scipy_dir = importlib.machinery.PathFinder.find_spec("scipy").submodule_search_locations[0]
+        finder = importlib.machinery.FileFinder(
+            str(Path(scipy_dir, "sparse")),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        )
+        spec = finder.find_spec(name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+_sparsetools = _load_csr_kernel()
+
+
+@dataclass(frozen=True, eq=False)
+class Propagation:
+    """An n x n propagation matrix as canonical CSR arrays (int64 indices
+    sorted within each row, no duplicates): row i holds ``data[indptr[i]:
+    indptr[i + 1]]`` in the columns ``indices[indptr[i]:indptr[i + 1]]``.
+
+    ``P @ Y`` for a 2-D Y runs ``csr_matvecs`` from scipy's compiled
+    ``_sparsetools``, the loop that ``scipy.sparse.csr_matrix @ Y`` ends in,
+    and returns its float64 bits. ``nnz`` and ``getnnz`` are read only by
+    the benchmark's tracer."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def __matmul__(self, Y) -> np.ndarray:
+        Y = np.asarray(Y)
+        n_rows, n_cols = self.shape
+        # The kernel reads Y through a raw pointer and checks no size.
+        if Y.ndim != 2 or Y.shape[0] != n_cols:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {Y.shape}")
+        # The kernel adds each row's products into the result, so it starts
+        # at zero; it copies a non-contiguous Y to C order itself.
+        out = np.zeros((n_rows, Y.shape[1]))
+        _sparsetools.csr_matvecs(
+            n_rows, n_cols, Y.shape[1], self.indptr, self.indices, self.data, Y, out
+        )
+        return out
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def getnnz(self, axis: int) -> np.ndarray:
+        """Stored entries per row; ``axis`` must be 1."""
+        if axis != 1:
+            raise ValueError("only per-row counts (axis=1) are kept")
+        return np.diff(self.indptr)
+
+
+def propagation_matrix(graph: CommGraph) -> Propagation:
     """Symmetric degree-normalized propagation matrix of the graph.
 
     The directed edge set is symmetrized (a pair is connected when either
     direction is present), each node's degree is its neighbor count in the
     symmetrized graph, and the entry for a connected pair (i, j) is
     1/sqrt(d_i * d_j). Isolated nodes get all-zero rows and columns. The
-    result is in canonical CSR form (sorted indices, no duplicates).
+    result is a `Propagation` in canonical CSR form (sorted indices, no
+    duplicates); building it imports no ``scipy.sparse``.
     """
     n = graph.n
     i, j = graph.edges.T
@@ -107,7 +176,7 @@ def propagation_matrix(graph: CommGraph) -> sp.csr_matrix:
     nonzero = degree > 0
     inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
     values = inv_sqrt[rows] * inv_sqrt[cols]
-    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
+    return Propagation(indptr, cols, values, (n, n))
 
 
 def graph_to_json(graph: CommGraph) -> dict:

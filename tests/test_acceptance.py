@@ -46,6 +46,7 @@ from botfuse.pretrain import (
     pretrain_gcn,
 )
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
+from csr_checks import as_scipy
 
 # Heavyweight artifacts shared between criteria; built once per session.
 _MODELS: dict = {}
@@ -112,7 +113,7 @@ def test_criterion_01_propagation_matches_dense_oracle(capsys):
     symmetric = True
     for _ in range(100):
         graph = _random_comm_graph(rng, int(rng.integers(2, 201)))
-        P = propagation_matrix(graph)
+        P = as_scipy(propagation_matrix(graph))
         worst_diff = max(worst_diff, float(np.abs(P.toarray() - _dense_propagation(graph)).max()))
         symmetric = symmetric and (P != P.T).nnz == 0
         worst_rho = max(worst_rho, float(np.abs(np.linalg.eigvalsh(P.toarray())).max()))

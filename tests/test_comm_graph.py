@@ -1,17 +1,24 @@
 """Directed communication graph construction and the normalized propagation matrix."""
 
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import botfuse
 from botfuse.comm_graph import (
     LABEL_BOT,
     LABEL_LEGIT,
     LABEL_UNKNOWN,
     CommGraph,
+    Propagation,
     build_graph,
     graph_from_json,
     graph_to_json,
@@ -21,6 +28,7 @@ from botfuse.comm_graph import (
 )
 from botfuse.flow_features import extract_node_features
 from botfuse.flow_ingest import FlowRecord, Proto, WindowSlice, encode_flows
+from csr_checks import as_scipy
 
 
 def _flow(src, dst, up=100, down=50):
@@ -65,7 +73,7 @@ def _dense_oracle(graph):
 
 def _spectral_radius(P):
     """Largest absolute eigenvalue of the symmetric matrix P, computed densely."""
-    return float(np.abs(np.linalg.eigvalsh(P.toarray())).max())
+    return float(np.abs(np.linalg.eigvalsh(as_scipy(P).toarray())).max())
 
 
 class TestBuildGraph:
@@ -148,13 +156,13 @@ class TestEdgeCanonicalization:
 class TestPropagationMatrix:
     def test_mutual_pair_closed_form(self):
         g = _graph_from_flows([_flow("A", "B")])
-        P = propagation_matrix(g).toarray()
+        P = as_scipy(propagation_matrix(g)).toarray()
         assert P.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_star_closed_form(self):
         records = [_flow("hub", f"leaf{i}") for i in range(4)]
         g = _graph_from_flows(records)
-        P = propagation_matrix(g).toarray()
+        P = as_scipy(propagation_matrix(g)).toarray()
         h = g.nodes.index("hub")
         for i in range(4):
             leaf = g.nodes.index(f"leaf{i}")
@@ -167,7 +175,7 @@ class TestPropagationMatrix:
         rng = np.random.default_rng(0)
         for _ in range(20):
             g = _random_graph(rng, n=int(rng.integers(2, 60)))
-            P = propagation_matrix(g).toarray()
+            P = as_scipy(propagation_matrix(g)).toarray()
             assert np.abs(P - _dense_oracle(g)).max() < 1e-12
 
     def test_equals_dense_oracle_exactly_in_canonical_form(self):
@@ -179,7 +187,7 @@ class TestPropagationMatrix:
                 loops = rng.integers(0, g.n, size=3)
                 g = CommGraph(nodes=g.nodes, edges=np.concatenate(
                     (g.edges, np.column_stack((loops, loops)))))
-            P = propagation_matrix(g)
+            P = as_scipy(propagation_matrix(g))
             assert P.has_canonical_format
             assert np.array_equal(P.toarray(), _dense_oracle(g))
 
@@ -187,7 +195,7 @@ class TestPropagationMatrix:
         rng = np.random.default_rng(1)
         for _ in range(10):
             g = _random_graph(rng, n=50)
-            P = propagation_matrix(g)
+            P = as_scipy(propagation_matrix(g))
             assert (P != P.T).nnz == 0
 
     def test_spectral_radius_at_most_one(self):
@@ -202,19 +210,19 @@ class TestPropagationMatrix:
         n = 12
         edges = {(i, (i + 1) % n) for i in range(n)}
         g = CommGraph(nodes=[f"n{i:02d}" for i in range(n)], edges=edges)
-        P = propagation_matrix(g)
+        P = as_scipy(propagation_matrix(g))
         np.testing.assert_allclose(P @ np.ones(n), np.ones(n), atol=1e-12)
 
     def test_isolated_nodes_zero_rows(self):
         g = CommGraph(nodes=["a", "b", "c"], edges={(0, 1)})
-        P = propagation_matrix(g).toarray()
+        P = as_scipy(propagation_matrix(g)).toarray()
         assert P[2].tolist() == [0.0, 0.0, 0.0]
         assert P[:, 2].tolist() == [0.0, 0.0, 0.0]
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         g = _random_graph(rng, n=30)
-        P = propagation_matrix(g).toarray()
+        P = as_scipy(propagation_matrix(g)).toarray()
         # Renaming nodes reverses their sort order and thus permutes indices.
         renamed = [f"z{29 - i:04d}" for i in range(30)]
         perm = np.argsort(renamed)  # new index of old node i is perm^-1; build map
@@ -223,14 +231,17 @@ class TestPropagationMatrix:
             nodes=sorted(renamed),
             edges={(new_index[i], new_index[j]) for i, j in g.edges},
         )
-        P2 = propagation_matrix(g2).toarray()
+        P2 = as_scipy(propagation_matrix(g2)).toarray()
         for i in range(30):
             for j in range(30):
                 assert P2[new_index[i], new_index[j]] == P[i, j]
 
     def test_sparse_output_type(self):
         g = _graph_from_flows([_flow("A", "B")])
-        assert sp.issparse(propagation_matrix(g))
+        P = propagation_matrix(g)
+        assert isinstance(P, Propagation)
+        assert sp.issparse(as_scipy(P))
+        assert (P.nnz, P.getnnz(axis=1).tolist()) == (2, [1, 1])
 
 
 class TestSpectralRadius:
@@ -242,6 +253,97 @@ class TestSpectralRadius:
     def test_zero_matrix(self):
         g = CommGraph(nodes=["a", "b"], edges=set())
         assert _spectral_radius(propagation_matrix(g)) == 0.0
+
+
+def _operands(rng, n, width):
+    """Dense n x width float64 operands holding signed zeros and subnormals:
+    C-ordered, Fortran-ordered and strided views of them, and a view with
+    negative strides."""
+    Y = rng.standard_normal((n, width))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310])
+    picked = rng.random(Y.shape) < 0.3
+    Y[picked] = rng.choice(special, size=int(picked.sum()))
+    wide = rng.standard_normal((2 * n, 2 * width))
+    wide[::2, ::2] = Y
+    return [Y, np.asfortranarray(Y), wide[::2, ::2], wide[::-2, ::-2]]
+
+
+def _assert_same_bits(P, Y):
+    got, want = P @ Y, as_scipy(P) @ Y
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape == (P.shape[0], Y.shape[1])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestPropagationProduct:
+    """`Propagation @ Y` against scipy's csr_matrix product, bit for bit."""
+
+    def test_random_graphs_with_isolated_nodes_and_self_pairs(self):
+        rng = np.random.default_rng(11)
+        isolated = 0
+        for trial in range(40):
+            g = _random_graph(rng, n=int(rng.integers(2, 80)), p=float(rng.uniform(0, 0.05)))
+            if trial % 2 == 0:
+                loops = rng.integers(0, g.n, size=4)
+                g = CommGraph(nodes=g.nodes, edges=np.concatenate(
+                    (g.edges, np.column_stack((loops, loops)))))
+            P = propagation_matrix(g)
+            isolated += int((P.getnnz(axis=1) == 0).sum())
+            for width in (1, 5, 32):
+                for Y in _operands(rng, g.n, width):
+                    _assert_same_bits(P, Y)
+        assert isolated > 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_small_and_edgeless_graphs(self, n):
+        rng = np.random.default_rng(n)
+        graphs = [CommGraph(nodes=[f"n{i}" for i in range(n)], edges=set())]
+        if n:
+            graphs.append(CommGraph(nodes=graphs[0].nodes, edges={(0, 0), (0, n - 1)}))
+        for g in graphs:
+            P = propagation_matrix(g)
+            assert P.shape == (n, n)
+            for width in (1, 5, 32):
+                for Y in _operands(rng, n, width):
+                    _assert_same_bits(P, Y)
+
+    def test_edgeless_product_is_positive_zero(self):
+        P = propagation_matrix(CommGraph(nodes=["a", "b", "c"], edges=set()))
+        Y = np.full((3, 4), -0.0)
+        assert (P @ Y).view(np.int64).tolist() == [[0] * 4] * 3
+
+    def test_shape_mismatch_is_refused(self):
+        P = propagation_matrix(CommGraph(nodes=["a", "b"], edges={(0, 1)}))
+        for Y in (np.ones(2), np.ones((3, 2)), np.ones((2, 2, 1))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                P @ Y
+
+    @pytest.mark.parametrize("first", ["botfuse.comm_graph", "scipy.sparse"])
+    def test_either_import_order_gives_the_same_product(self, first):
+        """A child interpreter per import order: scipy.sparse loaded before
+        or after botfuse's kernel, and the product equal in every case."""
+        second = ({"botfuse.comm_graph", "scipy.sparse"} - {first}).pop()
+        code = f"""
+import hashlib, sys
+import {first}
+import {second}
+import numpy as np
+from botfuse.comm_graph import CommGraph, propagation_matrix
+rng = np.random.default_rng(4)
+g = CommGraph(nodes=[str(i) for i in range(50)], edges=rng.integers(0, 50, size=(120, 2)))
+P = propagation_matrix(g)
+Y = rng.standard_normal((50, 8))
+A = scipy.sparse.csr_matrix((P.data, P.indices, P.indptr), shape=P.shape)
+assert np.array_equal((P @ Y).view(np.int64), (A @ Y).view(np.int64))
+print(hashlib.sha256((P @ Y).tobytes()).hexdigest())
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(botfuse.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.strip()
+        rng = np.random.default_rng(4)
+        g = CommGraph(nodes=[str(i) for i in range(50)], edges=rng.integers(0, 50, size=(120, 2)))
+        here = propagation_matrix(g) @ rng.standard_normal((50, 8))
+        assert out == hashlib.sha256(here.tobytes()).hexdigest()
 
 
 class TestInterchangeFormat:

@@ -87,6 +87,30 @@ class TestRankAuc:
         code = "import sys, botfuse.cli; assert 'scipy.stats' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+    def test_cli_round_trip_does_not_load_scipy_sparse(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(botfuse.__file__).resolve().parents[1]))
+        code = """
+import sys
+from botfuse.cli import main
+loaded = [m for m in sys.modules if m.startswith("scipy") and m != "scipy.sparse._sparsetools"]
+assert not loaded, loaded
+f, g, m, t = (sys.argv[1] + "/" + name for name in ("f.csv", "g", "m.bin", "t.json"))
+for argv in (
+    ["synth", "--kind", "flows", "--out", f, "--n-background", "40", "--n-bots", "6",
+     "--duration", "300", "--seed", "3"],
+    ["synth", "--kind", "graphs", "--out", g, "--n-graphs", "2", "--n-background", "30",
+     "--n-bots", "6", "--seed", "1"],
+    ["pretrain", "--data", g, "--depth", "2", "--max-epochs", "2", "--out", m],
+    ["train", "--flows", f, "--model", m, "--n-trees", "5", "--out", t],
+    ["detect", "--flows", f, "--model", m, "--ensemble", t, "--out", t + ".jsonl"],
+    ["eval", "--flows", f, "--model", m, "--k", "2", "--n-trees", "5"],
+):
+    assert main(argv) == 0, argv
+assert "scipy.sparse" not in sys.modules
+assert "scipy.stats" not in sys.modules
+"""
+        subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True)
+
     def test_single_class_returns_none(self):
         assert rank_auc([1, 1], [0.2, 0.8]) is None
         assert rank_auc([0, 0], [0.2, 0.8]) is None

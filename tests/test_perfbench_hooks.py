@@ -8,6 +8,8 @@ import ast
 import importlib
 from pathlib import Path
 
+from csr_checks import as_scipy
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -59,7 +61,7 @@ def test_graph_hooks_count_edges_and_nnz(monkeypatch):
     counts = tracing._propagation(None, (graph,), {}, P)
     # a-b and a-c are connected both ways; d and e are isolated.
     assert counts == {"comm_graph.nnz": 4, "comm_graph.isolated_nodes": 2}
-    assert counts["comm_graph.nnz"] == np.count_nonzero(P.toarray())
+    assert counts["comm_graph.nnz"] == np.count_nonzero(as_scipy(P).toarray())
 
 
 def test_gcn_model_keeps_residual_mode():
