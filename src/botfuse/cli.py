@@ -338,8 +338,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def add_flow_args(s: argparse.ArgumentParser, windowing: bool = True) -> None:
         s.add_argument("--flows", required=True)
-        s.add_argument("--format", default=flow_ingest.DEFAULT_FORMAT,
-                       help="canonical or binetflow")
+        s.add_argument("--format", choices=flow_ingest.FORMATS,
+                       default=flow_ingest.DEFAULT_FORMAT)
         if windowing:
             s.add_argument("--window-len", type=float, default=flow_ingest.DEFAULT_WINDOW_LEN)
             s.add_argument("--stride", type=float, default=flow_ingest.DEFAULT_STRIDE)

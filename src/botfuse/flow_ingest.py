@@ -211,68 +211,6 @@ def _parse_label(text: str) -> Label:
     raise ValueError(f"unrecognized label {text!r}")
 
 
-# `_parse_port`, `_validated` and the row parsers' own checks define a valid
-# row; the column parsers and `_check` apply the same rules to whole columns.
-# A rule added to or changed in one side belongs in the other too, or the
-# column path accepts rows the row parsers refuse.
-_MAX_PORT = 65535
-
-
-def _parse_port(text: str) -> int:
-    text = text.strip()
-    if not text:
-        return 0
-    port = int(text, 16) if text.lower().startswith("0x") else int(text)
-    if not 0 <= port <= _MAX_PORT:
-        raise ValueError(f"port {port} out of range")
-    return port
-
-
-# UTC epoch seconds of 0001-01-01 and 10000-01-01: the start times a binetflow
-# StartTime can name. The upper end is closed because strptime's float of
-# 9999/12/31 23:59:59.999999 rounds up to it.
-_FIRST_START = -62_135_596_800.0
-_LAST_START = 253_402_300_800.0
-
-
-def _validated(record: FlowRecord) -> FlowRecord:
-    if not _FIRST_START <= record.ts_start <= _LAST_START:
-        raise ValueError(f"start time {record.ts_start} outside years 1-9999")
-    if not math.isfinite(record.duration):
-        raise ValueError("non-finite duration")
-    if record.duration < 0:
-        raise ValueError("negative duration")
-    if record.src_bytes < 0 or record.dst_bytes < 0:
-        raise ValueError("negative byte count")
-    try:
-        float(record.src_bytes), float(record.dst_bytes)
-    except OverflowError:
-        raise ValueError("byte count too large for a float") from None
-    if not record.src_ip or not record.dst_ip:
-        raise ValueError("empty endpoint id")
-    return record
-
-
-def _parse_canonical_row(row: Sequence[str]) -> FlowRecord:
-    if len(row) not in (9, 10):
-        raise ValueError(f"expected 9 or 10 columns, got {len(row)}")
-    label = _parse_label(row[9]) if len(row) == 10 else Label.UNKNOWN
-    return _validated(
-        FlowRecord(
-            ts_start=float(row[0]),
-            duration=float(row[1]),
-            proto=_parse_proto(row[2]),
-            src_ip=row[3].strip(),
-            src_port=_parse_port(row[4]),
-            dst_ip=row[5].strip(),
-            dst_port=_parse_port(row[6]),
-            src_bytes=int(row[7]),
-            dst_bytes=int(row[8]),
-            label=label,
-        )
-    )
-
-
 def _binetflow_label(text: str) -> Label:
     lowered = text.lower()
     if "botnet" in lowered:
@@ -280,6 +218,16 @@ def _binetflow_label(text: str) -> Label:
     if "normal" in lowered:
         return Label.LEGIT
     return Label.UNKNOWN
+
+
+def _port(text: str) -> int:
+    """A port cell that int() refuses may still name a port: str.strip()
+    also removes the separators U+001C-U+001F that int() keeps, an empty
+    cell reads 0 and a 0x prefix reads hex."""
+    text = text.strip()
+    if not text:
+        return 0
+    return int(text, 16) if text.lower().startswith("0x") else int(text)
 
 
 # The one shape numpy casts as strptime reads it. strptime also takes 1-digit
@@ -319,41 +267,14 @@ def _datetime64_us(text: str) -> int | None:
         return None
 
 
-def _parse_binetflow_row(row: Sequence[str]) -> FlowRecord:
-    # StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,State,sTos,dTos,
-    # TotPkts,TotBytes,SrcBytes,Label
-    if len(row) < 14:
-        raise ValueError(f"expected >= 14 columns, got {len(row)}")
-    started = datetime.strptime(row[0].strip(), "%Y/%m/%d %H:%M:%S.%f")
-    tot_bytes = int(row[12])
-    src_bytes = int(row[13])
-    if src_bytes > tot_bytes:
-        raise ValueError("src bytes exceed total bytes")
-    label = _binetflow_label(row[14]) if len(row) > 14 else Label.UNKNOWN
-    return _validated(
-        FlowRecord(
-            ts_start=started.replace(tzinfo=timezone.utc).timestamp(),
-            duration=float(row[1]),
-            proto=_parse_proto(row[2]),
-            src_ip=row[3].strip(),
-            src_port=_parse_port(row[4]),
-            dst_ip=row[6].strip(),
-            dst_port=_parse_port(row[7]),
-            src_bytes=src_bytes,
-            dst_bytes=tot_bytes - src_bytes,
-            label=label,
-        )
-    )
-
-
-# Column parsing. Each parser reads a chunk of rows column by column with the
-# row parsers' own conversions, and it and `_check` mark in ``bad`` every row
-# they do not take: a row of another width, a text its conversion refuses, a
-# value the checks refuse. parse_flow_file sends each such row, on its own,
-# through the row parser, so the row parsers alone define a valid row. The
-# column path may refuse more than they do, never less: int() does not strip
-# the \x1c-\x1f separators that a port's str.strip() removes, and an integer
-# beyond int64 is left to the row parser.
+# Column parsing. Each parser reads a chunk of rows column by column, and it
+# and `_check` mark in ``bad`` every row they do not take: a row of another
+# width, a text its conversion refuses, a value the checks refuse. These alone
+# define a valid row. A column whose texts all convert the ordinary way
+# (float(), int(), the vector StartTime cast) takes no other step; only a
+# column that holds an odd text goes the slow way, cell by cell: a port int()
+# refuses goes through `_port`, byte counts beyond int64 are kept as exact
+# ints, and a StartTime off the cast's shape goes through strptime.
 
 
 def _columns(rows: list[list[str]], width: int, fewest: int, most: float,
@@ -367,35 +288,46 @@ def _columns(rows: list[list[str]], width: int, fewest: int, most: float,
     return list(zip(*rows))
 
 
-def _mapped(convert, texts: Sequence[str], bad: np.ndarray) -> list:
-    """convert(text) for each text; a text it refuses reads 0 and is bad."""
+def _mapped(convert, values: Sequence, bad: np.ndarray, slow=None) -> list:
+    """convert(value) for each value. If convert refuses one, every value
+    goes through ``slow`` instead (convert itself by default), and a value
+    that refuses reads 0 and is bad."""
     try:
-        return list(map(convert, texts))
-    except ValueError:
+        return list(map(convert, values))
+    except (ValueError, OverflowError):
         pass
-    values = []
-    for i, text in enumerate(texts):
+    slow = slow or convert
+    out = []
+    for i, value in enumerate(values):
         try:
-            values.append(convert(text))
-        except ValueError:
-            values.append(0)
+            out.append(slow(value))
+        except (ValueError, OverflowError):
+            out.append(0)
             bad[i] = True
-    return values
+    return out
 
 
 def _floats(texts: Sequence[str], bad: np.ndarray) -> np.ndarray:
     return np.array(_mapped(float, texts, bad), dtype=np.float64)
 
 
-def _ints(texts: Sequence[str], bad: np.ndarray) -> np.ndarray:
-    """int(text) of each text as int64; one beyond int64 reads 0 and is bad."""
-    values = _mapped(int, texts, bad)
+def _ints(texts: Sequence[str], bad: np.ndarray, slow=None) -> np.ndarray:
+    """The ints of the texts (see `_mapped`) as int64, or as exact Python
+    ints in an object array when one lies beyond int64."""
+    values = _mapped(int, texts, bad, slow)
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
-        wide = np.array([not -2**63 <= v < 2**63 for v in values])
-        bad |= wide
-        return np.array([0 if w else v for v, w in zip(values, wide.tolist())], dtype=np.int64)
+        return np.array(values, dtype=object)
+
+
+def _float64(ints: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """The `_ints` as float64; an exact int that no float holds reads 0 and
+    is bad."""
+    try:
+        return ints.astype(np.float64)
+    except OverflowError:
+        return np.array(_mapped(float, ints.tolist(), bad), dtype=np.float64)
 
 
 def _codes(decode, texts: Sequence[str], bad: np.ndarray) -> np.ndarray:
@@ -412,6 +344,20 @@ def _codes(decode, texts: Sequence[str], bad: np.ndarray) -> np.ndarray:
     return column
 
 
+def _start_times(texts: Sequence[str]) -> np.ndarray:
+    """`binetflow_start_times`, with strptime's float for each time the
+    vector cast leaves; a time strptime refuses stays NaN, which the range
+    check refuses."""
+    times = binetflow_start_times(texts)
+    for i in np.flatnonzero(np.isnan(times)).tolist():
+        try:
+            started = datetime.strptime(texts[i].strip(), "%Y/%m/%d %H:%M:%S.%f")
+        except ValueError:
+            continue
+        times[i] = started.replace(tzinfo=timezone.utc).timestamp()
+    return times
+
+
 def _canonical_columns(rows: list[list[str]], bad: np.ndarray) -> dict:
     cols = _columns(rows, 10, 9, 10, bad)
     return dict(
@@ -419,40 +365,49 @@ def _canonical_columns(rows: list[list[str]], bad: np.ndarray) -> dict:
         duration=_floats(cols[1], bad),
         proto=_codes(_parse_proto, cols[2], bad),
         src_ip=list(map(str.strip, cols[3])),
-        src_port=_ints(cols[4], bad),
+        src_port=_ints(cols[4], bad, _port),
         dst_ip=list(map(str.strip, cols[5])),
-        dst_port=_ints(cols[6], bad),
-        src_bytes=_ints(cols[7], bad).astype(np.float64),
-        dst_bytes=_ints(cols[8], bad).astype(np.float64),
+        dst_port=_ints(cols[6], bad, _port),
+        src_bytes=_float64(_ints(cols[7], bad), bad),
+        dst_bytes=_float64(_ints(cols[8], bad), bad),
         label=_codes(_parse_label, cols[9], bad),
     )
 
 
 def _binetflow_columns(rows: list[list[str]], bad: np.ndarray) -> dict:
+    # StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,State,sTos,dTos,
+    # TotPkts,TotBytes,SrcBytes,Label
     cols = _columns(rows, 15, 14, math.inf, bad)
     tot_bytes = _ints(cols[12], bad)
     src_bytes = _ints(cols[13], bad)
     bad |= src_bytes > tot_bytes
     return dict(
-        # A time the vector cast leaves to strptime reads NaN, which the
-        # range check refuses.
-        ts=binetflow_start_times(cols[0]),
+        ts=_start_times(cols[0]),
         duration=_floats(cols[1], bad),
         proto=_codes(_parse_proto, cols[2], bad),
         src_ip=list(map(str.strip, cols[3])),
-        src_port=_ints(cols[4], bad),
+        src_port=_ints(cols[4], bad, _port),
         dst_ip=list(map(str.strip, cols[6])),
-        dst_port=_ints(cols[7], bad),
-        src_bytes=src_bytes.astype(np.float64),
-        dst_bytes=(tot_bytes - src_bytes).astype(np.float64),
+        dst_port=_ints(cols[7], bad, _port),
+        src_bytes=_float64(src_bytes, bad),
+        dst_bytes=_float64(tot_bytes - src_bytes, bad),
         label=_codes(_binetflow_label, cols[14], bad),
     )
 
 
+_MAX_PORT = 65535
+
+# UTC epoch seconds of 0001-01-01 and 10000-01-01: the start times a binetflow
+# StartTime can name. The upper end is closed because strptime's float of
+# 9999/12/31 23:59:59.999999 rounds up to it.
+_FIRST_START = -62_135_596_800.0
+_LAST_START = 253_402_300_800.0
+
+
 def _check(rows: list[list[str]], c: dict, bad: np.ndarray) -> None:
-    """Mark bad the rows that fail `_parse_port`'s or `_validated`'s checks
-    or hold bytes that are not UTF-8. Keep it in step with those two: a row
-    it passes is accepted without them."""
+    """Mark bad the rows that hold a start time outside years 1-9999, a
+    negative or non-finite duration, a port outside 0-65535, a negative byte
+    count, an empty endpoint, or bytes that are not UTF-8."""
     ok = (
         (_FIRST_START <= c["ts"]) & (c["ts"] <= _LAST_START)
         & np.isfinite(c["duration"]) & (c["duration"] >= 0)
@@ -479,10 +434,8 @@ def _is_utf8(row: Sequence[str]) -> bool:
     return True
 
 
-_FORMATS = {
-    "canonical": (_canonical_columns, _parse_canonical_row),
-    "binetflow": (_binetflow_columns, _parse_binetflow_row),
-}
+# The flow file formats parse_flow_file reads, each with its column parser.
+FORMATS = {"canonical": _canonical_columns, "binetflow": _binetflow_columns}
 
 
 def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -> ParseResult:
@@ -491,19 +444,19 @@ def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -
     Two column mappings are supported: ``canonical`` (CSV columns
     ts_start,duration,proto,src_ip,src_port,dst_ip,dst_port,src_bytes,
     dst_bytes[,label], header optional) and ``binetflow`` (CTU-13 flow
-    export layout). Rows are read in chunks and converted column by column;
-    a row the columns do not take goes through its format's row parser on
-    its own. The first non-blank row is skipped, not counted, when it fails
-    to parse and looks like a header. Malformed lines are skipped and
-    counted in the result; a file whose every line fails to parse is an
-    error.
+    export layout, its ``StartTime,...`` header optional). A leading UTF-8
+    byte order mark is dropped. Rows are read in chunks and converted column
+    by column; a row the columns refuse is malformed, skipped and counted in
+    the result, except that the first non-blank row is skipped uncounted
+    when it looks like a header (see `_looks_like_header`). A file whose
+    every line is refused is an error.
     """
     try:
-        parse_columns, parse_row = _FORMATS[format_descriptor]
+        parse_columns = FORMATS[format_descriptor]
     except KeyError:
         raise ValueError(
             f"unknown format descriptor {format_descriptor!r}; "
-            f"expected one of {sorted(_FORMATS)}"
+            f"expected one of {sorted(FORMATS)}"
         ) from None
 
     path = Path(path)
@@ -513,8 +466,8 @@ def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -
     parts: dict[str, list] = {name: [] for name in ("src_ip", "dst_ip", *_COLUMNS)}
     index: dict[str, int] = {}  # the endpoints seen so far and their provisional ids
     malformed = 0
-    seen = 0  # non-blank rows before this chunk; the first may be a header
-    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
+    first = True  # no non-blank row read yet; the first may be a header
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for rows, refused in _read_rows(handle):
             malformed += refused
             if not rows:
@@ -522,21 +475,14 @@ def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -
             bad = np.zeros(len(rows), dtype=bool)
             columns = parse_columns(rows, bad)
             _check(rows, columns, bad)
-            for i in np.flatnonzero(bad).tolist():
-                try:
-                    record = parse_row(rows[i]) if _is_utf8(rows[i]) else None
-                except (ValueError, IndexError):
-                    record = None
-                if record is not None:
-                    _put(columns, i, record)
-                    bad[i] = False
-                elif not (seen + i == 0 and _looks_like_header(rows[i])):
-                    malformed += 1
+            malformed += int(np.count_nonzero(bad))
+            if first and bad[0] and _looks_like_header(rows[0], format_descriptor):
+                malformed -= 1  # a header, not a malformed row
             keep = ~bad
             for name, values in columns.items():
                 parts[name].append(_endpoint_ids(list(compress(values, keep)), index)
                                    if name in ("src_ip", "dst_ip") else values[keep])
-            seen += len(rows)
+            first = False
     if not index:
         raise ValueError(f"no parseable flow records in {path} ({malformed} malformed lines)")
     src, dst = (np.concatenate(parts.pop(name)) for name in ("src_ip", "dst_ip"))
@@ -545,15 +491,6 @@ def parse_flow_file(path: str | Path, format_descriptor: str = DEFAULT_FORMAT) -
                                    for name, dtype in _COLUMNS.items()}),
         malformed,
     )
-
-
-def _put(columns: dict, i: int, r: FlowRecord) -> None:
-    """Write a record into row i of a chunk's columns."""
-    for name, value in (("ts", r.ts_start), ("duration", r.duration), ("proto", _CODE[r.proto]),
-                        ("src_ip", r.src_ip), ("src_port", r.src_port), ("dst_ip", r.dst_ip),
-                        ("dst_port", r.dst_port), ("src_bytes", float(r.src_bytes)),
-                        ("dst_bytes", float(r.dst_bytes)), ("label", _CODE[r.label])):
-        columns[name][i] = value
 
 
 _CHUNK_ROWS = 1024
@@ -580,10 +517,15 @@ def _read_rows(handle) -> Iterator[tuple[list[list[str]], int]]:
     yield rows, refused
 
 
-def _looks_like_header(row: Sequence[str]) -> bool:
+def _looks_like_header(row: Sequence[str], format_descriptor: str) -> bool:
+    """Whether a refused first row is a header: a binetflow row whose first
+    cell is StartTime in any case, a canonical row whose first cell is not a
+    number."""
+    if format_descriptor == "binetflow":
+        return row[0].strip().lower() == "starttime"
     try:
         float(row[0])
-    except (ValueError, IndexError):
+    except ValueError:
         return True
     return False
 

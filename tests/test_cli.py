@@ -696,6 +696,32 @@ class TestErrors:
 
         monkeypatch.setattr("botfuse.cli.parse_flow_file", parse)
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["features", "detect", "train", "eval"])
+    def test_unknown_format_is_refused_before_any_input(self, art, tmp_path, capsys,
+                                                        monkeypatch, command, via):
+        self._forbid_parsing(monkeypatch)
+
+        def read(*args, **kwargs):
+            raise AssertionError("an input was read before --format was checked")
+
+        monkeypatch.setattr("botfuse.cli.load_model", read)
+        monkeypatch.setattr("botfuse.extra_trees.load_ensemble", read)
+        out = tmp_path / "out.json"
+        argv = self._flow_command(art, command, out)
+        if via == "flag":
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--format", "csv"])
+            assert exc.value.code == 2
+            assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"format": "csv"}))
+            assert main([*argv, "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == (
+                "error: config key 'format': 'csv' is not one of ['canonical', 'binetflow']\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["features", "detect", "train", "eval"])
     def test_output_path_that_is_a_directory(self, art, tmp_path, capsys, monkeypatch,
                                              command):

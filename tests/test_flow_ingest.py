@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from datetime import datetime, timedelta, timezone
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -26,6 +27,12 @@ from botfuse.flow_ingest import (
     parse_flow_file,
     slice_windows,
     write_flows_csv,
+    _FIRST_START,
+    _LAST_START,
+    _MAX_PORT,
+    _binetflow_label,
+    _parse_label,
+    _parse_proto,
 )
 
 
@@ -343,6 +350,36 @@ def test_the_first_non_blank_row_may_be_a_header(tmp_path, monkeypatch, fmt, chu
     # A header-like row anywhere else is malformed.
     assert parsed(row, header, row) == (2, 1)
     assert parsed("", row, "", header) == (1, 1)
+    # So is a truncated data row, in first place too.
+    short = ",".join(row.split(",")[:5])
+    assert parsed(short, row) == parsed(row, short) == parsed(header, short, row) == (1, 1)
+
+
+@pytest.mark.parametrize("fmt", ["canonical", "binetflow"])
+def test_a_byte_order_mark_drops_no_row(tmp_path, fmt):
+    # A leading BOM used to make the first row fail, which was then skipped
+    # as a header.
+    header, row = _HEADER_AND_ROW[fmt]
+    p = tmp_path / f"flows.{fmt}"
+    for lines, expect in (([row, row], (2, 0)), ([header, row], (1, 0))):
+        p.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
+        result = parse_flow_file(p, format_descriptor=fmt)
+        assert (len(result.records), result.malformed) == expect
+
+
+def test_a_binetflow_header_is_named_by_its_first_cell(tmp_path):
+    # Its StartTime cell, in any case; any other first row the columns refuse
+    # is malformed, even one whose first cell is no number.
+    header, row = _HEADER_AND_ROW["binetflow"]
+    p = tmp_path / "flows.binetflow"
+
+    def parsed(first):
+        p.write_text(f"{first}\n{row}\n")
+        result = parse_flow_file(p, format_descriptor="binetflow")
+        return len(result.records), result.malformed
+
+    assert parsed(header.lower()) == parsed(" STARTTIME ,Dur") == (1, 0)
+    assert parsed("Start,Dur,Proto") == parsed(row.replace("2011/08/10", "2011/13/10")) == (1, 1)
 
 
 def _strptime_seconds(text: str) -> float | None:
@@ -404,14 +441,92 @@ def test_vector_start_times_are_strptime_bits_or_refused(texts):
             assert not exact_shape or abs((started - _EPOCH) // _MICROSECOND) >= 2**53
 
 
+# The row parsers: the reference definition of a valid row, one row at a time,
+# for the differential test of parse_flow_file's column path.
+
+
+def _parse_port(text: str) -> int:
+    text = text.strip()
+    if not text:
+        return 0
+    port = int(text, 16) if text.lower().startswith("0x") else int(text)
+    if not 0 <= port <= _MAX_PORT:
+        raise ValueError(f"port {port} out of range")
+    return port
+
+
+def _validated(record: FlowRecord) -> FlowRecord:
+    if not _FIRST_START <= record.ts_start <= _LAST_START:
+        raise ValueError(f"start time {record.ts_start} outside years 1-9999")
+    if not math.isfinite(record.duration):
+        raise ValueError("non-finite duration")
+    if record.duration < 0:
+        raise ValueError("negative duration")
+    if record.src_bytes < 0 or record.dst_bytes < 0:
+        raise ValueError("negative byte count")
+    try:
+        float(record.src_bytes), float(record.dst_bytes)
+    except OverflowError:
+        raise ValueError("byte count too large for a float") from None
+    if not record.src_ip or not record.dst_ip:
+        raise ValueError("empty endpoint id")
+    return record
+
+
+def _parse_canonical_row(row: Sequence[str]) -> FlowRecord:
+    if len(row) not in (9, 10):
+        raise ValueError(f"expected 9 or 10 columns, got {len(row)}")
+    label = _parse_label(row[9]) if len(row) == 10 else Label.UNKNOWN
+    return _validated(
+        FlowRecord(
+            ts_start=float(row[0]),
+            duration=float(row[1]),
+            proto=_parse_proto(row[2]),
+            src_ip=row[3].strip(),
+            src_port=_parse_port(row[4]),
+            dst_ip=row[5].strip(),
+            dst_port=_parse_port(row[6]),
+            src_bytes=int(row[7]),
+            dst_bytes=int(row[8]),
+            label=label,
+        )
+    )
+
+
+def _parse_binetflow_row(row: Sequence[str]) -> FlowRecord:
+    # StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,State,sTos,dTos,
+    # TotPkts,TotBytes,SrcBytes,Label
+    if len(row) < 14:
+        raise ValueError(f"expected >= 14 columns, got {len(row)}")
+    started = datetime.strptime(row[0].strip(), "%Y/%m/%d %H:%M:%S.%f")
+    tot_bytes = int(row[12])
+    src_bytes = int(row[13])
+    if src_bytes > tot_bytes:
+        raise ValueError("src bytes exceed total bytes")
+    label = _binetflow_label(row[14]) if len(row) > 14 else Label.UNKNOWN
+    return _validated(
+        FlowRecord(
+            ts_start=started.replace(tzinfo=timezone.utc).timestamp(),
+            duration=float(row[1]),
+            proto=_parse_proto(row[2]),
+            src_ip=row[3].strip(),
+            src_port=_parse_port(row[4]),
+            dst_ip=row[6].strip(),
+            dst_port=_parse_port(row[7]),
+            src_bytes=src_bytes,
+            dst_bytes=tot_bytes - src_bytes,
+            label=label,
+        )
+    )
+
+
 def _parse_row_by_row(path, fmt):
     """The per-row reference parse: every non-blank row through its format's
     row parser, with the header and malformed-count rules of
     parse_flow_file."""
-    parse_row = {"canonical": flow_ingest._parse_canonical_row,
-                 "binetflow": flow_ingest._parse_binetflow_row}[fmt]
+    parse_row = {"canonical": _parse_canonical_row, "binetflow": _parse_binetflow_row}[fmt]
     records, malformed, seen = [], 0, 0
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for rows, refused in flow_ingest._read_rows(handle):
             malformed += refused
             for row in rows:
@@ -419,7 +534,7 @@ def _parse_row_by_row(path, fmt):
                     "".join(row).encode()
                     records.append(parse_row(row))
                 except (ValueError, IndexError):
-                    if not (seen == 0 and flow_ingest._looks_like_header(row)):
+                    if not (seen == 0 and flow_ingest._looks_like_header(row, fmt)):
                         malformed += 1
                 seen += 1
     return records, malformed
@@ -467,14 +582,14 @@ _LAYOUTS = {
 
 
 @st.composite
-def _flow_line(draw, fmt):
+def _flow_line(draw, fmt, tricky_fields=(0, 1, 1, 2)):
     layout = _LAYOUTS[fmt]
     cells = [draw(_GOOD[name]) if name in _GOOD else name for name in layout]
     if fmt == "binetflow":  # SrcBytes <= TotBytes, unless the draw swaps them
         tot, src = sorted((int(cells[12]), int(cells[13])), reverse=True)
         cells[12:14] = [str(tot), str(src)] if draw(st.integers(0, 9)) else [str(src), str(tot)]
     tricky = [i for i, name in enumerate(layout) if name in _TRICKY]
-    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+    for _ in range(draw(st.sampled_from(tricky_fields))):
         i = draw(st.sampled_from(tricky))
         cells[i] = draw(_TRICKY[layout[i]])
     # Short rows, a row without its optional last column, and extra columns.
@@ -494,19 +609,27 @@ def _line(fmt):
     )
 
 
+def _first_line(fmt):
+    """Any line, or a row with one or two tricky fields, which is most often
+    defective; either may follow a UTF-8 byte order mark."""
+    return st.tuples(st.sampled_from([b"", b"\xef\xbb\xbf"]),
+                     st.one_of(_line(fmt), _flow_line(fmt, (1, 2)))).map(b"".join)
+
+
 _GOOD_LINES = {fmt: row.encode() for fmt, (_, row) in _HEADER_AND_ROW.items()}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["canonical", "binetflow"]).flatmap(
-    lambda fmt: st.tuples(st.just(fmt), st.lists(_line(fmt), min_size=20, max_size=60),
+    lambda fmt: st.tuples(st.just(fmt), _first_line(fmt),
+                          st.lists(_line(fmt), min_size=20, max_size=60),
                           st.sampled_from([1, 3, 1024]))))
 def test_column_parse_equals_the_row_by_row_parse(tmp_path_factory, case):
     # The column path gives the per-row parser's flows, in the same order,
     # and the same malformed count, whatever mix of refusals a file holds.
-    fmt, lines, chunk_rows = case
+    fmt, first, lines, chunk_rows = case
     path = tmp_path_factory.mktemp("oracle") / f"flows.{fmt}"
-    path.write_bytes(b"\n".join([*lines, _GOOD_LINES[fmt]]) + b"\n")
+    path.write_bytes(b"\n".join([first, *lines, _GOOD_LINES[fmt]]) + b"\n")
     records, malformed = _parse_row_by_row(path, fmt)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow_ingest, "_CHUNK_ROWS", chunk_rows)
@@ -528,15 +651,17 @@ def test_column_parse_equals_the_row_by_row_parse(tmp_path_factory, case):
 
 
 @pytest.mark.parametrize("fmt", ["canonical", "binetflow"])
-def test_one_hex_port_sends_only_its_row_to_the_row_parser(tmp_path, monkeypatch, fmt):
-    parse_columns, parse_row = flow_ingest._FORMATS[fmt]
+def test_one_hex_port_sends_only_its_chunks_port_column_the_slow_way(tmp_path, monkeypatch,
+                                                                     fmt):
     calls = []
 
-    def counted(row):
-        calls.append(row)
-        return parse_row(row)
+    def counted(text):
+        calls.append(text)
+        return port_of(text)
 
-    monkeypatch.setattr(flow_ingest, "_FORMATS", {fmt: (parse_columns, counted)})
+    port_of = flow_ingest._port
+    monkeypatch.setattr(flow_ingest, "_port", counted)
+    monkeypatch.setattr(flow_ingest, "_CHUNK_ROWS", 100)
     row = _HEADER_AND_ROW[fmt][1]
     port = row.split(",")[4]
     rows = [row] * 300
@@ -544,7 +669,7 @@ def test_one_hex_port_sends_only_its_row_to_the_row_parser(tmp_path, monkeypatch
     p = tmp_path / f"flows.{fmt}"
     p.write_text("\n".join(rows) + "\n")
     result = parse_flow_file(p, fmt)
-    assert calls == [rows[150].split(",")]
+    assert calls == [r.split(",")[4] for r in rows[100:200]]
     assert result.malformed == 0
     assert [r.src_port for r in result.records] == [int(port)] * 150 + [80] + [int(port)] * 149
 
