@@ -225,7 +225,7 @@ def cmd_detect(args) -> int:
     with _text_output(args.out) as out:
         for line in report.json_lines(args.arch, include_timings=not args.no_timings):
             out.write(line + "\n")
-    flagged = sum(w.n_flagged for w in report.windows)
+    flagged = sum(int(report.verdicts(w).sum()) for w in report.windows)
     total = sum(w.n_nodes for w in report.windows)
     print(f"flagged {flagged} of {total} node-windows across {len(report.windows)} windows",
           file=sys.stderr)
@@ -309,7 +309,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s = sub("synth", help="generate synthetic graphs or a labeled flow benchmark")
     s.add_argument("--kind", choices=["graphs", "flows"], default="flows")
     s.add_argument("--arch", choices=ARCHITECTURES, default=ARCH_C2)
-    s.add_argument("--n-graphs", type=int, default=DEFAULT_N_GRAPHS)
+    s.add_argument("--n-graphs", type=int, default=DEFAULT_N_GRAPHS,
+                   help="graph count for --kind graphs")
     flow_spec = synth_flows.FlowBenchSpec
     s.add_argument("--n-background", type=int, default=None,
                    help=f"default {flow_spec.n_background} for flows, "
@@ -317,7 +318,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--n-bots", type=int, default=None,
                    help=f"default {flow_spec.n_bots} for flows, "
                         f"{pretrain_mod.DEFAULT_N_BOTS} for graphs")
-    s.add_argument("--duration", type=float, default=flow_spec.duration)
+    s.add_argument("--duration", type=float, default=flow_spec.duration,
+                   help="trace length in seconds for --kind flows")
     s.add_argument("--out", required=True, help="output file (flows) or directory (graphs)")
     s.set_defaults(func=cmd_synth)
 

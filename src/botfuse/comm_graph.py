@@ -68,11 +68,11 @@ def build_graph(window: WindowSlice) -> CommGraph:
 
     A flow adds src -> dst when the source sent bytes and dst -> src when the
     destination sent bytes. Duplicate edges collapse; self-addressed flows
-    are dropped and counted. The nodes are in the order of the rows of
-    `extract_node_features` for the same window.
+    are dropped and counted. The graph's node list is the window's
+    ``node_index`` list, the one `extract_node_features` orders its rows by.
     """
     table = window.table
-    nodes, local = table.node_index()
+    nodes, local = window.node_index
     keep = local[:, 0] != local[:, 1]
     edges = np.concatenate((
         local[(table.src_bytes != 0) & keep],

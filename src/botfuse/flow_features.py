@@ -34,7 +34,8 @@ class NodeFeatures:
 def extract_node_features(window: WindowSlice) -> NodeFeatures:
     """Aggregate one window's flows into the five per-node features.
 
-    Every node appearing as source or destination of any record gets a row.
+    Every node appearing as source or destination of any record gets a row,
+    in the order of ``window.node_index``, whose node list is the result's.
     A flow contributes to both of its endpoints (for a degenerate
     self-addressed flow, to the same node in both roles, which keeps the
     endpoint-participation accounting exact).
@@ -48,7 +49,7 @@ def extract_node_features(window: WindowSlice) -> NodeFeatures:
     if not len(table):
         raise ValueError("cannot extract features from an empty window")
 
-    nodes, local = table.node_index()
+    nodes, local = window.node_index
     slots = local.ravel()
     n = len(nodes)
     success = np.repeat((table.src_bytes > 0) & (table.dst_bytes > 0), 2)

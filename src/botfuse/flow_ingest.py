@@ -8,6 +8,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -88,8 +89,7 @@ class FlowTable:
     time, ``proto`` and ``label`` hold each member's index in ``Proto`` and
     ``Label``. Byte counts are float64, the type the feature sums accumulate
     in. Indexing rows by a slice gives views, by a mask or an index array
-    copies; either way the rows share ``endpoints``. Two tables are equal
-    when they hold the same flows in the same order.
+    copies; either way the rows share ``endpoints``.
     """
 
     endpoints: np.ndarray
@@ -110,15 +110,6 @@ class FlowTable:
     def __getitem__(self, rows) -> FlowTable:
         return FlowTable(self.endpoints, self.src[rows], self.dst[rows],
                          **{name: getattr(self, name)[rows] for name in _COLUMNS})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FlowTable) and self.records() == other.records()
-
-    def node_index(self) -> tuple[list[str], np.ndarray]:
-        """The endpoints these rows touch, in node order, and the (m, 2)
-        local node indices of each row's (src, dst)."""
-        ids, local = np.unique(np.column_stack((self.src, self.dst)), return_inverse=True)
-        return self.endpoints[ids].tolist(), local.reshape(-1, 2)
 
     def records(self) -> list[FlowRecord]:
         """The rows as FlowRecords, built on request. A byte count is the
@@ -170,6 +161,16 @@ class WindowSlice:
 
     window_start: float
     table: FlowTable
+
+    @cached_property
+    def node_index(self) -> tuple[list[str], np.ndarray]:
+        """The endpoints the window's flows touch, in node order, and the
+        (m, 2) local node indices of each flow's (src, dst). Computed once
+        per window, so the feature rows and the graph nodes of a window are
+        one list."""
+        table = self.table
+        ids, local = np.unique(np.column_stack((table.src, table.dst)), return_inverse=True)
+        return table.endpoints[ids].tolist(), local.reshape(-1, 2)
 
     @property
     def records(self) -> list[FlowRecord]:
@@ -230,43 +231,6 @@ def _port(text: str) -> int:
     return int(text, 16) if text.lower().startswith("0x") else int(text)
 
 
-# The one shape numpy casts as strptime reads it. strptime also takes 1-digit
-# fields and non-ASCII digits; such strings go to strptime. numpy takes year
-# 0000, which strptime refuses, but that lies outside float64's exact range.
-_BINETFLOW_TIME = re.compile(r"[0-9]{4}/[0-9]{2}/[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{6}")
-
-
-def binetflow_start_times(texts: Sequence[str]) -> np.ndarray:
-    """UTC epoch seconds of binetflow StartTime strings, cast as one vector.
-
-    Gives strptime's float for each string of the shape
-    ``YYYY/MM/DD HH:MM:SS.ffffff`` that numpy accepts and whose microsecond
-    count a float64 holds exactly, and NaN for every other string, which
-    then goes through strptime.
-    """
-    texts = list(map(str.strip, texts))
-    fast = np.array([i for i, t in enumerate(texts) if _BINETFLOW_TIME.fullmatch(t)], np.int64)
-    iso = [texts[i].replace("/", "-").replace(" ", "T") for i in fast.tolist()]
-    try:
-        micros = np.array(iso, dtype="datetime64[us]").astype(np.int64)
-    except ValueError:
-        # A field out of range, such as 02/30 or 24:00, refuses the whole
-        # cast; cast one at a time and leave the refused ones (NaN) to
-        # strptime. A count of 2**53 or more stays at least 2**53 as a float.
-        micros = np.array([_datetime64_us(t) for t in iso], dtype=np.float64)
-    exact = np.abs(micros) < 2**53
-    times = np.full(len(texts), np.nan)
-    times[fast[exact]] = micros[exact] / 1e6
-    return times
-
-
-def _datetime64_us(text: str) -> int | None:
-    try:
-        return int(np.datetime64(text, "us").astype(np.int64))
-    except ValueError:
-        return None
-
-
 # Column parsing. Each parser reads a chunk of rows column by column, and it
 # and `_check` mark in ``bad`` every row they do not take: a row of another
 # width, a text its conversion refuses, a value the checks refuse. These alone
@@ -274,7 +238,8 @@ def _datetime64_us(text: str) -> int | None:
 # (float(), int(), the vector StartTime cast) takes no other step; only a
 # column that holds an odd text goes the slow way, cell by cell: a port int()
 # refuses goes through `_port`, byte counts beyond int64 are kept as exact
-# ints, and a StartTime off the cast's shape goes through strptime.
+# ints, and a StartTime off the cast's shape, or in a chunk whose cast numpy
+# refuses, goes through strptime.
 
 
 def _columns(rows: list[list[str]], width: int, fewest: int, most: float,
@@ -344,14 +309,36 @@ def _codes(decode, texts: Sequence[str], bad: np.ndarray) -> np.ndarray:
     return column
 
 
+# The one shape numpy casts as strptime reads it. strptime also takes 1-digit
+# fields and non-ASCII digits; such strings go to strptime. numpy takes year
+# 0000, which strptime refuses, but that lies outside float64's exact range.
+_BINETFLOW_TIME = re.compile(r"[0-9]{4}/[0-9]{2}/[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{6}")
+
+
 def _start_times(texts: Sequence[str]) -> np.ndarray:
-    """`binetflow_start_times`, with strptime's float for each time the
-    vector cast leaves; a time strptime refuses stays NaN, which the range
-    check refuses."""
-    times = binetflow_start_times(texts)
+    """UTC epoch seconds of binetflow StartTime strings: strptime's float of
+    each, or NaN where strptime refuses it, which the range check refuses.
+
+    The times of the shape ``YYYY/MM/DD HH:MM:SS.ffffff`` are cast as one
+    vector, which gives strptime's float for each whose microsecond count a
+    float64 holds exactly. Every other time goes through strptime, and so
+    does every time of a chunk whose cast numpy refuses (a field out of
+    range, such as 02/30 or 24:00, refuses the whole cast).
+    """
+    texts = list(map(str.strip, texts))
+    fast = np.array([i for i, t in enumerate(texts) if _BINETFLOW_TIME.fullmatch(t)], np.int64)
+    times = np.full(len(texts), np.nan)
+    try:
+        micros = np.array([texts[i].replace("/", "-").replace(" ", "T") for i in fast.tolist()],
+                          dtype="datetime64[us]").astype(np.int64)
+    except ValueError:
+        pass
+    else:
+        exact = np.abs(micros) < 2**53
+        times[fast[exact]] = micros[exact] / 1e6
     for i in np.flatnonzero(np.isnan(times)).tolist():
         try:
-            started = datetime.strptime(texts[i].strip(), "%Y/%m/%d %H:%M:%S.%f")
+            started = datetime.strptime(texts[i], "%Y/%m/%d %H:%M:%S.%f")
         except ValueError:
             continue
         times[i] = started.replace(tzinfo=timezone.utc).timestamp()

@@ -28,22 +28,17 @@ VARIANTS = (VARIANT_FUSED, VARIANT_TOPOLOGY, VARIANT_FLOW)
 
 @dataclass
 class WindowReport:
-    """One window's verdicts: node ``nodes[i]`` has bot probability
-    ``probabilities[i]`` and is flagged when ``flags[i]``."""
+    """One window's scores: node ``nodes[i]`` has bot probability
+    ``probabilities[i]``; `DetectionReport.verdicts` flags it or not."""
 
     window_start: float
     nodes: list[str]
     probabilities: np.ndarray
-    flags: np.ndarray
     timings: dict[str, float]
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    @property
-    def n_flagged(self) -> int:
-        return int(np.count_nonzero(self.flags))
 
 
 # The report's encoding: a line is json.dumps(obj, sort_keys=True,
@@ -57,17 +52,24 @@ class DetectionReport:
     threshold: float
     windows: list[WindowReport]
 
+    def verdicts(self, window: WindowReport) -> np.ndarray:
+        """Whether each node of the window is flagged: its bot probability
+        is at least the threshold."""
+        return window.probabilities >= self.threshold
+
     def json_lines(self, architecture: str, include_timings: bool = True) -> Iterator[str]:
         """One JSON line (without its newline) per window, made as it is asked for.
 
         The object of a window has the keys architecture (the label passed in),
         n_flagged, n_nodes, nodes, threshold, [timings,] window_start; a node
-        is an object with bot_probability, node_id and verdict. The node
-        entries are written straight from the arrays, between the encoded keys
-        that sort before "nodes" and those that sort after it.
+        is an object with bot_probability, node_id and verdict (`verdicts`),
+        and n_flagged counts the true verdicts. The node entries are written
+        straight from the arrays, between the encoded keys that sort before
+        "nodes" and those that sort after it.
         """
         for w in self.windows:
-            head = _JSON.encode({"architecture": architecture, "n_flagged": w.n_flagged,
+            verdicts = self.verdicts(w).tolist()
+            head = _JSON.encode({"architecture": architecture, "n_flagged": sum(verdicts),
                                  "n_nodes": w.n_nodes})
             tail = {"threshold": self.threshold, "window_start": w.window_start}
             if include_timings:
@@ -77,8 +79,8 @@ class DetectionReport:
             probs = _JSON.encode(w.probabilities.tolist())[1:-1].split(",")
             nodes = ",".join(
                 f'{{"bot_probability":{p},"node_id":{_JSON.encode(node)},'
-                f'"verdict":{_JSON_BOOL[flag]}}}'
-                for p, node, flag in zip(probs, w.nodes, w.flags.tolist())
+                f'"verdict":{_JSON_BOOL[verdict]}}}'
+                for p, node, verdict in zip(probs, w.nodes, verdicts)
             )
             yield f'{head[:-1]},"nodes":[{nodes}],{_JSON.encode(tail)[1:]}'
 
@@ -246,13 +248,11 @@ def detect(
         norm = normalize_embedding(vectors, ensemble.norm_mode)
         t1 = time.perf_counter()
         probs = extra_trees.predict_proba(ensemble, norm)
-        flags = probs >= threshold
         t2 = time.perf_counter()
         return WindowReport(
             window_start=window.window_start,
             nodes=nodes,
             probabilities=probs,
-            flags=flags,
             timings={**timings, "normalize": t1 - t0, "classify": t2 - t1},
         )
 

@@ -106,6 +106,8 @@ class TestSynth:
         help_text = " ".join(capsys.readouterr().out.split())
         assert "default 400 for flows, 880 for graphs" in help_text
         assert "default 16 for flows, 110 for graphs" in help_text
+        assert "--n-graphs N_GRAPHS graph count for --kind graphs" in help_text
+        assert "--duration DURATION trace length in seconds for --kind flows" in help_text
 
 
 class TestPretrain:

@@ -27,7 +27,8 @@ from botfuse.comm_graph import (
     save_graph,
 )
 from botfuse.flow_features import extract_node_features
-from botfuse.flow_ingest import FlowRecord, Proto, WindowSlice, encode_flows
+from botfuse.flow_ingest import FlowRecord, Proto, WindowSlice, encode_flows, slice_windows
+from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
 from csr_checks import as_scipy
 
 
@@ -130,6 +131,12 @@ class TestBuildGraph:
         records = [_flow("A", "B", up=100, down=0), _flow("C", "B")]
         w = _window(records)
         assert build_graph(w).nodes == extract_node_features(w).nodes
+
+    def test_features_and_graph_share_the_windows_one_node_list(self):
+        flows = encode_flows(generate_flow_benchmark(FlowBenchSpec(duration=60.0, seed=3)))
+        w = max(slice_windows(flows), key=lambda w: len(w.table))
+        assert len(w.node_index[0]) > 10
+        assert extract_node_features(w).nodes is build_graph(w).nodes is w.node_index[0]
 
     def test_window_graphs_carry_no_labels_or_features(self):
         g = _graph_from_flows([_flow("A", "B")])

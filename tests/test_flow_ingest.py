@@ -20,7 +20,6 @@ from botfuse.flow_ingest import (
     Label,
     Proto,
     WindowSlice,
-    binetflow_start_times,
     derive_node_labels,
     encode_flows,
     filter_tcp_udp,
@@ -33,6 +32,7 @@ from botfuse.flow_ingest import (
     _binetflow_label,
     _parse_label,
     _parse_proto,
+    _start_times,
 )
 
 
@@ -157,7 +157,8 @@ class TestParseCanonical:
         dirty.write_text(rows + f"{ts},0.5,tcp,10.0.0.1,1,10.0.0.2,80,100,100,\n")
         expect, result = parse_flow_file(clean), parse_flow_file(dirty)
         assert result.malformed == expect.malformed + 1
-        assert slice_windows(result.table) == slice_windows(expect.table)
+        assert ([(w.window_start, w.records) for w in slice_windows(result.table)]
+                == [(w.window_start, w.records) for w in slice_windows(expect.table)])
 
     def test_start_times_of_years_1_and_9999_are_kept(self, tmp_path):
         p = tmp_path / "flows.csv"
@@ -319,7 +320,7 @@ class TestParseBinetflow:
         chunked = parse_flow_file(p, format_descriptor=fmt)
         monkeypatch.setattr(flow_ingest, "_CHUNK_ROWS", 10 * len(lines))
         whole = parse_flow_file(p, format_descriptor=fmt)
-        assert chunked == whole
+        assert (chunked.records, chunked.malformed) == (whole.records, whole.malformed)
         assert whole.malformed == 3
         assert len(whole.records) == len(rows) - 2 > 2 * chunk
 
@@ -427,18 +428,30 @@ _off_shape = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.one_of(_exact_shape, _off_shape), max_size=8))
 def test_vector_start_times_are_strptime_bits_or_refused(texts):
-    fast = binetflow_start_times(texts)
-    assert fast.shape == (len(texts),)
-    for text, value in zip(texts, fast.tolist()):
+    times = _start_times(texts)
+    assert times.shape == (len(texts),)
+    for text, value in zip(texts, times.tolist()):
         reference = _strptime_seconds(text)
-        if not math.isnan(value):
-            assert reference is not None and value.hex() == reference.hex()
-        elif reference is not None:
-            # Only a time off the exact shape, or one a float64 cannot hold to
-            # the microsecond, may leave the vector path.
-            started = datetime.strptime(text.strip(), "%Y/%m/%d %H:%M:%S.%f")
-            exact_shape = _format_exact(started) == text.strip()
-            assert not exact_shape or abs((started - _EPOCH) // _MICROSECOND) >= 2**53
+        if reference is None:
+            assert math.isnan(value)
+        else:
+            assert value.hex() == reference.hex()
+
+
+class _NoStrptime:
+    @staticmethod
+    def strptime(*args):
+        raise AssertionError("strptime called")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.datetimes(datetime(1686, 1, 1), datetime(2255, 1, 1)), max_size=8))
+def test_a_chunk_of_shaped_times_takes_no_strptime_call(starts):
+    texts = list(map(_format_exact, starts))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow_ingest, "datetime", _NoStrptime)
+        times = _start_times(texts)
+    assert times.tolist() == list(map(_strptime_seconds, texts))
 
 
 # The row parsers: the reference definition of a valid row, one row at a time,

@@ -377,16 +377,19 @@ class TestDetect:
         assert report.threshold == 0.4
         assert [w.window_start for w in report.windows] == [0.0, 10.0]
         for w in report.windows:
-            assert w.n_nodes == len(w.nodes) == w.probabilities.size == w.flags.size == 4
+            assert w.n_nodes == len(w.nodes) == w.probabilities.size == 4
             assert ((0.0 <= w.probabilities) & (w.probabilities <= 1.0)).all()
-            assert np.array_equal(w.flags, w.probabilities >= 0.4)
-            assert w.n_flagged == int(w.flags.sum())
+            assert np.array_equal(report.verdicts(w), w.probabilities >= 0.4)
+        for line, w in zip(report.json_lines("c2"), report.windows):
+            obj = json.loads(line)
+            assert [v["verdict"] for v in obj["nodes"]] == report.verdicts(w).tolist()
+            assert obj["n_flagged"] == int(report.verdicts(w).sum())
 
     def test_threshold_zero_flags_everything(self):
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model)
         report = detect(TRAINING_TRACE, model, ens, threshold=0.0)
-        assert all(w.n_flagged == w.n_nodes for w in report.windows)
+        assert all(report.verdicts(w).all() for w in report.windows)
 
     def test_stage_timings_account_for_the_run(self):
         model = _frozen(depth=2, hidden=4)
@@ -471,8 +474,8 @@ class TestForkedDetect:
         assert len(forked.windows) == n_windows
         for a, b in zip(forked.windows, in_process.windows):
             assert (a.window_start, a.nodes) == (b.window_start, b.nodes)
-            for x, y in ((a.probabilities, b.probabilities), (a.flags, b.flags)):
-                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            x, y = a.probabilities, b.probabilities
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
         assert_no_child_left()
 
     def test_the_workers_windows_carry_every_stage_timing(self, trace):
@@ -512,10 +515,10 @@ def _reference_line(report, architecture, w, include_timings):
         "architecture": architecture,
         "threshold": report.threshold,
         "n_nodes": len(w.nodes),
-        "n_flagged": sum(w.flags.tolist()),
+        "n_flagged": sum(p >= report.threshold for p in w.probabilities.tolist()),
         "nodes": [
-            {"node_id": node, "bot_probability": p, "verdict": flag}
-            for node, p, flag in zip(w.nodes, w.probabilities.tolist(), w.flags.tolist())
+            {"node_id": node, "bot_probability": p, "verdict": p >= report.threshold}
+            for node, p in zip(w.nodes, w.probabilities.tolist())
         ],
     }
     if include_timings:
@@ -532,7 +535,7 @@ _PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1
 _WINDOWS = st.lists(
     st.tuples(
         st.floats(allow_nan=False),
-        st.lists(st.tuples(_NODE_IDS, _PROBABILITIES, st.booleans()), max_size=6),
+        st.lists(st.tuples(_NODE_IDS, _PROBABILITIES), max_size=6),
         st.dictionaries(st.sampled_from(["features", "graph", "embed", "classify"]),
                         st.floats(0.0, 10.0)),
     ),
@@ -554,9 +557,8 @@ class TestReportLines:
             windows=[
                 WindowReport(
                     window_start=start,
-                    nodes=[node for node, _, _ in entries],
-                    probabilities=np.array([p for _, p, _ in entries], dtype=np.float64),
-                    flags=np.array([flag for _, _, flag in entries], dtype=bool),
+                    nodes=[node for node, _ in entries],
+                    probabilities=np.array([p for _, p in entries], dtype=np.float64),
                     timings=timings,
                 )
                 for start, entries, timings in windows
@@ -566,11 +568,18 @@ class TestReportLines:
         assert lines == [_reference_line(report, architecture, w, include_timings)
                          for w in report.windows]
 
+    def test_verdicts_are_the_probabilities_at_or_above_the_threshold(self):
+        w = WindowReport(0.0, ["a", "b", "c", "d"], np.array([0.25, 0.5, 0.75, np.nan]), {})
+        (line,) = DetectionReport(0.5, [w]).json_lines("c2", include_timings=False)
+        obj = json.loads(line)
+        assert [v["verdict"] for v in obj["nodes"]] == [False, True, True, False]
+        assert obj["n_flagged"] == 2
+
     def test_lines_are_made_one_at_a_time(self):
-        w = WindowReport(0.0, ["a"], np.array([0.5]), np.array([True]), {})
+        w = WindowReport(0.0, ["a"], np.array([0.5]), {})
         report = DetectionReport(0.5, [w, w])
         lines = report.json_lines("c2")
         first = next(lines)
-        report.windows[1] = WindowReport(10.0, ["b"], np.array([0.25]), np.array([False]), {})
+        report.windows[1] = WindowReport(10.0, ["b"], np.array([0.25]), {})
         assert json.loads(first)["nodes"][0]["node_id"] == "a"
         assert json.loads(next(lines))["nodes"][0]["node_id"] == "b"
