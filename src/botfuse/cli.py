@@ -22,7 +22,8 @@ from . import metrics as metrics_mod, pretrain as pretrain_mod
 from .comm_graph import save_graph
 from .flow_ingest import FlowTable, parse_flow_file, write_flows_csv
 from .flow_features import FEATURE_NAMES, extract_node_features
-from .fusion_pipeline import check_model, detect, pool_labeled_rows, trace_windows, train_detector
+from .fusion_pipeline import (check_model, detect, json_lines, pool_labeled_rows, trace_windows,
+                              train_detector, verdicts)
 from .gcn_core import check_depth, load_model, save_model
 from .pretrain import ARCH_C2, ARCH_DEPTH, ARCHITECTURES, DEFAULT_N_GRAPHS, TrainConfig
 
@@ -194,12 +195,12 @@ def cmd_features(args) -> int:
     _, windows = trace_windows(_read_flows(args), args.window_len, args.stride)
     with _text_output(args.out) as out:
         for w in windows:
-            feats = extract_node_features(w)
+            matrix = extract_node_features(w)
             obj = {
                 "window_start": w.window_start,
                 "features": {
                     node: dict(zip(FEATURE_NAMES, row))
-                    for node, row in zip(feats.nodes, feats.matrix.tolist())
+                    for node, row in zip(w.node_index[0], matrix.tolist())
                 },
             }
             out.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -221,13 +222,14 @@ def cmd_detect(args) -> int:
     model = load_model(args.model)
     ensemble = extra_trees.load_ensemble(args.ensemble)
     check_model(model, ensemble)  # before the trace is read
-    report = detect(_read_flows(args), model, ensemble, args.threshold)
+    windows = detect(_read_flows(args), model, ensemble)
     with _text_output(args.out) as out:
-        for line in report.json_lines(args.arch, include_timings=not args.no_timings):
+        for line in json_lines(windows, args.arch, args.threshold,
+                               include_timings=not args.no_timings):
             out.write(line + "\n")
-    flagged = sum(int(report.verdicts(w).sum()) for w in report.windows)
-    total = sum(w.n_nodes for w in report.windows)
-    print(f"flagged {flagged} of {total} node-windows across {len(report.windows)} windows",
+    flagged = sum(int(verdicts(w, args.threshold).sum()) for w in windows)
+    total = sum(len(w.nodes) for w in windows)
+    print(f"flagged {flagged} of {total} node-windows across {len(windows)} windows",
           file=sys.stderr)
     return 0
 

@@ -25,7 +25,7 @@ GRAPH_FORMAT = "botfuse-graph"
 GRAPH_FORMAT_VERSION = 1
 
 
-@dataclass
+@dataclass(eq=False)
 class CommGraph:
     """Nodes in lexicographic id order and directed edges as a
     lexicographically sorted, duplicate-free (m, 2) int64 array of index

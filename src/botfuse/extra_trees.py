@@ -41,7 +41,7 @@ DEFAULT_THRESHOLD = 0.5
 _LEAF = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackedForest:
     """Every tree of an ensemble in one node table, for routing all (tree,
     row) pairs together. Tree i owns the global node ids
@@ -109,7 +109,7 @@ def _pack(trees: list[dict]) -> PackedForest:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class TreeEnsemble:
     """Fitted forest: flat node arrays per tree, the fit parameters, and the normalization
     mode, window length and stride of its training rows, which detection must reuse.
@@ -124,7 +124,7 @@ class TreeEnsemble:
     norm_mode: str = DEFAULT_NORM_MODE
     window_len: float = DEFAULT_WINDOW_LEN
     stride: float = DEFAULT_STRIDE
-    packed: PackedForest = field(init=False, repr=False, compare=False)
+    packed: PackedForest = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.trees) != self.n_trees:

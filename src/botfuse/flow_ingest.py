@@ -154,7 +154,7 @@ def encode_flows(records: Sequence[FlowRecord]) -> FlowTable:
     })
 
 
-@dataclass
+@dataclass(eq=False)
 class WindowSlice:
     """All flows whose start time falls inside one sliding-window interval,
     as the column ``table`` the stages read."""
@@ -178,7 +178,7 @@ class WindowSlice:
         return self.table.records()
 
 
-@dataclass
+@dataclass(eq=False)
 class ParseResult:
     """The flows recovered from a flow file, in file order, plus a count of
     skipped lines."""

@@ -26,19 +26,21 @@ VARIANT_FLOW = "flow_only"
 VARIANTS = (VARIANT_FUSED, VARIANT_TOPOLOGY, VARIANT_FLOW)
 
 
-@dataclass
+@dataclass(eq=False)
 class WindowReport:
     """One window's scores: node ``nodes[i]`` has bot probability
-    ``probabilities[i]``; `DetectionReport.verdicts` flags it or not."""
+    ``probabilities[i]``; `verdicts` flags it or not."""
 
     window_start: float
     nodes: list[str]
     probabilities: np.ndarray
     timings: dict[str, float]
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
+
+def verdicts(window: WindowReport, threshold: float) -> np.ndarray:
+    """Whether each node of the window is flagged: its bot probability is at
+    least the threshold."""
+    return window.probabilities >= threshold
 
 
 # The report's encoding: a line is json.dumps(obj, sort_keys=True,
@@ -47,42 +49,36 @@ _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _JSON_BOOL = ("false", "true")
 
 
-@dataclass
-class DetectionReport:
-    threshold: float
-    windows: list[WindowReport]
+def json_lines(windows: list[WindowReport], architecture: str,
+               threshold: float = DEFAULT_THRESHOLD,
+               include_timings: bool = True) -> Iterator[str]:
+    """One JSON line (without its newline) per window, made as it is asked for;
+    a threshold outside [0, 1] is refused before the first line.
 
-    def verdicts(self, window: WindowReport) -> np.ndarray:
-        """Whether each node of the window is flagged: its bot probability
-        is at least the threshold."""
-        return window.probabilities >= self.threshold
-
-    def json_lines(self, architecture: str, include_timings: bool = True) -> Iterator[str]:
-        """One JSON line (without its newline) per window, made as it is asked for.
-
-        The object of a window has the keys architecture (the label passed in),
-        n_flagged, n_nodes, nodes, threshold, [timings,] window_start; a node
-        is an object with bot_probability, node_id and verdict (`verdicts`),
-        and n_flagged counts the true verdicts. The node entries are written
-        straight from the arrays, between the encoded keys that sort before
-        "nodes" and those that sort after it.
-        """
-        for w in self.windows:
-            verdicts = self.verdicts(w).tolist()
-            head = _JSON.encode({"architecture": architecture, "n_flagged": sum(verdicts),
-                                 "n_nodes": w.n_nodes})
-            tail = {"threshold": self.threshold, "window_start": w.window_start}
-            if include_timings:
-                tail["timings"] = w.timings
-            # The encoder's own text of every probability ("NaN" included);
-            # no float's text holds a comma.
-            probs = _JSON.encode(w.probabilities.tolist())[1:-1].split(",")
-            nodes = ",".join(
-                f'{{"bot_probability":{p},"node_id":{_JSON.encode(node)},'
-                f'"verdict":{_JSON_BOOL[verdict]}}}'
-                for p, node, verdict in zip(probs, w.nodes, verdicts)
-            )
-            yield f'{head[:-1]},"nodes":[{nodes}],{_JSON.encode(tail)[1:]}'
+    The object of a window has the keys architecture (the label passed in),
+    n_flagged, n_nodes, nodes, threshold, [timings,] window_start; a node
+    is an object with bot_probability, node_id and verdict (`verdicts`),
+    and n_flagged counts the true verdicts. The node entries are written
+    straight from the arrays, between the encoded keys that sort before
+    "nodes" and those that sort after it.
+    """
+    extra_trees.check_threshold(threshold)
+    for w in windows:
+        flags = verdicts(w, threshold).tolist()
+        head = _JSON.encode({"architecture": architecture, "n_flagged": sum(flags),
+                             "n_nodes": len(w.nodes)})
+        tail = {"threshold": threshold, "window_start": w.window_start}
+        if include_timings:
+            tail["timings"] = w.timings
+        # The encoder's own text of every probability ("NaN" included);
+        # no float's text holds a comma.
+        probs = _JSON.encode(w.probabilities.tolist())[1:-1].split(",")
+        nodes = ",".join(
+            f'{{"bot_probability":{p},"node_id":{_JSON.encode(node)},'
+            f'"verdict":{_JSON_BOOL[verdict]}}}'
+            for p, node, verdict in zip(probs, w.nodes, flags)
+        )
+        yield f'{head[:-1]},"nodes":[{nodes}],{_JSON.encode(tail)[1:]}'
 
 
 def normalize_embedding(M: np.ndarray, mode: str = DEFAULT_NORM_MODE) -> np.ndarray:
@@ -135,31 +131,31 @@ def trace_windows(table: FlowTable, window_len: float = DEFAULT_WINDOW_LEN,
 
 def embed_window(
     window: WindowSlice, model: GcnModel, variant: str = VARIANT_FUSED
-) -> tuple[list[str], np.ndarray, dict[str, float]]:
+) -> tuple[np.ndarray, dict[str, float]]:
     """Window flows through graph construction and the frozen network.
 
-    Returns the window's nodes, one final-hidden-layer vector per node, and
-    the seconds spent in the features, graph and embed stages. Variants
-    select what the vectors are: `fused` runs flow features through the
-    frozen network, `topology_only` runs all-ones features through it
-    instead, and `flow_only` skips the network and returns the raw window
-    features. The network must pass `check_model`.
+    Returns one final-hidden-layer vector per node, in the order of
+    ``window.node_index[0]``, and the seconds spent in the features, graph
+    and embed stages. Variants select what the vectors are: `fused` runs
+    flow features through the frozen network, `topology_only` runs all-ones
+    features through it instead, and `flow_only` skips the network and
+    returns the raw window features. The network must pass `check_model`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown feature variant {variant!r}")
     t0 = time.perf_counter()
-    feats = extract_node_features(window)
+    features = extract_node_features(window)
     t1 = time.perf_counter()
     if variant == VARIANT_FLOW:
         t2 = t1
-        vectors = feats.matrix
+        vectors = features
     else:
         P = propagation_matrix(build_graph(window))
         t2 = time.perf_counter()
-        X0 = feats.matrix if variant == VARIANT_FUSED else np.ones_like(feats.matrix)
-        vectors = forward(model, P, X0, with_head=False)
+        X0 = features if variant == VARIANT_FUSED else np.ones_like(features)
+        vectors = forward(model, P, X0)
     t3 = time.perf_counter()
-    return feats.nodes, vectors, {"features": t1 - t0, "graph": t2 - t1, "embed": t3 - t2}
+    return vectors, {"features": t1 - t0, "graph": t2 - t1, "embed": t3 - t2}
 
 
 def pool_labeled_rows(
@@ -187,7 +183,8 @@ def pool_labeled_rows(
     y_parts = []
     host_parts = []
     for window in windows:
-        nodes, vectors, _ = embed_window(window, model, variant)
+        nodes = window.node_index[0]
+        vectors, _ = embed_window(window, model, variant)
         norm = normalize_embedding(vectors, norm_mode)
         y = np.array([classes.get(node, -1) for node in nodes], dtype=np.int64)
         keep = y >= 0
@@ -226,24 +223,23 @@ def detect(
     table: FlowTable,
     model: GcnModel,
     ensemble: TreeEnsemble,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> DetectionReport:
-    """Per-window verdicts with stage timings; no cross-window aggregation.
+) -> list[WindowReport]:
+    """Per-window bot probabilities with stage timings; no cross-window
+    aggregation.
 
     The parsed flows are windowed by `trace_windows` with the ensemble's
     ``window_len`` and ``stride``, and embeddings are normalized with the
     mode it was trained on; a pair that fails `check_model` is refused
     before the flows are read. Windows are scored independently, so where
     two CPUs are available the second half is scored in one forked worker
-    (`forking.in_two_halves`); the verdicts have the same bytes either way.
+    (`forking.in_two_halves`); the scores have the same bytes either way.
     """
-    extra_trees.check_threshold(threshold)
     check_model(model, ensemble)
     _, windows = trace_windows(table, ensemble.window_len, ensemble.stride)
 
     def score(i: int) -> WindowReport:
         window = windows[i]
-        nodes, vectors, timings = embed_window(window, model)
+        vectors, timings = embed_window(window, model)
         t0 = time.perf_counter()
         norm = normalize_embedding(vectors, ensemble.norm_mode)
         t1 = time.perf_counter()
@@ -251,9 +247,9 @@ def detect(
         t2 = time.perf_counter()
         return WindowReport(
             window_start=window.window_start,
-            nodes=nodes,
+            nodes=window.node_index[0],
             probabilities=probs,
             timings={**timings, "normalize": t1 - t0, "classify": t2 - t1},
         )
 
-    return DetectionReport(threshold, in_two_halves(score, len(windows), "window"))
+    return in_two_halves(score, len(windows), "window")

@@ -44,7 +44,7 @@ class ModelFormatError(ValueError):
     """A serialized model payload is corrupt or from an unsupported version."""
 
 
-@dataclass
+@dataclass(eq=False)
 class GcnModel:
     """Stack of graph-convolution weights plus the training-time linear head."""
 
@@ -177,15 +177,14 @@ def forward(
     model: GcnModel,
     P,
     X0: np.ndarray,
-    with_head: bool = False,
     work: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Run the full stack; final hidden activations are the fused features.
 
-    With ``with_head`` the linear classification head is appended and raw
-    logits are returned instead. An optional ``work`` workspace, as for
-    `backward`, holds the layer outputs; the result has the same bits and
-    shares no memory with it.
+    The training head is not applied: logits are
+    ``forward(...) @ model.head_weight + model.head_bias``. An optional
+    ``work`` workspace, as for `backward`, holds the layer outputs; the
+    result has the same bits and shares no memory with it.
     """
     X0 = np.asarray(X0, dtype=np.float64)
     if X0.ndim != 2 or X0.shape[1] != model.input_dim:
@@ -194,8 +193,6 @@ def forward(
         )
     outs = [None] * model.depth if work is None else _workspace(model, X0.shape[0], work)
     X = _stack(model, P, X0, outs)
-    if with_head:
-        return X @ model.head_weight + model.head_bias
     return X if work is None else X.copy()
 
 

@@ -300,7 +300,7 @@ def pretrain_gcn(
         correct = 0
         total = 0
         for P, X, y, mask in val_set:
-            logits = forward(model, P, X, with_head=True, work=work)
+            logits = forward(model, P, X, work=work) @ model.head_weight + model.head_bias
             pred = logits.argmax(axis=1)
             correct += int((pred[mask] == y[mask]).sum())
             total += int(mask.sum())

@@ -34,6 +34,7 @@ from botfuse.gcn_core import (
 )
 from botfuse.fusion_pipeline import (
     detect,
+    json_lines,
     normalize_embedding,
     pool_labeled_rows,
     train_detector,
@@ -140,7 +141,7 @@ def _gradcheck_worst(depth, seed):
     mask = np.ones(n, dtype=bool)
 
     def loss_of():
-        logits = forward(model, P, X, with_head=True)
+        logits = forward(model, P, X) @ model.head_weight + model.head_bias
         return masked_cross_entropy(logits, y, mask)[0]
 
     _, grads = backward(model, P, X, y, mask)
@@ -258,11 +259,12 @@ def test_criterion_04_flow_feature_oracle(capsys):
                 dst_bytes=int(rng.integers(0, 3)) * int(rng.integers(0, 5000)),
             )
         )
-    feats = extract_node_features(WindowSlice(0.0, encode_flows(records)))
-    got = dict(zip(feats.nodes, map(tuple, feats.matrix.tolist())))
+    window = WindowSlice(0.0, encode_flows(records))
+    matrix = extract_node_features(window)
+    got = dict(zip(window.node_index[0], map(tuple, matrix.tolist())))
     want = _brute_force_features(records)
     exact = set(got) == set(want) and all(row == want[node] for node, row in got.items())
-    endpoint_events = int(feats.matrix[:, :2].sum())
+    endpoint_events = int(matrix[:, :2].sum())
     identity = endpoint_events == 2 * len(records)
     elapsed = time.perf_counter() - t0
     ok = exact and identity and elapsed < 5.0
@@ -422,8 +424,8 @@ def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
     )
     flows = encode_flows(generate_flow_benchmark(spec))
     detector = train_detector(flows, m1, 60.0, 10.0, n_trees=20, seed=4)
-    r1 = list(detect(flows, m1, detector).json_lines("c2", include_timings=False))
-    r2 = list(detect(flows, m1, detector).json_lines("c2", include_timings=False))
+    r1 = list(json_lines(detect(flows, m1, detector), "c2", include_timings=False))
+    r2 = list(json_lines(detect(flows, m1, detector), "c2", include_timings=False))
     reports_identical = r1 == r2
 
     g = default_pretrain_dataset("c2", n_graphs=1, seed=5, n_background=20, n_bots=4)[0]

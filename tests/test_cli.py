@@ -18,7 +18,7 @@ from botfuse.flow_ingest import (
     slice_windows,
     write_flows_csv,
 )
-from botfuse.fusion_pipeline import embed_window, normalize_embedding, train_detector
+from botfuse.fusion_pipeline import embed_window, json_lines, normalize_embedding, train_detector
 from botfuse.gcn_core import init_gcn, load_model, save_model
 from botfuse.pretrain import default_pretrain_dataset, load_graph_dataset
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
@@ -226,7 +226,7 @@ class TestTrainDetect:
         model = load_model(art["model"])
         ens = train_detector(flows, model, n_trees=10)
         assert extra_trees.serialize_ensemble(ens) == ens_path.read_bytes()
-        lines = fusion_pipeline.detect(flows, model, ens).json_lines("c2", include_timings=False)
+        lines = json_lines(fusion_pipeline.detect(flows, model, ens), "c2", include_timings=False)
         assert out.read_text() == "".join(line + "\n" for line in lines)
         # The same bytes as on the trace without the copies.
         assert ens_path.read_bytes() == art["ens"].read_bytes()
@@ -242,6 +242,19 @@ class TestTrainDetect:
         obj = json.loads(out.read_text().splitlines()[0])
         assert "timings" in obj
         assert obj["architecture"] == "c2"
+
+    def test_detect_summary_line_counts_the_report(self, art, tmp_path, capsys):
+        out = tmp_path / "verdicts.jsonl"
+        capsys.readouterr()
+        assert main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
+                     "--ensemble", str(art["ens"]), "--threshold", "0.3",
+                     "--out", str(out)]) == 0
+        objs = [json.loads(line) for line in out.read_text().splitlines()]
+        flagged = sum(obj["n_flagged"] for obj in objs)
+        assert 0 < flagged
+        assert capsys.readouterr().err == (
+            f"flagged {flagged} of {sum(obj['n_nodes'] for obj in objs)} node-windows "
+            f"across {len(objs)} windows\n")
 
     def test_detect_to_stdout_and_to_out_give_the_same_bytes(self, art, tmp_path, capsys):
         argv = ["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
@@ -285,7 +298,7 @@ class TestTrainDetect:
         lines = out.read_text().splitlines()
         assert len(lines) == len(windows)
         for window, line in zip(windows, lines):
-            _, vectors, _ = embed_window(window, model)
+            vectors, _ = embed_window(window, model)
             vectors = normalize_embedding(vectors, "per_dimension")
             expect = extra_trees.predict_proba(ens, vectors).tolist()
             assert [v["bot_probability"] for v in json.loads(line)["nodes"]] == expect
@@ -309,11 +322,11 @@ class TestTrainDetect:
         assert main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
                      "--ensemble", str(art["ens"]), "--no-timings", "--out", str(out)]) == 0
         flows = parse_flow_file(art["flows"]).table
-        report = fusion_pipeline.detect(flows, load_model(art["model"]),
-                                        extra_trees.load_ensemble(art["ens"]))
-        assert ([w.window_start for w in report.windows]
+        reports = fusion_pipeline.detect(flows, load_model(art["model"]),
+                                         extra_trees.load_ensemble(art["ens"]))
+        assert ([w.window_start for w in reports]
                 == [w.window_start for w in slice_windows(filter_tcp_udp(flows), 60.0, 10.0)])
-        lines = list(report.json_lines("c2", include_timings=False))
+        lines = list(json_lines(reports, "c2", include_timings=False))
         assert out.read_text() == "".join(line + "\n" for line in lines)
 
     def test_detect_slices_with_the_windowing_the_ensemble_records(self, art, tmp_path, capsys):
@@ -333,9 +346,9 @@ class TestTrainDetect:
         flows = parse_flow_file(art["flows"]).table
         windows = slice_windows(filter_tcp_udp(flows), 30.0, 5.0)
         assert len(windows) > len(slice_windows(filter_tcp_udp(flows), 60.0, 10.0))
-        report = fusion_pipeline.detect(flows, load_model(art["model"]), ens)
-        assert [w.window_start for w in report.windows] == [w.window_start for w in windows]
-        lines = list(report.json_lines("c2", include_timings=False))
+        reports = fusion_pipeline.detect(flows, load_model(art["model"]), ens)
+        assert [w.window_start for w in reports] == [w.window_start for w in windows]
+        lines = list(json_lines(reports, "c2", include_timings=False))
         assert out.read_text() == "".join(line + "\n" for line in lines)
         assert f"across {len(windows)} windows" in capsys.readouterr().err
         # The library's training records the windowing it sliced with.

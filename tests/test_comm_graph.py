@@ -130,13 +130,15 @@ class TestBuildGraph:
     def test_features_row_aligned(self):
         records = [_flow("A", "B", up=100, down=0), _flow("C", "B")]
         w = _window(records)
-        assert build_graph(w).nodes == extract_node_features(w).nodes
+        assert build_graph(w).nodes == w.node_index[0]
+        assert len(extract_node_features(w)) == len(w.node_index[0])
 
     def test_features_and_graph_share_the_windows_one_node_list(self):
         flows = encode_flows(generate_flow_benchmark(FlowBenchSpec(duration=60.0, seed=3)))
         w = max(slice_windows(flows), key=lambda w: len(w.table))
         assert len(w.node_index[0]) > 10
-        assert extract_node_features(w).nodes is build_graph(w).nodes is w.node_index[0]
+        assert build_graph(w).nodes is w.node_index[0]
+        assert len(extract_node_features(w)) == len(w.node_index[0])
 
     def test_window_graphs_carry_no_labels_or_features(self):
         g = _graph_from_flows([_flow("A", "B")])

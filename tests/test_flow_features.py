@@ -30,9 +30,9 @@ def _window(records):
     return WindowSlice(0.0, encode_flows(records))
 
 
-def _rows(feats):
+def _rows(window):
     """Node id -> (conn, fail_conn, dur, src_bytes_avg, dst_bytes_avg)."""
-    return dict(zip(feats.nodes, map(tuple, feats.matrix.tolist())))
+    return dict(zip(window.node_index[0], map(tuple, extract_node_features(window).tolist())))
 
 
 def _random_flows(rng, n, n_nodes=40, int_valued=False):
@@ -72,7 +72,7 @@ def _brute_force(records):
 
 def _conn_counts(up, down):
     """(conn, fail_conn) of both endpoints of one flow."""
-    feats = _rows(extract_node_features(_window([_flow("a", "b", up=up, down=down)])))
+    feats = _rows(_window([_flow("a", "b", up=up, down=down)]))
     return feats["a"][:2], feats["b"][:2]
 
 
@@ -95,28 +95,27 @@ class TestExtractNodeFeatures:
         assert FEATURE_NAMES == ("conn", "fail_conn", "dur", "src_bytes_avg", "dst_bytes_avg")
 
     def test_single_flow_bookkeeping(self):
-        feats = _rows(extract_node_features(_window([_flow("A", "B", dur=2.0, up=100, down=50)])))
+        feats = _rows(_window([_flow("A", "B", dur=2.0, up=100, down=50)]))
         assert feats["A"] == (1, 0, 2.0, 100.0, 50.0)
         assert feats["B"] == (1, 0, 2.0, 50.0, 100.0)
 
     def test_scanner_all_failed(self):
         records = [_flow("A", f"t{i}", dur=1.0, up=40, down=0) for i in range(10)]
-        a = _rows(extract_node_features(_window(records)))["A"]
+        a = _rows(_window(records))["A"]
         assert a == (0, 10, 0.0, 40.0, 0.0)
 
     def test_every_endpoint_gets_an_entry(self):
         rng = np.random.default_rng(0)
         records = _random_flows(rng, 100)
-        feats = extract_node_features(_window(records))
+        window = _window(records)
         endpoints = {r.src_ip for r in records} | {r.dst_ip for r in records}
-        assert feats.nodes == sorted(endpoints)
-        assert len(feats) == len(endpoints)
-        assert feats.matrix.shape == (len(endpoints), FEATURE_DIM)
+        assert window.node_index[0] == sorted(endpoints)
+        assert extract_node_features(window).shape == (len(endpoints), FEATURE_DIM)
 
     def test_brute_force_oracle_exact(self):
         rng = np.random.default_rng(1)
         records = _random_flows(rng, 300)
-        feats = _rows(extract_node_features(_window(records)))
+        feats = _rows(_window(records))
         oracle = _brute_force(records)
         assert set(feats) == set(oracle)
         for node, expected in oracle.items():
@@ -126,20 +125,19 @@ class TestExtractNodeFeatures:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             records = _random_flows(rng, 200)
-            feats = extract_node_features(_window(records))
-            total = feats.matrix[:, :2].sum()
+            total = extract_node_features(_window(records))[:, :2].sum()
             assert total == 2 * len(records)
 
     def test_record_order_is_irrelevant(self):
         # Integer-valued fields make the sums exact in any order.
         rng = np.random.default_rng(2)
         records = _random_flows(rng, 150, int_valued=True)
-        base = extract_node_features(_window(records))
+        base = _window(records)
         shuffled = list(records)
         rng.shuffle(shuffled)
-        other = extract_node_features(_window(shuffled))
-        assert other.nodes == base.nodes
-        assert other.matrix.tolist() == base.matrix.tolist()
+        other = _window(shuffled)
+        assert other.node_index[0] == base.node_index[0]
+        assert extract_node_features(other).tolist() == extract_node_features(base).tolist()
 
     def test_duration_sums_follow_record_order(self):
         # N is a destination twice before it is a source. Summed in record
@@ -147,17 +145,18 @@ class TestExtractNodeFeatures:
         # before its destination-role flows would give 1.0.
         tiny = 2.0 ** -53
         records = [_flow("A", "N", dur=tiny), _flow("B", "N", dur=tiny), _flow("N", "C", dur=1.0)]
-        dur = _rows(extract_node_features(_window(records)))["N"][2]
+        dur = _rows(_window(records))["N"][2]
         assert dur == ((tiny + tiny) + 1.0) / 3
         assert dur != ((1.0 + tiny) + tiny) / 3
 
     def test_record_order_float_durations_close(self):
         rng = np.random.default_rng(3)
         records = _random_flows(rng, 150)
-        base = extract_node_features(_window(records))
-        other = extract_node_features(_window(records[::-1]))
-        assert other.nodes == base.nodes
-        np.testing.assert_allclose(base.matrix, other.matrix, rtol=1e-12)
+        base = _window(records)
+        other = _window(records[::-1])
+        assert other.node_index[0] == base.node_index[0]
+        np.testing.assert_allclose(extract_node_features(base), extract_node_features(other),
+                                   rtol=1e-12)
 
     def test_byte_scaling_affects_only_averages(self):
         rng = np.random.default_rng(4)
@@ -171,15 +170,15 @@ class TestExtractNodeFeatures:
             )
             for r in records
         ]
-        base = extract_node_features(_window(records)).matrix
-        quad = extract_node_features(_window(scaled)).matrix
+        base = extract_node_features(_window(records))
+        quad = extract_node_features(_window(scaled))
         assert np.array_equal(quad[:, :3], base[:, :3])
         assert np.array_equal(quad[:, 3:], 4 * base[:, 3:])
 
     def test_self_addressed_flow_counts_both_roles(self):
-        feats = extract_node_features(_window([_flow("A", "A", up=10, down=20)]))
-        assert feats.nodes == ["A"]
-        conn, _, _, sent, received = feats.matrix[0]
+        window = _window([_flow("A", "A", up=10, down=20)])
+        assert window.node_index[0] == ["A"]
+        conn, _, _, sent, received = extract_node_features(window)[0]
         assert conn == 2
         assert sent == 15.0
         assert received == 15.0
@@ -189,9 +188,10 @@ class TestExtractNodeFeatures:
             extract_node_features(_window([]))
 
     def test_matrix_layout(self):
-        feats = extract_node_features(_window([_flow("B", "A", dur=2.0, up=100, down=50)]))
-        assert feats.nodes == ["A", "B"]
-        assert feats.matrix.shape == (2, FEATURE_DIM)
-        assert feats.matrix.dtype == np.float64
-        assert feats.matrix.tolist() == [[1.0, 0.0, 2.0, 50.0, 100.0],
-                                         [1.0, 0.0, 2.0, 100.0, 50.0]]
+        window = _window([_flow("B", "A", dur=2.0, up=100, down=50)])
+        assert window.node_index[0] == ["A", "B"]
+        matrix = extract_node_features(window)
+        assert matrix.shape == (2, FEATURE_DIM)
+        assert matrix.dtype == np.float64
+        assert matrix.tolist() == [[1.0, 0.0, 2.0, 50.0, 100.0],
+                                   [1.0, 0.0, 2.0, 100.0, 50.0]]

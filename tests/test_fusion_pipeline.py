@@ -15,16 +15,17 @@ from botfuse.flow_features import extract_node_features
 from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice, encode_flows
 from botfuse.gcn_core import init_gcn, forward
 from botfuse.fusion_pipeline import (
-    DetectionReport,
     VARIANT_FLOW,
     VARIANT_FUSED,
     VARIANT_TOPOLOGY,
     WindowReport,
     detect,
     embed_window,
+    json_lines,
     normalize_embedding,
     pool_labeled_rows,
     train_detector,
+    verdicts,
 )
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
 from fork_checks import assert_no_child_left, counted_forks, in_process_only
@@ -159,16 +160,15 @@ class TestEmbedWindow:
         window = _window(
             [_flow("a", "b"), _flow("b", "c", sb=300, db=0), _flow("d", "a", dur=4.0)]
         )
-        nodes, vectors, _ = embed_window(window, model)
-        feats = extract_node_features(window)
+        vectors, _ = embed_window(window, model)
         graph = build_graph(window)
-        expect = forward(model, propagation_matrix(graph), feats.matrix, with_head=False)
+        expect = forward(model, propagation_matrix(graph), extract_node_features(window))
         assert np.array_equal(vectors, expect)
-        assert nodes == graph.nodes
+        assert window.node_index[0] == graph.nodes
         assert vectors.shape == (4, 6)
 
     def test_stage_timings(self):
-        _, _, timings = embed_window(_window([_flow("a", "b")]), _frozen())
+        _, timings = embed_window(_window([_flow("a", "b")]), _frozen())
         assert set(timings) == {"features", "graph", "embed"}
         assert all(t >= 0.0 for t in timings.values())
 
@@ -178,9 +178,10 @@ class TestEmbedWindow:
         model = _frozen(depth=4, hidden=8, seed=2)
         ab = [_flow("a", "b", dur=2.0, sb=120, db=80)]
         cd = [_flow("c", "d", dur=9.0, sb=7000, db=1)]
-        _, alone, _ = embed_window(_window(ab), model)
-        nodes, joint, _ = embed_window(_window(ab + cd), model)
-        assert nodes == ["a", "b", "c", "d"]
+        alone, _ = embed_window(_window(ab), model)
+        both = _window(ab + cd)
+        joint, _ = embed_window(both, model)
+        assert both.node_index[0] == ["a", "b", "c", "d"]
         assert np.array_equal(joint[:2], alone)
 
 
@@ -190,12 +191,12 @@ class TestPoolVariants:
         X_rows, y_rows = [], []
         for w in windows:
             graph = build_graph(w)
-            features = extract_node_features(w).matrix
+            features = extract_node_features(w)
             if variant == VARIANT_FLOW:
                 vec = features
             else:
                 X0 = features if variant == VARIANT_FUSED else np.ones_like(features)
-                vec = forward(model, propagation_matrix(graph), X0, with_head=False)
+                vec = forward(model, propagation_matrix(graph), X0)
             for node, row in zip(graph.nodes, normalize_embedding(vec, mode)):
                 if labels.get(node) in (Label.BOT, Label.LEGIT):
                     X_rows.append(row)
@@ -223,7 +224,8 @@ class TestPoolVariants:
         X, y, hosts = pool_labeled_rows(TRAINING_TRACE, model, *TRAINING_WINDOWING)
         want_rows, want_hosts, embedded = [], [], set()
         for window in _training_windows():
-            nodes, vectors, _ = embed_window(window, model)
+            nodes = window.node_index[0]
+            vectors, _ = embed_window(window, model)
             embedded.update(nodes)
             for node, row in zip(nodes, normalize_embedding(vectors)):
                 if TRAINING_LABELS[node] is not Label.UNKNOWN:
@@ -248,9 +250,9 @@ class TestPoolVariants:
         X, y, _ = pool_labeled_rows(encode_flows(flows), _frozen(), variant=VARIANT_FLOW)
         assert y.dtype == np.int64
         assert y.tolist() == [1, 0]
-        feats = extract_node_features(_window(flows))
-        assert feats.nodes == ["A", "B", "C", "D"]
-        assert np.array_equal(X, normalize_embedding(feats.matrix)[:2])
+        window = _window(flows)
+        assert window.node_index[0] == ["A", "B", "C", "D"]
+        assert np.array_equal(X, normalize_embedding(extract_node_features(window))[:2])
 
     def test_flows_other_than_tcp_and_udp_are_neither_windowed_nor_labeled(self):
         model = _frozen()
@@ -285,7 +287,7 @@ class TestPoolVariants:
         monkeypatch.setattr(fusion_pipeline, "check_model", counted_check)
         in_process_only(monkeypatch)
         pool_labeled_rows(TRAINING_TRACE, model, *TRAINING_WINDOWING)
-        assert len(detect(TRAINING_TRACE, model, ens).windows) == 2
+        assert len(detect(TRAINING_TRACE, model, ens)) == 2
         # pool checks the model alone, detect the pair.
         assert checked == [1, 2]
 
@@ -326,8 +328,6 @@ class TestDetect:
     def test_input_contract_errors(self):
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model)
-        with pytest.raises(ValueError, match="threshold"):
-            detect(TRAINING_TRACE, model, ens, threshold=1.5)
         with pytest.raises(ValueError, match="no windows produced from the input flows"):
             detect(encode_flows([]), model, ens)
         narrow = _frozen(depth=2, hidden=4, input_dim=3)
@@ -356,10 +356,10 @@ class TestDetect:
         ens = train_detector(TRAINING_TRACE, model, *TRAINING_WINDOWING, norm_mode=mode,
                              n_trees=10, seed=0)
         assert ens.norm_mode == mode
-        report = detect(TRAINING_TRACE, model, ens)
-        assert [w.window_start for w in report.windows] == [w.window_start for w in windows]
-        for window, w in zip(windows, report.windows):
-            _, vectors, _ = embed_window(window, model)
+        reports = detect(TRAINING_TRACE, model, ens)
+        assert [w.window_start for w in reports] == [w.window_start for w in windows]
+        for window, w in zip(windows, reports):
+            vectors, _ = embed_window(window, model)
             expect = extra_trees.predict_proba(ens, normalize_embedding(vectors, mode))
             assert w.probabilities.tolist() == expect.tolist()
 
@@ -373,23 +373,22 @@ class TestDetect:
     def test_report_structure_and_verdict_consistency(self):
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model)
-        report = detect(TRAINING_TRACE, model, ens, 0.4)
-        assert report.threshold == 0.4
-        assert [w.window_start for w in report.windows] == [0.0, 10.0]
-        for w in report.windows:
-            assert w.n_nodes == len(w.nodes) == w.probabilities.size == 4
+        reports = detect(TRAINING_TRACE, model, ens)
+        assert [w.window_start for w in reports] == [0.0, 10.0]
+        for w in reports:
+            assert len(w.nodes) == w.probabilities.size == 4
             assert ((0.0 <= w.probabilities) & (w.probabilities <= 1.0)).all()
-            assert np.array_equal(report.verdicts(w), w.probabilities >= 0.4)
-        for line, w in zip(report.json_lines("c2"), report.windows):
+            assert np.array_equal(verdicts(w, 0.4), w.probabilities >= 0.4)
+        for line, w in zip(json_lines(reports, "c2", 0.4), reports):
             obj = json.loads(line)
-            assert [v["verdict"] for v in obj["nodes"]] == report.verdicts(w).tolist()
-            assert obj["n_flagged"] == int(report.verdicts(w).sum())
+            assert (obj["threshold"], obj["n_nodes"]) == (0.4, 4)
+            assert [v["verdict"] for v in obj["nodes"]] == verdicts(w, 0.4).tolist()
+            assert obj["n_flagged"] == int(verdicts(w, 0.4).sum())
 
     def test_threshold_zero_flags_everything(self):
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model)
-        report = detect(TRAINING_TRACE, model, ens, threshold=0.0)
-        assert all(report.verdicts(w).all() for w in report.windows)
+        assert all(verdicts(w, 0.0).all() for w in detect(TRAINING_TRACE, model, ens))
 
     def test_stage_timings_account_for_the_run(self):
         model = _frozen(depth=2, hidden=4)
@@ -397,10 +396,10 @@ class TestDetect:
         with pytest.MonkeyPatch.context() as mp:
             in_process_only(mp)
             t0 = time.perf_counter()
-            report = detect(TRAINING_TRACE, model, ens)
+            reports = detect(TRAINING_TRACE, model, ens)
             run = time.perf_counter() - t0
         staged = 0.0
-        for w in report.windows:
+        for w in reports:
             assert set(w.timings) == {"features", "graph", "embed", "normalize", "classify"}
             assert all(t >= 0.0 for t in w.timings.values())
             staged += sum(w.timings.values())
@@ -409,17 +408,17 @@ class TestDetect:
         with pytest.MonkeyPatch.context() as mp:
             counted_forks(mp)
             t0 = time.perf_counter()
-            report = detect(TRAINING_TRACE, model, ens)
+            reports = detect(TRAINING_TRACE, model, ens)
             run = time.perf_counter() - t0
-        for half in (report.windows[:1], report.windows[1:]):
+        for half in (reports[:1], reports[1:]):
             assert sum(sum(w.timings.values()) for w in half) <= run
         assert_no_child_left()
 
     def test_json_lines_deterministic_without_timings(self):
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model)
-        a = list(detect(TRAINING_TRACE, model, ens).json_lines("p2p", include_timings=False))
-        b = list(detect(TRAINING_TRACE, model, ens).json_lines("p2p", include_timings=False))
+        a = list(json_lines(detect(TRAINING_TRACE, model, ens), "p2p", include_timings=False))
+        b = list(json_lines(detect(TRAINING_TRACE, model, ens), "p2p", include_timings=False))
         assert a == b
         assert len(a) == 2 and not any("\n" in line for line in a)
         obj = json.loads(a[0])
@@ -427,7 +426,7 @@ class TestDetect:
             "window_start", "architecture", "threshold", "n_nodes", "n_flagged", "nodes",
         }
         assert obj["architecture"] == "p2p"
-        assert "timings" in json.loads(next(detect(TRAINING_TRACE, model, ens).json_lines("c2")))
+        assert "timings" in json.loads(next(json_lines(detect(TRAINING_TRACE, model, ens), "c2")))
 
 
 def _first_strides(flows, n):
@@ -464,15 +463,15 @@ class TestForkedDetect:
         flows = _first_strides(flows, n_windows)
         with pytest.MonkeyPatch.context() as mp:
             forks = counted_forks(mp)
-            forked = detect(flows, model, ensemble, threshold=self.THRESHOLD)
+            forked = detect(flows, model, ensemble)
         with pytest.MonkeyPatch.context() as mp:
             in_process_only(mp)
-            in_process = detect(flows, model, ensemble, threshold=self.THRESHOLD)
+            in_process = detect(flows, model, ensemble)
         assert len(forks) == (1 if n_windows >= 2 else 0)
-        assert (list(forked.json_lines("c2", include_timings=False))
-                == list(in_process.json_lines("c2", include_timings=False)))
-        assert len(forked.windows) == n_windows
-        for a, b in zip(forked.windows, in_process.windows):
+        assert (list(json_lines(forked, "c2", self.THRESHOLD, include_timings=False))
+                == list(json_lines(in_process, "c2", self.THRESHOLD, include_timings=False)))
+        assert len(forked) == n_windows
+        for a, b in zip(forked, in_process):
             assert (a.window_start, a.nodes) == (b.window_start, b.nodes)
             x, y = a.probabilities, b.probabilities
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
@@ -482,8 +481,8 @@ class TestForkedDetect:
         flows, model, ensemble = trace
         with pytest.MonkeyPatch.context() as mp:
             counted_forks(mp)
-            report = detect(flows, model, ensemble, threshold=self.THRESHOLD)
-        for w in report.windows[3:]:
+            reports = detect(flows, model, ensemble)
+        for w in reports[3:]:
             assert set(w.timings) == {"features", "graph", "embed", "normalize", "classify"}
             assert all(t >= 0.0 for t in w.timings.values())
         assert_no_child_left()
@@ -503,21 +502,21 @@ class TestForkedDetect:
             mp.setattr(fusion_pipeline, "embed_window", embed_slowly_in_worker)
             start = time.monotonic()
             with pytest.raises(KeyError, match="first window"):
-                detect(flows, model, ensemble, threshold=self.THRESHOLD)
+                detect(flows, model, ensemble)
         assert time.monotonic() - start < 15
         assert_no_child_left()
 
 
-def _reference_line(report, architecture, w, include_timings):
+def _reference_line(threshold, architecture, w, include_timings):
     """The report line as one json.dumps of the window's whole object."""
     obj = {
         "window_start": w.window_start,
         "architecture": architecture,
-        "threshold": report.threshold,
+        "threshold": threshold,
         "n_nodes": len(w.nodes),
-        "n_flagged": sum(p >= report.threshold for p in w.probabilities.tolist()),
+        "n_flagged": sum(p >= threshold for p in w.probabilities.tolist()),
         "nodes": [
-            {"node_id": node, "bot_probability": p, "verdict": p >= report.threshold}
+            {"node_id": node, "bot_probability": p, "verdict": p >= threshold}
             for node, p in zip(w.nodes, w.probabilities.tolist())
         ],
     }
@@ -552,34 +551,38 @@ class TestReportLines:
         include_timings=st.booleans(),
     )
     def test_lines_equal_json_dumps(self, architecture, threshold, windows, include_timings):
-        report = DetectionReport(
-            threshold=threshold,
-            windows=[
-                WindowReport(
-                    window_start=start,
-                    nodes=[node for node, _ in entries],
-                    probabilities=np.array([p for _, p in entries], dtype=np.float64),
-                    timings=timings,
-                )
-                for start, entries, timings in windows
-            ],
-        )
-        lines = list(report.json_lines(architecture, include_timings=include_timings))
-        assert lines == [_reference_line(report, architecture, w, include_timings)
-                         for w in report.windows]
+        reports = [
+            WindowReport(
+                window_start=start,
+                nodes=[node for node, _ in entries],
+                probabilities=np.array([p for _, p in entries], dtype=np.float64),
+                timings=timings,
+            )
+            for start, entries, timings in windows
+        ]
+        lines = list(json_lines(reports, architecture, threshold, include_timings))
+        assert lines == [_reference_line(threshold, architecture, w, include_timings)
+                         for w in reports]
 
     def test_verdicts_are_the_probabilities_at_or_above_the_threshold(self):
         w = WindowReport(0.0, ["a", "b", "c", "d"], np.array([0.25, 0.5, 0.75, np.nan]), {})
-        (line,) = DetectionReport(0.5, [w]).json_lines("c2", include_timings=False)
+        (line,) = json_lines([w], "c2", 0.5, include_timings=False)
         obj = json.loads(line)
         assert [v["verdict"] for v in obj["nodes"]] == [False, True, True, False]
         assert obj["n_flagged"] == 2
 
     def test_lines_are_made_one_at_a_time(self):
         w = WindowReport(0.0, ["a"], np.array([0.5]), {})
-        report = DetectionReport(0.5, [w, w])
-        lines = report.json_lines("c2")
+        reports = [w, w]
+        lines = json_lines(reports, "c2", 0.5)
         first = next(lines)
-        report.windows[1] = WindowReport(10.0, ["b"], np.array([0.25]), {})
+        reports[1] = WindowReport(10.0, ["b"], np.array([0.25]), {})
         assert json.loads(first)["nodes"][0]["node_id"] == "a"
         assert json.loads(next(lines))["nodes"][0]["node_id"] == "b"
+
+    @pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan")])
+    def test_a_threshold_outside_the_unit_interval_is_refused_before_the_first_line(
+            self, threshold):
+        lines = json_lines([WindowReport(0.0, ["a"], np.array([0.5]), {})], "c2", threshold)
+        with pytest.raises(ValueError, match=r"^threshold must be in \[0, 1\]"):
+            next(lines)

@@ -38,7 +38,7 @@ def _random_p(rng, n):
 
 
 def _loss_of(model, P, X0, labels, mask):
-    logits = forward(model, P, X0, with_head=True)
+    logits = forward(model, P, X0) @ model.head_weight + model.head_bias
     loss, _ = masked_cross_entropy(logits, labels, mask)
     return loss
 
@@ -151,7 +151,7 @@ class TestForward:
         X = rng.standard_normal((7, 5))
         hidden = gcn_layer_forward(P, X, m.weights[0])
         assert np.array_equal(forward(m, P, X), hidden)
-        logits = forward(m, P, X, with_head=True)
+        logits = forward(m, P, X) @ m.head_weight + m.head_bias
         assert np.allclose(logits, hidden @ m.head_weight + m.head_bias)
 
     def test_layer_replay_oracle_depth_12(self):
@@ -164,7 +164,7 @@ class TestForward:
             Z = P @ (X @ W)
             X = Z + np.maximum(Z, 0.0)
         oracle = X @ m.head_weight + m.head_bias
-        got = forward(m, P, X0, with_head=True)
+        got = forward(m, P, X0) @ m.head_weight + m.head_bias
         assert np.abs(got - oracle).max() < 1e-10
 
     def test_permutation_equivariance(self):
@@ -312,11 +312,12 @@ class TestWorkspace:
             assert np.float64(loss_w).tobytes() == np.float64(loss).tobytes()
             for a, b in zip(grads, grads_w):
                 assert a.tobytes() == b.tobytes()
-            for with_head in (False, True):
-                plain = forward(m, P, X, with_head=with_head)
-                reused = forward(m, P, X, with_head=with_head, work=work)
-                assert reused.tobytes() == plain.tobytes()
-                assert not any(np.shares_memory(reused, slot) for slot in work)
+            plain = forward(m, P, X)
+            reused = forward(m, P, X, work=work)
+            assert reused.tobytes() == plain.tobytes()
+            assert not any(np.shares_memory(reused, slot) for slot in work)
+            assert ((reused @ m.head_weight + m.head_bias).tobytes()
+                    == (plain @ m.head_weight + m.head_bias).tobytes())
 
     @pytest.mark.parametrize("mode", [RESIDUAL_Z_PLUS_RELU])
     def test_gradient_matches_a_preactivation_oracle(self, mode):

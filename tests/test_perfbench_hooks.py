@@ -88,7 +88,7 @@ def test_window_and_feature_hooks_count_on_a_real_trace(monkeypatch):
     counts = tracing._slice(None, (table,), {}, windows)
     assert counts == {"flow_ingest.windows": 3, "_sliced_flows": 2, "_window_records": 4}
     feats = extract_node_features(windows[0])
-    assert len(feats) == len(feats.nodes) == 3
+    assert len(feats) == len(windows[0].node_index[0]) == 3
     assert tracing._features(None, (windows[0],), {}, feats) == {
         "flow_features.node_windows": 3
     }
