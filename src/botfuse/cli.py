@@ -23,7 +23,7 @@ from .comm_graph import save_graph
 from .flow_ingest import FlowTable, parse_flow_file, write_flows_csv
 from .flow_features import FEATURE_NAMES, extract_node_features
 from .fusion_pipeline import (check_model, detect, json_lines, pool_labeled_rows, trace_windows,
-                              train_detector, verdicts)
+                              train_detector)
 from .gcn_core import check_depth, load_model, save_model
 from .pretrain import ARCH_C2, ARCH_DEPTH, ARCHITECTURES, DEFAULT_N_GRAPHS, TrainConfig
 
@@ -227,7 +227,8 @@ def cmd_detect(args) -> int:
         for line in json_lines(windows, args.arch, args.threshold,
                                include_timings=not args.no_timings):
             out.write(line + "\n")
-    flagged = sum(int(verdicts(w, args.threshold).sum()) for w in windows)
+    flagged = sum(int(extra_trees.verdicts(w.probabilities, args.threshold).sum())
+                  for w in windows)
     total = sum(len(w.nodes) for w in windows)
     print(f"flagged {flagged} of {total} node-windows across {len(windows)} windows",
           file=sys.stderr)

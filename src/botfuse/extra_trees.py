@@ -256,6 +256,12 @@ def check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
 
+def verdicts(probabilities: np.ndarray, threshold: float) -> np.ndarray:
+    """Whether each row is flagged: its bot probability is at least the
+    threshold (a nan probability is never flagged)."""
+    return probabilities >= threshold
+
+
 def check_n_trees(n_trees: int) -> None:
     """Refuse a forest of fewer than one tree."""
     if n_trees < 1:

@@ -20,27 +20,20 @@ from .flow_ingest import (DEFAULT_STRIDE, DEFAULT_WINDOW_LEN, FlowTable, Label, 
 from .forking import in_two_halves
 from .gcn_core import GcnModel, forward
 
-VARIANT_FUSED = "fused"
-VARIANT_TOPOLOGY = "topology_only"
-VARIANT_FLOW = "flow_only"
-VARIANTS = (VARIANT_FUSED, VARIANT_TOPOLOGY, VARIANT_FLOW)
+# Each variant's input to the frozen network, made from a window's flow
+# features; flow_only runs no network, and its rows are the features.
+VARIANTS = {"fused": lambda features: features, "topology_only": np.ones_like, "flow_only": None}
 
 
 @dataclass(eq=False)
 class WindowReport:
     """One window's scores: node ``nodes[i]`` has bot probability
-    ``probabilities[i]``; `verdicts` flags it or not."""
+    ``probabilities[i]``; `extra_trees.verdicts` flags it or not."""
 
     window_start: float
     nodes: list[str]
     probabilities: np.ndarray
     timings: dict[str, float]
-
-
-def verdicts(window: WindowReport, threshold: float) -> np.ndarray:
-    """Whether each node of the window is flagged: its bot probability is at
-    least the threshold."""
-    return window.probabilities >= threshold
 
 
 # The report's encoding: a line is json.dumps(obj, sort_keys=True,
@@ -64,7 +57,7 @@ def json_lines(windows: list[WindowReport], architecture: str,
     """
     extra_trees.check_threshold(threshold)
     for w in windows:
-        flags = verdicts(w, threshold).tolist()
+        flags = extra_trees.verdicts(w.probabilities, threshold).tolist()
         head = _JSON.encode({"architecture": architecture, "n_flagged": sum(flags),
                              "n_nodes": len(w.nodes)})
         tail = {"threshold": threshold, "window_start": w.window_start}
@@ -129,33 +122,35 @@ def trace_windows(table: FlowTable, window_len: float = DEFAULT_WINDOW_LEN,
     return flows, windows
 
 
-def embed_window(
-    window: WindowSlice, model: GcnModel, variant: str = VARIANT_FUSED
-) -> tuple[np.ndarray, dict[str, float]]:
-    """Window flows through graph construction and the frozen network.
-
-    Returns one final-hidden-layer vector per node, in the order of
-    ``window.node_index[0]``, and the seconds spent in the features, graph
-    and embed stages. Variants select what the vectors are: `fused` runs
-    flow features through the frozen network, `topology_only` runs all-ones
-    features through it instead, and `flow_only` skips the network and
-    returns the raw window features. The network must pass `check_model`.
-    """
+def _network_input(variant: str):
+    """The variant's entry in `VARIANTS`; an unknown variant is refused."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown feature variant {variant!r}")
+    return VARIANTS[variant]
+
+
+def window_rows(window: WindowSlice, model: GcnModel, norm_mode: str = DEFAULT_NORM_MODE,
+                variant: str = "fused") -> tuple[np.ndarray, dict[str, float]]:
+    """The classifier rows of a window, which training pools and detection scores.
+
+    Returns one normalized row per node, in the order of
+    ``window.node_index[0]``, and the seconds spent in the features, graph,
+    embed and normalize stages. A row is the frozen network's final hidden
+    layer on the variant's input (`VARIANTS`); the network must pass
+    `check_model`.
+    """
+    network_input = _network_input(variant)
     t0 = time.perf_counter()
-    features = extract_node_features(window)
-    t1 = time.perf_counter()
-    if variant == VARIANT_FLOW:
-        t2 = t1
-        vectors = features
-    else:
+    vectors = features = extract_node_features(window)
+    t1 = t2 = time.perf_counter()
+    if network_input is not None:
         P = propagation_matrix(build_graph(window))
         t2 = time.perf_counter()
-        X0 = features if variant == VARIANT_FUSED else np.ones_like(features)
-        vectors = forward(model, P, X0)
+        vectors = forward(model, P, network_input(features))
     t3 = time.perf_counter()
-    return vectors, {"features": t1 - t0, "graph": t2 - t1, "embed": t3 - t2}
+    rows = normalize_embedding(vectors, norm_mode)
+    t4 = time.perf_counter()
+    return rows, {"features": t1 - t0, "graph": t2 - t1, "embed": t3 - t2, "normalize": t4 - t3}
 
 
 def pool_labeled_rows(
@@ -164,9 +159,9 @@ def pool_labeled_rows(
     window_len: float = DEFAULT_WINDOW_LEN,
     stride: float = DEFAULT_STRIDE,
     norm_mode: str = DEFAULT_NORM_MODE,
-    variant: str = VARIANT_FUSED,
+    variant: str = "fused",
 ):
-    """Normalized per-node rows pooled across a trace's windows, labeled 1 = bot,
+    """The rows of `window_rows` pooled across a trace's windows, labeled 1 = bot,
     and the node (host) of each row.
 
     The parsed flows are windowed by `trace_windows` and their nodes labeled
@@ -174,22 +169,19 @@ def pool_labeled_rows(
     model that fails `check_model` is refused before the flows are read,
     except by `flow_only`, which reads no model.
     """
-    if variant != VARIANT_FLOW:
+    if _network_input(variant) is not None:
         check_model(model)
     flows, windows = trace_windows(table, window_len, stride)
     classes = {node: int(label is Label.BOT)
                for node, label in node_labels(flows).items() if label is not Label.UNKNOWN}
-    X_parts = []
-    y_parts = []
-    host_parts = []
+    X_parts, y_parts, host_parts = [], [], []
     for window in windows:
         nodes = window.node_index[0]
-        vectors, _ = embed_window(window, model, variant)
-        norm = normalize_embedding(vectors, norm_mode)
+        rows, _ = window_rows(window, model, norm_mode, variant)
         y = np.array([classes.get(node, -1) for node in nodes], dtype=np.int64)
         keep = y >= 0
         if keep.any():
-            X_parts.append(norm[keep])
+            X_parts.append(rows[keep])
             y_parts.append(y[keep])
             host_parts.append(np.array(nodes, dtype=object)[keep])
     if not X_parts:
@@ -228,7 +220,7 @@ def detect(
     aggregation.
 
     The parsed flows are windowed by `trace_windows` with the ensemble's
-    ``window_len`` and ``stride``, and embeddings are normalized with the
+    ``window_len`` and ``stride``, and `window_rows` normalizes with the
     mode it was trained on; a pair that fails `check_model` is refused
     before the flows are read. Windows are scored independently, so where
     two CPUs are available the second half is scored in one forked worker
@@ -239,17 +231,10 @@ def detect(
 
     def score(i: int) -> WindowReport:
         window = windows[i]
-        vectors, timings = embed_window(window, model)
+        rows, timings = window_rows(window, model, ensemble.norm_mode)
         t0 = time.perf_counter()
-        norm = normalize_embedding(vectors, ensemble.norm_mode)
-        t1 = time.perf_counter()
-        probs = extra_trees.predict_proba(ensemble, norm)
-        t2 = time.perf_counter()
-        return WindowReport(
-            window_start=window.window_start,
-            nodes=window.node_index[0],
-            probabilities=probs,
-            timings={**timings, "normalize": t1 - t0, "classify": t2 - t1},
-        )
+        probs = extra_trees.predict_proba(ensemble, rows)
+        timings["classify"] = time.perf_counter() - t0
+        return WindowReport(window.window_start, window.node_index[0], probs, timings)
 
     return in_two_halves(score, len(windows), "window")

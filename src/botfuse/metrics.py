@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import extra_trees
-from .extra_trees import DEFAULT_THRESHOLD, check_threshold
+from .extra_trees import DEFAULT_THRESHOLD, check_threshold, verdicts
 from .forking import in_two_halves
 
 METRIC_FIELDS = ("accuracy", "precision", "recall", "fpr", "f1", "roc_auc")
@@ -77,7 +77,7 @@ def compute_metrics(
     if y_true.size == 0:
         raise ValueError("empty input")
 
-    pred = y_prob >= threshold
+    pred = verdicts(y_prob, threshold)
     actual = y_true == 1
     tp = int((pred & actual).sum())
     fp = int((pred & ~actual).sum())

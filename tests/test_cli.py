@@ -10,7 +10,8 @@ import pytest
 
 from botfuse import extra_trees, fusion_pipeline
 from botfuse.cli import build_parser, main
-from botfuse.comm_graph import save_graph
+from botfuse.comm_graph import build_graph, propagation_matrix, save_graph
+from botfuse.flow_features import extract_node_features
 from botfuse.flow_ingest import (
     FlowRecord,
     filter_tcp_udp,
@@ -18,8 +19,8 @@ from botfuse.flow_ingest import (
     slice_windows,
     write_flows_csv,
 )
-from botfuse.fusion_pipeline import embed_window, json_lines, normalize_embedding, train_detector
-from botfuse.gcn_core import init_gcn, load_model, save_model
+from botfuse.fusion_pipeline import json_lines, normalize_embedding, train_detector
+from botfuse.gcn_core import forward, init_gcn, load_model, save_model
 from botfuse.pretrain import default_pretrain_dataset, load_graph_dataset
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
 from fork_checks import assert_no_child_left, counted_forks, in_process_only
@@ -298,7 +299,8 @@ class TestTrainDetect:
         lines = out.read_text().splitlines()
         assert len(lines) == len(windows)
         for window, line in zip(windows, lines):
-            vectors, _ = embed_window(window, model)
+            P = propagation_matrix(build_graph(window))
+            vectors = forward(model, P, extract_node_features(window))
             vectors = normalize_embedding(vectors, "per_dimension")
             expect = extra_trees.predict_proba(ens, vectors).tolist()
             assert [v["bot_probability"] for v in json.loads(line)["nodes"]] == expect
@@ -952,15 +954,15 @@ class TestErrors:
             os.waitpid(-1, os.WNOHANG)
 
     def test_detect_whose_window_worker_fails(self, art, tmp_path, capsys, monkeypatch):
-        parent, embed = os.getpid(), fusion_pipeline.embed_window
+        parent, rows = os.getpid(), fusion_pipeline.window_rows
 
-        def embed_in_parent_only(*args):
+        def rows_in_parent_only(*args):
             if os.getpid() != parent:
                 raise MemoryError("the worker ran out of memory")
-            return embed(*args)
+            return rows(*args)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(fusion_pipeline, "embed_window", embed_in_parent_only)
+        monkeypatch.setattr(fusion_pipeline, "window_rows", rows_in_parent_only)
         out = tmp_path / "verdicts.jsonl"
         rc = main(["detect", "--flows", str(art["flows"]), "--model", str(art["model"]),
                    "--ensemble", str(art["ens"]), "--out", str(out)])

@@ -11,21 +11,18 @@ from hypothesis import strategies as st
 
 from botfuse import extra_trees, fusion_pipeline
 from botfuse.comm_graph import build_graph, propagation_matrix
+from botfuse.extra_trees import verdicts
 from botfuse.flow_features import extract_node_features
 from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice, encode_flows
 from botfuse.gcn_core import init_gcn, forward
 from botfuse.fusion_pipeline import (
-    VARIANT_FLOW,
-    VARIANT_FUSED,
-    VARIANT_TOPOLOGY,
     WindowReport,
     detect,
-    embed_window,
     json_lines,
     normalize_embedding,
     pool_labeled_rows,
     train_detector,
-    verdicts,
+    window_rows,
 )
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
 from fork_checks import assert_no_child_left, counted_forks, in_process_only
@@ -154,33 +151,42 @@ class TestNormalizeEmbedding:
             normalize_embedding(np.ones((2, 2)), "softmax")
 
 
-class TestEmbedWindow:
+def _replay(window, model, mode="per_vector"):
+    """A window's normalized rows, one stage at a time."""
+    P = propagation_matrix(build_graph(window))
+    return normalize_embedding(forward(model, P, extract_node_features(window)), mode)
+
+
+class TestWindowRows:
     def test_matches_stage_by_stage_replay(self):
         model = _frozen(depth=3, hidden=6, seed=1)
         window = _window(
             [_flow("a", "b"), _flow("b", "c", sb=300, db=0), _flow("d", "a", dur=4.0)]
         )
-        vectors, _ = embed_window(window, model)
-        graph = build_graph(window)
-        expect = forward(model, propagation_matrix(graph), extract_node_features(window))
-        assert np.array_equal(vectors, expect)
-        assert window.node_index[0] == graph.nodes
-        assert vectors.shape == (4, 6)
+        rows, _ = window_rows(window, model, "per_dimension")
+        assert np.array_equal(rows, _replay(window, model, "per_dimension"))
+        assert window.node_index[0] == build_graph(window).nodes
+        assert rows.shape == (4, 6)
 
     def test_stage_timings(self):
-        _, timings = embed_window(_window([_flow("a", "b")]), _frozen())
-        assert set(timings) == {"features", "graph", "embed"}
+        _, timings = window_rows(_window([_flow("a", "b")]), _frozen())
+        assert set(timings) == {"features", "graph", "embed", "normalize"}
         assert all(t >= 0.0 for t in timings.values())
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="variant"):
+            window_rows(_window([_flow("a", "b")]), _frozen(), variant="hybrid")
 
     def test_disjoint_components_embed_independently(self):
         # Adding an unrelated component elsewhere in the window must not
-        # perturb this component's rows, down to the last bit.
+        # perturb this component's rows, down to the last bit (per_vector
+        # rescales each row by its own range).
         model = _frozen(depth=4, hidden=8, seed=2)
         ab = [_flow("a", "b", dur=2.0, sb=120, db=80)]
         cd = [_flow("c", "d", dur=9.0, sb=7000, db=1)]
-        alone, _ = embed_window(_window(ab), model)
+        alone, _ = window_rows(_window(ab), model)
         both = _window(ab + cd)
-        joint, _ = embed_window(both, model)
+        joint, _ = window_rows(both, model)
         assert both.node_index[0] == ["a", "b", "c", "d"]
         assert np.array_equal(joint[:2], alone)
 
@@ -192,10 +198,10 @@ class TestPoolVariants:
         for w in windows:
             graph = build_graph(w)
             features = extract_node_features(w)
-            if variant == VARIANT_FLOW:
+            if variant == "flow_only":
                 vec = features
             else:
-                X0 = features if variant == VARIANT_FUSED else np.ones_like(features)
+                X0 = features if variant == "fused" else np.ones_like(features)
                 vec = forward(model, propagation_matrix(graph), X0)
             for node, row in zip(graph.nodes, normalize_embedding(vec, mode)):
                 if labels.get(node) in (Label.BOT, Label.LEGIT):
@@ -204,7 +210,7 @@ class TestPoolVariants:
         return np.array(X_rows), np.array(y_rows, dtype=np.int64)
 
     @pytest.mark.parametrize(
-        "variant,width", [(VARIANT_FUSED, 4), (VARIANT_TOPOLOGY, 4), (VARIANT_FLOW, 5)]
+        "variant,width", [("fused", 4), ("topology_only", 4), ("flow_only", 5)]
     )
     def test_variant_rows_match_oracle(self, variant, width):
         model = _frozen(depth=2, hidden=4, seed=3)
@@ -225,9 +231,8 @@ class TestPoolVariants:
         want_rows, want_hosts, embedded = [], [], set()
         for window in _training_windows():
             nodes = window.node_index[0]
-            vectors, _ = embed_window(window, model)
             embedded.update(nodes)
-            for node, row in zip(nodes, normalize_embedding(vectors)):
+            for node, row in zip(nodes, _replay(window, model)):
                 if TRAINING_LABELS[node] is not Label.UNKNOWN:
                     want_rows.append(row)
                     want_hosts.append(node)
@@ -247,7 +252,7 @@ class TestPoolVariants:
         # that only receives, are left out.
         flows = [_flow("A", "B", label=Label.BOT), _flow("B", "C", label=Label.LEGIT),
                  _flow("C", "D", sb=7)]
-        X, y, _ = pool_labeled_rows(encode_flows(flows), _frozen(), variant=VARIANT_FLOW)
+        X, y, _ = pool_labeled_rows(encode_flows(flows), _frozen(), variant="flow_only")
         assert y.dtype == np.int64
         assert y.tolist() == [1, 0]
         window = _window(flows)
@@ -265,7 +270,7 @@ class TestPoolVariants:
         with pytest.raises(ValueError, match="no windows produced from the input flows"):
             pool_labeled_rows(encode_flows(other), model)
 
-    @pytest.mark.parametrize("variant", [VARIANT_FUSED, VARIANT_TOPOLOGY])
+    @pytest.mark.parametrize("variant", ["fused", "topology_only"])
     def test_requires_frozen_model_before_slicing(self, variant, monkeypatch):
         def no_slicing(*args):
             raise AssertionError("the trace was sliced")
@@ -304,7 +309,7 @@ class TestPoolVariants:
     def test_flow_variant_ignores_model_state(self):
         unfrozen = init_gcn(2, 5, 4, seed=0)
         X, _, _ = pool_labeled_rows(TRAINING_TRACE, unfrozen, *TRAINING_WINDOWING,
-                                    variant=VARIANT_FLOW)
+                                    variant="flow_only")
         assert X.shape == (4, 5)
 
 
@@ -359,8 +364,7 @@ class TestDetect:
         reports = detect(TRAINING_TRACE, model, ens)
         assert [w.window_start for w in reports] == [w.window_start for w in windows]
         for window, w in zip(windows, reports):
-            vectors, _ = embed_window(window, model)
-            expect = extra_trees.predict_proba(ens, normalize_embedding(vectors, mode))
+            expect = extra_trees.predict_proba(ens, _replay(window, model, mode))
             assert w.probabilities.tolist() == expect.tolist()
 
     def test_refuses_unfrozen_model(self):
@@ -378,17 +382,19 @@ class TestDetect:
         for w in reports:
             assert len(w.nodes) == w.probabilities.size == 4
             assert ((0.0 <= w.probabilities) & (w.probabilities <= 1.0)).all()
-            assert np.array_equal(verdicts(w, 0.4), w.probabilities >= 0.4)
+            assert np.array_equal(verdicts(w.probabilities, 0.4), w.probabilities >= 0.4)
         for line, w in zip(json_lines(reports, "c2", 0.4), reports):
             obj = json.loads(line)
             assert (obj["threshold"], obj["n_nodes"]) == (0.4, 4)
-            assert [v["verdict"] for v in obj["nodes"]] == verdicts(w, 0.4).tolist()
-            assert obj["n_flagged"] == int(verdicts(w, 0.4).sum())
+            flags = verdicts(w.probabilities, 0.4)
+            assert [v["verdict"] for v in obj["nodes"]] == flags.tolist()
+            assert obj["n_flagged"] == int(flags.sum())
 
     def test_threshold_zero_flags_everything(self):
         model = _frozen(depth=2, hidden=4)
         ens = self._fitted(model)
-        assert all(verdicts(w, 0.0).all() for w in detect(TRAINING_TRACE, model, ens))
+        reports = detect(TRAINING_TRACE, model, ens)
+        assert all(verdicts(w.probabilities, 0.0).all() for w in reports)
 
     def test_stage_timings_account_for_the_run(self):
         model = _frozen(depth=2, hidden=4)
@@ -489,17 +495,17 @@ class TestForkedDetect:
 
     def test_a_failing_parent_half_propagates_and_the_worker_is_reaped(self, trace):
         flows, model, ensemble = trace
-        parent, embed = os.getpid(), fusion_pipeline.embed_window
+        parent, rows = os.getpid(), fusion_pipeline.window_rows
 
-        def embed_slowly_in_worker(*args):
+        def rows_slowly_in_worker(*args):
             if os.getpid() != parent:
                 time.sleep(30)  # outlives the test unless the parent stops it
-                return embed(*args)
+                return rows(*args)
             raise KeyError("first window")
 
         with pytest.MonkeyPatch.context() as mp:
             counted_forks(mp)
-            mp.setattr(fusion_pipeline, "embed_window", embed_slowly_in_worker)
+            mp.setattr(fusion_pipeline, "window_rows", rows_slowly_in_worker)
             start = time.monotonic()
             with pytest.raises(KeyError, match="first window"):
                 detect(flows, model, ensemble)

@@ -112,3 +112,39 @@ def test_every_workload_builds_its_spec_and_parses_its_calls(monkeypatch, tmp_pa
     assert argvs
     for argv in argvs:
         parser.parse_args(argv)
+
+
+# The spans the tracer makes once per scored window, one per pipeline stage.
+WINDOW_STAGES = ("flow_features.extract", "comm_graph.build", "comm_graph.propagation",
+                 "gcn_core.forward", "fusion_pipeline.normalize", "extra_trees.predict")
+
+
+def test_the_tracer_sees_every_stage_of_every_window(monkeypatch):
+    # A stage that detection reaches under a local alias or a default
+    # argument, not through its module's global name, would escape the
+    # tracer's swap and drop out of the per-layer numbers.
+    from botfuse.flow_ingest import FlowRecord, Label, Proto, encode_flows
+    from botfuse.fusion_pipeline import detect, train_detector
+    from botfuse.gcn_core import init_gcn
+    from fork_checks import in_process_only
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    flows = (("10.0.0.9", "10.0.0.2", 100, Label.BOT), ("10.0.0.1", "10.0.0.2", 100, Label.LEGIT),
+             ("10.0.0.1", "10.0.0.3", 20, Label.LEGIT))
+    trace = encode_flows([
+        FlowRecord(start + k, 1.0, Proto.TCP, src, 40000, dst, 80, up, 50, label)
+        for start in (0.0, 10.0, 20.0) for k, (src, dst, up, label) in enumerate(flows)
+    ])
+    model = init_gcn(2, 5, 4, seed=0)
+    model.frozen = True
+    ensemble = train_detector(trace, model, 10.0, 10.0, n_trees=4)
+    in_process_only(monkeypatch)  # a forked worker's spans stay in the worker
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        reports = detect(trace, model, ensemble)
+    assert len(reports) == 3
+    names = [s.name for s in tracer.spans]
+    assert {stage: names.count(stage) for stage in WINDOW_STAGES} == dict.fromkeys(
+        WINDOW_STAGES, len(reports))
+    assert tracer.errors == []
