@@ -1,14 +1,14 @@
 """Extremely randomized trees for binary node classification.
 
-Every tree is grown on the full training sample (no bootstrap), positive
-rows first; a split keeps that order on both sides, so a node's first c1 rows
-are its positives. At each node a subset of attributes is drawn without
-replacement among those non-constant in the node, and one gather takes them
-for the node's rows from the feature-major training matrix. Per attribute,
-the first of a uniform random cut-point, the midpoint and the float after the
-low end that lies strictly inside the node's value range is the cut, and the
-cut with the best information gain wins. Splitting stops at purity, at
-min_samples_split, or when no attribute admits a cut.
+Every tree is grown on the full training sample (no bootstrap) by one rule:
+at each node k = ⌈√d⌉ attributes are drawn without replacement among those
+that vary in the node, probed first at both ends of its rows, and a node
+splits until it is pure or admits no cut. Rows are listed positives first
+and a split keeps that order, so a node's first c1 rows are its positives.
+One gather takes the drawn attributes for the node's rows from the
+feature-major training matrix. Per attribute, the first of a uniform random
+cut-point, the midpoint and the float after the low end that lies strictly
+inside the node's value range is the cut, and the best information gain wins.
 
 Trees are independent, so where two CPUs are available ``fit`` grows the
 second half of the forest in one forked worker while the calling process
@@ -32,7 +32,6 @@ ENSEMBLE_FORMAT = "botfuse-trees"
 ENSEMBLE_FORMAT_VERSION = 1
 
 DEFAULT_N_TREES = 100
-DEFAULT_MIN_SAMPLES_SPLIT = 2
 DEFAULT_NORM_MODE = "per_vector"
 NORM_MODES = (DEFAULT_NORM_MODE, "per_dimension")
 # Bot probability at or above which a row is flagged.
@@ -148,7 +147,8 @@ def _entropy(c0: int, c1: int) -> float:
     return 0.0 - p * math.log2(p) - q * math.log2(q)
 
 
-# Rows that decide which attributes vary in a node: an attribute that varies
+# Rows that decide which attributes vary in a node, half from each end (its
+# head rows, all positives, are its most alike): an attribute that varies
 # among them varies in the node, and only the others need the full scan.
 _PROBE_ROWS = 8
 
@@ -162,20 +162,21 @@ def _cut_inside(lo: float, hi: float, u: float) -> float | None:
     return None
 
 
-def _choose_split(Xt, idx, k, min_split, rng, c0, c1):
+def _choose_split(Xt, idx, k, rng, c0, c1):
     """Best of k random cuts at the node holding rows ``idx``, or None.
 
     Returns (feature, threshold, left rows, right rows, left class counts);
     ``idx`` and both row lists hold their positives first. ``Xt`` is the
     feature-major training matrix. Draws the attribute subset, then its k cuts."""
     n = idx.size
-    if n < min_split or c0 == 0 or c1 == 0:
+    if c0 == 0 or c1 == 0:
         return None
 
     def gather(rows):
         return Xt.take(rows[:, None] * Xt.shape[1] + idx)
 
-    probe = Xt.take(idx[:_PROBE_ROWS], axis=1)
+    half = _PROBE_ROWS // 2
+    probe = Xt.take(np.concatenate((idx[:half], idx[half:][-half:])), axis=1)
     varies = (probe != probe[:, :1]).any(axis=1)
     flat = (~varies).nonzero()[0]
     if n > _PROBE_ROWS and flat.size:
@@ -209,7 +210,7 @@ def _choose_split(Xt, idx, k, min_split, rng, c0, c1):
     return int(chosen[j]), cut[j], idx[mask], idx[~mask], (n_left[j] - l1, l1)
 
 
-def _build_tree(Xt, y, k, min_split, rng) -> dict:
+def _build_tree(Xt, y, k, rng) -> dict:
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -228,7 +229,7 @@ def _build_tree(Xt, y, k, min_split, rng) -> dict:
         if parent != _LEAF:
             (left if is_left else right)[parent] = node_id
         counts.append([c0, c1])
-        split = _choose_split(Xt, idx, k, min_split, rng, c0, c1)
+        split = _choose_split(Xt, idx, k, rng, c0, c1)
         left.append(_LEAF)
         right.append(_LEAF)
         if split is None:
@@ -276,12 +277,7 @@ def _own_tree(tree: dict) -> dict:
 
 
 def fit(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_trees: int = DEFAULT_N_TREES,
-    k_features: int | None = None,
-    min_samples_split: int = DEFAULT_MIN_SAMPLES_SPLIT,
-    seed: int = 0,
+    X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_N_TREES, seed: int = 0
 ) -> TreeEnsemble:
     """Grow the ensemble on the full sample with per-tree derived seeds."""
     X = np.asarray(X, dtype=np.float64)
@@ -299,11 +295,6 @@ def fit(
             raise ValueError("training data contains a single class")
         raise ValueError(f"labels must be binary 0/1, got classes {classes.tolist()}")
     check_n_trees(n_trees)
-    if min_samples_split < 2:
-        raise ValueError(f"min_samples_split must be >= 2, got {min_samples_split}")
-    k = math.ceil(math.sqrt(d)) if k_features is None else k_features
-    if not 1 <= k <= d:
-        raise ValueError(f"k_features must be in [1, {d}], got {k}")
 
     # A nan would drop its attribute from every node that holds it, and an
     # infinite range has no cut-point inside it.
@@ -317,6 +308,7 @@ def fit(
             "overflows float64"
         )
 
+    k = math.ceil(math.sqrt(d))
     Xt = np.ascontiguousarray(X.T)
     y = y == 1
 
@@ -324,7 +316,7 @@ def fit(
         # Derived per-tree stream: tree i gets the same draws whichever
         # process grows it and in whatever order.
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        return _build_tree(Xt, y, k, min_samples_split, rng)
+        return _build_tree(Xt, y, k, rng)
 
     trees = in_two_halves(grow, n_trees, "tree", adopt=_own_tree)
 
@@ -332,7 +324,8 @@ def fit(
         n_features=d,
         n_trees=n_trees,
         k_features=k,
-        min_samples_split=min_samples_split,
+        # Splitting to purity is the 2-row minimum the file format records.
+        min_samples_split=2,
         seed=seed,
         trees=trees,
     )

@@ -57,6 +57,11 @@ class GcnModel:
     frozen: bool = False
     residual_mode: str = RESIDUAL_Z_PLUS_RELU
 
+    def __post_init__(self) -> None:
+        # The file format saves every model as this one wiring.
+        if self.residual_mode != RESIDUAL_Z_PLUS_RELU:
+            raise ValueError(f"unknown residual mode {self.residual_mode!r}")
+
     def parameters(self) -> list[np.ndarray]:
         return [*self.weights, self.head_weight, self.head_bias]
 

@@ -15,6 +15,7 @@ from botfuse import extra_trees
 from botfuse.extra_trees import (
     TreeEnsemble,
     _build_tree,
+    _choose_split,
     deserialize_ensemble,
     fit,
     load_ensemble,
@@ -131,9 +132,9 @@ def _oracle_draw_cut(rng, lo: float, hi: float) -> float | None:
     return u if lo < u < hi else None
 
 
-def _oracle_choose_split(X, y, idx, k, min_split, rng, c0, c1):
+def _oracle_choose_split(X, y, idx, k, rng, c0, c1):
     n = idx.size
-    if n < min_split or c0 == 0 or c1 == 0:
+    if c0 == 0 or c1 == 0:
         return None
     sub = X[idx]
     mins = sub.min(axis=0)
@@ -168,7 +169,7 @@ def _oracle_choose_split(X, y, idx, k, min_split, rng, c0, c1):
     return f, t, idx[lmask], idx[~lmask]
 
 
-def _oracle_build_tree(X, y, k, min_split, rng) -> dict:
+def _oracle_build_tree(X, y, k, rng) -> dict:
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -184,7 +185,7 @@ def _oracle_build_tree(X, y, k, min_split, rng) -> dict:
         c1 = int(y[idx].sum())
         c0 = idx.size - c1
         counts.append([c0, c1])
-        split = _oracle_choose_split(X, y, idx, k, min_split, rng, c0, c1)
+        split = _oracle_choose_split(X, y, idx, k, rng, c0, c1)
         if split is None:
             feature.append(_LEAF)
             threshold.append(0.0)
@@ -208,18 +209,18 @@ def _oracle_build_tree(X, y, k, min_split, rng) -> dict:
     }
 
 
-def _oracle_fit(X, y, n_trees, k, min_split, seed) -> TreeEnsemble:
+def _oracle_fit(X, y, n_trees, seed) -> TreeEnsemble:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).astype(np.int64)
+    k = math.ceil(math.sqrt(X.shape[1]))
     trees = [
         _oracle_build_tree(
-            X, y, k, min_split,
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))),
+            X, y, k, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         )
         for i in range(n_trees)
     ]
     return TreeEnsemble(n_features=X.shape[1], n_trees=n_trees, k_features=k,
-                        min_samples_split=min_split, seed=seed, trees=trees)
+                        min_samples_split=2, seed=seed, trees=trees)
 
 
 class _FixedDraws:
@@ -237,6 +238,15 @@ class _FixedDraws:
 
     def random(self, size):
         return np.full(size, self.u)
+
+
+class _LoggedTakes(np.ndarray):
+    """Feature-major training matrix that logs the axis and the indices of
+    every ``take``, so a test can count the cells a split search gathers."""
+
+    def take(self, indices, axis=None):
+        self.log.append((axis, np.asarray(indices)))
+        return np.asarray(self).take(indices, axis=axis)
 
 
 def _adjacent(base: float, steps) -> np.ndarray:
@@ -257,7 +267,8 @@ _COLUMN_KINDS = ("normal", "constant", "few", "step", "relu", "ulps")
 @st.composite
 def _training_sets(draw):
     """Small training sets whose columns are constant, constant only inside
-    some nodes, heavily tied, or a few ulps wide; rows may repeat."""
+    some nodes, heavily tied, or a few ulps wide; rows may repeat, and the
+    leading positives may be copies of one row."""
     n_distinct = draw(st.integers(2, 40))
     repeats = draw(st.integers(1, 3))
     kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=6))
@@ -283,9 +294,13 @@ def _training_sets(draw):
     y = (rng.random(n) < draw(st.sampled_from([0.1, 0.5]))).astype(np.int64)
     y[rng.choice(n, 2, replace=False)] = [0, 1]
     order = rng.permutation(n)
-    k = draw(st.integers(1, d))
-    min_split = draw(st.integers(2, 12))
-    return X[order], y[order], k, min_split, draw(st.integers(0, 2**16))
+    X, y = X[order], y[order]
+    if draw(st.booleans()):
+        # A node lists its positives first, so these copies lead every node
+        # that holds them, whose first rows then show no variation.
+        pos = np.flatnonzero(y == 1)
+        X[pos[:draw(st.integers(2, 10))]] = X[pos[0]]
+    return X, y, draw(st.integers(0, 2**16))
 
 
 class TestFit:
@@ -338,10 +353,6 @@ class TestFit:
         y = np.array([0, 1] * 5)
         with pytest.raises(ValueError, match="n_trees"):
             fit(X, y, n_trees=0)
-        with pytest.raises(ValueError, match="min_samples_split"):
-            fit(X, y, min_samples_split=1)
-        with pytest.raises(ValueError, match="k_features"):
-            fit(X, y, k_features=5)
 
     def test_thresholds_strictly_inside_node_ranges(self):
         rng = np.random.default_rng(5)
@@ -373,14 +384,6 @@ class TestFit:
             assert tree["counts"][leaves].sum() == 80
             assert tree["counts"][0].tolist() == [int((y == 0).sum()), int((y == 1).sum())]
 
-    def test_min_samples_split_respected(self):
-        rng = np.random.default_rng(7)
-        X, y = _separable(rng, n=60)
-        ens = fit(X, y, n_trees=5, min_samples_split=20, seed=7)
-        for tree in ens.trees:
-            internal = tree["feature"] != _LEAF
-            assert (tree["counts"][internal].sum(axis=1) >= 20).all()
-
 
 class TestFastSplitSearch:
     """The split search against the reference grower."""
@@ -388,10 +391,29 @@ class TestFastSplitSearch:
     @settings(max_examples=150, deadline=None)
     @given(_training_sets())
     def test_fit_bytes_equal_the_reference(self, case):
-        X, y, k, min_split, seed = case
-        fast = fit(X, y, n_trees=3, k_features=k, min_samples_split=min_split, seed=seed)
-        slow = _oracle_fit(X, y, 3, k, min_split, seed)
+        X, y, seed = case
+        fast = fit(X, y, n_trees=3, seed=seed)
+        slow = _oracle_fit(X, y, 3, seed)
         assert serialize_ensemble(fast) == serialize_ensemble(slow)
+
+    def test_probe_reads_both_ends_of_a_node(self):
+        # Ten positives, copies of one row, lead the node; its ten negatives
+        # differ from them in every attribute but the last, which is constant.
+        # Only that attribute and the k drawn ones may be gathered over the
+        # whole node.
+        n, d, k = 20, 9, 3
+        X = np.zeros((n, d))
+        X[10:, :-1] = np.random.default_rng(40).standard_normal((10, d - 1))
+        Xt = np.ascontiguousarray(X.T).view(_LoggedTakes)
+        Xt.log = []
+        split = _choose_split(Xt, np.arange(n), k, np.random.default_rng(41), 10, 10)
+        assert split is not None and split[0] < d - 1
+        assert [i.tolist() for axis, i in Xt.log if axis == 1] == [[0, 1, 2, 3, 16, 17, 18, 19]]
+        # A gather's flat index is attribute * n + row.
+        gathered = np.concatenate([i.ravel() // n for axis, i in Xt.log if axis is None])
+        cells = np.bincount(gathered, minlength=d).tolist()
+        assert cells[-1] == n
+        assert sorted(cells[:-1]) == [0] * (d - 1 - k) + [n] * k
 
     @pytest.mark.parametrize("u", [0.0, 1.0])
     @pytest.mark.parametrize("base", _BASES)
@@ -405,8 +427,8 @@ class TestFastSplitSearch:
             np.arange(12, dtype=np.float64),
         ])
         y = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0])
-        fast = _build_tree(np.ascontiguousarray(X.T), y == 1, 3, 2, _FixedDraws(u))
-        slow = _oracle_build_tree(X, y, 3, 2, _FixedDraws(u))
+        fast = _build_tree(np.ascontiguousarray(X.T), y == 1, 3, _FixedDraws(u))
+        slow = _oracle_build_tree(X, y, 3, _FixedDraws(u))
         for key in slow:
             assert fast[key].tobytes() == slow[key].tobytes(), key
 
@@ -419,7 +441,7 @@ class TestFastSplitSearch:
     def test_fallback_cut_values(self, column, expected, u):
         X = np.array(column * 2)[:, None]
         y = np.array([0, 1, 1, 0])
-        tree = _build_tree(np.ascontiguousarray(X.T), y == 1, 1, 2, _FixedDraws(u))
+        tree = _build_tree(np.ascontiguousarray(X.T), y == 1, 1, _FixedDraws(u))
         if expected is None:
             assert tree["feature"].tolist() == [_LEAF]
         else:
@@ -492,10 +514,8 @@ class TestForkedFit:
     @settings(max_examples=40, deadline=None)
     @given(_training_sets(), st.sampled_from([1, 2, 3, 7]))
     def test_bytes_equal_the_in_process_fit(self, case, n_trees):
-        X, y, k, min_split, seed = case
-        forked, in_process, forks = self._both_ways(
-            X, y, n_trees=n_trees, k_features=k, min_samples_split=min_split, seed=seed
-        )
+        X, y, seed = case
+        forked, in_process, forks = self._both_ways(X, y, n_trees=n_trees, seed=seed)
         assert forked == in_process
         assert forks == (1 if n_trees >= 2 else 0)
 
@@ -614,11 +634,14 @@ class TestPackedRouting:
     """All trees routed together must equal the per-tree oracle bit for bit."""
 
     def _impure_forest(self, seed=20, n_trees=40):
+        # Every row three times, a fifth of the labels flipped: equal rows
+        # that disagree admit no cut and end in impure leaves.
         rng = np.random.default_rng(seed)
-        X, y = _separable(rng, n=300, d=5, margin=0.3)
+        X, y = _separable(rng, n=100, d=5, margin=0.3)
+        X, y = np.repeat(X, 3, axis=0), np.repeat(y, 3)
         flip = rng.random(y.size) < 0.2
         y[flip] = 1 - y[flip]
-        return fit(X, y, n_trees=n_trees, min_samples_split=20, seed=seed), rng
+        return fit(X, y, n_trees=n_trees, seed=seed), rng
 
     def test_impure_leaves_match_oracle_in_tree_order(self):
         ens, rng = self._impure_forest()

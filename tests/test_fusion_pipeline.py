@@ -453,7 +453,11 @@ def trace():
     ))), 7)
     model = _frozen(depth=3, hidden=8, seed=2)
     X, y, _ = pool_labeled_rows(flows, model)
-    ensemble = extra_trees.fit(X, y, n_trees=12, min_samples_split=60, seed=1)
+    # Every row a second time, a third of the copies with the other label:
+    # equal rows that disagree admit no cut and end in impure leaves.
+    flip = np.random.default_rng(1).random(y.size) < 0.3
+    X, y = np.vstack([X, X]), np.concatenate([y, np.where(flip, 1 - y, y)])
+    ensemble = extra_trees.fit(X, y, n_trees=12, seed=1)
     return flows, model, ensemble
 
 

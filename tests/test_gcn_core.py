@@ -131,6 +131,14 @@ class TestLayerForward:
             with pytest.raises(ValueError, match="unknown residual mode"):
                 gcn_layer_forward(P, X, W, mode)
 
+    def test_model_refuses_any_other_residual_mode(self):
+        # The file format would save any other mode as z_plus_relu.
+        m = init_gcn(2, hidden_dim=4, seed=0)
+        for mode in ("x_plus_relu", "bogus"):
+            with pytest.raises(ValueError, match=f"unknown residual mode '{mode}'"):
+                GcnModel(m.depth, m.input_dim, m.hidden_dim, m.weights, m.head_weight,
+                         m.head_bias, residual_mode=mode)
+
     def test_operand_validation(self):
         P = np.eye(3)
         with pytest.raises(ValueError, match="dimension mismatch"):
