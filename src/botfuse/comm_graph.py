@@ -44,6 +44,9 @@ class CommGraph:
         raw = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
         pairs = np.array(raw, dtype=np.int64).reshape(-1, 2)
         n = self.n
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            bad = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)][0]
+            raise ValueError(f"edge {bad.tolist()!r} out of range for {n} nodes")
         # Codes i*n + j sort like the pairs, so sorting them sorts the pairs.
         codes = _sorted_unique(pairs[:, 0] * n + pairs[:, 1])
         self.edges = np.column_stack((codes // n, codes % n))

@@ -14,6 +14,12 @@ Trees are independent, so where two CPUs are available ``fit`` grows the
 second half of the forest in one forked worker while the calling process
 grows the first; each tree draws from its own stream, so the ensemble has the
 same bytes either way.
+
+An ensemble holds its trees, the number of attributes they split on, the
+fit's seed and the windowing and normalization of its training rows. Its
+tree count is the length of its tree list. A file also records n_trees,
+k_features and min_samples_split: n_trees must count the file's trees, and
+the two growth settings are written from the rule, not kept when read.
 """
 
 from __future__ import annotations
@@ -110,31 +116,29 @@ def _pack(trees: list[dict]) -> PackedForest:
 
 @dataclass(eq=False)
 class TreeEnsemble:
-    """Fitted forest: flat node arrays per tree, the fit parameters, and the normalization
+    """Fitted forest: flat node arrays per tree, the fit's seed, and the normalization
     mode, window length and stride of its training rows, which detection must reuse.
-    Construction checks every tree and packs them into ``packed``."""
+    ``n_trees`` is the length of ``trees``, and no growth setting is held. Construction
+    checks every tree and packs them into ``packed``."""
 
     n_features: int
-    n_trees: int
-    k_features: int
-    min_samples_split: int
     seed: int
-    trees: list[dict] = field(default_factory=list)
+    trees: list[dict]
     norm_mode: str = DEFAULT_NORM_MODE
     window_len: float = DEFAULT_WINDOW_LEN
     stride: float = DEFAULT_STRIDE
     packed: PackedForest = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.trees) != self.n_trees:
-            raise ValueError(
-                f"ensemble declares {self.n_trees} trees but holds {len(self.trees)}"
-            )
         if not self.trees:
             raise ValueError("ensemble holds no trees")
         for i, tree in enumerate(self.trees):
             _check_tree(i, tree, self.n_features)
         self.packed = _pack(self.trees)
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.trees)
 
 
 def _entropy(c0: int, c1: int) -> float:
@@ -151,6 +155,16 @@ def _entropy(c0: int, c1: int) -> float:
 # head rows, all positives, are its most alike): an attribute that varies
 # among them varies in the node, and only the others need the full scan.
 _PROBE_ROWS = 8
+
+
+def _features_per_node(d: int) -> int:
+    """k, the attributes each node draws among the d it could split on."""
+    return math.ceil(math.sqrt(d))
+
+
+# A node splits until it is pure or admits no cut, which a file records as
+# the rule's fewest rows to split: two.
+_MIN_SAMPLES_SPLIT = 2
 
 
 def _cut_inside(lo: float, hi: float, u: float) -> float | None:
@@ -308,7 +322,7 @@ def fit(
             "overflows float64"
         )
 
-    k = math.ceil(math.sqrt(d))
+    k = _features_per_node(d)
     Xt = np.ascontiguousarray(X.T)
     y = y == 1
 
@@ -320,15 +334,7 @@ def fit(
 
     trees = in_two_halves(grow, n_trees, "tree", adopt=_own_tree)
 
-    return TreeEnsemble(
-        n_features=d,
-        n_trees=n_trees,
-        k_features=k,
-        # Splitting to purity is the 2-row minimum the file format records.
-        min_samples_split=2,
-        seed=seed,
-        trees=trees,
-    )
+    return TreeEnsemble(n_features=d, seed=seed, trees=trees)
 
 
 # Routing steps between drops of the (tree, row) pairs that reached a leaf:
@@ -396,14 +402,15 @@ _TREE_DTYPES = {
 
 def serialize_ensemble(ensemble: TreeEnsemble) -> bytes:
     """Canonical JSON encoding (sorted keys, no whitespace) for stable bytes. norm_mode,
-    window_len and stride are left out at their defaults, so older files keep their bytes."""
+    window_len and stride are left out at their defaults, so older files keep their bytes.
+    k_features and min_samples_split are written from the growth rule."""
     payload = {
         "format": ENSEMBLE_FORMAT,
         "version": ENSEMBLE_FORMAT_VERSION,
         "n_features": ensemble.n_features,
         "n_trees": ensemble.n_trees,
-        "k_features": ensemble.k_features,
-        "min_samples_split": ensemble.min_samples_split,
+        "k_features": _features_per_node(ensemble.n_features),
+        "min_samples_split": _MIN_SAMPLES_SPLIT,
         "seed": ensemble.seed,
         "trees": [{key: t[key].tolist() for key in _TREE_DTYPES} for t in ensemble.trees],
     }
@@ -429,7 +436,10 @@ def _tree_from_json(i: int, t) -> dict:
 
 
 def deserialize_ensemble(data: bytes) -> TreeEnsemble:
-    """Refuse what detection cannot use. Absent norm_mode, window_len and stride take defaults."""
+    """Refuse what detection cannot use. Absent norm_mode, window_len and stride take defaults.
+
+    n_trees must count the trees. k_features and min_samples_split must be integers but
+    are not kept, so a hand-written file with other values re-saves with the rule's."""
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -462,9 +472,12 @@ def deserialize_ensemble(data: bytes) -> TreeEnsemble:
     if not isinstance(payload["trees"], list):
         raise ValueError("ensemble field 'trees' must be a list")
     trees = [_tree_from_json(i, t) for i, t in enumerate(payload["trees"])]
-    return TreeEnsemble(
-        **{key: payload[key] for key in integers}, trees=trees, norm_mode=norm_mode, **windowing
-    )
+    if len(trees) != payload["n_trees"]:
+        raise ValueError(
+            f"ensemble declares {payload['n_trees']} trees but holds {len(trees)}"
+        )
+    return TreeEnsemble(n_features=payload["n_features"], seed=payload["seed"], trees=trees,
+                        norm_mode=norm_mode, **windowing)
 
 
 def save_ensemble(ensemble: TreeEnsemble, path) -> None:

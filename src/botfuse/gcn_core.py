@@ -46,11 +46,16 @@ class ModelFormatError(ValueError):
 
 @dataclass(eq=False)
 class GcnModel:
-    """Stack of graph-convolution weights plus the training-time linear head."""
+    """Stack of graph-convolution weights plus the training-time linear head.
 
-    depth: int
-    input_dim: int
-    hidden_dim: int
+    The weights are the one record of the network's shape: ``depth`` is the
+    number of layer weights, and ``input_dim`` and ``hidden_dim`` are the
+    first weight's rows and columns. A model file's header records all three,
+    written from these properties when the model is saved. Construction
+    refuses an empty stack and parameters that do not chain, so no model can
+    save a header that disagrees with its weights.
+    """
+
     weights: list[np.ndarray]
     head_weight: np.ndarray
     head_bias: np.ndarray
@@ -61,6 +66,24 @@ class GcnModel:
         # The file format saves every model as this one wiring.
         if self.residual_mode != RESIDUAL_Z_PLUS_RELU:
             raise ValueError(f"unknown residual mode {self.residual_mode!r}")
+        if not self.weights or np.ndim(self.weights[0]) != 2:
+            raise ValueError("model needs at least one 2-D layer weight")
+        shapes = [np.shape(p) for p in self.parameters()]
+        expected = _weight_shapes(self.depth, self.input_dim, self.hidden_dim)
+        if shapes != expected:
+            raise ValueError(f"parameter shapes {shapes} do not chain as {expected}")
+
+    @property
+    def depth(self) -> int:
+        return len(self.weights)
+
+    @property
+    def input_dim(self) -> int:
+        return self.weights[0].shape[0]
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.weights[0].shape[1]
 
     def parameters(self) -> list[np.ndarray]:
         return [*self.weights, self.head_weight, self.head_bias]
@@ -95,14 +118,7 @@ def init_gcn(
     weights.extend(glorot(hidden_dim, hidden_dim, comp) for _ in range(depth - 1))
     head_weight = glorot(hidden_dim, N_CLASSES)
     head_bias = np.zeros(N_CLASSES, dtype=np.float64)
-    return GcnModel(
-        depth=depth,
-        input_dim=input_dim,
-        hidden_dim=hidden_dim,
-        weights=weights,
-        head_weight=head_weight,
-        head_bias=head_bias,
-    )
+    return GcnModel(weights=weights, head_weight=head_weight, head_bias=head_bias)
 
 
 def _check_operands(P, X: np.ndarray, W: np.ndarray) -> None:
@@ -352,9 +368,6 @@ def deserialize_model(data: bytes) -> GcnModel:
         raise ModelFormatError("corrupt payload: non-finite weights")
 
     return GcnModel(
-        depth=depth,
-        input_dim=input_dim,
-        hidden_dim=hidden_dim,
         weights=arrays[:depth],
         head_weight=arrays[depth],
         head_bias=arrays[depth + 1],

@@ -155,6 +155,16 @@ class TestEdgeCanonicalization:
             assert g.edges.dtype == np.int64
             assert g.edges.tolist() == expect
 
+    @pytest.mark.parametrize("nodes, edges, message", [
+        # As code i*n + j, (0, 3) on two nodes would decode as the self-loop (1, 1).
+        (["a", "b"], [(0, 3)], "edge [0, 3] out of range for 2 nodes"),
+        # A negative index would reach propagation_matrix, and fail in np.bincount.
+        (["a", "b", "c"], [(0, 1), (0, -1)], "edge [0, -1] out of range for 3 nodes"),
+    ])
+    def test_pairs_outside_the_node_range_are_refused(self, nodes, edges, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CommGraph(nodes=nodes, edges=edges)
+
     def test_no_edges_is_an_empty_pair_array(self):
         for edges in (set(), [], np.empty((0, 2))):
             g = CommGraph(nodes=["a"], edges=edges)

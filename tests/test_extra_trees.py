@@ -219,8 +219,7 @@ def _oracle_fit(X, y, n_trees, seed) -> TreeEnsemble:
         )
         for i in range(n_trees)
     ]
-    return TreeEnsemble(n_features=X.shape[1], n_trees=n_trees, k_features=k,
-                        min_samples_split=2, seed=seed, trees=trees)
+    return TreeEnsemble(n_features=X.shape[1], seed=seed, trees=trees)
 
 
 class _FixedDraws:
@@ -335,7 +334,8 @@ class TestFit:
         X = rng.standard_normal((40, 10))
         y = (rng.random(40) < 0.5).astype(np.int64)
         y[:2] = [0, 1]
-        assert fit(X, y, n_trees=2).k_features == 4
+        payload = json.loads(serialize_ensemble(fit(X, y, n_trees=2)))
+        assert (payload["k_features"], payload["min_samples_split"]) == (4, 2)
 
     def test_input_validation(self):
         rng = np.random.default_rng(4)
@@ -676,8 +676,7 @@ class TestPackedRouting:
         single_leaf = deserialize_ensemble(_hand_written()).trees[0]
         single_leaf = {**single_leaf, "counts": np.array([[2, 9]])}
         trees = [deep.trees[0], single_leaf, *ens.trees[:3], single_leaf, *deep.trees[1:]]
-        mixed = TreeEnsemble(n_features=5, n_trees=len(trees), k_features=3,
-                             min_samples_split=2, seed=0, trees=trees)
+        mixed = TreeEnsemble(n_features=5, seed=0, trees=trees)
         depths = {_depth(t) for t in trees}
         assert 0 in depths and len(depths) >= 4
         Q = rng.standard_normal((150, 5))
@@ -821,7 +820,6 @@ class TestSerialization:
         ens2 = deserialize_ensemble(blob)
         assert serialize_ensemble(ens2) == blob
         assert ens2.n_features == ens.n_features
-        assert ens2.k_features == ens.k_features
         Q = rng.standard_normal((20, 2))
         assert np.array_equal(predict_proba(ens, Q), predict_proba(ens2, Q))
 
@@ -886,8 +884,16 @@ class TestSerialization:
             load_ensemble(tmp_path / "missing.json")
 
     def test_declared_tree_count_must_match(self):
-        with pytest.raises(ValueError, match="declares"):
-            TreeEnsemble(
-                n_features=2, n_trees=3, k_features=1,
-                min_samples_split=2, seed=0, trees=[],
-            )
+        for n_trees in (1, 3):
+            payload = copy.deepcopy(_HAND_WRITTEN)
+            payload["n_trees"] = n_trees
+            with pytest.raises(ValueError, match=f"declares {n_trees} trees but holds 2"):
+                deserialize_ensemble(json.dumps(payload).encode())
+
+    def test_hand_written_growth_settings_resave_as_the_rule(self):
+        # Three features: the rule draws k = 2 and splits down to 2 rows.
+        payload = copy.deepcopy(_HAND_WRITTEN)
+        payload.update(k_features=3, min_samples_split=7)
+        back = json.loads(serialize_ensemble(deserialize_ensemble(json.dumps(payload).encode())))
+        assert (back["k_features"], back["min_samples_split"]) == (2, 2)
+        assert back["trees"] == payload["trees"]

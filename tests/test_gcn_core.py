@@ -136,8 +136,7 @@ class TestLayerForward:
         m = init_gcn(2, hidden_dim=4, seed=0)
         for mode in ("x_plus_relu", "bogus"):
             with pytest.raises(ValueError, match=f"unknown residual mode '{mode}'"):
-                GcnModel(m.depth, m.input_dim, m.hidden_dim, m.weights, m.head_weight,
-                         m.head_bias, residual_mode=mode)
+                GcnModel(m.weights, m.head_weight, m.head_bias, residual_mode=mode)
 
     def test_operand_validation(self):
         P = np.eye(3)
@@ -416,6 +415,27 @@ class TestSerialization:
             m2 = deserialize_model(serialize_model(m))
             self._assert_models_equal(m, m2)
             assert serialize_model(m2) == serialize_model(m)
+
+    def test_shape_facts_come_from_the_weights(self):
+        m = init_gcn(3, input_dim=6, hidden_dim=4, seed=1)
+        assert (m.depth, m.input_dim, m.hidden_dim) == (3, 6, 4)
+        rebuilt = GcnModel(m.weights, m.head_weight, m.head_bias)
+        assert serialize_model(rebuilt) == serialize_model(m)
+        self._assert_models_equal(deserialize_model(serialize_model(rebuilt)), m)
+
+    def test_model_refuses_parameters_that_do_not_chain(self):
+        # Any model that builds saves a header its body matches.
+        m = init_gcn(3, hidden_dim=4, seed=0)
+        w0, w1, w2 = m.weights
+        for weights, head_weight, head_bias, message in (
+            ([], m.head_weight, m.head_bias, "at least one 2-D layer weight"),
+            ([w0[0]], m.head_weight, m.head_bias, "at least one 2-D layer weight"),
+            ([w0, w1[:3], w2], m.head_weight, m.head_bias, "do not chain"),
+            (m.weights, m.head_weight[:, :1], m.head_bias, "do not chain"),
+            (m.weights, m.head_weight, np.zeros(3), "do not chain"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                GcnModel(weights, head_weight, head_bias)
 
     def test_truncated_payload(self):
         data = serialize_model(init_gcn(2))

@@ -148,3 +148,37 @@ def test_the_tracer_sees_every_stage_of_every_window(monkeypatch):
     assert {stage: names.count(stage) for stage in WINDOW_STAGES} == dict.fromkeys(
         WINDOW_STAGES, len(reports))
     assert tracer.errors == []
+
+
+def test_the_build_calls_pass_their_checks_and_count_under_the_tracer(monkeypatch, tmp_path):
+    # The output checks read the saved artifacts (model.depth, ensemble.n_trees)
+    # and the tracer's counters read the traced calls' arguments and results,
+    # so a renamed artifact attribute fails here, not only in the benchmark.
+    import json
+
+    from botfuse.cli import main
+    from fork_checks import in_process_only
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    w, scale = workloads.WORKLOADS["build-p2p"], workloads.SCALES["tiny"]
+    workloads.generate(w, scale, 0, tmp_path)
+    setup, timed = workloads.cli_calls(w, scale, tmp_path)
+    assert [argv[0] for argv in setup + timed] == ["pretrain", "train", "eval"]
+    expected = json.loads((tmp_path / "expected.json").read_text())
+    checker = checks.Checker(w.arch, tmp_path, expected, golden=None)
+    in_process_only(monkeypatch)  # a forked worker's counters stay in the worker
+    tracer = tracing.Tracer()
+    errors = []
+    for argv in setup + timed:
+        with tracer.installed():
+            assert main(argv) == 0
+        errors += checker.check(argv)
+    assert errors == []
+    assert tracer.errors == []
+    totals = tracer.totals["setup"]
+    for key in ("pretrain.epochs", "extra_trees.fit_rows", "extra_trees.tree_nodes",
+                "metrics.folds"):
+        assert totals[key] > 0, key
