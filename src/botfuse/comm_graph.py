@@ -259,7 +259,7 @@ def _is_int(value) -> bool:
 
 
 def save_graph(graph: CommGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_to_json(graph), sort_keys=True))
+    Path(path).write_text(json.dumps(graph_to_json(graph), sort_keys=True), encoding="utf-8")
 
 
 def load_graph(path: str | Path) -> CommGraph:
@@ -267,7 +267,7 @@ def load_graph(path: str | Path) -> CommGraph:
     if not path.is_file():
         raise FileNotFoundError(f"graph file not found: {path}")
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"graph schema violation: {path} is not valid JSON ({exc})") from None
     return graph_from_json(payload)

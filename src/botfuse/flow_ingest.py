@@ -523,13 +523,16 @@ def filter_tcp_udp(table: FlowTable) -> FlowTable:
 
 
 def check_windowing(window_len: float, stride: float) -> None:
-    """Refuse a window length or stride that is not finite and positive, and
-    a stride longer than the window, which would skip flows."""
+    """Refuse a window length or stride that is not finite and positive, a
+    stride longer than the window, which would skip flows, and a pair whose
+    ratio overflows."""
     for name, value in (("window_len", window_len), ("stride", stride)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     if stride > window_len:
         raise ValueError(f"stride {stride} exceeds window length {window_len}")
+    if window_len / stride == math.inf:
+        raise ValueError(f"window_len {window_len} / stride {stride} is not finite")
 
 
 def slice_windows(
@@ -545,6 +548,10 @@ def slice_windows(
     contain no flows are omitted. The rows are sorted once by start time,
     ties kept in input order, and each window's table is a view of a row
     range of the sorted table.
+
+    Settings too fine for the flow times are refused: 2**62 or more stride
+    slots, or a flow that lies in no window because a start plus window_len
+    rounds back to that start.
     """
     check_windowing(window_len, stride)
     if not len(table):
@@ -552,21 +559,39 @@ def slice_windows(
 
     table = table[np.argsort(table.ts, kind="stable")]
     times = table.ts
-    first = math.floor(times[0] / stride) * stride
-    n_starts = int(math.floor((times[-1] - first) / stride)) + 1
+    # As Python floats, a quotient that overflows is inf without a warning.
+    t0, t1 = float(times[0]), float(times[-1])
+    lead = t0 / stride
+    first = math.floor(lead) * stride if math.isfinite(lead) else math.nan
+    last = (t1 - first) / stride
+    if not last < 2**62 - 1:
+        raise ValueError(
+            f"window_len {window_len} and stride {stride} are too fine for flow times "
+            f"{t0} to {t1} s: a stride slot number reaches 2**62"
+        )
+    n_starts = int(math.floor(last)) + 1
     # A flow in stride slot c can only lie in windows c - reach .. c + 1 (one
     # extra each side absorbs rounding). Trying just those keeps a long gap
     # in the trace, such as one row stamped at the epoch, from costing
-    # memory in proportion to the gap.
-    reach = math.ceil(window_len / stride) + 1
+    # memory in proportion to the gap. There are only n_starts starts to try.
+    reach = min(math.ceil(window_len / stride), n_starts) + 1
     slots = np.unique(np.floor((times - first) / stride).astype(np.int64))
     ks = np.unique((slots[:, None] + np.arange(-reach, 2)).ravel())
     ks = ks[(ks >= 0) & (ks < n_starts)]
     starts = first + ks * stride
-    los = np.searchsorted(times, starts).tolist()
-    his = np.searchsorted(times, starts + window_len).tolist()
+    los = np.searchsorted(times, starts)
+    his = np.searchsorted(times, starts + window_len)
+    # Starts never descend, so neither do los and his, and the rows from
+    # his[i - 1] up to los[i] lie in no window.
+    ends = np.append(0, his)
+    gaps = np.flatnonzero(ends < np.append(los, len(table)))
+    if gaps.size:
+        raise ValueError(
+            f"window_len {window_len} and stride {stride} are too fine for flow times "
+            f"near {times[ends[gaps[0]]]} s: the flow there lies in no window"
+        )
     return [WindowSlice(start, table[lo:hi])
-            for start, lo, hi in zip(starts.tolist(), los, his) if hi > lo]
+            for start, lo, hi in zip(starts.tolist(), los.tolist(), his.tolist()) if hi > lo]
 
 
 def node_labels(table: FlowTable) -> dict[str, Label]:
@@ -591,7 +616,7 @@ def derive_node_labels(records: Sequence[FlowRecord]) -> dict[str, Label]:
 def write_flows_csv(records: Iterable[FlowRecord], path: str | Path) -> None:
     """Write flows in the canonical CSV column order, under a header row."""
     path = Path(path)
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8", errors="surrogateescape") as handle:
         writer = csv.writer(handle)
         writer.writerow(CANONICAL_COLUMNS)
         for r in records:

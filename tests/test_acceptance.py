@@ -25,11 +25,8 @@ from botfuse.flow_ingest import (
     encode_flows,
 )
 from botfuse.gcn_core import (
-    backward,
     deserialize_model,
-    forward,
     init_gcn,
-    masked_cross_entropy,
     serialize_model,
 )
 from botfuse.fusion_pipeline import (
@@ -48,6 +45,13 @@ from botfuse.pretrain import (
 )
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
 from csr_checks import as_scipy
+from oracles import (
+    brute_force_features,
+    dense_propagation,
+    gradcheck,
+    oracle_proba,
+    pairs_auc,
+)
 
 # Heavyweight artifacts shared between criteria; built once per session.
 _MODELS: dict = {}
@@ -94,18 +98,6 @@ def _random_comm_graph(rng, n):
     return CommGraph(nodes=nodes, edges=edges)
 
 
-def _dense_propagation(graph):
-    n = graph.n
-    A = np.zeros((n, n))
-    for i, j in graph.edges:
-        A[i, j] = 1.0
-        A[j, i] = 1.0
-    d = A.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        dinv = np.where(d > 0, 1.0 / np.sqrt(d), 0.0)
-    return (dinv[:, None] * A) * dinv[None, :]
-
-
 def test_criterion_01_propagation_matches_dense_oracle(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -115,7 +107,7 @@ def test_criterion_01_propagation_matches_dense_oracle(capsys):
     for _ in range(100):
         graph = _random_comm_graph(rng, int(rng.integers(2, 201)))
         P = as_scipy(propagation_matrix(graph))
-        worst_diff = max(worst_diff, float(np.abs(P.toarray() - _dense_propagation(graph)).max()))
+        worst_diff = max(worst_diff, float(np.abs(P.toarray() - dense_propagation(graph)).max()))
         symmetric = symmetric and (P != P.T).nnz == 0
         worst_rho = max(worst_rho, float(np.abs(np.linalg.eigvalsh(P.toarray())).max()))
     elapsed = time.perf_counter() - t0
@@ -139,30 +131,7 @@ def _gradcheck_worst(depth, seed):
     y = (rng.random(n) < 0.5).astype(np.int64)
     y[:2] = [0, 1]
     mask = np.ones(n, dtype=bool)
-
-    def loss_of():
-        logits = forward(model, P, X) @ model.head_weight + model.head_bias
-        return masked_cross_entropy(logits, y, mask)[0]
-
-    _, grads = backward(model, P, X, y, mask)
-    eps = 1e-5
-    worst = 0.0
-    for param, grad in zip(model.parameters(), grads):
-        it = np.nditer(param, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            keep = param[idx]
-            param[idx] = keep + eps
-            hi = loss_of()
-            param[idx] = keep - eps
-            lo = loss_of()
-            param[idx] = keep
-            fd = (hi - lo) / (2.0 * eps)
-            g = grad[idx]
-            rel = abs(g - fd) / max(abs(g), abs(fd), 1e-6)
-            worst = max(worst, rel)
-            it.iternext()
-    return worst
+    return gradcheck(model, P, X, y, mask)
 
 
 def test_criterion_02_gradients_match_finite_differences(capsys):
@@ -212,33 +181,6 @@ def test_criterion_03_normalization_properties(capsys):
     )
 
 
-def _brute_force_features(records):
-    """Left-to-right reference aggregator with the same accumulation order."""
-    sums = {}
-    for r in records:
-        success = r.src_bytes > 0 and r.dst_bytes > 0
-        for node, sent, recv in ((r.src_ip, r.src_bytes, r.dst_bytes),
-                                 (r.dst_ip, r.dst_bytes, r.src_bytes)):
-            s = sums.setdefault(node, [0, 0, 0.0, 0.0, 0.0, 0])
-            if success:
-                s[0] += 1
-                s[2] += r.duration
-            else:
-                s[1] += 1
-            s[3] += sent
-            s[4] += recv
-            s[5] += 1
-    out = {}
-    for node, (conn, fail, dur, sent, recv, n) in sums.items():
-        out[node] = (
-            conn, fail,
-            dur / conn if conn else 0.0,
-            sent / n if n else 0.0,
-            recv / n if n else 0.0,
-        )
-    return out
-
-
 def test_criterion_04_flow_feature_oracle(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(4)
@@ -262,7 +204,7 @@ def test_criterion_04_flow_feature_oracle(capsys):
     window = WindowSlice(0.0, encode_flows(records))
     matrix = extract_node_features(window)
     got = dict(zip(window.node_index[0], map(tuple, matrix.tolist())))
-    want = _brute_force_features(records)
+    want = brute_force_features(records)
     exact = set(got) == set(want) and all(row == want[node] for node, row in got.items())
     endpoint_events = int(matrix[:, :2].sum())
     identity = endpoint_events == 2 * len(records)
@@ -336,25 +278,6 @@ def test_criterion_07_ablation_direction(capsys):
     )
 
 
-def _route_one(tree, x):
-    """Leaf one sample reaches in one tree (value < threshold goes left)."""
-    node = 0
-    while tree["feature"][node] >= 0:
-        go_left = x[tree["feature"][node]] < tree["threshold"][node]
-        node = tree["left"][node] if go_left else tree["right"][node]
-    return node
-
-
-def _pairs_auc(y, p):
-    pos = p[y == 1]
-    neg = p[y != 1]
-    total = 0.0
-    for a in pos:
-        for b in neg:
-            total += 1.0 if a > b else (0.5 if a == b else 0.0)
-    return total / (pos.size * neg.size)
-
-
 def test_criterion_08_tree_ensemble_correctness(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(8)
@@ -366,12 +289,7 @@ def test_criterion_08_tree_ensemble_correctness(capsys):
 
     Q = rng.standard_normal((60, 4))
     got = extra_trees.predict_proba(ens, Q)
-    acc = np.zeros(60)
-    for tree in ens.trees:
-        leaves = [_route_one(tree, q) for q in Q]
-        c = tree["counts"][leaves]
-        acc += c[:, 1] / c.sum(axis=1)
-    proba_exact = np.array_equal(got, acc / ens.n_trees)
+    proba_exact = np.array_equal(got, oracle_proba(ens, Q))
 
     auc_exact = True
     for _ in range(50):
@@ -379,7 +297,7 @@ def test_criterion_08_tree_ensemble_correctness(capsys):
         yy = (rng.random(n) < 0.5).astype(np.int64)
         yy[:2] = [0, 1]
         pp = rng.integers(0, 8, size=n) / 8.0
-        auc_exact = auc_exact and rank_auc(yy, pp) == _pairs_auc(yy, pp)
+        auc_exact = auc_exact and rank_auc(yy, pp) == pairs_auc(yy, pp)
 
     elapsed = time.perf_counter() - t0
     ok = train_acc == 1.0 and proba_exact and auc_exact and elapsed < 30.0

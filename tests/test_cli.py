@@ -1000,6 +1000,8 @@ class TestErrors:
         (["--window-len", "0"], "window_len must be finite and > 0, got 0.0"),
         (["--window-len", "nan"], "window_len must be finite and > 0, got nan"),
         (["--window-len", "5", "--stride", "6"], "stride 6.0 exceeds window length 5.0"),
+        (["--window-len", "1e300", "--stride", "1e-300"],
+         "window_len 1e+300 / stride 1e-300 is not finite"),
     ])
     def test_windowing_is_checked_before_any_input(self, art, tmp_path, capsys,
                                                    monkeypatch, command, options, message):
@@ -1016,6 +1018,14 @@ class TestErrors:
         assert main([*argv, *options]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_windows_too_fine_for_the_trace_are_refused(self, art, capsys):
+        rc = main(["features", "--flows", str(art["flows"]),
+                   "--window-len", "1e-300", "--stride", "1e-300"])
+        assert rc == 1
+        assert re.fullmatch(r"error: window_len 1e-300 and stride 1e-300 are too fine for flow "
+                            r"times \S+ to \S+ s: a stride slot number reaches 2\*\*62\n",
+                            capsys.readouterr().err)
 
     def test_windowing_is_checked_before_the_flow_file(self, tmp_path, capsys):
         rc = main(["features", "--flows", str(tmp_path / "missing.csv"), "--stride", "-1"])

@@ -30,6 +30,7 @@ from botfuse.flow_features import extract_node_features
 from botfuse.flow_ingest import FlowRecord, Proto, WindowSlice, encode_flows, slice_windows
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
 from csr_checks import as_scipy
+from oracles import dense_propagation
 
 
 def _flow(src, dst, up=100, down=50):
@@ -58,18 +59,6 @@ def _random_graph(rng, n=None, p=0.1):
         if i != j:
             edges.add((int(i), int(j)))
     return CommGraph(nodes=[f"n{i:04d}" for i in range(n)], edges=edges)
-
-
-def _dense_oracle(graph):
-    n = graph.n
-    A = np.zeros((n, n))
-    for i, j in graph.edges:
-        A[i, j] = 1.0
-        A[j, i] = 1.0
-    deg = A.sum(axis=1)
-    inv = np.zeros(n)
-    inv[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
-    return np.diag(inv) @ A @ np.diag(inv)
 
 
 def _spectral_radius(P):
@@ -195,7 +184,7 @@ class TestPropagationMatrix:
         for _ in range(20):
             g = _random_graph(rng, n=int(rng.integers(2, 60)))
             P = as_scipy(propagation_matrix(g)).toarray()
-            assert np.abs(P - _dense_oracle(g)).max() < 1e-12
+            assert np.abs(P - dense_propagation(g)).max() < 1e-12
 
     def test_equals_dense_oracle_exactly_in_canonical_form(self):
         rng = np.random.default_rng(5)
@@ -208,7 +197,7 @@ class TestPropagationMatrix:
                     (g.edges, np.column_stack((loops, loops)))))
             P = as_scipy(propagation_matrix(g))
             assert P.has_canonical_format
-            assert np.array_equal(P.toarray(), _dense_oracle(g))
+            assert np.array_equal(P.toarray(), dense_propagation(g))
 
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(1)

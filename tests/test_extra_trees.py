@@ -24,6 +24,7 @@ from botfuse.extra_trees import (
     serialize_ensemble,
 )
 from fork_checks import assert_no_child_left, counted_forks, in_process_only
+from oracles import leaf_values, oracle_proba, route, route_one
 
 _LEAF = -1
 
@@ -36,50 +37,10 @@ def _separable(rng, n=100, d=2, margin=1.0):
     return X, y
 
 
-def _route_one(tree, x):
-    """Recursive single-sample routing, independent of the vectorized walker."""
-    node = 0
-    while tree["feature"][node] != _LEAF:
-        f = tree["feature"][node]
-        if x[f] < tree["threshold"][node]:
-            node = tree["left"][node]
-        else:
-            node = tree["right"][node]
-    return node
-
-
-def route(tree, X):
-    """Leaf index reached by each row of X in one tree (value < threshold
-    goes left): the routing oracle for the packed routing in predict_proba."""
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    feature, threshold = tree["feature"], tree["threshold"]
-    active = feature[node] != _LEAF
-    while active.any():
-        rows = np.nonzero(active)[0]
-        cur = node[rows]
-        goleft = X[rows, feature[cur]] < threshold[cur]
-        node[rows] = np.where(goleft, tree["left"][cur], tree["right"][cur])
-        active = feature[node] != _LEAF
-    return node
-
-
 def _depth(tree, node=0):
     if tree["feature"][node] == _LEAF:
         return 0
     return 1 + max(_depth(tree, tree["left"][node]), _depth(tree, tree["right"][node]))
-
-
-def _leaf_values(tree, Q):
-    c = tree["counts"][route(tree, Q)]
-    return c[:, 1] / c.sum(axis=1)
-
-
-def _oracle_proba(ens, Q):
-    """Per-tree routing, leaf frequencies added one tree after another."""
-    acc = np.zeros(Q.shape[0])
-    for tree in ens.trees:
-        acc += _leaf_values(tree, Q)
-    return acc / ens.n_trees
 
 
 # Tree 0 is a single leaf (1 of 4 positive). Tree 1 splits feature 0 at 0.5,
@@ -571,7 +532,7 @@ class TestPredict:
         acc = np.zeros(40)
         for tree in ens.trees:
             for i in range(40):
-                c0, c1 = tree["counts"][_route_one(tree, Q[i])]
+                c0, c1 = tree["counts"][route_one(tree, Q[i])]
                 acc[i] += c1 / (c0 + c1)
         assert np.array_equal(got, acc / ens.n_trees)
 
@@ -582,7 +543,7 @@ class TestPredict:
         Q = rng.standard_normal((30, 3))
         for tree in ens.trees:
             vec = route(tree, Q)
-            rec = np.array([_route_one(tree, q) for q in Q])
+            rec = np.array([route_one(tree, q) for q in Q])
             assert np.array_equal(vec, rec)
 
     def test_pure_leaves_give_certainty(self):
@@ -648,11 +609,11 @@ class TestPackedRouting:
         leaves = ens.trees[0]["counts"][ens.trees[0]["feature"] == _LEAF]
         assert (leaves.min(axis=1) > 0).any()
         Q = rng.standard_normal((200, 5))
-        expect = _oracle_proba(ens, Q)
+        expect = oracle_proba(ens, Q)
         assert np.array_equal(predict_proba(ens, Q), expect)
         # The check is sharp: summing each row's leaf values along a
         # contiguous axis (pairwise) gives other bits for some rows.
-        values = np.stack([_leaf_values(t, Q) for t in ens.trees], axis=1)
+        values = np.stack([leaf_values(t, Q) for t in ens.trees], axis=1)
         assert not np.array_equal(values.sum(axis=1) / ens.n_trees, expect)
 
     def test_zero_and_one_row_inputs(self):
@@ -660,12 +621,12 @@ class TestPackedRouting:
         assert predict_proba(ens, np.zeros((0, 5))).shape == (0,)
         Q = rng.standard_normal((20, 5))
         lone = np.concatenate([predict_proba(ens, q[None]) for q in Q])
-        assert lone.tobytes() == _oracle_proba(ens, Q).tobytes()
+        assert lone.tobytes() == oracle_proba(ens, Q).tobytes()
         assert lone.tobytes() == predict_proba(ens, Q).tobytes()
         # The check is sharp: one reduce down a lone row's contiguous
         # (n_trees, 1) column of leaf values sums pairwise, with other bits
         # for some rows.
-        values = np.stack([_leaf_values(t, Q) for t in ens.trees], axis=1)
+        values = np.stack([leaf_values(t, Q) for t in ens.trees], axis=1)
         pairwise = np.concatenate([np.add.reduce(v[:, None], axis=0) for v in values])
         assert not np.array_equal(pairwise / ens.n_trees, lone)
 
@@ -680,7 +641,7 @@ class TestPackedRouting:
         depths = {_depth(t) for t in trees}
         assert 0 in depths and len(depths) >= 4
         Q = rng.standard_normal((150, 5))
-        assert np.array_equal(predict_proba(mixed, Q), _oracle_proba(mixed, Q))
+        assert np.array_equal(predict_proba(mixed, Q), oracle_proba(mixed, Q))
 
     def test_hand_written_forest(self):
         ens = deserialize_ensemble(_hand_written())
@@ -692,7 +653,7 @@ class TestPackedRouting:
         ])
         expect = (0.25 + np.array([0.0, 0.5, 1.0, 1.0])) / 2
         assert np.array_equal(predict_proba(ens, Q), expect)
-        assert np.array_equal(predict_proba(ens, Q), _oracle_proba(ens, Q))
+        assert np.array_equal(predict_proba(ens, Q), oracle_proba(ens, Q))
 
 
 class TestTreeValidation:

@@ -9,6 +9,7 @@ from botfuse.flow_features import (
     FEATURE_NAMES,
     extract_node_features,
 )
+from oracles import brute_force_features
 
 
 def _flow(src, dst, dur=1.0, up=100, down=50, ts=0.0):
@@ -44,30 +45,6 @@ def _random_flows(rng, n, n_nodes=40, int_valued=False):
         down = int(rng.integers(0, 3)) * int(rng.integers(0, 500))
         flows.append(_flow(f"n{src:02d}", f"n{dst:02d}", dur=dur, up=up, down=down))
     return flows
-
-
-def _brute_force(records):
-    """Independent per-node recomputation from scratch."""
-    roles = {}
-    for r in records:
-        ok = r.src_bytes > 0 and r.dst_bytes > 0
-        for node, sent, recv in ((r.src_ip, r.src_bytes, r.dst_bytes),
-                                 (r.dst_ip, r.dst_bytes, r.src_bytes)):
-            e = roles.setdefault(node, {"ok": [], "fail": [], "sent": [], "recv": []})
-            (e["ok"] if ok else e["fail"]).append(r.duration)
-            e["sent"].append(sent)
-            e["recv"].append(recv)
-    out = {}
-    for node, e in roles.items():
-        n_flows = len(e["sent"])
-        out[node] = (
-            len(e["ok"]),
-            len(e["fail"]),
-            sum(e["ok"]) / len(e["ok"]) if e["ok"] else 0.0,
-            sum(e["sent"]) / n_flows if n_flows else 0.0,
-            sum(e["recv"]) / n_flows if n_flows else 0.0,
-        )
-    return out
 
 
 def _conn_counts(up, down):
@@ -116,7 +93,7 @@ class TestExtractNodeFeatures:
         rng = np.random.default_rng(1)
         records = _random_flows(rng, 300)
         feats = _rows(_window(records))
-        oracle = _brute_force(records)
+        oracle = brute_force_features(records)
         assert set(feats) == set(oracle)
         for node, expected in oracle.items():
             assert feats[node] == expected, node

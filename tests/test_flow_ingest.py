@@ -881,6 +881,27 @@ class TestSliceWindows:
         with pytest.raises(ValueError, match="exceeds"):
             _windows([_record()], 10.0, 60.0)
 
+    @pytest.mark.parametrize("times, step", [
+        ([0.0, 1.3e9], 1e-9),
+        ([1.3e9 + 0.1 * i for i in range(5)], 1e-7),
+    ])
+    def test_windows_below_float_resolution_are_refused(self, times, step):
+        # Near 1.3e9 s a float step is 2.4e-7 s, so a window start there plus
+        # `step` rounds back to itself: the flows there lie in no window.
+        with pytest.raises(ValueError, match=f"window_len {step} and stride {step} .* no window"):
+            _windows([_record(ts=t) for t in times], step, step)
+
+    def test_slot_numbers_past_int64_range_are_refused(self):
+        # 30 s / 1e-300 is 3e301 stride slots; 1.3e9 / 1e-300 overflows to inf.
+        for times in ([0.0, 30.0], [1.3e9]):
+            with pytest.raises(ValueError, match=r"window_len 1e-300 and stride 1e-300 .* 2\*\*62"):
+                _windows([_record(ts=t) for t in times], 1e-300, 1e-300)
+
+    def test_window_far_longer_than_the_trace(self):
+        # window_len / stride is 1e300, but only two starts hold flows.
+        windows = _windows([_record(ts=0.5), _record(ts=1.5)], 1e300, 1.0)
+        assert [(w.window_start, len(w.table)) for w in windows] == [(0.0, 2), (1.0, 1)]
+
 
 class TestDeriveNodeLabels:
     def test_source_of_bot_flow_is_bot(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from botfuse.comm_graph import CommGraph
 from botfuse.flow_features import FEATURE_DIM
 from botfuse.gcn_core import (
     DEFAULT_HIDDEN_DIM,
@@ -22,45 +23,17 @@ from botfuse.gcn_core import (
     save_model,
     serialize_model,
 )
+from oracles import dense_propagation, gradcheck
 
 
 def _random_p(rng, n):
     """Symmetric degree-normalized matrix of a random undirected graph."""
-    A = np.zeros((n, n))
+    edges = []
     for _ in range(max(n, int(0.3 * n * n))):
         i, j = rng.integers(0, n, size=2)
         if i != j:
-            A[i, j] = A[j, i] = 1.0
-    deg = A.sum(axis=1)
-    inv = np.zeros(n)
-    inv[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
-    return np.diag(inv) @ A @ np.diag(inv)
-
-
-def _loss_of(model, P, X0, labels, mask):
-    logits = forward(model, P, X0) @ model.head_weight + model.head_bias
-    loss, _ = masked_cross_entropy(logits, labels, mask)
-    return loss
-
-
-def _gradcheck(model, P, X0, labels, mask, eps=1e-5, floor=1e-6):
-    """Elementwise relative error between analytic and central differences."""
-    _, grads = backward(model, P, X0, labels, mask)
-    worst = 0.0
-    for param, grad in zip(model.parameters(), grads):
-        it = np.nditer(param, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
-            orig = param[ix]
-            param[ix] = orig + eps
-            hi = _loss_of(model, P, X0, labels, mask)
-            param[ix] = orig - eps
-            lo = _loss_of(model, P, X0, labels, mask)
-            param[ix] = orig
-            fd = (hi - lo) / (2 * eps)
-            rel = abs(grad[ix] - fd) / max(abs(grad[ix]), abs(fd), floor)
-            worst = max(worst, rel)
-    return worst
+            edges.append((i, j))
+    return dense_propagation(CommGraph(nodes=[str(i) for i in range(n)], edges=edges))
 
 
 class TestInit:
@@ -245,7 +218,7 @@ class TestBackward:
         X = rng.standard_normal((10, 5))
         labels = rng.integers(0, 2, size=10)
         mask = np.ones(10, dtype=bool)
-        assert _gradcheck(m, P, X, labels, mask) < 1e-4
+        assert gradcheck(m, P, X, labels, mask) < 1e-4
 
     def test_gradient_ignores_masked_out_labels(self):
         rng = np.random.default_rng(11)

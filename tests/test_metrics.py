@@ -23,22 +23,7 @@ from botfuse.metrics import (
     summarize_folds,
 )
 from fork_checks import assert_no_child_left, counted_forks, in_process_only
-
-
-def _pairs_auc(y, p):
-    """All-pairs comparison with half credit for ties."""
-    y = np.asarray(y)
-    p = np.asarray(p, dtype=np.float64)
-    pos = p[y == 1]
-    neg = p[y != 1]
-    total = 0.0
-    for a in pos:
-        for b in neg:
-            if a > b:
-                total += 1.0
-            elif a == b:
-                total += 0.5
-    return total / (pos.size * neg.size)
+from oracles import pairs_auc
 
 
 class TestRankAuc:
@@ -58,7 +43,7 @@ class TestRankAuc:
             y[:2] = [0, 1]
             # Quantized scores force plenty of ties.
             p = rng.integers(0, 8, size=n) / 8.0
-            assert rank_auc(y, p) == _pairs_auc(y, p)
+            assert rank_auc(y, p) == pairs_auc(y, p)
 
     def test_matches_scipy_rankdata_bit_for_bit(self):
         stats = pytest.importorskip("scipy.stats")
