@@ -11,15 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from botfuse.flow_ingest import WindowSlice
-
-# Per-node label codes used in CommGraph.labels arrays.
-LABEL_LEGIT = 0
-LABEL_BOT = 1
-LABEL_UNKNOWN = -1
-
-_CODE_TO_NAME = {LABEL_LEGIT: "legit", LABEL_BOT: "bot", LABEL_UNKNOWN: "unknown"}
-_NAME_TO_CODE = {name: code for code, name in _CODE_TO_NAME.items()}
+from botfuse.flow_ingest import Label, WindowSlice
 
 GRAPH_FORMAT = "botfuse-graph"
 GRAPH_FORMAT_VERSION = 1
@@ -31,8 +23,9 @@ class CommGraph:
     lexicographically sorted, duplicate-free (m, 2) int64 array of index
     pairs; any collection of in-range (i, j) pairs is accepted and
     canonicalized here. A graph holds topology and, when read from a file
-    or made by the synthetic generator, per-node labels; node features are
-    computed per window, never stored here."""
+    or made by the synthetic generator, ``labels``: an object array of one
+    `Label` member per node. Node features are computed per window, never
+    stored here."""
 
     nodes: list[str]
     edges: np.ndarray
@@ -194,7 +187,7 @@ def graph_to_json(graph: CommGraph) -> dict:
         "meta": dict(graph.meta),
     }
     if graph.labels is not None:
-        payload["labels"] = [_CODE_TO_NAME[int(c)] for c in graph.labels]
+        payload["labels"] = [label.value for label in graph.labels]
     return payload
 
 
@@ -235,11 +228,12 @@ def graph_from_json(payload: dict) -> CommGraph:
             raise ValueError("graph schema violation: labels must be a list or null")
         if len(raw_labels) != n:
             raise ValueError("graph schema violation: label list does not match n")
-        try:
-            labels = np.array([_NAME_TO_CODE[name] for name in raw_labels], dtype=np.int8)
-        except (KeyError, TypeError):
-            bad = next(name for name in raw_labels if name not in _CODE_TO_NAME.values())
-            raise ValueError(f"graph schema violation: unknown label {bad!r}") from None
+        labels = np.empty(n, dtype=object)
+        for i, name in enumerate(raw_labels):
+            try:
+                labels[i] = Label(name)
+            except ValueError:
+                raise ValueError(f"graph schema violation: unknown label {name!r}") from None
 
     meta = payload.get("meta")
     if meta is not None and not isinstance(meta, dict):

@@ -379,15 +379,10 @@ def predict_proba(ensemble: TreeEnsemble, X: np.ndarray) -> np.ndarray:
     """Probability of the positive class: unweighted mean of leaf frequencies."""
     X = _check_input(ensemble, X)
     leaf_values = ensemble.packed.value[_route_packed(ensemble.packed, X)]
-    # One tree after another: numpy reduces the outer (tree) axis row after
-    # row. A lone input row is one contiguous column, which numpy would sum
-    # pairwise, in another order and with other bits once leaves are impure.
-    if X.shape[0] == 1:
-        total = 0.0
-        for value in leaf_values[:, 0].tolist():
-            total += value
-        return np.array([total]) / ensemble.n_trees
-    return np.add.reduce(leaf_values, axis=0) / ensemble.n_trees
+    # A running sum down the tree axis adds the trees one after another for
+    # every row count; a plain sum of a lone row's contiguous column would
+    # go pairwise, with other bits once leaves are impure.
+    return np.cumsum(leaf_values, axis=0, out=leaf_values)[-1] / ensemble.n_trees
 
 
 # The per-tree arrays of the file format and their in-memory dtypes.

@@ -193,23 +193,16 @@ class ParseResult:
 
 
 def _parse_proto(text: str) -> Proto:
-    text = text.strip().lower()
-    if text == "tcp":
-        return Proto.TCP
-    if text == "udp":
-        return Proto.UDP
-    return Proto.OTHER
+    try:
+        return Proto(text.strip().lower())
+    except ValueError:
+        return Proto.OTHER
 
 
 def _parse_label(text: str) -> Label:
+    """An empty cell is UNKNOWN; a name that Label lacks raises ValueError."""
     text = text.strip().lower()
-    if text == "bot":
-        return Label.BOT
-    if text == "legit":
-        return Label.LEGIT
-    if text in ("", "unknown"):
-        return Label.UNKNOWN
-    raise ValueError(f"unrecognized label {text!r}")
+    return Label(text) if text else Label.UNKNOWN
 
 
 def _binetflow_label(text: str) -> Label:
@@ -576,8 +569,15 @@ def slice_windows(
     # memory in proportion to the gap. There are only n_starts starts to try.
     reach = min(math.ceil(window_len / stride), n_starts) + 1
     slots = np.unique(np.floor((times - first) / stride).astype(np.int64))
-    ks = np.unique((slots[:, None] + np.arange(-reach, 2)).ravel())
-    ks = ks[(ks >= 0) & (ks < n_starts)]
+    # The slots ascend, so their ranges merge into runs: a run ends where the
+    # next slot's range begins past it. Expanding the runs, clipped to the
+    # starts, costs memory in proportion to the starts tried, not to slots
+    # times reach.
+    new = np.flatnonzero(slots[1:] - reach > slots[:-1] + 1) + 1
+    run_lo = np.maximum(slots[np.append(0, new)] - reach, 0)
+    run_hi = np.minimum(slots[np.append(new - 1, slots.size - 1)] + 1, n_starts - 1)
+    lengths = np.maximum(run_hi - run_lo + 1, 0)
+    ks = np.repeat(run_lo + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
     starts = first + ks * stride
     los = np.searchsorted(times, starts)
     his = np.searchsorted(times, starts + window_len)

@@ -157,7 +157,7 @@ def gcn_layer_forward(
 
 
 def make_workspace(model: GcnModel, n: int) -> list[np.ndarray]:
-    """Buffers that `forward` and `backward` reuse on graphs of up to n nodes.
+    """Buffers that `backward` reuses on graphs of up to n nodes.
 
     depth + 1 float64 (n, hidden) arrays: slot k takes layer k's output and
     the last slot the backward pass's dZ. Each slot is its own array, not a
@@ -194,27 +194,19 @@ def _stack(model: GcnModel, P, X0: np.ndarray, outs) -> np.ndarray:
     return X
 
 
-def forward(
-    model: GcnModel,
-    P,
-    X0: np.ndarray,
-    work: list[np.ndarray] | None = None,
-) -> np.ndarray:
+def forward(model: GcnModel, P, X0: np.ndarray) -> np.ndarray:
     """Run the full stack; final hidden activations are the fused features.
 
     The training head is not applied: logits are
-    ``forward(...) @ model.head_weight + model.head_bias``. An optional
-    ``work`` workspace, as for `backward`, holds the layer outputs; the
-    result has the same bits and shares no memory with it.
+    ``forward(...) @ model.head_weight + model.head_bias``. Each layer's
+    output is a new array; only `backward` takes a workspace.
     """
     X0 = np.asarray(X0, dtype=np.float64)
     if X0.ndim != 2 or X0.shape[1] != model.input_dim:
         raise ValueError(
             f"input must be n x {model.input_dim}, got {X0.shape}"
         )
-    outs = [None] * model.depth if work is None else _workspace(model, X0.shape[0], work)
-    X = _stack(model, P, X0, outs)
-    return X if work is None else X.copy()
+    return _stack(model, P, X0, [None] * model.depth)
 
 
 def masked_cross_entropy(

@@ -114,22 +114,19 @@ def check_k(k: int) -> None:
 def stratified_folds(y: np.ndarray, k: int, seed: int = 0) -> list[np.ndarray]:
     """Per-class round-robin assignment; fold sizes differ by at most 1 per class.
 
-    The round-robin cursor carries over between classes so all k folds fill
-    whenever k <= n, which keeps k = n (leave-one-out) valid.
+    Each class's samples are shuffled, the shuffles are laid end to end in
+    class order, and sample i of that order goes to fold i % k. The count
+    carries over between classes, so all k folds fill whenever k <= n, which
+    keeps k = n (leave-one-out) valid.
     """
     y = np.asarray(y)
     check_k(k)
     if k > y.size:
         raise ValueError(f"cannot make {k} folds from {y.size} samples")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    cursor = 0
-    for cls in np.unique(y):
-        idx = rng.permutation(np.nonzero(y == cls)[0])
-        for sample in idx:
-            folds[cursor % k].append(int(sample))
-            cursor += 1
-    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+    order = np.concatenate([rng.permutation(np.flatnonzero(y == cls)) for cls in np.unique(y)])
+    fold = np.arange(order.size) % k
+    return [np.sort(order[fold == f]).astype(np.int64) for f in range(k)]
 
 
 def summarize_folds(fold_metrics: list[MetricSet]) -> dict:

@@ -15,14 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .comm_graph import (
-    LABEL_BOT,
-    LABEL_LEGIT,
-    CommGraph,
-    load_graph,
-    propagation_matrix,
-)
+from .comm_graph import CommGraph, load_graph, propagation_matrix
 from .flow_features import FEATURE_DIM
+from .flow_ingest import Label
 from .gcn_core import DEFAULT_HIDDEN_DIM, GcnModel, backward, forward, init_gcn, make_workspace
 from .random_graphs import gnp_edges, random_regular_edges
 
@@ -130,9 +125,9 @@ def generate_synthetic_graph(
 
     links = np.concatenate(links)
 
-    labels = np.full(len(nodes), LABEL_LEGIT, dtype=np.int8)
-    labels[bot_idx] = LABEL_BOT
-    labels[ctl_idx] = LABEL_BOT
+    labels = np.full(len(nodes), Label.LEGIT, dtype=object)
+    labels[bot_idx] = Label.BOT
+    labels[ctl_idx] = Label.BOT
 
     return CommGraph(
         nodes=nodes,
@@ -188,7 +183,7 @@ def load_graph_dataset(path) -> list[CommGraph]:
     graphs = []
     for f in files:
         g = load_graph(f)
-        if g.labels is None or not ((g.labels == LABEL_BOT) | (g.labels == LABEL_LEGIT)).any():
+        if g.labels is None or not (g.labels != Label.UNKNOWN).any():
             raise ValueError(f"graph {f} is missing labels")
         graphs.append(g)
     return graphs
@@ -216,8 +211,8 @@ class _Adam:
 def _balanced_mask(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Loss mask: every bot plus a seeded sample of as many background nodes,
     or all of them when there are fewer."""
-    bots = np.nonzero(labels == LABEL_BOT)[0]
-    legit = np.nonzero(labels == LABEL_LEGIT)[0]
+    bots = np.nonzero(labels == Label.BOT)[0]
+    legit = np.nonzero(labels == Label.LEGIT)[0]
     n_keep = min(legit.size, max(1, bots.size))
     keep = rng.choice(legit, size=n_keep, replace=False)
     mask = np.zeros(labels.size, dtype=bool)
@@ -232,7 +227,7 @@ def _graph_tensors(graphs, seed: int):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(gi,)))
         P = propagation_matrix(g)
         X = np.ones((g.n, FEATURE_DIM), dtype=np.float64)
-        y = (g.labels == LABEL_BOT).astype(np.int64)
+        y = (g.labels == Label.BOT).astype(np.int64)
         mask = _balanced_mask(g.labels, rng)
         prepared.append((P, X, y, mask))
     return prepared
@@ -258,7 +253,7 @@ def pretrain_gcn(
         if g.labels is None:
             raise ValueError("pretraining requires labeled graphs")
     all_labels = np.concatenate([g.labels for g in dataset])
-    if not ((all_labels == LABEL_BOT).any() and (all_labels == LABEL_LEGIT).any()):
+    if not ((all_labels == Label.BOT).any() and (all_labels == Label.LEGIT).any()):
         raise ValueError("dataset contains a single class")
 
     order = np.random.default_rng(config.seed).permutation(len(dataset))
@@ -278,10 +273,10 @@ def pretrain_gcn(
     since_best = 0
     best_params = [p.copy() for p in params]
     epoch_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0xE0,)))
-    # One workspace for every forward and backward pass, sized for the
-    # largest graph: reusing it keeps the heap from shrinking and faulting
-    # back in between passes.
-    n_max = max(P.shape[0] for P, *_ in train_set + val_set)
+    # One workspace for every backward pass, sized for the largest training
+    # graph: reusing it keeps the heap from shrinking and faulting back in
+    # between passes.
+    n_max = max(P.shape[0] for P, *_ in train_set)
     work = make_workspace(model, n_max)
 
     for epoch in range(config.max_epochs):
@@ -300,7 +295,7 @@ def pretrain_gcn(
         correct = 0
         total = 0
         for P, X, y, mask in val_set:
-            logits = forward(model, P, X, work=work) @ model.head_weight + model.head_bias
+            logits = forward(model, P, X) @ model.head_weight + model.head_bias
             pred = logits.argmax(axis=1)
             correct += int((pred[mask] == y[mask]).sum())
             total += int(mask.sum())

@@ -14,9 +14,6 @@ import scipy.sparse as sp
 
 import botfuse
 from botfuse.comm_graph import (
-    LABEL_BOT,
-    LABEL_LEGIT,
-    LABEL_UNKNOWN,
     CommGraph,
     Propagation,
     build_graph,
@@ -27,7 +24,7 @@ from botfuse.comm_graph import (
     save_graph,
 )
 from botfuse.flow_features import extract_node_features
-from botfuse.flow_ingest import FlowRecord, Proto, WindowSlice, encode_flows, slice_windows
+from botfuse.flow_ingest import FlowRecord, Label, Proto, WindowSlice, encode_flows, slice_windows
 from botfuse.synth_flows import FlowBenchSpec, generate_flow_benchmark
 from csr_checks import as_scipy
 from oracles import dense_propagation
@@ -357,7 +354,7 @@ print(hashlib.sha256((P @ Y).tobytes()).hexdigest())
 class TestInterchangeFormat:
     def _sample(self):
         g = _graph_from_flows([_flow("A", "B"), _flow("C", "B", up=10, down=0)])
-        g.labels = np.array([LABEL_BOT, LABEL_LEGIT, LABEL_UNKNOWN], dtype=np.int8)
+        g.labels = np.array([Label.BOT, Label.LEGIT, Label.UNKNOWN], dtype=object)
         g.meta["architecture"] = "c2"
         return g
 
@@ -376,6 +373,15 @@ class TestInterchangeFormat:
         g2 = load_graph(path)
         assert g2.nodes == g.nodes
         assert np.array_equal(g2.edges, g.edges)
+
+    def test_labels_are_saved_by_name_and_load_as_members(self, tmp_path):
+        path = tmp_path / "graph.json"
+        save_graph(self._sample(), path)
+        assert json.loads(path.read_text())["labels"] == ["bot", "legit", "unknown"]
+        labels = load_graph(path).labels
+        assert labels.dtype == object
+        assert [type(label) for label in labels] == [Label] * 3
+        assert labels.tolist() == [Label.BOT, Label.LEGIT, Label.UNKNOWN]
 
     def test_window_graph_round_trips(self):
         g = _graph_from_flows([_flow("A", "B"), _flow("C", "B", up=10, down=0)])

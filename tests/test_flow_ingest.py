@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from typing import Sequence
 
@@ -454,6 +455,19 @@ def test_a_chunk_of_shaped_times_takes_no_strptime_call(starts):
     assert times.tolist() == list(map(_strptime_seconds, texts))
 
 
+def test_label_and_protocol_cells_decode_to_literal_members():
+    # The row parsers below call these decoders, so the differential test
+    # cannot catch a change in them.
+    labels = {"bot": Label.BOT, " BOT ": Label.BOT, "Legit": Label.LEGIT, "": Label.UNKNOWN,
+              "unknown": Label.UNKNOWN, "UNKNOWN ": Label.UNKNOWN}
+    assert {text: _parse_label(text) for text in labels} == labels
+    with pytest.raises(ValueError):
+        _parse_label("weird")
+    protos = {"tcp": Proto.TCP, " TCP": Proto.TCP, "udp": Proto.UDP, "other": Proto.OTHER,
+              "icmp": Proto.OTHER, "": Proto.OTHER}
+    assert {text: _parse_proto(text) for text in protos} == protos
+
+
 # The row parsers: the reference definition of a valid row, one row at a time,
 # for the differential test of parse_flow_file's column path.
 
@@ -901,6 +915,20 @@ class TestSliceWindows:
         # window_len / stride is 1e300, but only two starts hold flows.
         windows = _windows([_record(ts=0.5), _record(ts=1.5)], 1e300, 1.0)
         assert [(w.window_start, len(w.table)) for w in windows] == [(0.0, 2), (1.0, 1)]
+
+    def test_memory_follows_the_windows_not_window_len(self):
+        # 2,000 flows 1 s apart give 2,000 windows at stride 1 for any
+        # window_len. Listing window_len / stride candidate starts per slot
+        # peaked at 64 MB here with window_len 2000, against 3.2 MB with 10.
+        table = encode_flows([_record(ts=float(t)) for t in range(2000)])
+        tracemalloc.start()
+        try:
+            windows = slice_windows(table, 2000.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(windows) == 2000
+        assert peak <= 8e6
 
 
 class TestDeriveNodeLabels:

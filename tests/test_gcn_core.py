@@ -292,12 +292,6 @@ class TestWorkspace:
             assert np.float64(loss_w).tobytes() == np.float64(loss).tobytes()
             for a, b in zip(grads, grads_w):
                 assert a.tobytes() == b.tobytes()
-            plain = forward(m, P, X)
-            reused = forward(m, P, X, work=work)
-            assert reused.tobytes() == plain.tobytes()
-            assert not any(np.shares_memory(reused, slot) for slot in work)
-            assert ((reused @ m.head_weight + m.head_bias).tobytes()
-                    == (plain @ m.head_weight + m.head_bias).tobytes())
 
     @pytest.mark.parametrize("mode", [RESIDUAL_Z_PLUS_RELU])
     def test_gradient_matches_a_preactivation_oracle(self, mode):
@@ -343,8 +337,6 @@ class TestWorkspace:
         for work in bad:
             with pytest.raises(ValueError, match="workspace"):
                 backward(m, P, X, labels, mask, work=work)
-            with pytest.raises(ValueError, match="workspace"):
-                forward(m, P, X, work=work)
 
 
 class TestLayerOut:
